@@ -37,7 +37,8 @@ def anli(
 
     anli = sum_S max_P NLI(S, P) / |S| where S ranges over the candidate
     answer's sentences and P over the entailed answer's. An empty entailed
-    list scores 0.
+    list scores 0. Only the entailment probability is read, so the provider's
+    score-only ``nli_entailment`` is used and no embedding is built.
     """
     if not candidate_sentences:
         raise SchemaError("anli needs at least one candidate sentence")
@@ -45,7 +46,7 @@ def anli(
         return 0.0
     total = 0.0
     for s in candidate_sentences:
-        total += max(nli_provider.nli(s, p).entailment for p in entailed_sentences)
+        total += max(nli_provider.nli_entailment(s, p) for p in entailed_sentences)
     return total / len(candidate_sentences)
 
 

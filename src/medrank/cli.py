@@ -56,13 +56,7 @@ from .providers import (
     load_tfidf,
     save_tfidf,
 )
-from .retrieval import (
-    EntailmentIndex,
-    RetrievalConfig,
-    build_cache,
-    retrieve,
-    save_cache,
-)
+from .retrieval import EntailmentIndex, RetrievalConfig, retrieve
 from .synth import write_synth
 from .tensornet import read_manifest, write_manifest
 
@@ -242,21 +236,6 @@ def cmd_fit_tfidf(config: RunConfig, args) -> int:
     return 0
 
 
-def cmd_build_index(config: RunConfig, args) -> int:
-    dataset = load_dataset(args.dataset, args.split)
-    pairs = load_qa_corpus(args.corpus)
-    provider, _ = _build_run_provider(config, pairs)
-    index = EntailmentIndex(pairs, provider)
-    cache = build_cache(
-        index,
-        {q.question_id: q.text for q in dataset.questions},
-        config.retrieval_config(),
-    )
-    save_cache(cache, args.out)
-    print(f"cached retrieval scores for {len(cache)} questions -> {args.out}")
-    return 0
-
-
 def cmd_extract_features(config: RunConfig, args) -> int:
     dataset = load_dataset(args.dataset, args.split)
     pairs = load_qa_corpus(args.corpus)
@@ -283,6 +262,7 @@ def cmd_extract_features(config: RunConfig, args) -> int:
                     "V": feature_config.V,
                     "D": feature_config.D,
                     "T": feature_config.T,
+                    "swap_direction": retrieval_config.swap_direction,
                     "source_vocab": list(feature_config.source_vocab),
                     "slots": bl.feature_layout(feature_config),
                     "provider": _provider_spec(config.provider_config()),
@@ -419,8 +399,11 @@ def cmd_predict(config: RunConfig, args) -> int:
         model, meta = load_joint_model(args.model)
         provider = _provider_from_meta(meta)
         index = EntailmentIndex(pairs, provider)
+        train = meta["train"]
         retrieval_config = RetrievalConfig(
-            N=int(meta["train"]["retrieval_N"]), T=float(meta["train"]["retrieval_T"])
+            N=int(train["retrieval_N"]),
+            T=float(train["retrieval_T"]),
+            swap_direction=bool(train.get("retrieval_swap_direction", False)),
         )
         predictions = predict_dataset(model, dataset, index, provider, retrieval_config)
     elif meta["kind"] == "baseline":
@@ -432,7 +415,11 @@ def cmd_predict(config: RunConfig, args) -> int:
             provider, _ = _build_run_provider(config, pairs)
         index = EntailmentIndex(pairs, provider)
         tfidf = load_tfidf(args.tfidf)
-        retrieval_config = RetrievalConfig(N=feature_config.N, T=feature_config.T)
+        retrieval_config = RetrievalConfig(
+            N=feature_config.N,
+            T=feature_config.T,
+            swap_direction=bool(meta["feature_config"].get("swap_direction", False)),
+        )
         logreg = bl.LogregModel(
             weight=arrays["logreg.weight"], bias=float(arrays["logreg.bias"][0])
         )
@@ -556,13 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--vocab-size", type=int)
     p.set_defaults(handler=cmd_fit_tfidf)
-
-    p = sub.add_parser("build-index", help="cache retrieval scores for a dataset")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--split", default="train")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_build_index)
 
     p = sub.add_parser("extract-features", help="baseline feature vectors")
     p.add_argument("--dataset", required=True)

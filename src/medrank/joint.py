@@ -817,8 +817,10 @@ def infer(
 
     relevance(i) = [mean_k filter_k(i) >= 0.5]; ranking score
     s(i) = sum_k sum_{j != i} pair_k(i, j), sorted descending with ties
-    broken by ascending system rank.
+    broken by ascending system rank. Runs in eval mode without gradients,
+    then leaves every module's training and gradient flags as it found them.
     """
+    flags = [(m, m.training, m.grad_enabled) for m in model.modules()]
     model.eval()
     model.enable_grad(False)
     try:
@@ -874,7 +876,9 @@ def infer(
             scores={candidates[i].answer_id: float(scores[i]) for i in range(n)},
         )
     finally:
-        model.enable_grad(True)
+        for module, training, grad_enabled in flags:
+            module.training = training
+            module.grad_enabled = grad_enabled
 
 
 def predict_dataset(
@@ -937,6 +941,7 @@ def save_joint_model(
             "augmentation": train_config.augmentation,
             "retrieval_N": train_config.retrieval.N,
             "retrieval_T": train_config.retrieval.T,
+            "retrieval_swap_direction": train_config.retrieval.swap_direction,
         },
         "provider": {
             "kind": provider_config.kind,

@@ -11,6 +11,14 @@ Three provider kinds are available, all deterministic under a fixed seed:
 * ``precomputed`` — score/embedding lookup from a JSONL file keyed by the
   SHA-256 of the sentence pair.
 
+Every provider answers ``nli``/``rqe`` (score plus embedding) and the
+score-only ``nli_entailment``/``rqe_score``, which return the same float
+without building an embedding. Retrieval ranks the corpus and ANLI scores
+sentences through the score-only methods, so the D-wide projection runs only
+for the pairs whose embedding is read. ``toy_hash`` and ``tfidf_cosine``
+memoise one vector per text (under ``ProviderConfig.cache``), so scoring a
+query against a corpus transforms each text once.
+
 The hand-rolled vectorizer (rather than an off-the-shelf one) pins the exact
 vocabulary-selection rule: top-V terms by document frequency with
 lexicographic tie-breaks, and idf(t) = ln((1+N)/(1+df(t))) + 1.
@@ -120,6 +128,14 @@ def load_tfidf(path: str | Path) -> TfidfModel:
 # ---------------------------------------------------------------------------
 
 
+def _check_probs(probs: np.ndarray) -> np.ndarray:
+    if probs.shape != (3,):
+        raise DimensionError("NLI probs must be a 3-vector")
+    if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-9:
+        raise SchemaError("NLI probs must be non-negative and sum to 1")
+    return probs
+
+
 @dataclass(frozen=True)
 class NliResult:
     """(entailment, neutral, contradiction) probabilities plus an embedding."""
@@ -128,10 +144,7 @@ class NliResult:
     embedding: np.ndarray
 
     def __post_init__(self):
-        if self.probs.shape != (3,):
-            raise DimensionError("NLI probs must be a 3-vector")
-        if np.any(self.probs < 0) or abs(float(self.probs.sum()) - 1.0) > 1e-9:
-            raise SchemaError("NLI probs must be non-negative and sum to 1")
+        _check_probs(self.probs)
 
     @property
     def entailment(self) -> float:
@@ -182,8 +195,12 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
+def _clamp(score: float) -> float:
+    return min(max(score, 0.0), 1.0)
+
+
 def _probs_from_score(score: float) -> np.ndarray:
-    score = min(max(score, 0.0), 1.0)
+    score = _clamp(score)
     return np.array([score, (1.0 - score) / 2.0, (1.0 - score) / 2.0])
 
 
@@ -193,11 +210,20 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class _Provider:
-    """Shared caching and scalar plumbing; subclasses implement _pair()."""
+    """Shared caching and scalar plumbing; subclasses implement _score()
+    (the raw score alone) and _pair() (the raw score and its embedding).
+
+    A custom provider must answer all four public calls: ``nli``/``rqe``
+    and the score-only ``nli_entailment``/``rqe_score``, which return
+    exactly ``nli(...).entailment`` / ``rqe(...).score``.
+    """
 
     def __init__(self, config: ProviderConfig):
         self.config = config
         self._memo: dict[tuple[str, str], tuple[float, np.ndarray]] = {}
+
+    def _score(self, text_a: str, text_b: str) -> float:
+        raise NotImplementedError
 
     def _pair(self, text_a: str, text_b: str) -> tuple[float, np.ndarray]:
         raise NotImplementedError
@@ -220,10 +246,58 @@ class _Provider:
 
     def rqe(self, chq: str, faq: str) -> RqeResult:
         score, embedding = self._scored(chq, faq)
-        return RqeResult(score=min(max(score, 0.0), 1.0), embedding=embedding)
+        return RqeResult(score=_clamp(score), embedding=embedding)
+
+    def nli_entailment(self, sentence_a: str, sentence_b: str) -> float:
+        """``nli(sentence_a, sentence_b).entailment`` without the embedding."""
+        return _clamp(self._score(sentence_a, sentence_b))
+
+    def rqe_score(self, chq: str, faq: str) -> float:
+        """``rqe(chq, faq).score`` without the embedding."""
+        return _clamp(self._score(chq, faq))
 
 
-class ToyHashProvider(_Provider):
+class _VectorProvider(_Provider):
+    """Scores a pair from one vector per text; the vectors are memoised.
+
+    With ``config.cache`` each text's vector is computed once and kept
+    read-only, so scoring a query against a corpus transforms each corpus
+    text once and the query once.
+    """
+
+    def __init__(self, config: ProviderConfig):
+        super().__init__(config)
+        self._vectors: dict[str, np.ndarray] = {}
+
+    def _transform(self, text: str) -> np.ndarray:
+        raise NotImplementedError
+
+    def _similarity(self, u: np.ndarray, v: np.ndarray) -> float:
+        raise NotImplementedError
+
+    def _embed(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _vector(self, text: str) -> np.ndarray:
+        if self.config.cache:
+            hit = self._vectors.get(text)
+            if hit is not None:
+                return hit
+        vec = _frozen(self._transform(text))
+        if self.config.cache:
+            self._vectors[text] = vec
+        return vec
+
+    def _score(self, text_a: str, text_b: str) -> float:
+        return self._similarity(self._vector(text_a), self._vector(text_b))
+
+    def _pair(self, text_a: str, text_b: str) -> tuple[float, np.ndarray]:
+        u = self._vector(text_a)
+        v = self._vector(text_b)
+        return self._similarity(u, v), self._embed(u, v)
+
+
+class ToyHashProvider(_VectorProvider):
     """Seeded feature hashing of unigrams+bigrams; order-sensitive embeddings."""
 
     def __init__(self, config: ProviderConfig):
@@ -238,7 +312,7 @@ class ToyHashProvider(_Provider):
         ).digest()
         return int.from_bytes(digest, "little") % self.config.D
 
-    def _vector(self, text: str) -> np.ndarray:
+    def _transform(self, text: str) -> np.ndarray:
         tokens = tokenize(text)
         vec = np.zeros(self.config.D, dtype=np.float64)
         for token in tokens:
@@ -247,15 +321,14 @@ class ToyHashProvider(_Provider):
             vec[self._bucket(first + " " + second)] += 1.0
         return vec
 
-    def _pair(self, text_a: str, text_b: str) -> tuple[float, np.ndarray]:
-        u = self._vector(text_a)
-        v = self._vector(text_b)
-        score = max(0.0, _cosine(u, v))
-        embedding = self._projection @ (u - v)
-        return score, embedding
+    def _similarity(self, u: np.ndarray, v: np.ndarray) -> float:
+        return max(0.0, _cosine(u, v))
+
+    def _embed(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self._projection @ (u - v)
 
 
-class TfidfCosineProvider(_Provider):
+class TfidfCosineProvider(_VectorProvider):
     """Cosine of TF-IDF vectors; embeddings project the concatenated pair."""
 
     def __init__(self, config: ProviderConfig, model: TfidfModel):
@@ -265,12 +338,14 @@ class TfidfCosineProvider(_Provider):
         rng = np.random.default_rng(config.seed)
         self._projection = rng.standard_normal((config.D, width)) / math.sqrt(width)
 
-    def _pair(self, text_a: str, text_b: str) -> tuple[float, np.ndarray]:
-        u = tfidf_transform(self.model, text_a)
-        v = tfidf_transform(self.model, text_b)
-        score = min(max(float(np.dot(u, v)), 0.0), 1.0)
-        embedding = self._projection @ np.concatenate([u, v])
-        return score, embedding
+    def _transform(self, text: str) -> np.ndarray:
+        return tfidf_transform(self.model, text)
+
+    def _similarity(self, u: np.ndarray, v: np.ndarray) -> float:
+        return _clamp(float(np.dot(u, v)))
+
+    def _embed(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self._projection @ np.concatenate([u, v])
 
 
 def pair_key(text_a: str, text_b: str) -> str:
@@ -316,6 +391,10 @@ class PrecomputedProvider(_Provider):
             )
         return record
 
+    def _score(self, text_a: str, text_b: str) -> float:
+        record = self._lookup(text_a, text_b)
+        return 0.0 if record is None else float(record["score"])
+
     def _pair(self, text_a: str, text_b: str) -> tuple[float, np.ndarray]:
         record = self._lookup(text_a, text_b)
         if record is None:
@@ -335,6 +414,13 @@ class PrecomputedProvider(_Provider):
             embedding = np.asarray(record["embedding"], dtype=np.float64)
             return NliResult(probs=_frozen(probs), embedding=_frozen(embedding))
         return super().nli(sentence_a, sentence_b)
+
+    def nli_entailment(self, sentence_a: str, sentence_b: str) -> float:
+        record = self._lookup(sentence_a, sentence_b)
+        if record is not None and record.get("probs") is not None:
+            probs = np.asarray(record["probs"], dtype=np.float64)
+            return float(_check_probs(probs)[0])
+        return super().nli_entailment(sentence_a, sentence_b)
 
 
 Provider = _Provider

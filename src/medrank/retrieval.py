@@ -5,13 +5,15 @@ pairs at or above the confidence threshold T are kept and the top N by score
 are returned (ties broken by corpus order). When nothing clears the
 threshold the single best-scoring pair is returned anyway, so retrieval
 never comes back empty.
+
+Ranking the corpus reads scores only, through the provider's ``rqe_score``;
+the full ``rqe`` (score plus embedding) runs only for the at most N pairs
+that are kept, so an embedding is never built for a discarded pair.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -45,6 +47,12 @@ class EntailedCandidate:
     embedding: np.ndarray
 
 
+def _oriented(query: str, pair: QAPair, config: RetrievalConfig) -> tuple[str, str]:
+    if config.swap_direction:
+        return pair.question_text, query
+    return query, pair.question_text
+
+
 class EntailmentIndex:
     """Corpus pairs (in file order) bound to an RQE provider."""
 
@@ -55,14 +63,16 @@ class EntailmentIndex:
         self.provider = provider
 
     def _score(self, query: str, pair: QAPair, config: RetrievalConfig) -> RqeResult:
-        if config.swap_direction:
-            return self.provider.rqe(pair.question_text, query)
-        return self.provider.rqe(query, pair.question_text)
+        """Score and embedding of one pair; called only for kept pairs."""
+        return self.provider.rqe(*_oriented(query, pair, config))
 
     def scores(self, query: str, config: RetrievalConfig) -> np.ndarray:
+        """Score-only RQE of the query against every pair, in corpus order."""
+        rqe_score = self.provider.rqe_score
         return np.array(
-            [self._score(query, pair, config).score for pair in self.pairs]
+            [rqe_score(*_oriented(query, pair, config)) for pair in self.pairs]
         )
+
 
 
 def _select(scores: np.ndarray, config: RetrievalConfig, fallback: bool) -> list[int]:
@@ -108,77 +118,3 @@ def coverage(
         1 for query in queries if bool(np.any(index.scores(query, config) >= config.T))
     )
     return covered / len(queries)
-
-
-# ---------------------------------------------------------------------------
-# Optional retrieval cache: query_id -> [{pair_id, score}] as JSONL
-# ---------------------------------------------------------------------------
-
-
-def build_cache(
-    index: EntailmentIndex, queries: dict[str, str], config: RetrievalConfig
-) -> dict[str, list[dict]]:
-    """Score every query against the corpus once; values sorted best-first."""
-    cache: dict[str, list[dict]] = {}
-    for query_id, query in queries.items():
-        scores = index.scores(query, config)
-        order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-        cache[query_id] = [
-            {"pair_id": index.pairs[i].pair_id, "score": float(scores[i])}
-            for i in order
-        ]
-    return cache
-
-
-def save_cache(cache: dict[str, list[dict]], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for query_id in cache:
-            record = {"query_id": query_id, "candidates": cache[query_id]}
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def load_cache(path: str | Path) -> dict[str, list[dict]]:
-    cache: dict[str, list[dict]] = {}
-    path = Path(path)
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if "query_id" not in record or "candidates" not in record:
-                raise SchemaError(f"{path}:{lineno}: missing query_id or candidates")
-            cache[record["query_id"]] = record["candidates"]
-    return cache
-
-
-def retrieve_cached(
-    index: EntailmentIndex,
-    query: str,
-    query_id: str,
-    cache: dict[str, list[dict]],
-    config: RetrievalConfig,
-) -> list[EntailedCandidate]:
-    """Apply the threshold/top-N/fallback rule to cached scores.
-
-    Embeddings are recomputed from the provider for the selected pairs only.
-    """
-    entries = cache.get(query_id)
-    if entries is None:
-        return retrieve(index, query, config)
-    by_id = {pair.pair_id: pair for pair in index.pairs}
-    kept = [e for e in entries if e["score"] >= config.T][: config.N]
-    if not kept:
-        kept = entries[:1]
-    results = []
-    for entry in kept:
-        pair = by_id.get(entry["pair_id"])
-        if pair is None:
-            raise SchemaError(f"cache references unknown pair_id {entry['pair_id']!r}")
-        result = index._score(query, pair, config)
-        results.append(
-            EntailedCandidate(pair=pair, score=entry["score"], embedding=result.embedding)
-        )
-    return results

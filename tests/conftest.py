@@ -62,6 +62,12 @@ class StubProvider:
     def rqe(self, a, b):
         return RqeResult(score=self._score(a, b), embedding=self._embedding(a, b))
 
+    def nli_entailment(self, a, b):
+        return self._score(a, b)
+
+    def rqe_score(self, a, b):
+        return self._score(a, b)
+
 
 @pytest.fixture
 def qa_pairs():

@@ -5,7 +5,12 @@ import pytest
 
 from medrank import baseline as bl
 from medrank.errors import DimensionError, SchemaError
-from medrank.providers import fit_tfidf, tfidf_transform
+from medrank.providers import (
+    ProviderConfig,
+    TfidfCosineProvider,
+    fit_tfidf,
+    tfidf_transform,
+)
 from medrank.retrieval import EntailedCandidate
 
 from conftest import StubProvider, make_candidate, make_question
@@ -22,11 +27,14 @@ class MatrixNliProvider:
     def nli(self, s, p):
         from medrank.providers import NliResult
 
-        score = float(self.matrix[self.rows[s], self.cols[p]])
+        score = self.nli_entailment(s, p)
         return NliResult(
             probs=np.array([score, (1 - score) / 2, (1 - score) / 2]),
             embedding=np.zeros(2),
         )
+
+    def nli_entailment(self, s, p):
+        return float(self.matrix[self.rows[s], self.cols[p]])
 
 
 class TestAnli:
@@ -70,6 +78,18 @@ class TestAnli:
             assert bl.anli(sentences, entailed, provider) == pytest.approx(
                 brute, abs=1e-12
             )
+
+    def test_real_provider_scores_without_embeddings(self):
+        model = fit_tfidf(["fever and cough", "rest and fluids", "zzz"], V=10)
+        provider = TfidfCosineProvider(ProviderConfig(D=4), model)
+        sentences = ["Fever with cough.", "Drink fluids.", "qqq unknown"]
+        entailed = ["Rest and fluids help.", "A cough and fever."]
+        value = bl.anli(sentences, entailed, provider)
+        assert provider._memo == {}
+        brute = sum(
+            max(provider.nli(s, p).entailment for p in entailed) for s in sentences
+        )
+        assert value == brute / len(sentences)
 
     def test_bounded_and_monotone(self):
         rng = np.random.default_rng(3)

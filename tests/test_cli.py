@@ -8,6 +8,7 @@ from medrank.cli import main
 from medrank.corpus import load_dataset
 from medrank.evalkit import load_predictions
 from medrank.providers import load_tfidf
+from medrank.retrieval import EntailmentIndex
 
 
 @pytest.fixture(scope="module")
@@ -40,21 +41,6 @@ def pipeline_dir(tmp_path_factory, synth_dir):
     base = ["--scaled-down", "--seed", "3"]
 
     assert main(base + ["fit-tfidf", "--corpus", corpus, "--out", f"{out}/tfidf.json"]) == 0
-    assert (
-        main(
-            base
-            + [
-                "build-index",
-                "--dataset",
-                train,
-                "--corpus",
-                corpus,
-                "--out",
-                f"{out}/cache.jsonl",
-            ]
-        )
-        == 0
-    )
     for split, dataset, features in (
         ("train", train, "features_train.jsonl"),
         ("validation", val, "features_val.jsonl"),
@@ -367,6 +353,109 @@ class TestPipelineCommands:
         assert (tmp_path / "again.jsonl").read_bytes() == (
             out / "features_train.jsonl"
         ).read_bytes()
+
+
+class TestSwapDirectionPersisted:
+    """predict retrieves in the direction the model was trained with."""
+
+    @pytest.fixture
+    def directions(self, monkeypatch):
+        """Swap-direction flag of every corpus scoring, per predict run."""
+        seen = []
+        original = EntailmentIndex.scores
+
+        def scores(self, query, config):
+            seen.append(config.swap_direction)
+            return original(self, query, config)
+
+        monkeypatch.setattr(EntailmentIndex, "scores", scores)
+        return seen
+
+    def _directions(self, pipeline_dir, model, tmp_path, directions):
+        """Directions retrieved in while predicting with ``model``."""
+        directions.clear()
+        code = main(
+            pipeline_dir["base"]
+            + [
+                "predict",
+                "--model",
+                model,
+                "--dataset",
+                pipeline_dir["val"],
+                "--corpus",
+                pipeline_dir["corpus"],
+                "--tfidf",
+                f"{pipeline_dir['dir']}/tfidf.json",
+                "--out",
+                str(tmp_path / "preds.jsonl"),
+            ]
+        )
+        assert code == 0
+        return set(directions)
+
+    def test_joint(self, pipeline_dir, tmp_path, directions):
+        swapped = pipeline_dir["base"] + ["--set", "retrieval.swap_direction=true"]
+        model = str(tmp_path / "joint.json")
+        code = main(
+            swapped
+            + [
+                "train-joint",
+                "--dataset",
+                pipeline_dir["train"],
+                "--corpus",
+                pipeline_dir["corpus"],
+                "--epochs",
+                "1",
+                "--out",
+                model,
+            ]
+        )
+        assert code == 0
+        # predict runs without the override: the checkpoint carries it
+        assert self._directions(pipeline_dir, model, tmp_path, directions) == {True}
+        unswapped = f"{pipeline_dir['dir']}/joint.json"
+        assert self._directions(pipeline_dir, unswapped, tmp_path, directions) == {False}
+
+    def test_baseline(self, pipeline_dir, tmp_path, directions):
+        swapped = pipeline_dir["base"] + ["--set", "retrieval.swap_direction=true"]
+        layout = str(tmp_path / "layout.json")
+        features = str(tmp_path / "features.jsonl")
+        model = str(tmp_path / "baseline.json")
+        code = main(
+            swapped
+            + [
+                "extract-features",
+                "--dataset",
+                pipeline_dir["train"],
+                "--corpus",
+                pipeline_dir["corpus"],
+                "--tfidf",
+                f"{pipeline_dir['dir']}/tfidf.json",
+                "--layout",
+                layout,
+                "--out",
+                features,
+            ]
+        )
+        assert code == 0
+        code = main(
+            swapped
+            + [
+                "train-baseline",
+                "--features",
+                features,
+                "--dataset",
+                pipeline_dir["train"],
+                "--layout",
+                layout,
+                "--out",
+                model,
+            ]
+        )
+        assert code == 0
+        assert self._directions(pipeline_dir, model, tmp_path, directions) == {True}
+        unswapped = f"{pipeline_dir['dir']}/baseline.json"
+        assert self._directions(pipeline_dir, unswapped, tmp_path, directions) == {False}
 
 
 class TestEvaluateCommand:

@@ -511,6 +511,20 @@ class TestInference:
         second = infer(model, question, index, provider, config)
         assert first == second
 
+    @pytest.mark.parametrize("training, grad_enabled", [(True, True), (False, False)])
+    def test_restores_model_flags(self, training, grad_enabled):
+        train, _, _, provider, index, model = small_world(questions=4, seed=2)
+        config = RetrievalConfig(N=3, T=0.7)
+        reference = infer(model, train.questions[0], index, provider, config)
+        model.train(training)
+        model.enable_grad(grad_enabled)
+        # One head flipped, so flags are restored per module, not model-wide.
+        model.filter_head.train(not training)
+        before = [(m.training, m.grad_enabled) for m in model.modules()]
+        prediction = infer(model, train.questions[0], index, provider, config)
+        assert [(m.training, m.grad_enabled) for m in model.modules()] == before
+        assert prediction == reference
+
 
 class TestCheckpoint:
     def test_roundtrip_preserves_predictions(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -242,3 +243,132 @@ class TestTokenize:
 
     def test_underscore_splits(self):
         assert tokenize("a_b") == ["a", "b"]
+
+
+# Pairs cover overlap, disjoint text, repeated and mixed-case tokens, and
+# all-out-of-vocabulary and empty text on either side.
+SCORE_PAIRS = [
+    ("alpha beta", "beta gamma"),
+    ("beta gamma", "alpha beta"),
+    ("alpha", "alpha"),
+    ("alpha", "epsilon"),
+    ("Alpha, BETA! beta", "gamma alpha delta"),
+    ("zzz qqq", "alpha beta"),
+    ("alpha beta", "zzz qqq"),
+    ("zzz", "qqq"),
+    ("", "alpha"),
+]
+
+
+def _bits(value: float) -> bytes:
+    assert type(value) is float
+    return struct.pack("<d", value)
+
+
+def _precomputed_records(D=3):
+    """Every SCORE_PAIRS pair but the last two, with and without probs."""
+    rng = np.random.default_rng(7)
+    # Scores outside [0, 1] check that both paths clamp alike.
+    scores = [-0.25, 1.5, 0.3, 0.7, 0.55, 0.9, 0.1]
+    records = {}
+    for i, ((a, b), score) in enumerate(zip(SCORE_PAIRS, scores)):
+        key = pair_key(a, b)
+        record = {"key": key, "score": score, "embedding": rng.standard_normal(D).tolist()}
+        if i % 2:
+            p = float(rng.random())
+            record["probs"] = [p, (1 - p) / 2, (1 - p) / 2]
+        records[key] = record
+    return records
+
+
+def _providers(cache=True):
+    config = dict(cache=cache)
+    model = fit_tfidf(["alpha beta gamma", "delta epsilon", "alpha delta"], V=10)
+    return {
+        "tfidf_cosine": TfidfCosineProvider(
+            ProviderConfig(kind="tfidf_cosine", D=6, seed=3, **config), model
+        ),
+        "toy_hash": ToyHashProvider(
+            ProviderConfig(kind="toy_hash", D=32, seed=4, **config)
+        ),
+        "precomputed": PrecomputedProvider(
+            ProviderConfig(
+                kind="precomputed", D=3, path="unused", fallback_zero=True, **config
+            ),
+            _precomputed_records(),
+        ),
+    }
+
+
+class TestScoreOnly:
+    @pytest.mark.parametrize("kind", ["tfidf_cosine", "toy_hash", "precomputed"])
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_bit_identical_to_full_results(self, kind, cache):
+        # Score first on one instance, full result first on another, so both
+        # cold paths and both memo-hit paths are compared.
+        score_first = _providers(cache)[kind]
+        full_first = _providers(cache)[kind]
+        for a, b in SCORE_PAIRS:
+            rqe_only = score_first.rqe_score(a, b)
+            nli_only = score_first.nli_entailment(a, b)
+            full_rqe = full_first.rqe(a, b).score
+            full_nli = full_first.nli(a, b).entailment
+            assert _bits(rqe_only) == _bits(full_rqe)
+            assert _bits(nli_only) == _bits(full_nli)
+            assert _bits(score_first.rqe(a, b).score) == _bits(rqe_only)
+            assert _bits(full_first.rqe_score(a, b)) == _bits(full_rqe)
+            assert _bits(full_first.nli_entailment(a, b)) == _bits(full_nli)
+
+    def test_precomputed_probs_and_clamping(self):
+        provider = _providers()["precomputed"]
+        assert provider.rqe_score(*SCORE_PAIRS[0]) == 0.0
+        assert provider.rqe_score(*SCORE_PAIRS[1]) == 1.0
+        record = provider.records[pair_key(*SCORE_PAIRS[1])]
+        assert provider.nli_entailment(*SCORE_PAIRS[1]) == record["probs"][0]
+        assert provider.rqe_score(*SCORE_PAIRS[-1]) == 0.0
+
+    def test_precomputed_invalid_probs_rejected_alike(self):
+        key = pair_key("a", "b")
+        records = {key: {"key": key, "score": 0.5, "probs": [0.9, 0.9, 0.1],
+                         "embedding": [0.0, 0.0]}}
+        provider = PrecomputedProvider(
+            ProviderConfig(kind="precomputed", D=2, path="unused"), records
+        )
+        with pytest.raises(SchemaError):
+            provider.nli("a", "b")
+        with pytest.raises(SchemaError):
+            provider.nli_entailment("a", "b")
+
+    def test_precomputed_missing_key_raises(self):
+        provider = PrecomputedProvider(
+            ProviderConfig(kind="precomputed", D=3, path="unused"),
+            _precomputed_records(),
+        )
+        with pytest.raises(KeyError):
+            provider.rqe_score("other", "pair")
+
+    @pytest.mark.parametrize("kind", ["tfidf_cosine", "toy_hash", "precomputed"])
+    def test_score_only_builds_no_embedding(self, kind):
+        provider = _providers()[kind]
+        for a, b in SCORE_PAIRS:
+            provider.rqe_score(a, b)
+            provider.nli_entailment(a, b)
+        assert provider._memo == {}
+
+    def test_tfidf_embedding_matches_fresh_transforms(self, cosine_provider):
+        model = cosine_provider.model
+        for a, b in SCORE_PAIRS:
+            cosine_provider.rqe_score(a, b)  # fills the vector memo first
+            expected = cosine_provider._projection @ np.concatenate(
+                [tfidf_transform(model, a), tfidf_transform(model, b)]
+            )
+            assert np.array_equal(cosine_provider.rqe(a, b).embedding, expected)
+
+    def test_vector_memo_is_frozen_and_follows_cache_flag(self):
+        cached = _providers(cache=True)["tfidf_cosine"]
+        uncached = _providers(cache=False)["tfidf_cosine"]
+        for provider in (cached, uncached):
+            provider.rqe_score("alpha beta", "beta gamma")
+        assert set(cached._vectors) == {"alpha beta", "beta gamma"}
+        assert not cached._vectors["alpha beta"].flags.writeable
+        assert uncached._vectors == {}

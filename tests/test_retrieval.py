@@ -1,19 +1,19 @@
-"""Entailment retrieval: thresholding, top-N, fallback, coverage, cache."""
+"""Entailment retrieval: thresholding, top-N, fallback, coverage, laziness."""
 
+import numpy as np
 import pytest
 
 from medrank.corpus import QAPair
 from medrank.errors import SchemaError
-from medrank.retrieval import (
-    EntailmentIndex,
-    RetrievalConfig,
-    build_cache,
-    coverage,
-    load_cache,
-    retrieve,
-    retrieve_cached,
-    save_cache,
+from medrank.providers import (
+    PrecomputedProvider,
+    ProviderConfig,
+    TfidfCosineProvider,
+    ToyHashProvider,
+    fit_tfidf,
+    pair_key,
 )
+from medrank.retrieval import EntailmentIndex, RetrievalConfig, coverage, retrieve
 
 from conftest import StubProvider
 
@@ -144,30 +144,96 @@ class TestCoverage:
         assert len(retrieve(index, "q4", RetrievalConfig(N=1, T=0.5))) == 1
 
 
-class TestCache:
-    def test_roundtrip_and_consistency(self, tmp_path):
-        scores = [0.8, 0.95, 0.75]
-        index = _index(scores)
-        config = RetrievalConfig(N=2, T=0.7)
-        cache = build_cache(index, {"qid": "q"}, config)
-        path = tmp_path / "cache.jsonl"
-        save_cache(cache, path)
-        loaded = load_cache(path)
-        assert loaded == cache
-        direct = retrieve(index, "q", config)
-        cached = retrieve_cached(index, "q", "qid", loaded, config)
-        assert [h.pair.pair_id for h in direct] == [h.pair.pair_id for h in cached]
-        assert [h.score for h in direct] == [h.score for h in cached]
+K_QUESTIONS = [
+    f"what causes {a} {b}"
+    for a in ("headache", "fever", "cough", "rash")
+    for b in ("pain", "in children", "at night")
+]
+QUERIES = ["what causes headache pain", "zzz qqq unknown words"]
 
-    def test_cached_fallback(self, tmp_path):
-        index = _index([0.1, 0.3])
-        config = RetrievalConfig(N=2, T=0.9)
-        cache = build_cache(index, {"qid": "q"}, config)
-        cached = retrieve_cached(index, "q", "qid", cache, config)
-        assert [h.pair.pair_id for h in cached] == ["p1"]
 
-    def test_unknown_query_falls_through(self):
-        index = _index([0.9])
-        config = RetrievalConfig(N=1, T=0.5)
-        hits = retrieve_cached(index, "q", "missing", {}, config)
+def _k_pairs():
+    return [QAPair(f"p{i}", q, f"answer {i}", "faq") for i, q in enumerate(K_QUESTIONS)]
+
+
+def _counting(cls):
+    """A provider subclass that counts the pairs it scores with an embedding."""
+
+    class Counting(cls):
+        embedded = 0
+
+        def _pair(self, text_a, text_b):
+            self.embedded += 1
+            return super()._pair(text_a, text_b)
+
+    return Counting
+
+
+def _real_provider(kind, cache):
+    if kind == "tfidf_cosine":
+        model = fit_tfidf(K_QUESTIONS, V=50)
+        return _counting(TfidfCosineProvider)(
+            ProviderConfig(kind=kind, D=8, seed=1, cache=cache), model
+        )
+    if kind == "toy_hash":
+        return _counting(ToyHashProvider)(
+            ProviderConfig(kind=kind, D=64, seed=1, cache=cache)
+        )
+    rng = np.random.default_rng(5)
+    records = {}
+    for query in QUERIES:
+        for question in K_QUESTIONS:
+            for a, b in ((query, question), (question, query)):
+                key = pair_key(a, b)
+                records[key] = {
+                    "key": key,
+                    "score": float(rng.random()),
+                    "embedding": rng.standard_normal(8).tolist(),
+                }
+    return _counting(PrecomputedProvider)(
+        ProviderConfig(kind=kind, D=8, path="unused", cache=cache), records
+    )
+
+
+class TestLazyEmbeddings:
+    """Ranking reads scores only; embeddings are built for kept pairs alone."""
+
+    @pytest.mark.parametrize("kind", ["tfidf_cosine", "toy_hash", "precomputed"])
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_only_kept_pairs_are_embedded(self, kind, swap, cache):
+        pairs = _k_pairs()
+        for query in QUERIES:
+            provider = _real_provider(kind, cache)
+            index = EntailmentIndex(pairs, provider)
+            config = RetrievalConfig(N=2, T=0.2, swap_direction=swap)
+            hits = retrieve(index, query, config)
+            assert 1 <= len(hits) <= config.N
+            assert provider.embedded == len(hits)
+            assert len(provider._memo) == (len(hits) if cache else 0)
+            for hit in hits:
+                texts = (hit.pair.question_text, query)
+                full = provider.rqe(*(texts if swap else texts[::-1]))
+                assert hit.score == full.score
+                assert np.array_equal(hit.embedding, full.embedding)
+
+    @pytest.mark.parametrize("kind", ["tfidf_cosine", "toy_hash", "precomputed"])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_scores_match_full_results_bitwise(self, kind, swap):
+        pairs = _k_pairs()
+        provider = _real_provider(kind, cache=True)
+        index = EntailmentIndex(pairs, provider)
+        config = RetrievalConfig(N=3, T=0.5, swap_direction=swap)
+        scores = [index.scores(query, config) for query in QUERIES]
+        assert provider.embedded == 0
+        for query, fast in zip(QUERIES, scores):
+            full = np.array([index._score(query, pair, config).score for pair in pairs])
+            assert fast.tobytes() == full.tobytes()
+
+    def test_all_oov_query_falls_back_to_first_pair(self):
+        provider = _real_provider("tfidf_cosine", cache=True)
+        index = EntailmentIndex(_k_pairs(), provider)
+        hits = retrieve(index, QUERIES[1], RetrievalConfig(N=3, T=0.5))
         assert [h.pair.pair_id for h in hits] == ["p0"]
+        assert hits[0].score == 0.0
+        assert provider.embedded == 1
