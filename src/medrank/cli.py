@@ -140,6 +140,8 @@ def _provider_from_meta(meta: dict) -> Provider:
         D=int(spec["D"]),
         seed=int(spec["seed"]),
         vocab_size=int(spec["vocab_size"]),
+        path=spec.get("path"),
+        fallback_zero=bool(spec.get("fallback_zero", False)),
     )
     if provider_config.kind == "tfidf_cosine":
         stored = meta.get("provider_tfidf")
@@ -242,12 +244,18 @@ def cmd_extract_features(config: RunConfig, args) -> int:
     tfidf = load_tfidf(args.tfidf)
     provider, _ = _build_run_provider(config, pairs)
     index = EntailmentIndex(pairs, provider)
-    retrieval_config = config.retrieval_config()
     layout_path = Path(args.layout)
     if layout_path.exists():
+        # Retrieve as the layout was fit, whatever the run's retrieval.* say.
         spec = json.loads(layout_path.read_text(encoding="utf-8"))
         feature_config = _feature_config_from_meta({"feature_config": spec})
+        retrieval_config = RetrievalConfig(
+            N=feature_config.N,
+            T=feature_config.T,
+            swap_direction=bool(spec.get("swap_direction", False)),
+        )
     else:
+        retrieval_config = config.retrieval_config()
         feature_config = bl.BaselineFeatureConfig(
             N=retrieval_config.N,
             V=len(tfidf.vocabulary),

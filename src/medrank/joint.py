@@ -16,13 +16,14 @@ mean probability at threshold 0.5, ranking by summed pairwise win scores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import CandidateAnswer, Dataset, QAPair, QuestionRecord, derive_label
-from .errors import DimensionError, SchemaError
+from .errors import DimensionError, MedrankError, SchemaError
 from .evalkit import Prediction
 from .preprocess import split_sentences
 from .providers import Provider, ProviderConfig, TfidfModel, tfidf_transform
@@ -719,6 +720,7 @@ class JointTrainer:
         self.index = index
         self.config = config
         self.prepared: list[_PreparedQuestion] = []
+        self.epochs_run = 0
         params = model.params()
         if config.optimizer == "adam":
             self.optimizer = Adam(params, lr=config.lr)
@@ -768,22 +770,28 @@ class JointTrainer:
             )
 
     def run_epoch(self) -> list[float]:
-        """One optimizer step per question; returns per-question losses."""
+        """One optimizer step per question; returns per-question losses.
+
+        A non-finite loss raises ``MedrankError`` before its step, so the
+        in-place optimizer state never takes a NaN.
+        """
         if not self.prepared:
             raise SchemaError("trainer not prepared; call prepare(dataset) first")
         self.model.train()
+        epoch = self.epochs_run + 1
         losses = []
         for prepared in self.prepared:
             self.optimizer.zero_grad()
             loss = question_loss(self.model, prepared, self.config.alpha)
+            if not math.isfinite(loss):
+                raise MedrankError(
+                    f"non-finite loss {loss} on question {prepared.question_id!r} "
+                    f"in epoch {epoch}; training stopped before the optimizer step"
+                )
             self.optimizer.step()
             losses.append(loss)
+        self.epochs_run = epoch
         return losses
-
-
-def training_epoch(trainer: JointTrainer) -> list[float]:
-    """Run a single epoch on a prepared trainer."""
-    return trainer.run_epoch()
 
 
 def train_joint(
@@ -948,6 +956,8 @@ def save_joint_model(
             "D": provider_config.D,
             "seed": provider_config.seed,
             "vocab_size": provider_config.vocab_size,
+            "path": provider_config.path,
+            "fallback_zero": provider_config.fallback_zero,
         },
         "provider_tfidf": None
         if provider_tfidf is None

@@ -28,10 +28,13 @@ BCE_CLAMP = 1e-12
 
 
 class Tensor:
-    """A dense value with an optional same-shape gradient buffer."""
+    """A dense value with an optional same-shape gradient buffer.
+
+    ``data`` is C-ordered, so the optimizers can update it through flat views.
+    """
 
     def __init__(self, data, name: str = ""):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=np.float64, order="C")
         self.grad: np.ndarray | None = None
         self.name = name
 
@@ -40,7 +43,11 @@ class Tensor:
         return self.data.shape
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
+        """Zero the gradient buffer in place; allocate it only when missing."""
+        if self.grad is None or self.grad.shape != self.data.shape:
+            self.grad = np.zeros_like(self.data)
+        else:
+            self.grad.fill(0.0)
 
     def add_grad(self, grad: np.ndarray) -> None:
         if self.grad is None:
@@ -467,10 +474,6 @@ class Sequential(Module):
 # ---------------------------------------------------------------------------
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x, dtype=np.float64)
     pos = x >= 0
@@ -512,7 +515,59 @@ def bce_grad(pred, target) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class SGD:
+# Float64 elements per block of the optimizers' in-place sweep (256 KB). A
+# block's parameter, gradient, state and scratch slices stay in cache while
+# every operation of the update runs over them; 16K-32K elements is the
+# measured plateau (4K pays per-call overhead, 1M spills to memory).
+SWEEP_BLOCK = 32768
+
+
+class _Optimizer:
+    """Parameter list, ``zero_grad`` and the blocked in-place update sweep.
+
+    ``step`` visits each parameter that has a gradient in flat blocks of at
+    most ``SWEEP_BLOCK`` elements and updates the parameter and its state in
+    place through two reused scratch blocks, so a step allocates nothing the
+    size of a weight. Every element goes through the same operations in the
+    same order as the unblocked formula, so results are bit-identical.
+    """
+
+    def __init__(self, params: Sequence[Tensor], lr: float, weight_decay: float):
+        self.params = list(params)
+        self.lr = lr
+        self.weight_decay = weight_decay
+        size = min(SWEEP_BLOCK, max((p.data.size for p in self.params), default=0))
+        self._scratch = (np.empty(size), np.empty(size))
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
+
+    def _sweep(self, p: Tensor, states: Sequence[np.ndarray], update: Callable) -> None:
+        """Call ``update(param, grad, states, a, b)`` on each flat block of ``p``.
+
+        ``grad`` already includes the weight decay term (held in scratch
+        ``a``, so ``update`` may overwrite ``a`` once it has read ``grad``);
+        ``b`` is free scratch. ``states`` are C-ordered arrays shaped like
+        ``p.data``.
+        """
+        flat = p.data.reshape(-1)
+        grad = np.ascontiguousarray(p.grad, dtype=np.float64).reshape(-1)
+        flat_states = [s.reshape(-1) for s in states]
+        scratch_a, scratch_b = self._scratch
+        for start in range(0, flat.size, SWEEP_BLOCK):
+            block = slice(start, start + SWEEP_BLOCK)
+            pb = flat[block]
+            a, b = scratch_a[: pb.size], scratch_b[: pb.size]
+            gb = grad[block]
+            if self.weight_decay:
+                np.multiply(pb, self.weight_decay, out=a)
+                a += gb
+                gb = a
+            update(pb, gb, [s[block] for s in flat_states], a, b)
+
+
+class SGD(_Optimizer):
     """Plain gradient descent with optional momentum and L2 weight decay."""
 
     def __init__(
@@ -522,32 +577,36 @@ class SGD:
         momentum: float = 0.0,
         weight_decay: float = 0.0,
     ):
-        self.params = list(params)
-        self.lr = lr
+        super().__init__(params, lr, weight_decay)
         self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self._velocity = (
+            [np.zeros(p.data.shape) for p in self.params] if momentum else None
+        )
 
     def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
+        lr, momentum = self.lr, self.momentum
+
+        def update(p, g, states, a, b):
+            if momentum:
+                (v,) = states
+                v *= momentum
                 v += g
                 g = v
-            p.data -= self.lr * g
+            np.multiply(g, lr, out=b)
+            p -= b
+
+        for i, p in enumerate(self.params):
+            if p.grad is not None:
+                self._sweep(p, [self._velocity[i]] if momentum else [], update)
 
 
-class Adam:
-    """Adam with bias correction; defaults lr=1e-3, betas=(0.9, 0.999)."""
+class Adam(_Optimizer):
+    """Adam with bias correction; defaults lr=1e-3, betas=(0.9, 0.999).
+
+    Per element: m = b1 m + (1-b1) g, v = b2 v + (1-b2) g^2, then
+    p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps) (Kingma & Ba,
+    arXiv:1412.6980, Alg. 1).
+    """
 
     def __init__(
         self,
@@ -557,35 +616,39 @@ class Adam:
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        self.params = list(params)
-        self.lr = lr
+        super().__init__(params, lr, weight_decay)
         self.betas = betas
         self.eps = eps
-        self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._m = [np.zeros(p.data.shape) for p in self.params]
+        self._v = [np.zeros(p.data.shape) for p in self.params]
         self._t = 0
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
 
     def step(self) -> None:
         self._t += 1
+        lr, eps = self.lr, self.eps
         b1, b2 = self.betas
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
+        bc1, bc2 = 1.0 - b1**self._t, 1.0 - b2**self._t
+
+        def update(p, g, states, a, b):
+            m, v = states
             m *= b1
-            m += (1.0 - b1) * g
+            np.multiply(g, 1.0 - b1, out=b)
+            m += b
             v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1**self._t)
-            v_hat = v / (1.0 - b2**self._t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(g, 1.0 - b2, out=b)
+            b *= g
+            v += b
+            np.divide(v, bc2, out=a)  # g is dead from here on
+            np.sqrt(a, out=a)
+            a += eps
+            np.divide(m, bc1, out=b)
+            b *= lr
+            b /= a
+            p -= b
+
+        for p, m, v in zip(self.params, self._m, self._v):
+            if p.grad is not None:
+                self._sweep(p, [m, v], update)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from medrank.cli import main
@@ -9,6 +10,7 @@ from medrank.corpus import load_dataset
 from medrank.evalkit import load_predictions
 from medrank.providers import load_tfidf
 from medrank.retrieval import EntailmentIndex
+from medrank.tensornet import Sigmoid
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +357,94 @@ class TestPipelineCommands:
         ).read_bytes()
 
 
+class TestExtractFeaturesFollowsLayout:
+    """An existing layout fixes N, T and direction; retrieval.* cannot move them."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["retrieval.N=5", "retrieval.T=0.0"],
+            ["retrieval.swap_direction=true"],
+        ],
+    )
+    def test_run_retrieval_settings_ignored(self, pipeline_dir, tmp_path, overrides):
+        out = pipeline_dir["dir"]
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        code = main(
+            pipeline_dir["base"]
+            + sets
+            + [
+                "extract-features",
+                "--dataset",
+                pipeline_dir["val"],
+                "--split",
+                "validation",
+                "--corpus",
+                pipeline_dir["corpus"],
+                "--tfidf",
+                f"{out}/tfidf.json",
+                "--layout",
+                f"{out}/layout.json",
+                "--out",
+                str(tmp_path / "val.jsonl"),
+            ]
+        )
+        assert code == 0
+        assert (tmp_path / "val.jsonl").read_bytes() == (
+            out / "features_val.jsonl"
+        ).read_bytes()
+
+
+class TestPrecomputedJointModel:
+    def test_train_then_predict(self, pipeline_dir, tmp_path):
+        records = tmp_path / "records.jsonl"
+        records.write_text(
+            json.dumps({"key": "none", "score": 0.5, "embedding": [0.0] * 8}) + "\n"
+        )
+        precomputed = pipeline_dir["base"] + [
+            "--set",
+            "provider.kind=precomputed",
+            "--set",
+            f"provider.path={records}",
+            "--set",
+            "provider.fallback_zero=true",
+        ]
+        model = str(tmp_path / "joint.json")
+        code = main(
+            precomputed
+            + [
+                "train-joint",
+                "--dataset",
+                pipeline_dir["train"],
+                "--corpus",
+                pipeline_dir["corpus"],
+                "--epochs",
+                "1",
+                "--out",
+                model,
+            ]
+        )
+        assert code == 0
+        # predict runs without the overrides: the checkpoint carries them
+        code = main(
+            pipeline_dir["base"]
+            + [
+                "predict",
+                "--model",
+                model,
+                "--dataset",
+                pipeline_dir["val"],
+                "--corpus",
+                pipeline_dir["corpus"],
+                "--out",
+                str(tmp_path / "preds.jsonl"),
+            ]
+        )
+        assert code == 0
+        predictions = load_predictions(tmp_path / "preds.jsonl")
+        assert len(predictions) == len(load_dataset(pipeline_dir["val"], "validation").questions)
+
+
 class TestSwapDirectionPersisted:
     """predict retrieves in the direction the model was trained with."""
 
@@ -629,6 +719,40 @@ class TestErrorHandling:
         assert code == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "SchemaError"
+
+    def test_non_finite_loss_writes_no_checkpoint(
+        self, pipeline_dir, capsys, tmp_path, monkeypatch
+    ):
+        def nan_forward(self, x):
+            out = np.full_like(x, np.nan)
+            self._push(out)
+            return out
+
+        monkeypatch.setattr(Sigmoid, "forward", nan_forward)
+        model = tmp_path / "joint.json"
+        capsys.readouterr()
+        code = main(
+            pipeline_dir["base"]
+            + [
+                "train-joint",
+                "--dataset",
+                pipeline_dir["train"],
+                "--corpus",
+                pipeline_dir["corpus"],
+                "--epochs",
+                "1",
+                "--out",
+                str(model),
+            ]
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "MedrankError"
+        assert "non-finite loss" in payload["message"]
+        assert "in epoch 1" in payload["message"]
+        assert not model.exists()
 
     def test_bad_set_flag(self, capsys, tmp_path):
         code = main(

@@ -1,12 +1,13 @@
 """Pair tensors, conv encoding, metadata, joint training, ensemble inference."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from medrank.corpus import QAPair
-from medrank.errors import DimensionError, SchemaError
+from medrank.errors import DimensionError, MedrankError, SchemaError
 from medrank.joint import (
     ConvEncoderConfig,
     EntailedInstance,
@@ -37,6 +38,7 @@ from medrank.joint import ConvEncoder
 from medrank.providers import ProviderConfig, TfidfCosineProvider, fit_tfidf, tfidf_transform
 from medrank.retrieval import EntailmentIndex, RetrievalConfig, retrieve
 from medrank.synth import SynthConfig, generate
+from medrank.tensornet import Module
 
 from conftest import StubProvider, make_candidate, make_question
 
@@ -524,6 +526,42 @@ class TestInference:
         prediction = infer(model, train.questions[0], index, provider, config)
         assert [(m.training, m.grad_enabled) for m in model.modules()] == before
         assert prediction == reference
+
+
+class NanLayer(Module):
+    """Identity until armed; armed, it turns its input into NaN."""
+
+    armed = False
+
+    def forward(self, x):
+        return np.full_like(x, np.nan) if self.armed else x
+
+    def backward(self, grad_out):
+        return grad_out
+
+
+class TestNonFiniteGuard:
+    def test_nan_loss_stops_before_the_step(self):
+        train, _, _, provider, index, model = small_world(questions=4, seed=2)
+        stub = NanLayer()
+        model.filter_head.layers.insert(-1, stub)
+        model.filter_head.names.insert(-1, "stub")
+        trainer = JointTrainer(
+            model, provider, index, TrainConfig(epochs=2, lr=3e-3, seed=2)
+        )
+        trainer.prepare(train)
+        trainer.run_epoch()
+        params = [t.data.copy() for t in model.params()]
+        moments = [m.copy() for m in trainer.optimizer._m + trainer.optimizer._v]
+        stub.armed = True
+        first = re.escape(repr(trainer.prepared[0].question_id))
+        with pytest.raises(MedrankError, match=f"question {first} in epoch 2"):
+            trainer.run_epoch()
+        for before, tensor in zip(params, model.params()):
+            np.testing.assert_array_equal(tensor.data, before)
+        for before, after in zip(moments, trainer.optimizer._m + trainer.optimizer._v):
+            np.testing.assert_array_equal(after, before)
+        assert trainer.optimizer._t == len(trainer.prepared)
 
 
 class TestCheckpoint:

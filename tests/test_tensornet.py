@@ -1,6 +1,7 @@
 """Neural core: forward semantics, gradient oracles, optimizers, checkpoints."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from medrank.tensornet import (
     QuadrantPool,
     ReLU,
     SGD,
+    SWEEP_BLOCK,
     Sequential,
     Sigmoid,
     Tensor,
@@ -24,7 +26,6 @@ from medrank.tensornet import (
     grad_check,
     he_uniform,
     read_manifest,
-    relu,
     sigmoid,
     write_manifest,
 )
@@ -88,10 +89,6 @@ class TestBceLoss:
 
 
 class TestActivations:
-    def test_relu_clips_negative(self):
-        x = np.array([-3.0, -0.5, 0.0, 2.0])
-        np.testing.assert_array_equal(relu(x), [0.0, 0.0, 0.0, 2.0])
-
     def test_sigmoid_range_and_symmetry(self):
         x = np.linspace(-30, 30, 101)
         s = sigmoid(x)
@@ -419,6 +416,123 @@ class TestOptimizers:
         w.grad = np.array([0.0])
         SGD([w], lr=0.1, weight_decay=0.5).step()
         assert w.data[0] == pytest.approx(1.0 - 0.1 * 0.5)
+
+
+def reference_sgd(data, grads, lr, momentum, weight_decay):
+    """The unblocked SGD formulas: oracle for the in-place sweep."""
+    data = [d.copy() for d in data]
+    velocity = [np.zeros_like(d) for d in data]
+    for step_grads in grads:
+        for p, v, g in zip(data, velocity, step_grads):
+            if g is None:
+                continue
+            if weight_decay:
+                g = g + weight_decay * p
+            if momentum:
+                v *= momentum
+                v += g
+                g = v
+            p -= lr * g
+    return data
+
+
+def reference_adam(data, grads, lr, betas, eps, weight_decay):
+    """The unblocked Adam formulas: oracle for the in-place sweep."""
+    data = [d.copy() for d in data]
+    ms = [np.zeros_like(d) for d in data]
+    vs = [np.zeros_like(d) for d in data]
+    b1, b2 = betas
+    for t, step_grads in enumerate(grads, start=1):
+        for p, m, v, g in zip(data, ms, vs, step_grads):
+            if g is None:
+                continue
+            if weight_decay:
+                g = g + weight_decay * p
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return data
+
+
+class TestInPlaceOptimizers:
+    """The blocked in-place step is bit-identical to the unblocked formulas."""
+
+    STEPS = 4
+
+    def _problem(self, seed=0):
+        rng = np.random.default_rng(seed)
+        data = [
+            rng.standard_normal(2 * SWEEP_BLOCK + 7),  # two blocks and a tail
+            rng.standard_normal((3, 5)),
+            rng.standard_normal(1),
+            np.asfortranarray(rng.standard_normal((4, 6))),  # stored C-ordered
+            rng.standard_normal(9),  # never gets a gradient
+        ]
+        grads = [
+            [rng.standard_normal(d.shape) for d in data[:-1]] + [None]
+            for _ in range(self.STEPS)
+        ]
+        return data, grads
+
+    def _run(self, optimizer_cls, data, grads, **kwargs):
+        tensors = [Tensor(d.copy(order="K")) for d in data]
+        optimizer = optimizer_cls(tensors, **kwargs)
+        for step_grads in grads:
+            for tensor, g in zip(tensors, step_grads):
+                tensor.grad = None if g is None else g.copy()
+            optimizer.step()
+        return [t.data for t in tensors]
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_adam_matches_reference(self, weight_decay):
+        data, grads = self._problem()
+        got = self._run(Adam, data, grads, lr=0.01, weight_decay=weight_decay)
+        want = reference_adam(data, grads, 0.01, (0.9, 0.999), 1e-8, weight_decay)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_sgd_matches_reference(self, momentum, weight_decay):
+        data, grads = self._problem(seed=1)
+        got = self._run(
+            SGD, data, grads, lr=0.1, momentum=momentum, weight_decay=weight_decay
+        )
+        want = reference_sgd(data, grads, 0.1, momentum, weight_decay)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_sgd_without_momentum_keeps_no_velocity(self):
+        assert SGD([Tensor(np.ones(3))], lr=0.1)._velocity is None
+
+    def test_zero_grad_reuses_buffer(self):
+        w = Tensor(np.ones((2, 3)))
+        w.zero_grad()
+        buffer = w.grad
+        buffer += 5.0
+        Adam([w]).zero_grad()
+        assert w.grad is buffer
+        np.testing.assert_array_equal(buffer, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("optimizer_cls", [Adam, SGD])
+    def test_step_allocates_no_weight_sized_temporary(self, optimizer_cls):
+        w = Tensor(np.full(2**21, 0.5))
+        optimizer = optimizer_cls([w], lr=1e-3, weight_decay=0.01)
+        optimizer.zero_grad()
+        optimizer.step()
+        tracemalloc.start()
+        try:
+            optimizer.zero_grad()
+            w.grad += 1.0
+            optimizer.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < w.data.nbytes / 4
 
 
 class TestInitialization:
