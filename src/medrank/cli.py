@@ -242,12 +242,12 @@ def cmd_extract_features(config: RunConfig, args) -> int:
     dataset = load_dataset(args.dataset, args.split)
     pairs = load_qa_corpus(args.corpus)
     tfidf = load_tfidf(args.tfidf)
-    provider, _ = _build_run_provider(config, pairs)
-    index = EntailmentIndex(pairs, provider)
     layout_path = Path(args.layout)
     if layout_path.exists():
-        # Retrieve as the layout was fit, whatever the run's retrieval.* say.
+        # Retrieve and score as the layout was fit, whatever the run's
+        # retrieval.* and provider.* say.
         spec = json.loads(layout_path.read_text(encoding="utf-8"))
+        provider = _provider_from_spec(spec["provider"], pairs)
         feature_config = _feature_config_from_meta({"feature_config": spec})
         retrieval_config = RetrievalConfig(
             N=feature_config.N,
@@ -255,6 +255,7 @@ def cmd_extract_features(config: RunConfig, args) -> int:
             swap_direction=bool(spec.get("swap_direction", False)),
         )
     else:
+        provider, _ = _build_run_provider(config, pairs)
         retrieval_config = config.retrieval_config()
         feature_config = bl.BaselineFeatureConfig(
             N=retrieval_config.N,
@@ -279,6 +280,7 @@ def cmd_extract_features(config: RunConfig, args) -> int:
             ),
             encoding="utf-8",
         )
+    index = EntailmentIndex(pairs, provider)
     rows = _extract_feature_rows(
         dataset, index, tfidf, feature_config, retrieval_config, provider
     )
@@ -621,7 +623,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args)
         return args.handler(config, args)
-    except (MedrankError, OSError, KeyError, ValueError) as exc:
+    except (
+        MedrankError, OSError, KeyError, ValueError, FloatingPointError, MemoryError
+    ) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

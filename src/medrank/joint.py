@@ -202,11 +202,6 @@ def build_pair_tensor(
     return tensor
 
 
-def encode_nli(tensor: np.ndarray, encoder: ConvEncoder) -> np.ndarray:
-    """Run the conv encoder; output length is 4 x final channels for any a, c."""
-    return encoder.forward(tensor)
-
-
 # ---------------------------------------------------------------------------
 # Metadata embedding
 # ---------------------------------------------------------------------------
@@ -447,12 +442,9 @@ class JointModel(Module):
         """Relevance probability per row of a (B, joint_dim) matrix."""
         return self.filter_head.forward(np.atleast_2d(joints))[:, 0]
 
-    def forward_pair(self, joint_i: np.ndarray, joint_j: np.ndarray) -> float:
-        """Probability that the first candidate ranks above the second."""
-        row = np.concatenate([joint_i, joint_j])[None, :]
-        return float(self.pair_head.forward(row)[0, 0])
-
     def forward_pair_matrix(self, rows: np.ndarray) -> np.ndarray:
+        """Per row of a (B, 2 x joint_dim) matrix, probability that its first
+        candidate ranks above its second."""
         return self.pair_head.forward(rows)[:, 0]
 
 

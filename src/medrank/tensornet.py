@@ -8,9 +8,9 @@ inference so no caches accumulate.
 
 Included: linear, ReLU, sigmoid, batch normalization (1d over a batch, 2d
 over the spatial positions of a feature map), 2-D convolution
-(cross-correlation convention), quadrant average pooling, binary
-cross-entropy, SGD/Adam, a central-finite-difference gradient checker, and a
-JSON checkpoint manifest.
+(cross-correlation convention; im2col matmul forward, col2im scatter
+backward), quadrant average pooling, binary cross-entropy, SGD/Adam, a
+central-finite-difference gradient checker, and a JSON checkpoint manifest.
 """
 
 from __future__ import annotations
@@ -318,8 +318,18 @@ class BatchNorm2d(_BatchNormBase):
         return dx.T.reshape(c, h, w)
 
 
+# Input shapes whose im2col tap index a Conv2d keeps (see Conv2d._tap_index).
+TAP_INDEX_CACHE = 64
+
+
 class Conv2d(Module):
-    """2-D convolution (cross-correlation) on a single (C, H, W) map."""
+    """2-D convolution (cross-correlation) on a single (C, H, W) map.
+
+    Forward is one matmul of the flattened weight with the im2col matrix of
+    the zero-padded map; backward gathers that matrix again for the weight
+    gradient and scatters the input gradient back with one col2im
+    ``np.bincount`` (Chellapilla et al. 2006).
+    """
 
     def __init__(
         self,
@@ -346,6 +356,7 @@ class Conv2d(Module):
             "weight",
         )
         self.bias = Tensor(np.zeros(out_channels), "bias") if bias else None
+        self._tap_indices: dict[tuple[int, int], np.ndarray] = {}
 
     def _local_params(self):
         params = [("weight", self.weight)]
@@ -359,47 +370,69 @@ class Conv2d(Module):
             conv_out_dim(w, self.kernel[1], self.stride[1], self.padding[1]),
         )
 
-    def _windows(self, padded: np.ndarray) -> np.ndarray:
-        view = np.lib.stride_tricks.sliding_window_view(
-            padded, self.kernel, axis=(1, 2)
-        )
-        return view[:, :: self.stride[0], :: self.stride[1]]
+    def _tap_index(self, h: int, w: int) -> np.ndarray:
+        """Flat positions in one padded channel plane read by the kernel.
+
+        Row ``i * kw + j`` holds, for every output position in row-major
+        order, the position kernel tap (i, j) reads, so gathering it from
+        each channel plane yields the im2col matrix. The index depends only
+        on the input's (h, w), not on the channel count, and is cached per
+        shape (at most ``TAP_INDEX_CACHE`` shapes, oldest dropped first).
+        """
+        index = self._tap_indices.get((h, w))
+        if index is None:
+            kh, kw = self.kernel
+            sh, sw = self.stride
+            out_h, out_w = self.out_shape(h, w)
+            wp = w + 2 * self.padding[1]
+            taps = np.arange(kh)[:, None] * wp + np.arange(kw)
+            outputs = np.arange(out_h)[:, None] * (sh * wp) + np.arange(out_w) * sw
+            index = taps.reshape(-1, 1) + outputs.reshape(1, -1)
+            if len(self._tap_indices) >= TAP_INDEX_CACHE:
+                del self._tap_indices[next(iter(self._tap_indices))]
+            self._tap_indices[(h, w)] = index
+        return index
+
+    def _cols(self, padded: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """The (C*kh*kw, L) im2col matrix of a padded (C, Hp, Wp) map."""
+        c = padded.shape[0]
+        return padded.reshape(c, -1)[:, index].reshape(c * index.shape[0], -1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3 or x.shape[0] != self.in_channels:
             raise DimensionError(
                 f"conv2d expects ({self.in_channels}, H, W), got {x.shape}"
             )
-        _, h, w = x.shape
-        self.out_shape(h, w)  # validates positivity
+        c, h, w = x.shape
+        out_h, out_w = self.out_shape(h, w)
         ph, pw = self.padding
-        padded = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
-        windows = self._windows(padded)
-        y = np.tensordot(self.weight.data, windows, axes=([1, 2, 3], [0, 3, 4]))
+        padded = np.zeros((c, h + 2 * ph, w + 2 * pw))
+        padded[:, ph : ph + h, pw : pw + w] = x
+        cols = self._cols(padded, self._tap_index(h, w))
+        y = self.weight.data.reshape(self.out_channels, -1) @ cols
         if self.bias is not None:
-            y += self.bias.data[:, None, None]
+            y += self.bias.data[:, None]
+        # The im2col matrix is kh*kw times the map; backward gathers it again.
         self._push((padded, x.shape))
-        return y
+        return y.reshape(self.out_channels, out_h, out_w)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        padded, x_shape = self._pop()
-        windows = self._windows(padded)
+        padded, (c, h, w) = self._pop()
+        index = self._tap_index(h, w)
+        g = grad_out.reshape(self.out_channels, -1)
+        weight = self.weight.data.reshape(self.out_channels, -1)
         if self.bias is not None:
-            self.bias.add_grad(grad_out.sum(axis=(1, 2)))
-        self.weight.add_grad(
-            np.tensordot(grad_out, windows, axes=([1, 2], [1, 2]))
-        )
-        _, h, w = x_shape
+            self.bias.add_grad(g.sum(axis=1))
+        cols = self._cols(padded, index)
+        self.weight.add_grad((g @ cols.T).reshape(self.weight.shape))
+        # col2im: each im2col entry's gradient adds onto the padded position
+        # it was read from, channel plane by channel plane.
+        plane = padded[0].size
+        positions = (index + (np.arange(c) * plane)[:, None, None]).reshape(-1)
+        dpadded = np.bincount(
+            positions, weights=(weight.T @ g).reshape(-1), minlength=c * plane
+        ).reshape(padded.shape)
         ph, pw = self.padding
-        sh, sw = self.stride
-        out_h, out_w = grad_out.shape[1:]
-        dpadded = np.zeros_like(padded)
-        for i in range(self.kernel[0]):
-            for j in range(self.kernel[1]):
-                contrib = np.tensordot(
-                    self.weight.data[:, :, i, j], grad_out, axes=([0], [0])
-                )
-                dpadded[:, i : i + sh * out_h : sh, j : j + sw * out_w : sw] += contrib
         return dpadded[:, ph : ph + h, pw : pw + w]
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from medrank import cli
 from medrank.cli import main
 from medrank.corpus import load_dataset
 from medrank.evalkit import load_predictions
@@ -358,13 +359,15 @@ class TestPipelineCommands:
 
 
 class TestExtractFeaturesFollowsLayout:
-    """An existing layout fixes N, T and direction; retrieval.* cannot move them."""
+    """An existing layout fixes N, T, direction and provider; retrieval.* and
+    provider.* cannot move them."""
 
     @pytest.mark.parametrize(
         "overrides",
         [
             ["retrieval.N=5", "retrieval.T=0.0"],
             ["retrieval.swap_direction=true"],
+            ["provider.kind=toy_hash"],
         ],
     )
     def test_run_retrieval_settings_ignored(self, pipeline_dir, tmp_path, overrides):
@@ -753,6 +756,23 @@ class TestErrorHandling:
         assert "non-finite loss" in payload["message"]
         assert "in epoch 1" in payload["message"]
         assert not model.exists()
+
+    @pytest.mark.parametrize("error", [FloatingPointError, MemoryError])
+    def test_numeric_and_memory_errors_are_one_json_line(
+        self, error, capsys, tmp_path, monkeypatch
+    ):
+        def failing(config, args):
+            raise error("raised by the handler")
+
+        monkeypatch.setattr(cli, "cmd_synth", failing)
+        code = main(["synth", "--out-dir", str(tmp_path)])
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": error.__name__,
+            "message": "raised by the handler",
+        }
 
     def test_bad_set_flag(self, capsys, tmp_path):
         code = main(

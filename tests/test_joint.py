@@ -20,7 +20,6 @@ from medrank.joint import (
     build_joint_model,
     build_metadata,
     build_pair_tensor,
-    encode_nli,
     fit_metadata_layout,
     infer,
     load_joint_model,
@@ -129,7 +128,7 @@ class TestConvEncoder:
         encoder.enable_grad(False)
         for a in (1, 2, 5, 11):
             for c in (1, 3, 8):
-                out = encode_nli(rng.standard_normal((8, a, c)), encoder)
+                out = encoder.forward(rng.standard_normal((8, a, c)))
                 assert out.shape == (config.out_dim,)
 
     def test_default_output_is_1024(self):

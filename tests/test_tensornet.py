@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from medrank import tensornet
 from medrank.errors import DimensionError
 from medrank.tensornet import (
     Adam,
@@ -51,6 +52,39 @@ def naive_conv2d(x, weight, bias, stride, padding):
                             acc += weight[o, c, a, b] * padded[c, i * sh + a, j * sw + b]
                 out[o, i, j] = acc + (0.0 if bias is None else bias[o])
     return out
+
+
+def _windows(padded, kernel, stride):
+    view = np.lib.stride_tricks.sliding_window_view(padded, kernel, axis=(1, 2))
+    return view[:, :: stride[0], :: stride[1]]
+
+
+def windowed_conv2d_forward(x, weight, bias, stride, padding):
+    """Sliding-window ``tensordot`` convolution; returns (y, padded map)."""
+    ph, pw = padding
+    padded = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+    windows = _windows(padded, weight.shape[2:], stride)
+    y = np.tensordot(weight, windows, axes=([1, 2, 3], [0, 3, 4]))
+    if bias is not None:
+        y += bias[:, None, None]
+    return y, padded
+
+
+def windowed_conv2d_backward(padded, x_shape, grad_out, weight, stride, padding):
+    """One ``tensordot`` per kernel tap; returns (dx, dweight, dbias)."""
+    kh, kw = weight.shape[2:]
+    windows = _windows(padded, (kh, kw), stride)
+    dweight = np.tensordot(grad_out, windows, axes=([1, 2], [1, 2]))
+    _, h, w = x_shape
+    ph, pw = padding
+    sh, sw = stride
+    out_h, out_w = grad_out.shape[1:]
+    dpadded = np.zeros_like(padded)
+    for i in range(kh):
+        for j in range(kw):
+            contrib = np.tensordot(weight[:, :, i, j], grad_out, axes=([0], [0]))
+            dpadded[:, i : i + sh * out_h : sh, j : j + sw * out_w : sw] += contrib
+    return dpadded[:, ph : ph + h, pw : pw + w], dweight, grad_out.sum(axis=(1, 2))
 
 
 class TestBceLoss:
@@ -156,6 +190,83 @@ class TestConv2d:
                 x, layer.weight.data, layer.bias.data, stride, padding
             )
             np.testing.assert_allclose(layer.forward(x), expected, atol=1e-12)
+
+    def test_forward_and_backward_match_windowed_oracle(self):
+        rng = np.random.default_rng(7)
+        seen = {"cases": 0, "one_by_one": 0, "uneven": 0, "no_bias": 0, "padding_2": 0}
+        for _ in range(150):
+            c_in, c_out = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            h, w = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            kernel = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            stride = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+            padding = (int(rng.integers(0, 3)), int(rng.integers(0, 3)))
+            bias = bool(rng.integers(0, 2))
+            if h + 2 * padding[0] < kernel[0] or w + 2 * padding[1] < kernel[1]:
+                continue
+            seen["cases"] += 1
+            seen["one_by_one"] += kernel == (1, 1)
+            seen["uneven"] += any(
+                (size + 2 * p - k) % s
+                for size, p, k, s in zip((h, w), padding, kernel, stride)
+            )
+            seen["no_bias"] += not bias
+            seen["padding_2"] += 2 in padding
+            layer = Conv2d(c_in, c_out, kernel, stride, padding, rng, bias=bias)
+            bias_data = layer.bias.data if bias else None
+            x = rng.standard_normal((c_in, h, w))
+            expected, padded = windowed_conv2d_forward(
+                x, layer.weight.data, bias_data, stride, padding
+            )
+            grad_out = rng.standard_normal(expected.shape)
+            dx, dweight, dbias = windowed_conv2d_backward(
+                padded, x.shape, grad_out, layer.weight.data, stride, padding
+            )
+            layer.zero_grad()
+            np.testing.assert_allclose(layer.forward(x), expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(layer.backward(grad_out), dx, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(layer.weight.grad, dweight, rtol=0, atol=1e-12)
+            if bias:
+                np.testing.assert_allclose(layer.bias.grad, dbias, rtol=0, atol=1e-12)
+        assert seen["cases"] >= 100 and min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize("cached_shapes", [64, 1])
+    def test_stacked_maps_backward_in_reverse(self, monkeypatch, cached_shapes):
+        # The tap-index cache is keyed by (h, w): two maps share h, two share
+        # w. With room for one shape every backward rebuilds its index.
+        monkeypatch.setattr(tensornet, "TAP_INDEX_CACHE", cached_shapes)
+        rng = np.random.default_rng(8)
+        stride, padding = (2, 1), (1, 2)
+        layer = Conv2d(3, 2, (3, 2), stride, padding, rng)
+        weight, bias = layer.weight.data, layer.bias.data
+        maps = [rng.standard_normal((3, h, w)) for h, w in ((4, 5), (4, 7), (6, 5))]
+        singles = []
+        for x in maps:
+            y, padded = windowed_conv2d_forward(x, weight, bias, stride, padding)
+            g = rng.standard_normal(y.shape)
+            singles.append((y, g, windowed_conv2d_backward(
+                padded, x.shape, g, weight, stride, padding
+            )))
+        outputs = [layer.forward(x) for x in maps]
+        for y, single in reversed(list(zip(outputs, singles))):
+            expected, g, (dx, dweight, dbias) = single
+            layer.zero_grad()
+            np.testing.assert_allclose(y, expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(layer.backward(g), dx, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(layer.weight.grad, dweight, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(layer.bias.grad, dbias, rtol=0, atol=1e-12)
+        assert layer.pending() == 0
+        assert len(layer._tap_indices) <= cached_shapes
+
+    def test_forward_caches_only_the_padded_map(self):
+        rng = np.random.default_rng(9)
+        layer = Conv2d(4, 5, (3, 3), (1, 1), (2, 1), rng)
+        x = rng.standard_normal((4, 3, 6))
+        layer.forward(x)
+        (ctx,) = layer._ctx
+        padded, shape = ctx
+        assert shape == x.shape
+        np.testing.assert_array_equal(padded, np.pad(x, ((0, 0), (2, 2), (1, 1))))
+        assert padded.base is None
 
     def test_gradient(self):
         rng = np.random.default_rng(2)
