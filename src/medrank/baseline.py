@@ -20,11 +20,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CandidateAnswer, QuestionRecord
+from .corpus import CandidateAnswer, Dataset, QAPair, QuestionRecord, derive_label
 from .errors import DimensionError, SchemaError
+from .evalkit import Prediction
 from .preprocess import split_sentences
-from .providers import Provider, TfidfModel, tfidf_transform
-from .retrieval import EntailedCandidate
+from .providers import (
+    Provider,
+    ProviderConfig,
+    TfidfModel,
+    provider_from_meta,
+    provider_meta,
+    tfidf_transform,
+)
+from .retrieval import EntailedCandidate, EntailmentIndex, RetrievalConfig, retrieve
 from .tensornet import sigmoid
 
 
@@ -63,6 +71,25 @@ class BaselineFeatureConfig:
     def __post_init__(self):
         if self.N < 1 or self.V < 1 or self.D < 1:
             raise SchemaError("N, V, and D must all be >= 1")
+
+    def to_dict(self) -> dict:
+        return {
+            "N": self.N,
+            "V": self.V,
+            "D": self.D,
+            "T": self.T,
+            "source_vocab": list(self.source_vocab),
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "BaselineFeatureConfig":
+        return cls(
+            N=int(payload["N"]),
+            V=int(payload["V"]),
+            D=int(payload["D"]),
+            source_vocab=tuple(payload["source_vocab"]),
+            T=float(payload["T"]),
+        )
 
 
 def feature_layout(config: BaselineFeatureConfig) -> list[dict]:
@@ -158,19 +185,87 @@ def fit_source_vocab(questions: list[QuestionRecord]) -> tuple[str, ...]:
     return tuple(sorted({c.source for q in questions for c in q.candidates}))
 
 
+def question_features(
+    question: QuestionRecord,
+    index: EntailmentIndex,
+    tfidf: TfidfModel,
+    config: BaselineFeatureConfig,
+    retrieval_config: RetrievalConfig,
+    provider: Provider,
+) -> np.ndarray:
+    """One row per candidate; below-threshold questions keep zero-filled slots."""
+    entailed = retrieve(index, question.text, retrieval_config, fallback=False)
+    return np.asarray(
+        [
+            assemble_baseline_features(question, c, entailed, tfidf, config, provider)
+            for c in question.candidates
+        ]
+    )
+
+
+def extract_feature_rows(
+    dataset: Dataset,
+    index: EntailmentIndex,
+    tfidf: TfidfModel,
+    config: BaselineFeatureConfig,
+    retrieval_config: RetrievalConfig,
+    provider: Provider,
+) -> list[dict]:
+    """``save_features`` rows for every candidate of every question."""
+    rows = []
+    for question in dataset.questions:
+        features = question_features(
+            question, index, tfidf, config, retrieval_config, provider
+        )
+        for candidate, vector in zip(question.candidates, features):
+            row = {
+                "question_id": question.question_id,
+                "answer_id": candidate.answer_id,
+                "features": vector.tolist(),
+            }
+            if candidate.reference_score is not None:
+                row["label"] = derive_label(candidate.reference_score)
+            rows.append(row)
+    return rows
+
+
 # ---------------------------------------------------------------------------
-# Feature persistence
+# Layout and feature persistence
 # ---------------------------------------------------------------------------
 
 
-def save_features(
-    rows: list[dict], layout: list[dict], path: str | Path, layout_path: str | Path
-) -> None:
-    """Rows are {question_id, answer_id, label?, features}; layout is JSON."""
+def layout_meta(
+    config: BaselineFeatureConfig,
+    retrieval_config: RetrievalConfig,
+    provider_config: ProviderConfig,
+    provider_tfidf: TfidfModel | None,
+) -> dict:
+    """The layout JSON, which a baseline checkpoint keeps as ``feature_config``:
+    feature dimensions, slots, retrieval direction and the provider."""
+    return {
+        **config.to_dict(),
+        "swap_direction": retrieval_config.swap_direction,
+        "slots": feature_layout(config),
+        **provider_meta(provider_config, provider_tfidf),
+    }
+
+
+def layout_settings(
+    spec: dict, where: str = "<layout>"
+) -> tuple[BaselineFeatureConfig, RetrievalConfig, Provider]:
+    """Feature config, retrieval config and provider a ``layout_meta`` records."""
+    config = BaselineFeatureConfig.from_dict(spec)
+    retrieval_config = RetrievalConfig(
+        N=config.N, T=config.T, swap_direction=bool(spec.get("swap_direction", False))
+    )
+    return config, retrieval_config, provider_from_meta(spec, where)
+
+
+def save_features(rows: list[dict], path: str | Path) -> None:
+    """Rows are {question_id, answer_id, label?, features}, one JSON per line."""
     with Path(path).open("w", encoding="utf-8") as handle:
         for row in rows:
             handle.write(json.dumps(row, sort_keys=True) + "\n")
-    Path(layout_path).write_text(json.dumps(layout, sort_keys=True), encoding="utf-8")
 
 
 def load_features(path: str | Path) -> list[dict]:
@@ -315,3 +410,48 @@ def rank_by_scores(
         range(len(answer_ids)), key=lambda i: (-scores[i], system_ranks[i])
     )
     return [answer_ids[i] for i in order]
+
+
+# ---------------------------------------------------------------------------
+# Inference
+# ---------------------------------------------------------------------------
+
+
+def predict_checkpoint(
+    meta: dict,
+    arrays: dict[str, np.ndarray],
+    dataset: Dataset,
+    corpus_pairs: list[QAPair],
+    tfidf: TfidfModel,
+    ranker: str | None = None,
+    where: str = "<checkpoint>",
+) -> list[Prediction]:
+    """``predict`` for a baseline checkpoint, with the retrieval settings and
+    provider its ``feature_config`` stores; nothing is refit on the corpus.
+    Relevant means a filter probability >= 0.5."""
+    config, retrieval_config, provider = layout_settings(meta["feature_config"], where)
+    index = EntailmentIndex(corpus_pairs, provider)
+    logreg = LogregModel(
+        weight=arrays["logreg.weight"], bias=float(arrays["logreg.bias"][0])
+    )
+    hinge = HingeRankModel(weight=arrays["hinge.weight"])
+    ranker = ranker or meta.get("ranker", "logreg")
+    predictions = []
+    for question in dataset.questions:
+        features = question_features(
+            question, index, tfidf, config, retrieval_config, provider
+        )
+        probs = predict_logreg(logreg, features)
+        scores = probs if ranker == "logreg" else hinge_score(hinge, features)
+        ids = [c.answer_id for c in question.candidates]
+        system_ranks = [c.system_rank for c in question.candidates]
+        ranking = rank_by_scores(ids, scores, system_ranks)
+        predictions.append(
+            Prediction(
+                question_id=question.question_id,
+                ranking=tuple(ranking),
+                relevant=tuple(a for a in ranking if probs[ids.index(a)] >= 0.5),
+                scores={a: float(scores[ids.index(a)]) for a in ids},
+            )
+        )
+    return predictions

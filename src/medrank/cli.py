@@ -19,13 +19,7 @@ import numpy as np
 from . import baseline as bl
 from . import evalkit
 from .config import RunConfig
-from .corpus import (
-    Dataset,
-    derive_label,
-    load_dataset,
-    load_qa_corpus,
-    save_dataset,
-)
+from .corpus import Dataset, load_dataset, load_qa_corpus, save_dataset
 from .errors import ConfigError, MedrankError
 from .joint import (
     ConvEncoderConfig,
@@ -34,8 +28,7 @@ from .joint import (
     build_joint_model,
     fit_metadata_layout,
     gradient_check_battery,
-    load_joint_model,
-    predict_dataset,
+    predict_checkpoint as predict_joint_checkpoint,
     save_joint_model,
     train_joint,
 )
@@ -46,17 +39,8 @@ from .preprocess import (
     load_guard_list,
     normalize_answer,
 )
-from .providers import (
-    Provider,
-    ProviderConfig,
-    TfidfCosineProvider,
-    TfidfModel,
-    build_provider,
-    fit_tfidf,
-    load_tfidf,
-    save_tfidf,
-)
-from .retrieval import EntailmentIndex, RetrievalConfig, retrieve
+from .providers import fit_provider, fit_tfidf, load_tfidf, save_tfidf
+from .retrieval import EntailmentIndex
 from .synth import write_synth
 from .tensornet import read_manifest, write_manifest
 
@@ -82,116 +66,6 @@ def _load_config(args) -> RunConfig:
     if args.scaled_down:
         config.scaled_down = True
     return config
-
-
-def _corpus_texts(pairs) -> list[str]:
-    texts = []
-    for pair in pairs:
-        texts.append(pair.question_text)
-        texts.append(pair.answer_text)
-    return texts
-
-
-def _build_run_provider(
-    config: RunConfig, corpus_pairs
-) -> tuple[Provider, TfidfModel | None]:
-    provider_config = config.provider_config()
-    if provider_config.kind == "tfidf_cosine":
-        provider_tfidf = fit_tfidf(
-            _corpus_texts(corpus_pairs), V=provider_config.vocab_size
-        )
-        return TfidfCosineProvider(provider_config, provider_tfidf), provider_tfidf
-    return build_provider(provider_config), None
-
-
-def _provider_spec(config: ProviderConfig) -> dict:
-    return {
-        "kind": config.kind,
-        "D": config.D,
-        "seed": config.seed,
-        "vocab_size": config.vocab_size,
-        "path": config.path,
-        "fallback_zero": config.fallback_zero,
-    }
-
-
-def _provider_from_spec(spec: dict, corpus_pairs) -> Provider:
-    """Rebuild the provider a model was extracted/trained with."""
-    provider_config = ProviderConfig(
-        kind=spec["kind"],
-        D=int(spec["D"]),
-        seed=int(spec["seed"]),
-        vocab_size=int(spec["vocab_size"]),
-        path=spec.get("path"),
-        fallback_zero=bool(spec.get("fallback_zero", False)),
-    )
-    if provider_config.kind == "tfidf_cosine":
-        provider_tfidf = fit_tfidf(
-            _corpus_texts(corpus_pairs), V=provider_config.vocab_size
-        )
-        return TfidfCosineProvider(provider_config, provider_tfidf)
-    return build_provider(provider_config)
-
-
-def _provider_from_meta(meta: dict) -> Provider:
-    spec = meta["provider"]
-    provider_config = ProviderConfig(
-        kind=spec["kind"],
-        D=int(spec["D"]),
-        seed=int(spec["seed"]),
-        vocab_size=int(spec["vocab_size"]),
-        path=spec.get("path"),
-        fallback_zero=bool(spec.get("fallback_zero", False)),
-    )
-    if provider_config.kind == "tfidf_cosine":
-        stored = meta.get("provider_tfidf")
-        if stored is None:
-            raise MedrankError("checkpoint lacks the provider TF-IDF model")
-        model = TfidfModel(
-            vocabulary=list(stored["vocabulary"]),
-            idf=np.asarray(stored["idf"], dtype=np.float64),
-            V=int(stored["V"]),
-        )
-        return TfidfCosineProvider(provider_config, model)
-    return build_provider(provider_config)
-
-
-def _extract_feature_rows(
-    dataset: Dataset,
-    index: EntailmentIndex,
-    tfidf: TfidfModel,
-    feature_config: bl.BaselineFeatureConfig,
-    retrieval_config: RetrievalConfig,
-    provider: Provider,
-) -> list[dict]:
-    """Baseline rows; below-threshold questions keep zero-filled slots."""
-    rows = []
-    for question in dataset.questions:
-        entailed = retrieve(index, question.text, retrieval_config, fallback=False)
-        for candidate in question.candidates:
-            features = bl.assemble_baseline_features(
-                question, candidate, entailed, tfidf, feature_config, provider
-            )
-            row = {
-                "question_id": question.question_id,
-                "answer_id": candidate.answer_id,
-                "features": features.tolist(),
-            }
-            if candidate.reference_score is not None:
-                row["label"] = derive_label(candidate.reference_score)
-            rows.append(row)
-    return rows
-
-
-def _feature_config_from_meta(meta: dict) -> bl.BaselineFeatureConfig:
-    spec = meta["feature_config"]
-    return bl.BaselineFeatureConfig(
-        N=int(spec["N"]),
-        V=int(spec["V"]),
-        D=int(spec["D"]),
-        source_vocab=tuple(spec["source_vocab"]),
-        T=float(spec["T"]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -246,47 +120,29 @@ def cmd_extract_features(config: RunConfig, args) -> int:
     if layout_path.exists():
         # Retrieve and score as the layout was fit, whatever the run's
         # retrieval.* and provider.* say.
-        spec = json.loads(layout_path.read_text(encoding="utf-8"))
-        provider = _provider_from_spec(spec["provider"], pairs)
-        feature_config = _feature_config_from_meta({"feature_config": spec})
-        retrieval_config = RetrievalConfig(
-            N=feature_config.N,
-            T=feature_config.T,
-            swap_direction=bool(spec.get("swap_direction", False)),
+        feature_config, retrieval_config, provider = bl.layout_settings(
+            json.loads(layout_path.read_text(encoding="utf-8")), str(layout_path)
         )
     else:
-        provider, _ = _build_run_provider(config, pairs)
+        provider_config = config.provider_config()
+        provider, provider_tfidf = fit_provider(provider_config, pairs)
         retrieval_config = config.retrieval_config()
         feature_config = bl.BaselineFeatureConfig(
             N=retrieval_config.N,
             V=len(tfidf.vocabulary),
-            D=config.provider_config().D,
+            D=provider_config.D,
             source_vocab=bl.fit_source_vocab(list(dataset.questions)),
             T=retrieval_config.T,
         )
-        layout_path.write_text(
-            json.dumps(
-                {
-                    "N": feature_config.N,
-                    "V": feature_config.V,
-                    "D": feature_config.D,
-                    "T": feature_config.T,
-                    "swap_direction": retrieval_config.swap_direction,
-                    "source_vocab": list(feature_config.source_vocab),
-                    "slots": bl.feature_layout(feature_config),
-                    "provider": _provider_spec(config.provider_config()),
-                },
-                sort_keys=True,
-            ),
-            encoding="utf-8",
+        layout = bl.layout_meta(
+            feature_config, retrieval_config, provider_config, provider_tfidf
         )
+        layout_path.write_text(json.dumps(layout, sort_keys=True), encoding="utf-8")
     index = EntailmentIndex(pairs, provider)
-    rows = _extract_feature_rows(
+    rows = bl.extract_feature_rows(
         dataset, index, tfidf, feature_config, retrieval_config, provider
     )
-    with Path(args.out).open("w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
+    bl.save_features(rows, args.out)
     print(f"extracted {len(rows)} feature rows -> {args.out}")
     return 0
 
@@ -345,7 +201,7 @@ def cmd_train_baseline(config: RunConfig, args) -> int:
 def cmd_train_joint(config: RunConfig, args) -> int:
     dataset = load_dataset(args.dataset, "train")
     pairs = load_qa_corpus(args.corpus)
-    provider, provider_tfidf = _build_run_provider(config, pairs)
+    provider, provider_tfidf = fit_provider(config.provider_config(), pairs)
     index = EntailmentIndex(pairs, provider)
     metadata_tfidf = fit_tfidf(
         [p.answer_text for p in pairs], V=config.metadata_vocab_size()
@@ -405,65 +261,16 @@ def cmd_predict(config: RunConfig, args) -> int:
     meta, arrays = read_manifest(args.model)
     dataset = load_dataset(args.dataset, args.split)
     pairs = load_qa_corpus(args.corpus)
-    if meta["kind"] == "joint":
-        model, meta = load_joint_model(args.model)
-        provider = _provider_from_meta(meta)
-        index = EntailmentIndex(pairs, provider)
-        train = meta["train"]
-        retrieval_config = RetrievalConfig(
-            N=int(train["retrieval_N"]),
-            T=float(train["retrieval_T"]),
-            swap_direction=bool(train.get("retrieval_swap_direction", False)),
+    if meta.get("kind") == "joint":
+        predictions = predict_joint_checkpoint(meta, arrays, dataset, pairs, args.model)
+    elif meta.get("kind") == "baseline":
+        if args.tfidf is None:
+            raise MedrankError("predict with a baseline model needs --tfidf")
+        predictions = bl.predict_checkpoint(
+            meta, arrays, dataset, pairs, load_tfidf(args.tfidf), args.ranker, args.model
         )
-        predictions = predict_dataset(model, dataset, index, provider, retrieval_config)
-    elif meta["kind"] == "baseline":
-        feature_config = _feature_config_from_meta(meta)
-        provider_spec = meta["feature_config"].get("provider")
-        if provider_spec is not None:
-            provider = _provider_from_spec(provider_spec, pairs)
-        else:
-            provider, _ = _build_run_provider(config, pairs)
-        index = EntailmentIndex(pairs, provider)
-        tfidf = load_tfidf(args.tfidf)
-        retrieval_config = RetrievalConfig(
-            N=feature_config.N,
-            T=feature_config.T,
-            swap_direction=bool(meta["feature_config"].get("swap_direction", False)),
-        )
-        logreg = bl.LogregModel(
-            weight=arrays["logreg.weight"], bias=float(arrays["logreg.bias"][0])
-        )
-        hinge = bl.HingeRankModel(weight=arrays["hinge.weight"])
-        ranker = args.ranker or meta.get("ranker", "logreg")
-        predictions = []
-        for question in dataset.questions:
-            entailed = retrieve(index, question.text, retrieval_config, fallback=False)
-            features = np.asarray(
-                [
-                    bl.assemble_baseline_features(
-                        question, c, entailed, tfidf, feature_config, provider
-                    )
-                    for c in question.candidates
-                ]
-            )
-            probs = bl.predict_logreg(logreg, features)
-            scores = probs if ranker == "logreg" else bl.hinge_score(hinge, features)
-            ids = [c.answer_id for c in question.candidates]
-            system_ranks = [c.system_rank for c in question.candidates]
-            ranking = bl.rank_by_scores(ids, scores, system_ranks)
-            relevant = tuple(
-                aid for aid in ranking if probs[ids.index(aid)] >= 0.5
-            )
-            predictions.append(
-                evalkit.Prediction(
-                    question_id=question.question_id,
-                    ranking=tuple(ranking),
-                    relevant=relevant,
-                    scores={aid: float(scores[ids.index(aid)]) for aid in ids},
-                )
-            )
     else:
-        raise MedrankError(f"unknown model kind {meta.get('kind')!r}")
+        raise MedrankError(f"{args.model}: unknown model kind {meta.get('kind')!r}")
     evalkit.save_predictions(predictions, args.out)
     print(f"wrote predictions for {len(predictions)} questions -> {args.out}")
     return 0

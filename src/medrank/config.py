@@ -74,19 +74,10 @@ class TfidfSection:
 
 @dataclass
 class PathsSection:
-    dataset: str | None = None
-    dataset_val: str | None = None
-    corpus: str | None = None
+    """Default ``ingest`` inputs; ``--abbrev`` and ``--guard`` win."""
+
     abbreviations: str | None = None
     guard_list: str | None = None
-    tfidf: str | None = None
-    layout: str | None = None
-    features: str | None = None
-    model: str | None = None
-    predictions: str | None = None
-    report: str | None = None
-    out_dir: str | None = None
-    cache: str | None = None
 
 
 @dataclass
@@ -185,9 +176,6 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         return cls.from_text(Path(path).read_text(encoding="utf-8"), where=str(path))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8")
 
 
 def _coerce(raw: str, hint, dotted: str):

@@ -26,7 +26,14 @@ from .corpus import CandidateAnswer, Dataset, QAPair, QuestionRecord, derive_lab
 from .errors import DimensionError, MedrankError, SchemaError
 from .evalkit import Prediction
 from .preprocess import split_sentences
-from .providers import Provider, ProviderConfig, TfidfModel, tfidf_transform
+from .providers import (
+    Provider,
+    ProviderConfig,
+    TfidfModel,
+    provider_from_meta,
+    provider_meta,
+    tfidf_transform,
+)
 from .retrieval import (
     EntailedCandidate,
     EntailmentIndex,
@@ -926,11 +933,7 @@ def save_joint_model(
         "filter_widths": list(model.filter_config.widths),
         "pair_widths": list(model.pair_config.widths),
         "layout": model.layout.to_dict(),
-        "tfidf": {
-            "vocabulary": model.tfidf.vocabulary,
-            "idf": model.tfidf.idf.tolist(),
-            "V": model.tfidf.V,
-        },
+        "tfidf": model.tfidf.to_dict(),
         "rqe_dim": model.rqe_dim,
         "train": {
             "alpha": train_config.alpha,
@@ -943,21 +946,7 @@ def save_joint_model(
             "retrieval_T": train_config.retrieval.T,
             "retrieval_swap_direction": train_config.retrieval.swap_direction,
         },
-        "provider": {
-            "kind": provider_config.kind,
-            "D": provider_config.D,
-            "seed": provider_config.seed,
-            "vocab_size": provider_config.vocab_size,
-            "path": provider_config.path,
-            "fallback_zero": provider_config.fallback_zero,
-        },
-        "provider_tfidf": None
-        if provider_tfidf is None
-        else {
-            "vocabulary": provider_tfidf.vocabulary,
-            "idf": provider_tfidf.idf.tolist(),
-            "V": provider_tfidf.V,
-        },
+        **provider_meta(provider_config, provider_tfidf),
     }
     arrays = {f"param.{name}": t.data for name, t in model.named_params()}
     arrays.update({f"buffer.{name}": b for name, b in model.named_buffers()})
@@ -1152,8 +1141,15 @@ def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[
 
 def load_joint_model(path: str | Path) -> tuple[JointModel, dict]:
     meta, arrays = read_manifest(path)
+    return joint_model_from_manifest(meta, arrays, str(path)), meta
+
+
+def joint_model_from_manifest(
+    meta: dict, arrays: dict[str, np.ndarray], where: str = "<checkpoint>"
+) -> JointModel:
+    """The model a ``save_joint_model`` manifest describes, in eval mode."""
     if meta.get("kind") != "joint":
-        raise SchemaError(f"{path}: not a joint-model checkpoint")
+        raise SchemaError(f"{where}: not a joint-model checkpoint")
     encoder_cfg = ConvEncoderConfig(
         in_channels=meta["encoder"]["in_channels"],
         layers=tuple(
@@ -1167,15 +1163,9 @@ def load_joint_model(path: str | Path) -> tuple[JointModel, dict]:
             for s in meta["encoder"]["layers"]
         ),
     )
-    layout = MetadataLayout.from_dict(meta["layout"])
-    tfidf = TfidfModel(
-        vocabulary=list(meta["tfidf"]["vocabulary"]),
-        idf=np.asarray(meta["tfidf"]["idf"], dtype=np.float64),
-        V=int(meta["tfidf"]["V"]),
-    )
     model = build_joint_model(
-        layout,
-        tfidf,
+        MetadataLayout.from_dict(meta["layout"]),
+        TfidfModel.from_dict(meta["tfidf"], where),
         encoder_cfg,
         rqe_dim=int(meta["rqe_dim"]),
         seed=int(meta["train"]["seed"]),
@@ -1185,12 +1175,32 @@ def load_joint_model(path: str | Path) -> tuple[JointModel, dict]:
     for name, tensor in model.named_params():
         stored = arrays.get(f"param.{name}")
         if stored is None or stored.shape != tensor.data.shape:
-            raise SchemaError(f"{path}: checkpoint missing or misshaped {name!r}")
+            raise SchemaError(f"{where}: checkpoint missing or misshaped {name!r}")
         tensor.data[...] = stored
     for name, buffer in model.named_buffers():
         stored = arrays.get(f"buffer.{name}")
         if stored is None or stored.shape != buffer.shape:
-            raise SchemaError(f"{path}: checkpoint missing or misshaped buffer {name!r}")
+            raise SchemaError(f"{where}: checkpoint missing or misshaped buffer {name!r}")
         buffer[...] = stored
     model.eval()
-    return model, meta
+    return model
+
+
+def predict_checkpoint(
+    meta: dict,
+    arrays: dict[str, np.ndarray],
+    dataset: Dataset,
+    corpus_pairs: list[QAPair],
+    where: str = "<checkpoint>",
+) -> list[Prediction]:
+    """``predict`` for a joint checkpoint: its model, provider and retrieval."""
+    model = joint_model_from_manifest(meta, arrays, where)
+    provider = provider_from_meta(meta, where)
+    train = meta["train"]
+    retrieval_config = RetrievalConfig(
+        N=int(train["retrieval_N"]),
+        T=float(train["retrieval_T"]),
+        swap_direction=bool(train.get("retrieval_swap_direction", False)),
+    )
+    index = EntailmentIndex(corpus_pairs, provider)
+    return predict_dataset(model, dataset, index, provider, retrieval_config)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .errors import SchemaError
 
@@ -156,24 +156,15 @@ def expand_abbreviations(text: str, abbreviations: AbbreviationDict) -> str:
     return abbreviations.expand(text)
 
 
-def coref_resolve(text: str, resolver: Callable[[str], str] | None = None) -> str:
-    """Coreference hook: identity by default, or delegate to a resolver."""
-    if resolver is None:
-        return text
-    return resolver(text)
-
-
 def normalize_answer(
     text: str,
     abbreviations: AbbreviationDict | None = None,
     guards: frozenset[str] = DEFAULT_GUARDS,
-    resolver: Callable[[str], str] | None = None,
 ) -> str:
-    """Full answer-side pipeline: coref hook, trailer removal, expansion.
+    """Full answer-side pipeline: trailer removal, then expansion.
 
     Returns the cleaned answer as one string (sentences joined by spaces).
     """
-    text = coref_resolve(text, resolver)
     sentences = strip_trailing_updated_by(split_sentences(text, guards))
     joined = " ".join(sentences)
     if abbreviations is not None:

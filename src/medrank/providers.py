@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, SchemaError
+from .errors import DimensionError, MedrankError, SchemaError
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -69,6 +69,20 @@ class TfidfModel:
         if np.any(self.idf <= 0):
             raise SchemaError("idf values must be positive")
         self._index = {term: i for i, term in enumerate(self.vocabulary)}
+
+    def to_dict(self) -> dict:
+        return {"vocabulary": list(self.vocabulary), "idf": self.idf.tolist(), "V": self.V}
+
+    @classmethod
+    def from_dict(cls, payload: dict, where: str = "<tfidf>") -> "TfidfModel":
+        for key in ("vocabulary", "idf", "V"):
+            if key not in payload:
+                raise SchemaError(f"{where}: TF-IDF model missing field {key!r}")
+        return cls(
+            vocabulary=list(payload["vocabulary"]),
+            idf=np.asarray(payload["idf"], dtype=np.float64),
+            V=int(payload["V"]),
+        )
 
 
 def fit_tfidf(corpus: list[str], V: int = 2000) -> TfidfModel:
@@ -107,20 +121,12 @@ def tfidf_transform(model: TfidfModel, text: str) -> np.ndarray:
 
 
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:
-    payload = {"vocabulary": model.vocabulary, "idf": model.idf.tolist(), "V": model.V}
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    Path(path).write_text(json.dumps(model.to_dict(), sort_keys=True), encoding="utf-8")
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    for key in ("vocabulary", "idf", "V"):
-        if key not in payload:
-            raise SchemaError(f"{path}: TF-IDF model missing field {key!r}")
-    return TfidfModel(
-        vocabulary=list(payload["vocabulary"]),
-        idf=np.asarray(payload["idf"], dtype=np.float64),
-        V=int(payload["V"]),
-    )
+    return TfidfModel.from_dict(payload, where=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +443,55 @@ def build_provider(config: ProviderConfig, tfidf: TfidfModel | None = None) -> _
     return PrecomputedProvider(config)
 
 
-def nli_score(provider: _Provider, sentence_a: str, sentence_b: str) -> NliResult:
-    """Score a sentence pair for entailment/neutral/contradiction."""
-    return provider.nli(sentence_a, sentence_b)
+# ---------------------------------------------------------------------------
+# The serialized provider
+# ---------------------------------------------------------------------------
 
 
-def rqe_score(provider: _Provider, chq: str, faq: str) -> RqeResult:
-    """Score whether the FAQ entails the consumer health question."""
-    return provider.rqe(chq, faq)
+def fit_provider(
+    config: ProviderConfig, corpus_pairs
+) -> tuple[Provider, TfidfModel | None]:
+    """The run's provider and, for ``tfidf_cosine`` only, the TF-IDF it fits
+    over both sides of every corpus pair (``None`` for the other kinds)."""
+    tfidf = None
+    if config.kind == "tfidf_cosine":
+        texts = [t for p in corpus_pairs for t in (p.question_text, p.answer_text)]
+        tfidf = fit_tfidf(texts, V=config.vocab_size)
+    return build_provider(config, tfidf), tfidf
+
+
+def provider_meta(config: ProviderConfig, tfidf: TfidfModel | None) -> dict:
+    """The provider as checkpoint metadata; ``provider_from_meta`` rebuilds it
+    exactly. ``cache`` is a runtime knob and is not stored."""
+    return {
+        "provider": {
+            "kind": config.kind,
+            "D": config.D,
+            "seed": config.seed,
+            "vocab_size": config.vocab_size,
+            "path": config.path,
+            "fallback_zero": config.fallback_zero,
+        },
+        "provider_tfidf": None if tfidf is None else tfidf.to_dict(),
+    }
+
+
+def provider_from_meta(meta: dict, where: str = "<checkpoint>") -> Provider:
+    """Rebuild the provider stored by ``provider_meta``; ``where`` names the file."""
+    spec = meta.get("provider")
+    if spec is None:
+        raise MedrankError(f"{where}: no stored provider spec")
+    config = ProviderConfig(
+        kind=spec["kind"],
+        D=int(spec["D"]),
+        seed=int(spec["seed"]),
+        vocab_size=int(spec["vocab_size"]),
+        path=spec.get("path"),
+        fallback_zero=bool(spec.get("fallback_zero", False)),
+    )
+    stored = meta.get("provider_tfidf")
+    if stored is None and config.kind == "tfidf_cosine":
+        raise MedrankError(f"{where}: no stored TF-IDF for the tfidf_cosine provider")
+    return build_provider(
+        config, None if stored is None else TfidfModel.from_dict(stored, where)
+    )

@@ -215,14 +215,12 @@ class TestFeatureAssembly:
 
 
 class TestFeaturePersistence:
-    def test_roundtrip(self, tmp_path, feature_setup):
-        tfidf, config, provider = feature_setup
+    def test_roundtrip(self, tmp_path):
         rows = [
             {"question_id": "q1", "answer_id": "a1", "label": 1, "features": [0.5, 1.0]},
             {"question_id": "q1", "answer_id": "a2", "features": [0.0, 2.0]},
         ]
-        layout = bl.feature_layout(config)
-        bl.save_features(rows, layout, tmp_path / "f.jsonl", tmp_path / "layout.json")
+        bl.save_features(rows, tmp_path / "f.jsonl")
         assert bl.load_features(tmp_path / "f.jsonl") == rows
 
     def test_missing_field_rejected(self, tmp_path):

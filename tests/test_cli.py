@@ -1,6 +1,7 @@
 """Command-line pipeline wiring: exit codes, outputs, determinism, errors."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from medrank import cli
 from medrank.cli import main
 from medrank.corpus import load_dataset
 from medrank.evalkit import load_predictions
-from medrank.providers import load_tfidf
+from medrank.providers import load_tfidf, tokenize
 from medrank.retrieval import EntailmentIndex
 from medrank.tensornet import Sigmoid
 
@@ -398,6 +399,160 @@ class TestExtractFeaturesFollowsLayout:
         ).read_bytes()
 
 
+class TestStoredProviderNotRefit:
+    """predict, and extract-features against an existing layout, score with
+    the provider TF-IDF the model was fit with, whatever --corpus holds."""
+
+    @pytest.fixture
+    def wider_corpus(self, pipeline_dir, tmp_path):
+        """The training corpus plus one pair whose every token is OOV."""
+        lines = Path(pipeline_dir["corpus"]).read_text().splitlines()
+        extra = {
+            "pair_id": "extra-oov",
+            "question_text": "qwzx vbnk",
+            "answer_text": "plmq zxcv",
+            "source": json.loads(lines[0])["source"],
+        }
+        assert set(tokenize("\n".join(lines))).isdisjoint({"qwzx", "vbnk", "plmq", "zxcv"})
+        path = tmp_path / "corpus_wider.jsonl"
+        path.write_text("\n".join(lines + [json.dumps(extra)]) + "\n")
+        return str(path)
+
+    def _predict(self, pipeline_dir, model, corpus, out):
+        code = main(
+            pipeline_dir["base"]
+            + [
+                "predict",
+                "--model",
+                f"{pipeline_dir['dir']}/{model}",
+                "--dataset",
+                pipeline_dir["val"],
+                "--corpus",
+                corpus,
+                "--tfidf",
+                f"{pipeline_dir['dir']}/tfidf.json",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("model", ["baseline.json", "joint.json"])
+    def test_predict_ignores_extra_corpus_pair(
+        self, pipeline_dir, tmp_path, wider_corpus, model
+    ):
+        original = self._predict(
+            pipeline_dir, model, pipeline_dir["corpus"], tmp_path / "a.jsonl"
+        )
+        wider = self._predict(pipeline_dir, model, wider_corpus, tmp_path / "b.jsonl")
+        assert wider == original
+
+    def test_extract_features_ignores_extra_corpus_pair(
+        self, pipeline_dir, tmp_path, wider_corpus
+    ):
+        out = pipeline_dir["dir"]
+        code = main(
+            pipeline_dir["base"]
+            + [
+                "extract-features",
+                "--dataset",
+                pipeline_dir["val"],
+                "--split",
+                "validation",
+                "--corpus",
+                wider_corpus,
+                "--tfidf",
+                f"{out}/tfidf.json",
+                "--layout",
+                f"{out}/layout.json",
+                "--out",
+                str(tmp_path / "val.jsonl"),
+            ]
+        )
+        assert code == 0
+        assert (tmp_path / "val.jsonl").read_bytes() == (
+            out / "features_val.jsonl"
+        ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "dropped, message", [("provider", "no stored provider spec"),
+                             ("provider_tfidf", "no stored TF-IDF")]
+    )
+    def test_layout_without_stored_provider_fails(
+        self, pipeline_dir, tmp_path, capsys, dropped, message
+    ):
+        out = pipeline_dir["dir"]
+        layout = json.loads((out / "layout.json").read_text())
+        del layout[dropped]
+        layout_path = tmp_path / "old_layout.json"
+        layout_path.write_text(json.dumps(layout))
+        capsys.readouterr()
+        code = main(
+            pipeline_dir["base"]
+            + [
+                "extract-features",
+                "--dataset",
+                pipeline_dir["val"],
+                "--split",
+                "validation",
+                "--corpus",
+                pipeline_dir["corpus"],
+                "--tfidf",
+                f"{out}/tfidf.json",
+                "--layout",
+                str(layout_path),
+                "--out",
+                str(tmp_path / "val.jsonl"),
+            ]
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "MedrankError"
+        assert str(layout_path) in payload["message"]
+        assert message in payload["message"]
+
+    @pytest.mark.parametrize(
+        "dropped, message", [("provider", "no stored provider spec"),
+                             ("provider_tfidf", "no stored TF-IDF")]
+    )
+    def test_baseline_without_stored_provider_fails(
+        self, pipeline_dir, tmp_path, capsys, dropped, message
+    ):
+        out = pipeline_dir["dir"]
+        checkpoint = json.loads((out / "baseline.json").read_text())
+        del checkpoint["meta"]["feature_config"][dropped]
+        model = tmp_path / "old_baseline.json"
+        model.write_text(json.dumps(checkpoint))
+        capsys.readouterr()
+        code = main(
+            pipeline_dir["base"]
+            + [
+                "predict",
+                "--model",
+                str(model),
+                "--dataset",
+                pipeline_dir["val"],
+                "--corpus",
+                pipeline_dir["corpus"],
+                "--tfidf",
+                f"{out}/tfidf.json",
+                "--out",
+                str(tmp_path / "preds.jsonl"),
+            ]
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "MedrankError"
+        assert str(model) in payload["message"]
+        assert message in payload["message"]
+        assert not (tmp_path / "preds.jsonl").exists()
+
+
 class TestPrecomputedJointModel:
     def test_train_then_predict(self, pipeline_dir, tmp_path):
         records = tmp_path / "records.jsonl"
@@ -773,6 +928,29 @@ class TestErrorHandling:
             "error": error.__name__,
             "message": "raised by the handler",
         }
+
+    def test_baseline_predict_without_tfidf(self, pipeline_dir, capsys, tmp_path):
+        capsys.readouterr()
+        code = main(
+            pipeline_dir["base"]
+            + [
+                "predict",
+                "--model",
+                f"{pipeline_dir['dir']}/baseline.json",
+                "--dataset",
+                pipeline_dir["val"],
+                "--corpus",
+                pipeline_dir["corpus"],
+                "--out",
+                str(tmp_path / "preds.jsonl"),
+            ]
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "MedrankError"
+        assert "--tfidf" in payload["message"]
 
     def test_bad_set_flag(self, capsys, tmp_path):
         code = main(

@@ -18,19 +18,19 @@ class TestRunConfig:
         config.set_value("retrieval.N", "5")
         config.set_value("retrieval.T", "0.9")
         config.set_value("train.augmentation", "false")
-        config.set_value("paths.dataset", "/tmp/x.jsonl")
+        config.set_value("paths.abbreviations", "/tmp/x.tsv")
         config.set_value("scaled_down", "true")
         assert config.retrieval.N == 5
         assert config.retrieval.T == 0.9
         assert config.train.augmentation is False
-        assert config.paths.dataset == "/tmp/x.jsonl"
+        assert config.paths.abbreviations == "/tmp/x.tsv"
         assert config.scaled_down is True
 
     def test_empty_clears_optional_path(self):
         config = RunConfig()
-        config.set_value("paths.dataset", "/tmp/x")
-        config.set_value("paths.dataset", "")
-        assert config.paths.dataset is None
+        config.set_value("paths.guard_list", "/tmp/x")
+        config.set_value("paths.guard_list", "")
+        assert config.paths.guard_list is None
 
     def test_unknown_keys_rejected(self):
         config = RunConfig()
@@ -52,7 +52,7 @@ class TestRunConfig:
         config = RunConfig()
         config.set_value("retrieval.T", "0.65")
         config.set_value("train.lr", "0.0005")
-        config.set_value("paths.corpus", "corpus.jsonl")
+        config.set_value("paths.guard_list", "guards.txt")
         config.set_value("synth.questions", "42")
         text = config.to_text()
         reparsed = RunConfig.from_text(text)

@@ -1,11 +1,10 @@
-"""Sentence splitting, trailer stripping, abbreviation expansion, coref hook."""
+"""Sentence splitting, trailer stripping, abbreviation expansion."""
 
 import pytest
 
 from medrank.errors import SchemaError
 from medrank.preprocess import (
     AbbreviationDict,
-    coref_resolve,
     expand_abbreviations,
     load_guard_list,
     normalize_answer,
@@ -134,17 +133,6 @@ class TestExpandAbbreviations:
         path.write_text("MI myocardial\n")
         with pytest.raises(SchemaError, match=r":1"):
             AbbreviationDict.from_tsv(path)
-
-
-class TestCorefResolve:
-    def test_identity_default(self):
-        assert coref_resolve("He went home.") == "He went home."
-
-    def test_hook_wiring(self):
-        assert coref_resolve("abc", resolver=str.upper) == "ABC"
-
-    def test_empty(self):
-        assert coref_resolve("") == ""
 
 
 class TestNormalizeAnswer:

@@ -7,19 +7,22 @@ import struct
 import numpy as np
 import pytest
 
-from medrank.errors import SchemaError
+from medrank.corpus import QAPair
+from medrank.errors import MedrankError, SchemaError
 from medrank.providers import (
     PrecomputedProvider,
     ProviderConfig,
     TfidfCosineProvider,
+    TfidfModel,
     ToyHashProvider,
     build_provider,
+    fit_provider,
     fit_tfidf,
     load_precomputed,
     load_tfidf,
-    nli_score,
     pair_key,
-    rqe_score,
+    provider_from_meta,
+    provider_meta,
     save_tfidf,
     tfidf_transform,
     tokenize,
@@ -87,6 +90,12 @@ class TestTfidfTransform:
                 1.0, abs=1e-9
             )
 
+    def test_missing_field_names_the_file(self, tmp_path):
+        path = tmp_path / "tfidf.json"
+        path.write_text(json.dumps({"vocabulary": ["a"], "V": 3}))
+        with pytest.raises(SchemaError, match=r"tfidf\.json.*'idf'"):
+            load_tfidf(path)
+
     def test_persistence_roundtrip(self, tmp_path):
         model = fit_tfidf(["a b", "a c"], V=3)
         path = tmp_path / "tfidf.json"
@@ -105,11 +114,11 @@ def cosine_provider():
 
 class TestTfidfCosineProvider:
     def test_identical_sentences_entail(self, cosine_provider):
-        result = nli_score(cosine_provider, "alpha beta", "alpha beta")
+        result = cosine_provider.nli("alpha beta", "alpha beta")
         assert result.entailment == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_sentences(self, cosine_provider):
-        result = nli_score(cosine_provider, "alpha", "epsilon")
+        result = cosine_provider.nli("alpha", "epsilon")
         np.testing.assert_allclose(result.probs, [0.0, 0.5, 0.5], atol=1e-12)
 
     def test_probs_on_simplex(self, cosine_provider):
@@ -118,13 +127,13 @@ class TestTfidfCosineProvider:
         for _ in range(40):
             a = " ".join(rng.choice(words, size=3))
             b = " ".join(rng.choice(words, size=3))
-            probs = nli_score(cosine_provider, a, b).probs
+            probs = cosine_provider.nli(a, b).probs
             assert np.all(probs >= 0)
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_determinism_bitwise(self, cosine_provider):
-        first = nli_score(cosine_provider, "alpha beta", "beta gamma")
-        second = nli_score(cosine_provider, "alpha beta", "beta gamma")
+        first = cosine_provider.nli("alpha beta", "beta gamma")
+        second = cosine_provider.nli("alpha beta", "beta gamma")
         assert np.array_equal(first.probs, second.probs)
         assert np.array_equal(first.embedding, second.embedding)
 
@@ -133,52 +142,48 @@ class TestTfidfCosineProvider:
         config = ProviderConfig(kind="tfidf_cosine", D=4, seed=9)
         p1 = TfidfCosineProvider(config, model)
         p2 = TfidfCosineProvider(config, model)
-        r1 = rqe_score(p1, "alpha", "beta gamma")
-        r2 = rqe_score(p2, "alpha", "beta gamma")
+        r1 = p1.rqe("alpha", "beta gamma")
+        r2 = p2.rqe("alpha", "beta gamma")
         assert r1.score == r2.score
         assert np.array_equal(r1.embedding, r2.embedding)
 
     def test_rqe_symmetry(self, cosine_provider):
-        assert rqe_score(cosine_provider, "alpha beta", "beta gamma").score == (
-            rqe_score(cosine_provider, "beta gamma", "alpha beta").score
+        assert cosine_provider.rqe("alpha beta", "beta gamma").score == (
+            cosine_provider.rqe("beta gamma", "alpha beta").score
         )
 
     def test_rqe_range(self, cosine_provider):
-        assert rqe_score(cosine_provider, "alpha", "alpha").score == pytest.approx(1.0)
-        assert rqe_score(cosine_provider, "alpha", "epsilon").score == 0.0
+        assert cosine_provider.rqe("alpha", "alpha").score == pytest.approx(1.0)
+        assert cosine_provider.rqe("alpha", "epsilon").score == 0.0
 
     def test_embedding_dimension(self, cosine_provider):
-        assert nli_score(cosine_provider, "a", "b").embedding.shape == (6,)
+        assert cosine_provider.nli("a", "b").embedding.shape == (6,)
 
 
 class TestToyHashProvider:
     def test_identical_and_disjoint(self):
         provider = ToyHashProvider(ProviderConfig(kind="toy_hash", D=64, seed=0))
-        assert rqe_score(provider, "one two", "one two").score == pytest.approx(1.0)
-        assert nli_score(provider, "one two", "one two").entailment == pytest.approx(
+        assert provider.rqe("one two", "one two").score == pytest.approx(1.0)
+        assert provider.nli("one two", "one two").entailment == pytest.approx(
             1.0
         )
 
     def test_determinism_across_instances(self):
         config = ProviderConfig(kind="toy_hash", D=32, seed=5)
-        r1 = nli_score(ToyHashProvider(config), "a b c", "c d")
-        r2 = nli_score(ToyHashProvider(config), "a b c", "c d")
+        r1 = ToyHashProvider(config).nli("a b c", "c d")
+        r2 = ToyHashProvider(config).nli("a b c", "c d")
         np.testing.assert_array_equal(r1.probs, r2.probs)
         np.testing.assert_array_equal(r1.embedding, r2.embedding)
 
     def test_seed_changes_output(self):
-        a = nli_score(
-            ToyHashProvider(ProviderConfig(kind="toy_hash", D=32, seed=1)), "a b", "c"
-        )
-        b = nli_score(
-            ToyHashProvider(ProviderConfig(kind="toy_hash", D=32, seed=2)), "a b", "c"
-        )
+        a = ToyHashProvider(ProviderConfig(kind="toy_hash", D=32, seed=1)).nli("a b", "c")
+        b = ToyHashProvider(ProviderConfig(kind="toy_hash", D=32, seed=2)).nli("a b", "c")
         assert not np.array_equal(a.embedding, b.embedding)
 
     def test_order_sensitive_embedding(self):
         provider = ToyHashProvider(ProviderConfig(kind="toy_hash", D=32, seed=0))
-        ab = nli_score(provider, "a", "b").embedding
-        ba = nli_score(provider, "b", "a").embedding
+        ab = provider.nli("a", "b").embedding
+        ba = provider.nli("b", "a").embedding
         assert not np.array_equal(ab, ba)
 
 
@@ -198,24 +203,24 @@ class TestPrecomputedProvider:
         provider = PrecomputedProvider(
             ProviderConfig(kind="precomputed", D=3, path="unused"), self._records()
         )
-        result = nli_score(provider, "premise", "hypothesis")
+        result = provider.nli("premise", "hypothesis")
         np.testing.assert_allclose(result.probs, [0.8, 0.15, 0.05])
         np.testing.assert_allclose(result.embedding, [1.0, 2.0, 3.0])
-        assert rqe_score(provider, "premise", "hypothesis").score == 0.8
+        assert provider.rqe("premise", "hypothesis").score == 0.8
 
     def test_missing_key_raises(self):
         provider = PrecomputedProvider(
             ProviderConfig(kind="precomputed", D=3, path="unused"), self._records()
         )
         with pytest.raises(KeyError):
-            nli_score(provider, "other", "pair")
+            provider.nli("other", "pair")
 
     def test_fallback_zero_fill(self):
         provider = PrecomputedProvider(
             ProviderConfig(kind="precomputed", D=3, path="unused", fallback_zero=True),
             self._records(),
         )
-        result = nli_score(provider, "other", "pair")
+        result = provider.nli("other", "pair")
         np.testing.assert_allclose(result.probs, [0.0, 0.5, 0.5])
         np.testing.assert_array_equal(result.embedding, np.zeros(3))
 
@@ -228,7 +233,7 @@ class TestPrecomputedProvider:
         provider = build_provider(
             ProviderConfig(kind="precomputed", D=2, path=str(path))
         )
-        assert rqe_score(provider, "a", "b").score == 0.5
+        assert provider.rqe("a", "b").score == 0.5
 
     def test_file_missing_field(self, tmp_path):
         path = tmp_path / "pre.jsonl"
@@ -372,3 +377,85 @@ class TestScoreOnly:
         assert set(cached._vectors) == {"alpha beta", "beta gamma"}
         assert not cached._vectors["alpha beta"].flags.writeable
         assert uncached._vectors == {}
+
+
+# ---------------------------------------------------------------------------
+# The serialized provider spec
+# ---------------------------------------------------------------------------
+
+SPEC_CORPUS = [
+    QAPair("p1", "alpha beta gamma", "delta epsilon", "faq"),
+    QAPair("p2", "Alpha delta", "beta gamma zzz", "faq"),
+]
+
+
+def _spec_config(kind, tmp_path, fallback_zero=True):
+    if kind == "tfidf_cosine":
+        return ProviderConfig(kind=kind, D=6, seed=3, vocab_size=5)
+    if kind == "toy_hash":
+        return ProviderConfig(kind=kind, D=32, seed=4)
+    path = tmp_path / "records.jsonl"
+    path.write_text(
+        "".join(json.dumps(r) + "\n" for r in _precomputed_records().values())
+    )
+    return ProviderConfig(kind=kind, D=3, path=str(path), fallback_zero=fallback_zero)
+
+
+class TestProviderMeta:
+    """provider_from_meta(provider_meta(...)) rebuilds the provider exactly."""
+
+    @pytest.mark.parametrize(
+        "kind, fallback_zero",
+        [
+            ("toy_hash", False),
+            ("tfidf_cosine", False),
+            ("precomputed", True),
+            ("precomputed", False),
+        ],
+    )
+    def test_reload_scores_and_embeds_identically(self, tmp_path, kind, fallback_zero):
+        config = _spec_config(kind, tmp_path, fallback_zero)
+        original, tfidf = fit_provider(config, SPEC_CORPUS)
+        assert (tfidf is not None) == (kind == "tfidf_cosine")
+        meta = json.loads(json.dumps(provider_meta(config, tfidf)))
+        reloaded = provider_from_meta(meta)
+        assert type(reloaded) is type(original)
+        # without fallback_zero the two pairs missing from the records raise
+        strict = kind == "precomputed" and not fallback_zero
+        pairs = SCORE_PAIRS[:-2] if strict else SCORE_PAIRS
+        for a, b in pairs:
+            for provider_a, provider_b in ((original, reloaded), (reloaded, original)):
+                rqe_a, rqe_b = provider_a.rqe(a, b), provider_b.rqe(a, b)
+                assert _bits(rqe_a.score) == _bits(rqe_b.score)
+                assert np.array_equal(rqe_a.embedding, rqe_b.embedding)
+                nli_a, nli_b = provider_a.nli(a, b), provider_b.nli(a, b)
+                assert np.array_equal(nli_a.probs, nli_b.probs)
+                assert np.array_equal(nli_a.embedding, nli_b.embedding)
+            assert _bits(original.rqe_score(a, b)) == _bits(reloaded.rqe_score(a, b))
+            assert _bits(original.nli_entailment(a, b)) == _bits(
+                reloaded.nli_entailment(a, b)
+            )
+        if strict:
+            with pytest.raises(KeyError):
+                reloaded.rqe(*SCORE_PAIRS[-1])
+
+    def test_tfidf_is_stored_not_refit(self, tmp_path):
+        config = _spec_config("tfidf_cosine", tmp_path)
+        _, tfidf = fit_provider(config, SPEC_CORPUS)
+        meta = json.loads(json.dumps(provider_meta(config, tfidf)))
+        stored = TfidfModel.from_dict(meta["provider_tfidf"])
+        assert stored.vocabulary == tfidf.vocabulary
+        assert np.array_equal(stored.idf, tfidf.idf)
+        assert stored.V == tfidf.V == 5
+        # both sides of every corpus pair are fitted
+        assert "epsilon" in tfidf.vocabulary and "alpha" in tfidf.vocabulary
+
+    def test_missing_spec_names_the_file(self):
+        with pytest.raises(MedrankError, match="layout.json: no stored provider spec"):
+            provider_from_meta({"N": 3}, "layout.json")
+
+    def test_tfidf_cosine_without_tfidf_names_the_file(self, tmp_path):
+        meta = provider_meta(_spec_config("tfidf_cosine", tmp_path), None)
+        assert meta["provider_tfidf"] is None
+        with pytest.raises(MedrankError, match="model.json: no stored TF-IDF"):
+            provider_from_meta(meta, "model.json")
