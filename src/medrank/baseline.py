@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CandidateAnswer, Dataset, QAPair, QuestionRecord, derive_label
-from .errors import DimensionError, SchemaError
+from .errors import DimensionError, MedrankError, SchemaError
 from .evalkit import Prediction
 from .preprocess import split_sentences
 from .providers import (
@@ -33,7 +33,7 @@ from .providers import (
     tfidf_transform,
 )
 from .retrieval import EntailedCandidate, EntailmentIndex, RetrievalConfig, retrieve
-from .tensornet import sigmoid
+from .tensornet import sigmoid, write_manifest
 
 
 def anli(
@@ -239,26 +239,34 @@ def layout_meta(
     retrieval_config: RetrievalConfig,
     provider_config: ProviderConfig,
     provider_tfidf: TfidfModel | None,
+    tfidf: TfidfModel,
 ) -> dict:
     """The layout JSON, which a baseline checkpoint keeps as ``feature_config``:
-    feature dimensions, slots, retrieval direction and the provider."""
+    feature dimensions, slots, retrieval direction, the provider and the
+    metadata TF-IDF the features were extracted with."""
     return {
         **config.to_dict(),
         "swap_direction": retrieval_config.swap_direction,
         "slots": feature_layout(config),
+        "tfidf": tfidf.to_dict(),
         **provider_meta(provider_config, provider_tfidf),
     }
 
 
 def layout_settings(
     spec: dict, where: str = "<layout>"
-) -> tuple[BaselineFeatureConfig, RetrievalConfig, Provider]:
-    """Feature config, retrieval config and provider a ``layout_meta`` records."""
+) -> tuple[BaselineFeatureConfig, RetrievalConfig, Provider, TfidfModel]:
+    """Feature config, retrieval config, provider and metadata TF-IDF a
+    ``layout_meta`` records; ``where`` names the file in errors."""
     config = BaselineFeatureConfig.from_dict(spec)
     retrieval_config = RetrievalConfig(
         N=config.N, T=config.T, swap_direction=bool(spec.get("swap_direction", False))
     )
-    return config, retrieval_config, provider_from_meta(spec, where)
+    provider = provider_from_meta(spec, where)
+    if spec.get("tfidf") is None:
+        raise MedrankError(f"{where}: no stored metadata TF-IDF")
+    tfidf = TfidfModel.from_dict(spec["tfidf"], where)
+    return config, retrieval_config, provider, tfidf
 
 
 def save_features(rows: list[dict], path: str | Path) -> None:
@@ -371,13 +379,6 @@ def ranking_pairs(
     return np.stack(diffs)
 
 
-def pairwise_hinge_loss(
-    weight: np.ndarray, diffs: np.ndarray, weight_decay: float
-) -> float:
-    margins = diffs @ weight
-    return float(np.maximum(0.0, 1.0 - margins).sum() + weight_decay * weight @ weight)
-
-
 def train_pairwise_hinge(
     groups: list[tuple[np.ndarray, np.ndarray]],
     lr: float = 0.01,
@@ -417,19 +418,69 @@ def rank_by_scores(
 # ---------------------------------------------------------------------------
 
 
+def train_checkpoint(
+    rows: list[dict],
+    dataset: Dataset,
+    layout: dict,
+    path: str | Path,
+    *,
+    ranker: str,
+    lr: float,
+    steps: int,
+    weight_decay: float,
+    hinge_lr: float,
+    hinge_steps: int,
+) -> None:
+    """``train-baseline``: fit the logistic filter on every feature row and the
+    hinge ranker on every question with two or more rows, then write both with
+    ``layout`` as the checkpoint's ``feature_config``. The keyword settings are
+    the ``baseline.*`` config keys."""
+    features = np.asarray([row["features"] for row in rows], dtype=np.float64)
+    labels = np.asarray([row.get("label") for row in rows], dtype=np.float64)
+    logreg = train_logreg_filter(
+        features, labels, lr=lr, steps=steps, weight_decay=weight_decay
+    )
+    by_question: dict[str, list[dict]] = {}
+    for row in rows:
+        by_question.setdefault(row["question_id"], []).append(row)
+    groups = []
+    for question in dataset.questions:
+        qrows = by_question.get(question.question_id, [])
+        if len(qrows) < 2:
+            continue
+        ranks = [question.candidate(row["answer_id"]).reference_rank for row in qrows]
+        groups.append(
+            (
+                np.asarray([row["features"] for row in qrows], dtype=np.float64),
+                np.asarray(ranks),
+            )
+        )
+    hinge = train_pairwise_hinge(
+        groups, lr=hinge_lr, steps=hinge_steps, weight_decay=weight_decay
+    )
+    meta = {"kind": "baseline", "ranker": ranker, "feature_config": layout}
+    arrays = {
+        "logreg.weight": logreg.weight,
+        "logreg.bias": np.array([logreg.bias]),
+        "hinge.weight": hinge.weight,
+    }
+    write_manifest(path, meta, arrays)
+
+
 def predict_checkpoint(
     meta: dict,
     arrays: dict[str, np.ndarray],
     dataset: Dataset,
     corpus_pairs: list[QAPair],
-    tfidf: TfidfModel,
     ranker: str | None = None,
     where: str = "<checkpoint>",
 ) -> list[Prediction]:
-    """``predict`` for a baseline checkpoint, with the retrieval settings and
-    provider its ``feature_config`` stores; nothing is refit on the corpus.
-    Relevant means a filter probability >= 0.5."""
-    config, retrieval_config, provider = layout_settings(meta["feature_config"], where)
+    """``predict`` for a baseline checkpoint, with the retrieval settings,
+    provider and metadata TF-IDF its ``feature_config`` stores; nothing is
+    refit on the corpus. Relevant means a filter probability >= 0.5."""
+    config, retrieval_config, provider, tfidf = layout_settings(
+        meta["feature_config"], where
+    )
     index = EntailmentIndex(corpus_pairs, provider)
     logreg = LogregModel(
         weight=arrays["logreg.weight"], bias=float(arrays["logreg.bias"][0])

@@ -21,13 +21,13 @@ from . import evalkit
 from .config import RunConfig
 from .corpus import Dataset, load_dataset, load_qa_corpus, save_dataset
 from .errors import ConfigError, MedrankError
+from .gradcheck import gradient_check_battery
 from .joint import (
     ConvEncoderConfig,
     HeadConfig,
     TrainConfig,
     build_joint_model,
     fit_metadata_layout,
-    gradient_check_battery,
     predict_checkpoint as predict_joint_checkpoint,
     save_joint_model,
     train_joint,
@@ -42,7 +42,7 @@ from .preprocess import (
 from .providers import fit_provider, fit_tfidf, load_tfidf, save_tfidf
 from .retrieval import EntailmentIndex
 from .synth import write_synth
-from .tensornet import read_manifest, write_manifest
+from .tensornet import read_manifest
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -119,10 +119,14 @@ def cmd_extract_features(config: RunConfig, args) -> int:
     layout_path = Path(args.layout)
     if layout_path.exists():
         # Retrieve and score as the layout was fit, whatever the run's
-        # retrieval.* and provider.* say.
-        feature_config, retrieval_config, provider = bl.layout_settings(
+        # retrieval.* and provider.* say; --tfidf must be the stored one.
+        feature_config, retrieval_config, provider, stored = bl.layout_settings(
             json.loads(layout_path.read_text(encoding="utf-8")), str(layout_path)
         )
+        if tfidf.to_dict() != stored.to_dict():
+            raise MedrankError(
+                f"{args.tfidf}: differs from the metadata TF-IDF stored in {layout_path}"
+            )
     else:
         provider_config = config.provider_config()
         provider, provider_tfidf = fit_provider(provider_config, pairs)
@@ -135,7 +139,7 @@ def cmd_extract_features(config: RunConfig, args) -> int:
             T=retrieval_config.T,
         )
         layout = bl.layout_meta(
-            feature_config, retrieval_config, provider_config, provider_tfidf
+            feature_config, retrieval_config, provider_config, provider_tfidf, tfidf
         )
         layout_path.write_text(json.dumps(layout, sort_keys=True), encoding="utf-8")
     index = EntailmentIndex(pairs, provider)
@@ -149,51 +153,13 @@ def cmd_extract_features(config: RunConfig, args) -> int:
 
 def cmd_train_baseline(config: RunConfig, args) -> int:
     rows = bl.load_features(args.features)
-    dataset = load_dataset(args.dataset, args.split)
-    layout_spec = json.loads(Path(args.layout).read_text(encoding="utf-8"))
-    features = np.asarray([row["features"] for row in rows], dtype=np.float64)
-    labels = np.asarray([row.get("label") for row in rows], dtype=np.float64)
-    logreg = bl.train_logreg_filter(
-        features,
-        labels,
-        lr=config.baseline.lr,
-        steps=config.baseline.steps,
-        weight_decay=config.baseline.weight_decay,
+    bl.train_checkpoint(
+        rows,
+        load_dataset(args.dataset, args.split),
+        json.loads(Path(args.layout).read_text(encoding="utf-8")),
+        args.out,
+        **dataclasses.asdict(config.baseline),
     )
-    by_question: dict[str, list[dict]] = {}
-    for row in rows:
-        by_question.setdefault(row["question_id"], []).append(row)
-    groups = []
-    for question in dataset.questions:
-        qrows = by_question.get(question.question_id, [])
-        if len(qrows) < 2:
-            continue
-        ranks = [
-            question.candidate(row["answer_id"]).reference_rank for row in qrows
-        ]
-        groups.append(
-            (
-                np.asarray([row["features"] for row in qrows], dtype=np.float64),
-                np.asarray(ranks),
-            )
-        )
-    hinge = bl.train_pairwise_hinge(
-        groups,
-        lr=config.baseline.hinge_lr,
-        steps=config.baseline.hinge_steps,
-        weight_decay=config.baseline.weight_decay,
-    )
-    meta = {
-        "kind": "baseline",
-        "ranker": config.baseline.ranker,
-        "feature_config": layout_spec,
-    }
-    arrays = {
-        "logreg.weight": logreg.weight,
-        "logreg.bias": np.array([logreg.bias]),
-        "hinge.weight": hinge.weight,
-    }
-    write_manifest(args.out, meta, arrays)
     print(f"trained baseline on {len(rows)} rows -> {args.out}")
     return 0
 
@@ -264,10 +230,8 @@ def cmd_predict(config: RunConfig, args) -> int:
     if meta.get("kind") == "joint":
         predictions = predict_joint_checkpoint(meta, arrays, dataset, pairs, args.model)
     elif meta.get("kind") == "baseline":
-        if args.tfidf is None:
-            raise MedrankError("predict with a baseline model needs --tfidf")
         predictions = bl.predict_checkpoint(
-            meta, arrays, dataset, pairs, load_tfidf(args.tfidf), args.ranker, args.model
+            meta, arrays, dataset, pairs, args.ranker, args.model
         )
     else:
         raise MedrankError(f"{args.model}: unknown model kind {meta.get('kind')!r}")
@@ -395,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", default="validation")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--tfidf", help="TF-IDF model (baseline checkpoints)")
     p.add_argument("--ranker", choices=["logreg", "hinge"])
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_predict)

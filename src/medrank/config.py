@@ -2,13 +2,11 @@
 
 Config files hold one ``section.key=value`` pair per line ('#' starts a
 comment). Values are coerced by the target field's type; empty values clear
-optional paths. Serialization emits sorted keys, so parse -> serialize ->
-parse round-trips to an equal configuration.
+optional paths.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import types
 import typing
 from dataclasses import dataclass, field
@@ -151,15 +149,6 @@ class RunConfig:
             raise ConfigError(f"unknown config key {dotted!r}")
         setattr(section, key, _coerce(raw, hints[key], dotted))
 
-    def to_text(self) -> str:
-        lines = [f"scaled_down={_format(self.scaled_down)}"]
-        for section_name, section in self._sections().items():
-            for f in dataclasses.fields(section):
-                lines.append(
-                    f"{section_name}.{f.name}={_format(getattr(section, f.name))}"
-                )
-        return "\n".join(sorted(lines)) + "\n"
-
     @classmethod
     def from_text(cls, text: str, where: str = "<config>") -> "RunConfig":
         config = cls()
@@ -201,12 +190,3 @@ def _coerce(raw: str, hint, dotted: str):
         raise ConfigError(f"{dotted}: {exc}") from exc
     return raw
 
-
-def _format(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)

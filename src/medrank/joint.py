@@ -54,7 +54,6 @@ from .tensornet import (
     Sigmoid,
     bce_grad,
     bce_loss,
-    conv_out_dim,
     read_manifest,
     write_manifest,
 )
@@ -117,17 +116,6 @@ class ConvEncoderConfig:
                 ConvLayerSpec(4, (3, 3), (1, 1), (2, 2), False),
             ),
         )
-
-
-def spatial_trace(config: ConvEncoderConfig, a: int, c: int) -> list[tuple[int, int]]:
-    """Per-layer output (height, width) for an a x c input map."""
-    trace = []
-    h, w = a, c
-    for layer in config.layers:
-        h = conv_out_dim(h, layer.kernel[0], layer.stride[0], layer.padding[0])
-        w = conv_out_dim(w, layer.kernel[1], layer.stride[1], layer.padding[1])
-        trace.append((h, w))
-    return trace
 
 
 class ConvEncoder(Module):
@@ -309,22 +297,6 @@ def build_metadata(
     return vec
 
 
-@dataclass(frozen=True)
-class JointEmbedding:
-    """NLI encoding + RQE embedding + metadata, consumed concatenated."""
-
-    nli: np.ndarray
-    rqe: np.ndarray
-    meta: np.ndarray
-
-    def concat(self) -> np.ndarray:
-        return np.concatenate([self.nli, self.rqe, self.meta])
-
-    @property
-    def width(self) -> int:
-        return self.nli.shape[0] + self.rqe.shape[0] + self.meta.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # Classifier heads
 # ---------------------------------------------------------------------------
@@ -444,15 +416,6 @@ class JointModel(Module):
                 f"pairwise head input {self.pair_config.widths[0]} != "
                 f"2 x joint width {2 * self.joint_dim}"
             )
-
-    def forward_filter(self, joints: np.ndarray) -> np.ndarray:
-        """Relevance probability per row of a (B, joint_dim) matrix."""
-        return self.filter_head.forward(np.atleast_2d(joints))[:, 0]
-
-    def forward_pair_matrix(self, rows: np.ndarray) -> np.ndarray:
-        """Per row of a (B, 2 x joint_dim) matrix, probability that its first
-        candidate ranks above its second."""
-        return self.pair_head.forward(rows)[:, 0]
 
 
 def build_joint_model(
@@ -616,13 +579,30 @@ def _candidate_sentences(question: QuestionRecord) -> list[tuple[str, ...]]:
     return out
 
 
-def _head_forward_train(head: Sequential, matrix: np.ndarray) -> np.ndarray:
-    """Train-mode head forward; a batch of one falls back to running stats."""
-    if matrix.shape[0] >= 2:
-        return head.forward(matrix)
+def _joint_rows(model: JointModel, inst: _PreparedInstance) -> np.ndarray:
+    """(n, joint_dim) rows [encoded NLI map; RQE embedding; metadata], one
+    per candidate of the instance, encoded in candidate order."""
+    return np.stack(
+        [
+            np.concatenate([model.encoder.forward(tensor), inst.rqe_embedding, meta])
+            for tensor, meta in zip(inst.tensors, inst.metas)
+        ]
+    )
+
+
+def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, second) row indices of every ordered pair i != j, i-major."""
+    return np.nonzero(~np.eye(n, dtype=bool))
+
+
+def _head_forward(head: Sequential, matrix: np.ndarray) -> np.ndarray:
+    """Head output per row; in train mode a batch of one falls back to running
+    stats, and the head is left in the mode it was found in."""
+    if not head.training or matrix.shape[0] >= 2:
+        return head.forward(matrix)[:, 0]
     head.train(False)
     try:
-        return head.forward(matrix)
+        return head.forward(matrix)[:, 0]
     finally:
         head.train(True)
 
@@ -638,63 +618,47 @@ def question_loss(
     Returns L_total = sum over instances of the summed filter BCE plus alpha
     times the summed pairwise BCE over all ordered candidate pairs.
     """
-    joints = []
-    filter_targets = []
-    row_of = []  # (instance index, position of the global candidate index)
-    for k, inst in enumerate(prepared.instances):
-        for pos, g in enumerate(inst.cand_idx):
-            nli_vec = model.encoder.forward(inst.tensors[pos])
-            joints.append(np.concatenate([nli_vec, inst.rqe_embedding, inst.metas[pos]]))
-            filter_targets.append(prepared.labels[g])
-            row_of.append((k, g))
-    joint_matrix = np.stack(joints)
-    targets = np.asarray(filter_targets, dtype=np.float64)
-
-    if model.training:
-        filter_probs = _head_forward_train(model.filter_head, joint_matrix)[:, 0]
-    else:
-        filter_probs = model.filter_head.forward(joint_matrix)[:, 0]
+    blocks = [_joint_rows(model, inst) for inst in prepared.instances]
+    joint_matrix = np.concatenate(blocks)
+    cand = np.concatenate([inst.cand_idx for inst in prepared.instances])
+    targets = prepared.labels[cand]
+    filter_probs = _head_forward(model.filter_head, joint_matrix)
     total = bce_loss(filter_probs, targets, reduction="sum")
 
-    pair_rows: list[tuple[int, int]] = []
-    pair_targets: list[float] = []
-    row_index: dict[tuple[int, int], int] = {
-        (k, g): r for r, (k, g) in enumerate(row_of)
-    }
-    for k, inst in enumerate(prepared.instances):
-        for gi in inst.cand_idx:
-            for gj in inst.cand_idx:
-                if gi == gj:
-                    continue
-                pair_rows.append((row_index[(k, gi)], row_index[(k, gj)]))
-                pair_targets.append(
-                    1.0 if prepared.ranks[gi] < prepared.ranks[gj] else 0.0
-                )
-
-    pair_probs = None
-    if pair_rows:
-        pair_matrix = np.stack(
-            [np.concatenate([joint_matrix[i], joint_matrix[j]]) for i, j in pair_rows]
+    # Pairs never cross instances: each block's pairs, shifted to its rows.
+    starts = np.cumsum([0] + [len(block) for block in blocks[:-1]])
+    first, second = np.concatenate(
+        [
+            np.add(_ordered_pairs(len(block)), start)
+            for block, start in zip(blocks, starts)
+        ],
+        axis=1,
+    )
+    if len(first):
+        row_ranks = np.asarray(prepared.ranks)[cand]
+        pair_targets = (row_ranks[first] < row_ranks[second]).astype(np.float64)
+        pair_probs = _head_forward(
+            model.pair_head,
+            np.concatenate([joint_matrix[first], joint_matrix[second]], axis=1),
         )
-        if model.training:
-            pair_probs = _head_forward_train(model.pair_head, pair_matrix)[:, 0]
-        else:
-            pair_probs = model.pair_head.forward(pair_matrix)[:, 0]
-        pair_target_arr = np.asarray(pair_targets, dtype=np.float64)
-        total += alpha * bce_loss(pair_probs, pair_target_arr, reduction="sum")
+        total += alpha * bce_loss(pair_probs, pair_targets, reduction="sum")
 
     if not compute_grads:
         model.clear_cache()
         return total
 
     d_joint = np.zeros_like(joint_matrix)
-    if pair_rows:
-        d_pair = alpha * bce_grad(pair_probs, pair_target_arr)
+    if len(first):
+        d_pair = alpha * bce_grad(pair_probs, pair_targets)
         d_pair_matrix = model.pair_head.backward(d_pair[:, None])
         width = joint_matrix.shape[1]
-        for r, (i, j) in enumerate(pair_rows):
-            d_joint[i] += d_pair_matrix[r, :width]
-            d_joint[j] += d_pair_matrix[r, width:]
+        # Row r of d_pair_matrix is [d first | d second]; the interleaved index
+        # adds the halves in pair order, as a loop over the pairs would.
+        np.add.at(
+            d_joint,
+            np.stack([first, second], axis=1).ravel(),
+            d_pair_matrix.reshape(-1, width),
+        )
     d_filter = bce_grad(filter_probs, targets)
     d_joint += model.filter_head.backward(d_filter[:, None])
 
@@ -836,6 +800,7 @@ def infer(
         n = len(candidates)
         all_idx = tuple(range(n))
         hits = retrieve(index, question.text, retrieval_config)
+        first, second = _ordered_pairs(n)
         filter_sum = np.zeros(n)
         pair_sum = np.zeros((n, n))
         for hit in hits:
@@ -843,30 +808,13 @@ def infer(
             prep = _prepare_instance(
                 model, instance, all_idx, candidates, cand_sentences, nli_provider
             )
-            joints = np.stack(
-                [
-                    np.concatenate(
-                        [
-                            model.encoder.forward(prep.tensors[i]),
-                            prep.rqe_embedding,
-                            prep.metas[i],
-                        ]
-                    )
-                    for i in range(n)
-                ]
-            )
-            filter_sum += model.forward_filter(joints)
+            joints = _joint_rows(model, prep)
+            filter_sum += _head_forward(model.filter_head, joints)
             if n > 1:
-                rows = []
-                coords = []
-                for i in range(n):
-                    for j in range(n):
-                        if i != j:
-                            rows.append(np.concatenate([joints[i], joints[j]]))
-                            coords.append((i, j))
-                probs = model.forward_pair_matrix(np.stack(rows))
-                for (i, j), p in zip(coords, probs):
-                    pair_sum[i, j] += p
+                pair_sum[first, second] += _head_forward(
+                    model.pair_head,
+                    np.concatenate([joints[first], joints[second]], axis=1),
+                )
         mean_filter = filter_sum / len(hits)
         scores = pair_sum.sum(axis=1)
         order = sorted(
@@ -951,192 +899,6 @@ def save_joint_model(
     arrays = {f"param.{name}": t.data for name, t in model.named_params()}
     arrays.update({f"buffer.{name}": b for name, b in model.named_buffers()})
     write_manifest(path, meta, arrays)
-
-
-# ---------------------------------------------------------------------------
-# Gradient verification battery
-# ---------------------------------------------------------------------------
-
-
-def _check_module(
-    module: Module, loss_fn, seed_grad, params=None, train_mode: bool = True, **kwargs
-) -> float:
-    """Populate analytic grads, then finite-difference with caching disabled."""
-    from .tensornet import grad_check
-
-    module.train(train_mode)
-    module.enable_grad(True)
-    module.zero_grad()
-    seed_grad()
-    module.enable_grad(False)
-    try:
-        return grad_check(loss_fn, params if params is not None else module.params(), **kwargs)
-    finally:
-        module.enable_grad(True)
-
-
-def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[str, float]:
-    """Central-difference checks for every differentiable component.
-
-    Runs at scaled-down dimensions in double precision; returns the max
-    relative error per component. Every value should be <= 1e-4.
-    """
-    from .providers import ProviderConfig as PC
-    from .providers import ToyHashProvider, fit_tfidf
-
-    results: dict[str, float] = {}
-    rng = np.random.default_rng(seed)
-
-    # linear + sigmoid + binary cross-entropy
-    x = rng.standard_normal((5, 4))
-    t = rng.integers(0, 2, size=5).astype(np.float64)
-    head = Sequential([Linear(4, 1, rng), Sigmoid()], ["linear", "sigmoid"])
-
-    def linear_loss() -> float:
-        return bce_loss(head.forward(x)[:, 0], t)
-
-    def linear_seed() -> None:
-        probs = head.forward(x)[:, 0]
-        head.backward(bce_grad(probs, t)[:, None])
-
-    results["linear_sigmoid_bce"] = _check_module(head, linear_loss, linear_seed)
-
-    # conv2d under a fixed random linear functional of the output map
-    conv = Conv2d(2, 3, (3, 3), (2, 2), (1, 1), rng)
-    cx = rng.standard_normal((2, 5, 5))
-    cr = rng.standard_normal((3, 3, 3))
-
-    def conv_seed() -> None:
-        conv.forward(cx)
-        conv.backward(cr)
-
-    results["conv2d"] = _check_module(
-        conv, lambda: float((conv.forward(cx) * cr).sum()), conv_seed
-    )
-
-    # batchnorm in train mode (batch statistics path)
-    bn = BatchNorm1d(4)
-    bn.gamma.data[...] = rng.uniform(0.5, 1.5, size=4)
-    bn.beta.data[...] = rng.standard_normal(4)
-    bx = rng.standard_normal((6, 4))
-    br = rng.standard_normal((6, 4))
-
-    def bn_seed() -> None:
-        bn.forward(bx)
-        bn.backward(br)
-
-    results["batchnorm"] = _check_module(
-        bn, lambda: float((bn.forward(bx) * br).sum()), bn_seed
-    )
-
-    # full conv encoder composite
-    encoder = ConvEncoder(ConvEncoderConfig.scaled_down(), rng)
-    ex = rng.standard_normal((8, 3, 4))
-    er = rng.standard_normal(encoder.out_dim)
-
-    def encoder_seed() -> None:
-        encoder.forward(ex)
-        encoder.backward(er)
-
-    results["conv_encoder"] = _check_module(
-        encoder, lambda: float((encoder.forward(ex) * er).sum()), encoder_seed
-    )
-
-    # filtering and pairwise heads at scaled widths
-    for name, config, width in (
-        ("filter_head", HeadConfig.scaled_filter(48), 48),
-        ("pair_head", HeadConfig.scaled_pair(96), 96),
-    ):
-        net = build_head(config, rng)
-        hx = rng.standard_normal((4, width))
-        ht = rng.integers(0, 2, size=4).astype(np.float64)
-
-        def head_loss(net=net, hx=hx, ht=ht) -> float:
-            return bce_loss(net.forward(hx)[:, 0], ht)
-
-        def head_seed(net=net, hx=hx, ht=ht) -> None:
-            probs = net.forward(hx)[:, 0]
-            net.backward(bce_grad(probs, ht)[:, None])
-
-        results[name] = _check_module(net, head_loss, head_seed)
-
-    # the full joint model through question_loss
-    docs = [" ".join(f"w{k:02d}" for k in range(i, i + 4)) for i in (0, 4, 8, 12)]
-    tfidf = fit_tfidf(docs, V=16)
-    provider = ToyHashProvider(PC(kind="toy_hash", D=8, seed=seed))
-    layout = MetadataLayout(
-        candidate_sources=("src",), entailed_sources=("faq", "src"), V=16, M=24
-    )
-    model = build_joint_model(
-        layout,
-        tfidf,
-        ConvEncoderConfig.scaled_down(),
-        rqe_dim=8,
-        seed=seed,
-        filter_config=HeadConfig.scaled_filter(48),
-        pair_config=HeadConfig.scaled_pair(96),
-    )
-    question = QuestionRecord(
-        question_id="gc-q",
-        text="w00 w01 w02",
-        candidates=(
-            CandidateAnswer("gc-a", "w00 w01. W02 w03.", "src", 1, 1, 4),
-            CandidateAnswer("gc-b", "w08 w09. W10.", "src", 2, 2, 1),
-        ),
-    )
-    instance = EntailedInstance(
-        sentences=("w00 w01 w04", "w02 w05"),
-        source="faq",
-        score=0.9,
-        rqe_embedding=provider.rqe(question.text, question.text).embedding,
-    )
-    prepared = _PreparedQuestion(
-        question_id=question.question_id,
-        labels=np.array([1.0, 0.0]),
-        ranks=[1, 2],
-        instances=[
-            _prepare_instance(
-                model,
-                instance,
-                (0, 1),
-                list(question.candidates),
-                _candidate_sentences(question),
-                provider,
-            )
-        ],
-    )
-    # Check the composed model at a generic parameter point: freshly
-    # initialized eval-mode batchnorm leaves every zero-padded border cell
-    # exactly on the ReLU kink, where finite differences cannot match any
-    # subgradient choice. Randomizing the normalization state moves the
-    # check off that measure-zero configuration.
-    from .tensornet import _BatchNormBase
-
-    state_rng = np.random.default_rng([seed, 17])
-    for sub in model.modules():
-        if isinstance(sub, _BatchNormBase):
-            sub.gamma.data[...] = state_rng.uniform(0.8, 1.25, sub.channels)
-            sub.beta.data[...] = 0.3 * state_rng.standard_normal(sub.channels)
-            sub.running_mean = 0.2 * state_rng.standard_normal(sub.channels)
-            sub.running_var = state_rng.uniform(0.7, 1.5, sub.channels)
-    for name, tensor in model.named_params():
-        if name.endswith("bias"):
-            tensor.data += 0.1 * state_rng.standard_normal(tensor.data.shape)
-
-    # The composed model runs with eval-mode normalization: the question batch
-    # shares features across rows (the RQE embedding, the one-hots), and batch
-    # statistics would cancel those directions to true-zero gradients that
-    # finite differences cannot resolve. Train-mode batchnorm backward is
-    # covered by the standalone and per-head checks above.
-    results["full_model"] = _check_module(
-        model,
-        lambda: question_loss(model, prepared, alpha=2.0, compute_grads=False),
-        lambda: question_loss(model, prepared, alpha=2.0, compute_grads=True),
-        train_mode=False,
-        sample_per_param=full_model_samples,
-        seed=seed,
-    )
-    return results
 
 
 def load_joint_model(path: str | Path) -> tuple[JointModel, dict]:

@@ -9,8 +9,8 @@ inference so no caches accumulate.
 Included: linear, ReLU, sigmoid, batch normalization (1d over a batch, 2d
 over the spatial positions of a feature map), 2-D convolution
 (cross-correlation convention; im2col matmul forward, col2im scatter
-backward), quadrant average pooling, binary cross-entropy, SGD/Adam, a
-central-finite-difference gradient checker, and a JSON checkpoint manifest.
+backward), quadrant average pooling, binary cross-entropy, SGD/Adam, and a
+JSON checkpoint manifest.
 """
 
 from __future__ import annotations
@@ -146,10 +146,6 @@ class Module:
                 "(was grad_enabled off?)"
             )
         return self._ctx.pop()
-
-    def pending(self) -> int:
-        """Number of cached forwards not yet consumed by backward."""
-        return sum(len(module._ctx) for module in self.modules())
 
     def clear_cache(self) -> None:
         for module in self.modules():
@@ -682,56 +678,6 @@ class Adam(_Optimizer):
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is not None:
                 self._sweep(p, [m, v], update)
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-
-def grad_check(
-    f: Callable[[], float],
-    params: Sequence[Tensor],
-    epsilon: float = 1e-5,
-    sample_per_param: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Central finite differences against the grads already stored on params.
-
-    The caller runs forward+backward once so every tensor in ``params``
-    carries its analytic gradient, then passes the pure loss evaluator ``f``.
-    Per component the relative error is |a - n| / max(1e-8, |a| + |n|); the
-    maximum over all checked components is returned. ``sample_per_param``
-    limits the check to a seeded random subset of each tensor.
-    """
-    analytic = []
-    for p in params:
-        if p.grad is None:
-            raise ValueError(f"parameter {p.name!r} has no gradient; run backward first")
-        analytic.append(p.grad.copy())
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for tensor, grad in zip(params, analytic):
-        flat = tensor.data.reshape(-1)
-        gflat = grad.reshape(-1)
-        if sample_per_param is not None and flat.size > sample_per_param:
-            indices = rng.choice(flat.size, size=sample_per_param, replace=False)
-        else:
-            indices = range(flat.size)
-        for i in indices:
-            original = flat[i]
-            flat[i] = original + epsilon
-            up = f()
-            flat[i] = original - epsilon
-            down = f()
-            flat[i] = original
-            if not (math.isfinite(up) and math.isfinite(down)):
-                raise FloatingPointError("non-finite loss during gradient check")
-            numeric = (up - down) / (2.0 * epsilon)
-            a = gflat[i]
-            rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-            worst = max(worst, rel)
-    return worst
 
 
 # ---------------------------------------------------------------------------

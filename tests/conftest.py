@@ -25,6 +25,11 @@ def make_candidate(
     )
 
 
+def pending(module):
+    """Number of cached forwards not yet consumed by backward."""
+    return sum(len(m._ctx) for m in module.modules())
+
+
 def make_question(question_id="q1", text="What is it?", candidates=None):
     if candidates is None:
         candidates = (make_candidate(),)

@@ -16,6 +16,7 @@ from medrank import baseline as bl
 from medrank.cli import main
 from medrank.corpus import QAPair, derive_label
 from medrank.evalkit import Prediction, evaluate, spearman_per_question, spearman_rho
+from medrank.gradcheck import gradient_check_battery
 from medrank.joint import (
     ConvEncoder,
     ConvEncoderConfig,
@@ -24,7 +25,6 @@ from medrank.joint import (
     MetadataLayout,
     TrainConfig,
     build_joint_model,
-    gradient_check_battery,
     infer,
     predict_dataset,
     question_loss,

@@ -157,6 +157,8 @@ class TestPipelineCommands:
             "rqe_scores",
             "avg_nli_scores",
         }
+        tfidf = load_tfidf(pipeline_dir["dir"] / "tfidf.json")
+        assert layout["tfidf"] == tfidf.to_dict()
 
     def test_feature_rows_align_with_dataset(self, pipeline_dir):
         rows = [
@@ -182,8 +184,6 @@ class TestPipelineCommands:
                 "validation",
                 "--corpus",
                 pipeline_dir["corpus"],
-                "--tfidf",
-                f"{out}/tfidf.json",
                 "--out",
                 str(tmp_path / "preds.jsonl"),
             ]
@@ -262,8 +262,6 @@ class TestPipelineCommands:
                 "validation",
                 "--corpus",
                 pipeline_dir["corpus"],
-                "--tfidf",
-                f"{out}/tfidf.json",
                 "--out",
                 str(tmp_path / "preds.jsonl"),
             ]
@@ -281,8 +279,6 @@ class TestPipelineCommands:
                 "validation",
                 "--corpus",
                 pipeline_dir["corpus"],
-                "--tfidf",
-                f"{out}/tfidf.json",
                 "--out",
                 str(tmp_path / "preds_scaled.jsonl"),
             ]
@@ -306,8 +302,6 @@ class TestPipelineCommands:
                 "validation",
                 "--corpus",
                 pipeline_dir["corpus"],
-                "--tfidf",
-                f"{out}/tfidf.json",
                 "--ranker",
                 "hinge",
                 "--out",
@@ -429,8 +423,6 @@ class TestStoredProviderNotRefit:
                 pipeline_dir["val"],
                 "--corpus",
                 corpus,
-                "--tfidf",
-                f"{pipeline_dir['dir']}/tfidf.json",
                 "--out",
                 str(out),
             ]
@@ -475,9 +467,53 @@ class TestStoredProviderNotRefit:
             out / "features_val.jsonl"
         ).read_bytes()
 
+    def test_extract_features_rejects_a_refit_tfidf(
+        self, pipeline_dir, tmp_path, capsys, wider_corpus
+    ):
+        # One more corpus pair still gives 16 terms, but other idf weights;
+        # the layout keeps the TF-IDF its features were extracted with.
+        out = pipeline_dir["dir"]
+        refit = tmp_path / "tfidf_wider.json"
+        code = main(
+            pipeline_dir["base"]
+            + ["fit-tfidf", "--corpus", wider_corpus, "--out", str(refit)]
+        )
+        assert code == 0
+        stored = load_tfidf(out / "tfidf.json")
+        assert len(load_tfidf(refit).vocabulary) == len(stored.vocabulary) == 16
+        assert load_tfidf(refit).to_dict() != stored.to_dict()
+        capsys.readouterr()
+        code = main(
+            pipeline_dir["base"]
+            + [
+                "extract-features",
+                "--dataset",
+                pipeline_dir["val"],
+                "--split",
+                "validation",
+                "--corpus",
+                pipeline_dir["corpus"],
+                "--tfidf",
+                str(refit),
+                "--layout",
+                f"{out}/layout.json",
+                "--out",
+                str(tmp_path / "val.jsonl"),
+            ]
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "MedrankError"
+        assert str(refit) in payload["message"]
+        assert f"{out}/layout.json" in payload["message"]
+        assert not (tmp_path / "val.jsonl").exists()
+
     @pytest.mark.parametrize(
         "dropped, message", [("provider", "no stored provider spec"),
-                             ("provider_tfidf", "no stored TF-IDF")]
+                             ("provider_tfidf", "no stored TF-IDF"),
+                             ("tfidf", "no stored metadata TF-IDF")]
     )
     def test_layout_without_stored_provider_fails(
         self, pipeline_dir, tmp_path, capsys, dropped, message
@@ -516,7 +552,8 @@ class TestStoredProviderNotRefit:
 
     @pytest.mark.parametrize(
         "dropped, message", [("provider", "no stored provider spec"),
-                             ("provider_tfidf", "no stored TF-IDF")]
+                             ("provider_tfidf", "no stored TF-IDF"),
+                             ("tfidf", "no stored metadata TF-IDF")]
     )
     def test_baseline_without_stored_provider_fails(
         self, pipeline_dir, tmp_path, capsys, dropped, message
@@ -537,8 +574,6 @@ class TestStoredProviderNotRefit:
                 pipeline_dir["val"],
                 "--corpus",
                 pipeline_dir["corpus"],
-                "--tfidf",
-                f"{out}/tfidf.json",
                 "--out",
                 str(tmp_path / "preds.jsonl"),
             ]
@@ -632,8 +667,6 @@ class TestSwapDirectionPersisted:
                 pipeline_dir["val"],
                 "--corpus",
                 pipeline_dir["corpus"],
-                "--tfidf",
-                f"{pipeline_dir['dir']}/tfidf.json",
                 "--out",
                 str(tmp_path / "preds.jsonl"),
             ]
@@ -929,28 +962,28 @@ class TestErrorHandling:
             "message": "raised by the handler",
         }
 
-    def test_baseline_predict_without_tfidf(self, pipeline_dir, capsys, tmp_path):
-        capsys.readouterr()
-        code = main(
-            pipeline_dir["base"]
-            + [
-                "predict",
-                "--model",
-                f"{pipeline_dir['dir']}/baseline.json",
-                "--dataset",
-                pipeline_dir["val"],
-                "--corpus",
-                pipeline_dir["corpus"],
-                "--out",
-                str(tmp_path / "preds.jsonl"),
-            ]
-        )
-        assert code == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        payload = json.loads(lines[0])
-        assert payload["error"] == "MedrankError"
-        assert "--tfidf" in payload["message"]
+    def test_baseline_predict_rejects_tfidf_flag(self, pipeline_dir, capsys, tmp_path):
+        # The checkpoint's layout carries the metadata TF-IDF; predict takes none.
+        with pytest.raises(SystemExit) as exc:
+            main(
+                pipeline_dir["base"]
+                + [
+                    "predict",
+                    "--model",
+                    f"{pipeline_dir['dir']}/baseline.json",
+                    "--dataset",
+                    pipeline_dir["val"],
+                    "--corpus",
+                    pipeline_dir["corpus"],
+                    "--tfidf",
+                    f"{pipeline_dir['dir']}/tfidf.json",
+                    "--out",
+                    str(tmp_path / "preds.jsonl"),
+                ]
+            )
+        assert exc.value.code == 2
+        assert "--tfidf" in capsys.readouterr().err
+        assert not (tmp_path / "preds.jsonl").exists()
 
     def test_bad_set_flag(self, capsys, tmp_path):
         code = main(

@@ -12,7 +12,6 @@ from medrank.joint import (
     ConvEncoderConfig,
     EntailedInstance,
     HeadConfig,
-    JointEmbedding,
     MetadataLayout,
     TrainConfig,
     augment_training,
@@ -22,14 +21,15 @@ from medrank.joint import (
     build_pair_tensor,
     fit_metadata_layout,
     infer,
+    instance_from_retrieved,
     load_joint_model,
     predict_dataset,
     question_loss,
     save_joint_model,
-    spatial_trace,
     train_joint,
     JointTrainer,
     _candidate_sentences,
+    _head_forward,
     _prepare_instance,
     _PreparedQuestion,
 )
@@ -37,9 +37,20 @@ from medrank.joint import ConvEncoder
 from medrank.providers import ProviderConfig, TfidfCosineProvider, fit_tfidf, tfidf_transform
 from medrank.retrieval import EntailmentIndex, RetrievalConfig, retrieve
 from medrank.synth import SynthConfig, generate
-from medrank.tensornet import Module
+from medrank.tensornet import Module, bce_grad, bce_loss, conv_out_dim
 
-from conftest import StubProvider, make_candidate, make_question
+from conftest import StubProvider, make_candidate, make_question, pending
+
+
+def spatial_trace(config, a, c):
+    """Per-layer output (height, width) for an a x c input map."""
+    trace = []
+    h, w = a, c
+    for layer in config.layers:
+        h = conv_out_dim(h, layer.kernel[0], layer.stride[0], layer.padding[0])
+        w = conv_out_dim(w, layer.kernel[1], layer.stride[1], layer.padding[1])
+        trace.append((h, w))
+    return trace
 
 
 def zero_params(module):
@@ -221,15 +232,6 @@ class TestDimensionAudit:
                 filter_config=HeadConfig.scaled_filter(48),  # true joint dim is 30
                 pair_config=HeadConfig.scaled_pair(96),
             )
-
-    def test_joint_embedding_concat(self):
-        embedding = JointEmbedding(
-            nli=np.ones(4), rqe=np.full(2, 2.0), meta=np.full(3, 3.0)
-        )
-        np.testing.assert_array_equal(
-            embedding.concat(), [1, 1, 1, 1, 2, 2, 3, 3, 3]
-        )
-        assert embedding.width == 9
 
 
 class TestAugmentation:
@@ -422,7 +424,7 @@ class TestQuestionLoss:
         question_loss(model, prepared, alpha=2.0, compute_grads=True)
         total = sum(float(np.abs(t.grad).sum()) for t in model.params())
         assert total > 0.0
-        assert model.pending() == 0
+        assert pending(model) == 0
 
 
 class TestTraining:
@@ -615,3 +617,219 @@ class TestHeads:
     def test_bad_widths_rejected(self):
         with pytest.raises(DimensionError):
             HeadConfig((48, 24, 2))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-pair loops that question_loss and infer used to run
+# ---------------------------------------------------------------------------
+
+
+def _oracle_head_forward(head, matrix, training):
+    if not training:
+        return head.forward(matrix)
+    if matrix.shape[0] >= 2:
+        return head.forward(matrix)
+    head.train(False)
+    try:
+        return head.forward(matrix)
+    finally:
+        head.train(True)
+
+
+def oracle_question_loss(model, prepared, alpha, compute_grads=True):
+    """question_loss with joint rows, pair rows and the d_joint scatter built
+    one candidate and one ordered pair at a time."""
+    joints = []
+    filter_targets = []
+    row_of = []
+    for k, inst in enumerate(prepared.instances):
+        for pos, g in enumerate(inst.cand_idx):
+            nli_vec = model.encoder.forward(inst.tensors[pos])
+            joints.append(np.concatenate([nli_vec, inst.rqe_embedding, inst.metas[pos]]))
+            filter_targets.append(prepared.labels[g])
+            row_of.append((k, g))
+    joint_matrix = np.stack(joints)
+    targets = np.asarray(filter_targets, dtype=np.float64)
+    filter_probs = _oracle_head_forward(
+        model.filter_head, joint_matrix, model.training
+    )[:, 0]
+    total = bce_loss(filter_probs, targets, reduction="sum")
+
+    pair_rows = []
+    pair_targets = []
+    row_index = {(k, g): r for r, (k, g) in enumerate(row_of)}
+    for k, inst in enumerate(prepared.instances):
+        for gi in inst.cand_idx:
+            for gj in inst.cand_idx:
+                if gi == gj:
+                    continue
+                pair_rows.append((row_index[(k, gi)], row_index[(k, gj)]))
+                pair_targets.append(
+                    1.0 if prepared.ranks[gi] < prepared.ranks[gj] else 0.0
+                )
+    pair_probs = None
+    if pair_rows:
+        pair_matrix = np.stack(
+            [np.concatenate([joint_matrix[i], joint_matrix[j]]) for i, j in pair_rows]
+        )
+        pair_probs = _oracle_head_forward(
+            model.pair_head, pair_matrix, model.training
+        )[:, 0]
+        pair_target_arr = np.asarray(pair_targets, dtype=np.float64)
+        total += alpha * bce_loss(pair_probs, pair_target_arr, reduction="sum")
+
+    if not compute_grads:
+        model.clear_cache()
+        return total
+
+    d_joint = np.zeros_like(joint_matrix)
+    if pair_rows:
+        d_pair = alpha * bce_grad(pair_probs, pair_target_arr)
+        d_pair_matrix = model.pair_head.backward(d_pair[:, None])
+        width = joint_matrix.shape[1]
+        for r, (i, j) in enumerate(pair_rows):
+            d_joint[i] += d_pair_matrix[r, :width]
+            d_joint[j] += d_pair_matrix[r, width:]
+    d_filter = bce_grad(filter_probs, targets)
+    d_joint += model.filter_head.backward(d_filter[:, None])
+    nli_width = model.encoder.out_dim
+    for r in reversed(range(joint_matrix.shape[0])):
+        model.encoder.backward(d_joint[r, :nli_width])
+    return total
+
+
+def oracle_infer(model, question, index, provider, config):
+    """infer's ensemble with joint rows and pair rows built one at a time;
+    returns (scores, ranking, relevant). The model must be in eval mode."""
+    cand_sentences = _candidate_sentences(question)
+    candidates = list(question.candidates)
+    n = len(candidates)
+    filter_sum = np.zeros(n)
+    pair_sum = np.zeros((n, n))
+    hits = retrieve(index, question.text, config)
+    for hit in hits:
+        prep = _prepare_instance(
+            model, instance_from_retrieved(hit), tuple(range(n)), candidates,
+            cand_sentences, provider,
+        )
+        joints = np.stack(
+            [
+                np.concatenate(
+                    [
+                        model.encoder.forward(prep.tensors[i]),
+                        prep.rqe_embedding,
+                        prep.metas[i],
+                    ]
+                )
+                for i in range(n)
+            ]
+        )
+        filter_sum += model.filter_head.forward(joints)[:, 0]
+        if n > 1:
+            rows = []
+            coords = []
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        rows.append(np.concatenate([joints[i], joints[j]]))
+                        coords.append((i, j))
+            probs = model.pair_head.forward(np.stack(rows))[:, 0]
+            for (i, j), p in zip(coords, probs):
+                pair_sum[i, j] += p
+    mean_filter = filter_sum / len(hits)
+    scores = pair_sum.sum(axis=1)
+    order = sorted(range(n), key=lambda i: (-scores[i], candidates[i].system_rank))
+    ranking = tuple(candidates[i].answer_id for i in order)
+    relevant = tuple(candidates[i].answer_id for i in order if mean_filter[i] >= 0.5)
+    return scores, ranking, relevant
+
+
+@pytest.fixture(scope="module")
+def oracle_world():
+    """Two identical scaled-down models and prepared training questions whose
+    augmentation instances use candidate subsets down to a single candidate."""
+    train, _, _, provider, index, model = small_world(questions=6, seed=7)
+    twin = small_world(questions=6, seed=7)[-1]
+    trainer = JointTrainer(model, provider, index, TrainConfig(seed=7))
+    trainer.prepare(train)
+    return train, provider, index, model, twin, trainer.prepared
+
+
+def _solo_prepared(model, provider):
+    question = make_question(
+        "solo", "query words", (make_candidate("only", "Only answer.", "web", 1, 1, 4),)
+    )
+    instance = EntailedInstance(("Entailed.",), "faq", 0.8, np.zeros(8))
+    return _PreparedQuestion(
+        "solo",
+        np.array([1.0]),
+        [1],
+        [
+            _prepare_instance(
+                model, instance, (0,), list(question.candidates),
+                _candidate_sentences(question), provider,
+            )
+        ],
+    )
+
+
+class TestSharedForwardOracle:
+    def test_fixture_covers_subsets_and_single_candidates(self, oracle_world):
+        prepared = oracle_world[-1]
+        sizes = {len(inst.cand_idx) for q in prepared for inst in q.instances}
+        assert 1 in sizes and 5 in sizes and len(sizes) >= 3
+        assert all(len(q.instances) > 1 for q in prepared)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_loss_and_every_gradient_bit_identical(self, oracle_world, training):
+        train, provider, index, model, twin, prepared = oracle_world
+        questions = list(prepared) + [_solo_prepared(model, provider)]
+        for question in questions:
+            for net in (model, twin):
+                net.train(training)
+                net.zero_grad()
+            expected = oracle_question_loss(twin, question, alpha=2.0)
+            assert question_loss(model, question, alpha=2.0) == expected
+            for (name, tensor), (_, ref) in zip(model.named_params(), twin.named_params()):
+                np.testing.assert_array_equal(tensor.grad, ref.grad, err_msg=name)
+            for (name, buffer), (_, ref) in zip(model.named_buffers(), twin.named_buffers()):
+                np.testing.assert_array_equal(buffer, ref, err_msg=name)
+            assert pending(model) == 0
+            expected = oracle_question_loss(twin, question, alpha=0.7, compute_grads=False)
+            assert question_loss(model, question, alpha=0.7, compute_grads=False) == expected
+            assert pending(model) == 0
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_infer_matches_oracle(self, oracle_world, n):
+        train, provider, index, model, _, _ = oracle_world
+        config = RetrievalConfig(N=3, T=0.7)
+        model.eval()
+        model.enable_grad(False)
+        for question in train.questions[:3]:
+            if n == 1:
+                question = make_question(
+                    question.question_id, question.text, question.candidates[:1]
+                )
+            assert len(question.candidates) == n
+            scores, ranking, relevant = oracle_infer(model, question, index, provider, config)
+            prediction = infer(model, question, index, provider, config)
+            np.testing.assert_array_equal(
+                [prediction.scores[c.answer_id] for c in question.candidates], scores
+            )
+            assert prediction.ranking == ranking
+            assert prediction.relevant == relevant
+
+
+class TestHeadForward:
+    @pytest.mark.parametrize("training", [True, False])
+    def test_one_row_batch_keeps_the_head_mode(self, training):
+        rng = np.random.default_rng(0)
+        head = build_head(HeadConfig.scaled_filter(48), rng)
+        row = rng.standard_normal((1, 48))
+        head.train(False)
+        head.enable_grad(False)
+        running = head.forward(row)[:, 0]
+        head.train(training)
+        out = _head_forward(head, row)
+        assert all(m.training == training for m in head.modules())
+        np.testing.assert_array_equal(out, running)

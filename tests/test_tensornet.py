@@ -8,6 +8,7 @@ import pytest
 
 from medrank import tensornet
 from medrank.errors import DimensionError
+from medrank.gradcheck import grad_check
 from medrank.tensornet import (
     Adam,
     BatchNorm1d,
@@ -24,12 +25,13 @@ from medrank.tensornet import (
     bce_grad,
     bce_loss,
     conv_out_dim,
-    grad_check,
     he_uniform,
     read_manifest,
     sigmoid,
     write_manifest,
 )
+
+from conftest import pending
 
 
 def naive_conv2d(x, weight, bias, stride, padding):
@@ -254,7 +256,7 @@ class TestConv2d:
             np.testing.assert_allclose(layer.backward(g), dx, rtol=0, atol=1e-12)
             np.testing.assert_allclose(layer.weight.grad, dweight, rtol=0, atol=1e-12)
             np.testing.assert_allclose(layer.bias.grad, dbias, rtol=0, atol=1e-12)
-        assert layer.pending() == 0
+        assert pending(layer) == 0
         assert len(layer._tap_indices) <= cached_shapes
 
     def test_forward_caches_only_the_padded_map(self):
@@ -486,7 +488,7 @@ class TestSequentialComposite:
         net = Sequential([Linear(2, 2, np.random.default_rng(0)), ReLU()])
         net.enable_grad(False)
         net.forward(np.zeros((3, 2)))
-        assert net.pending() == 0
+        assert pending(net) == 0
 
 
 class TestOptimizers:
