@@ -115,19 +115,21 @@ def cmd_fit_tfidf(config: RunConfig, args) -> int:
 def cmd_extract_features(config: RunConfig, args) -> int:
     dataset = load_dataset(args.dataset, args.split)
     pairs = load_qa_corpus(args.corpus)
-    tfidf = load_tfidf(args.tfidf)
     layout_path = Path(args.layout)
     if layout_path.exists():
         # Retrieve and score as the layout was fit, whatever the run's
-        # retrieval.* and provider.* say; --tfidf must be the stored one.
-        feature_config, retrieval_config, provider, stored = bl.layout_settings(
+        # retrieval.* and provider.* say; a --tfidf must be the stored one.
+        feature_config, retrieval_config, provider, tfidf = bl.layout_settings(
             json.loads(layout_path.read_text(encoding="utf-8")), str(layout_path)
         )
-        if tfidf.to_dict() != stored.to_dict():
+        if args.tfidf is not None and load_tfidf(args.tfidf).to_dict() != tfidf.to_dict():
             raise MedrankError(
                 f"{args.tfidf}: differs from the metadata TF-IDF stored in {layout_path}"
             )
     else:
+        if args.tfidf is None:
+            raise MedrankError(f"{layout_path}: fitting a new layout needs --tfidf")
+        tfidf = load_tfidf(args.tfidf)
         provider_config = config.provider_config()
         provider, provider_tfidf = fit_provider(provider_config, pairs)
         retrieval_config = config.retrieval_config()
@@ -329,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", default="train")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--tfidf", required=True)
+    p.add_argument("--tfidf", help="metadata TF-IDF; needed only to fit a new layout")
     p.add_argument("--layout", required=True, help="layout JSON (fit when missing)")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_extract_features)

@@ -30,6 +30,7 @@ from .joint import (
 from .providers import ProviderConfig, ToyHashProvider, fit_tfidf
 from .tensornet import (
     BatchNorm1d,
+    BatchNorm2d,
     Conv2d,
     Linear,
     Module,
@@ -125,10 +126,10 @@ def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[
 
     results["linear_sigmoid_bce"] = _check_module(head, linear_loss, linear_seed)
 
-    # conv2d under a fixed random linear functional of the output map
+    # conv2d on a stack of three maps under a fixed random linear functional
     conv = Conv2d(2, 3, (3, 3), (2, 2), (1, 1), rng)
-    cx = rng.standard_normal((2, 5, 5))
-    cr = rng.standard_normal((3, 3, 3))
+    cx = rng.standard_normal((3, 2, 5, 5))
+    cr = rng.standard_normal((3, 3, 3, 3))
 
     def conv_seed() -> None:
         conv.forward(cx)
@@ -138,25 +139,28 @@ def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[
         conv, lambda: float((conv.forward(cx) * cr).sum()), conv_seed
     )
 
-    # batchnorm in train mode (batch statistics path)
-    bn = BatchNorm1d(4)
-    bn.gamma.data[...] = rng.uniform(0.5, 1.5, size=4)
-    bn.beta.data[...] = rng.standard_normal(4)
-    bx = rng.standard_normal((6, 4))
-    br = rng.standard_normal((6, 4))
+    # batchnorm in train mode (batch statistics path): over a batch of rows,
+    # and per map over a stack of three maps
+    batchnorm_errors = []
+    for bn, shape in ((BatchNorm1d(4), (6, 4)), (BatchNorm2d(4), (3, 4, 2, 3))):
+        bn.gamma.data[...] = rng.uniform(0.5, 1.5, size=4)
+        bn.beta.data[...] = rng.standard_normal(4)
+        bx, br = rng.standard_normal(shape), rng.standard_normal(shape)
 
-    def bn_seed() -> None:
-        bn.forward(bx)
-        bn.backward(br)
+        def bn_loss(bn=bn, bx=bx, br=br) -> float:
+            return float((bn.forward(bx) * br).sum())
 
-    results["batchnorm"] = _check_module(
-        bn, lambda: float((bn.forward(bx) * br).sum()), bn_seed
-    )
+        def bn_seed(bn=bn, bx=bx, br=br) -> None:
+            bn.forward(bx)
+            bn.backward(br)
 
-    # full conv encoder composite
+        batchnorm_errors.append(_check_module(bn, bn_loss, bn_seed))
+    results["batchnorm"] = max(batchnorm_errors)
+
+    # full conv encoder composite over maps of mixed shapes, one repeated
     encoder = ConvEncoder(ConvEncoderConfig.scaled_down(), rng)
-    ex = rng.standard_normal((8, 3, 4))
-    er = rng.standard_normal(encoder.out_dim)
+    ex = [rng.standard_normal((8, a, c)) for a, c in ((3, 4), (1, 3), (3, 4), (2, 1))]
+    er = rng.standard_normal((len(ex), encoder.out_dim))
 
     def encoder_seed() -> None:
         encoder.forward(ex)

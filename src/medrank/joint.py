@@ -17,6 +17,7 @@ mean probability at threshold 0.5, ranking by summed pairwise win scores.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -119,7 +120,12 @@ class ConvEncoderConfig:
 
 
 class ConvEncoder(Module):
-    """Conv stack plus quadrant pooling; input (C, a, c), output (4C',)."""
+    """Conv stack plus quadrant pooling over a list of (C, a, c) maps.
+
+    ``forward`` groups the maps by shape, runs each group through the stack
+    as one (B, C, a, c) stack and returns the (n, 4C') rows in map order;
+    ``backward`` takes the rows' gradients and runs the groups in reverse.
+    """
 
     def __init__(self, config: ConvEncoderConfig, rng: np.random.Generator):
         super().__init__()
@@ -151,6 +157,7 @@ class ConvEncoder(Module):
         blocks.append(QuadrantPool())
         names.append("pool")
         self.stack = Sequential(blocks, names)
+        self._batchnorms = [b for b in blocks if isinstance(b, BatchNorm2d)]
 
     def children(self):
         return [("stack", self.stack)]
@@ -159,15 +166,52 @@ class ConvEncoder(Module):
     def out_dim(self) -> int:
         return self.config.out_dim
 
-    def forward(self, tensor: np.ndarray) -> np.ndarray:
-        if tensor.shape[0] != self.config.in_channels:
-            raise DimensionError(
-                f"encoder expects {self.config.in_channels} channels, got {tensor.shape[0]}"
-            )
-        return self.stack.forward(tensor)
+    def forward(self, maps: list[np.ndarray]) -> np.ndarray:
+        by_shape: dict[tuple[int, ...], list[int]] = {}
+        for k, tensor in enumerate(maps):
+            by_shape.setdefault(tensor.shape, []).append(k)
+        for shape in by_shape:
+            if shape[0] != self.config.in_channels:
+                raise DimensionError(
+                    f"encoder expects {self.config.in_channels} channels, got {shape[0]}"
+                )
+        groups = list(by_shape.values())
+        rows = np.empty((len(maps), self.out_dim))
+        with self._running_stats_in_map_order(groups):
+            for group in groups:
+                rows[group] = self.stack.forward(np.stack([maps[k] for k in group]))
+        self._push(groups)
+        return rows
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return self.stack.backward(grad_out)
+    def backward(self, d_rows: np.ndarray) -> list[np.ndarray]:
+        """Gradients of the input maps, in map order."""
+        groups = self._pop()
+        d_maps: list = [None] * len(d_rows)
+        for group in reversed(groups):
+            for k, d_map in zip(group, self.stack.backward(d_rows[group])):
+                d_maps[k] = d_map
+        return d_maps
+
+    @contextmanager
+    def _running_stats_in_map_order(self, groups: list[list[int]]):
+        """Apply the batchnorm running-statistic updates per map in map
+        order, as one forward per map would, although the stack runs group
+        by group: the moving average weighs later maps more."""
+        if not self.training or not groups:
+            yield
+            return
+        for bn in self._batchnorms:
+            bn.deferred_stats = []
+        try:
+            yield
+            logs = [bn.deferred_stats for bn in self._batchnorms]
+        finally:
+            for bn in self._batchnorms:
+                bn.deferred_stats = None
+        order = np.argsort(np.concatenate(groups))
+        for bn, log in zip(self._batchnorms, logs):
+            means, variances = zip(*log)
+            bn.track(np.concatenate(means)[order], np.concatenate(variances)[order])
 
 
 def build_pair_tensor(
@@ -579,15 +623,19 @@ def _candidate_sentences(question: QuestionRecord) -> list[tuple[str, ...]]:
     return out
 
 
-def _joint_rows(model: JointModel, inst: _PreparedInstance) -> np.ndarray:
-    """(n, joint_dim) rows [encoded NLI map; RQE embedding; metadata], one
-    per candidate of the instance, encoded in candidate order."""
-    return np.stack(
+def _joint_rows(model: JointModel, instances: list[_PreparedInstance]) -> np.ndarray:
+    """(n, joint_dim) rows [encoded NLI map; RQE embedding; metadata], one per
+    candidate of each instance in order; every map goes through one encoder
+    call."""
+    nli = model.encoder.forward([tensor for inst in instances for tensor in inst.tensors])
+    side = np.stack(
         [
-            np.concatenate([model.encoder.forward(tensor), inst.rqe_embedding, meta])
-            for tensor, meta in zip(inst.tensors, inst.metas)
+            np.concatenate([inst.rqe_embedding, meta])
+            for inst in instances
+            for meta in inst.metas
         ]
     )
+    return np.concatenate([nli, side], axis=1)
 
 
 def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -618,20 +666,17 @@ def question_loss(
     Returns L_total = sum over instances of the summed filter BCE plus alpha
     times the summed pairwise BCE over all ordered candidate pairs.
     """
-    blocks = [_joint_rows(model, inst) for inst in prepared.instances]
-    joint_matrix = np.concatenate(blocks)
+    joint_matrix = _joint_rows(model, prepared.instances)
     cand = np.concatenate([inst.cand_idx for inst in prepared.instances])
     targets = prepared.labels[cand]
     filter_probs = _head_forward(model.filter_head, joint_matrix)
     total = bce_loss(filter_probs, targets, reduction="sum")
 
-    # Pairs never cross instances: each block's pairs, shifted to its rows.
-    starts = np.cumsum([0] + [len(block) for block in blocks[:-1]])
+    # Pairs never cross instances: each instance's pairs, shifted to its rows.
+    sizes = [len(inst.cand_idx) for inst in prepared.instances]
+    starts = np.cumsum([0] + sizes[:-1])
     first, second = np.concatenate(
-        [
-            np.add(_ordered_pairs(len(block)), start)
-            for block, start in zip(blocks, starts)
-        ],
+        [np.add(_ordered_pairs(size), start) for size, start in zip(sizes, starts)],
         axis=1,
     )
     if len(first):
@@ -662,9 +707,7 @@ def question_loss(
     d_filter = bce_grad(filter_probs, targets)
     d_joint += model.filter_head.backward(d_filter[:, None])
 
-    nli_width = model.encoder.out_dim
-    for r in reversed(range(joint_matrix.shape[0])):
-        model.encoder.backward(d_joint[r, :nli_width])
+    model.encoder.backward(d_joint[:, : model.encoder.out_dim])
     return total
 
 
@@ -800,15 +843,23 @@ def infer(
         n = len(candidates)
         all_idx = tuple(range(n))
         hits = retrieve(index, question.text, retrieval_config)
+        preps = [
+            _prepare_instance(
+                model,
+                instance_from_retrieved(hit),
+                all_idx,
+                candidates,
+                cand_sentences,
+                nli_provider,
+            )
+            for hit in hits
+        ]
+        rows = _joint_rows(model, preps)
         first, second = _ordered_pairs(n)
         filter_sum = np.zeros(n)
         pair_sum = np.zeros((n, n))
-        for hit in hits:
-            instance = instance_from_retrieved(hit)
-            prep = _prepare_instance(
-                model, instance, all_idx, candidates, cand_sentences, nli_provider
-            )
-            joints = _joint_rows(model, prep)
+        for start in range(0, len(rows), n):
+            joints = rows[start : start + n]
             filter_sum += _head_forward(model.filter_head, joints)
             if n > 1:
                 pair_sum[first, second] += _head_forward(

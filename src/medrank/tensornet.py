@@ -7,10 +7,14 @@ before the matching backward passes, which must then run in reverse order
 inference so no caches accumulate.
 
 Included: linear, ReLU, sigmoid, batch normalization (1d over a batch, 2d
-over the spatial positions of a feature map), 2-D convolution
+over the spatial positions of each feature map), 2-D convolution
 (cross-correlation convention; im2col matmul forward, col2im scatter
 backward), quadrant average pooling, binary cross-entropy, SGD/Adam, and a
 JSON checkpoint manifest.
+
+The convolutional layers (``Conv2d``, ``BatchNorm2d``, ``ReLU``,
+``QuadrantPool``) take a stack of same-shape maps, (B, C, H, W), and treat
+each map independently, so one call serves every map of one shape.
 """
 
 from __future__ import annotations
@@ -194,6 +198,8 @@ class Linear(Module):
 
 
 class ReLU(Module):
+    """Elementwise max(x, 0) on an input of any shape."""
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._push(x > 0)
         return np.maximum(x, 0.0)
@@ -214,33 +220,20 @@ class Sigmoid(Module):
         return grad_out * out * (1.0 - out)
 
 
-def _bn_forward_train(x2d, gamma, beta, eps):
-    batch = x2d.shape[0]
-    if batch < 2:
-        raise DimensionError("batch normalization needs batch size >= 2 in train mode")
-    mean = x2d.mean(axis=0)
-    var = x2d.var(axis=0)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x2d - mean) * inv_std
-    y = gamma * xhat + beta
-    return y, xhat, inv_std, mean, var
-
-
-def _bn_backward(grad2d, xhat, inv_std, gamma, batch_stats: bool):
-    dgamma = (grad2d * xhat).sum(axis=0)
-    dbeta = grad2d.sum(axis=0)
-    gx = grad2d * gamma
-    if not batch_stats:
-        return gx * inv_std, dgamma, dbeta
-    batch = grad2d.shape[0]
-    dx = (inv_std / batch) * (
-        batch * gx - gx.sum(axis=0) - xhat * (gx * xhat).sum(axis=0)
-    )
-    return dx, dgamma, dbeta
-
-
 class _BatchNormBase(Module):
-    """Shared batchnorm math over a (batch, channels) view."""
+    """Batchnorm over the axes ``_axes`` of the input, per channel.
+
+    In train mode each slice over ``_axes`` is normalized by its own
+    statistics, and each slice's statistics fold into the running buffers in
+    slice order (an exponential moving average with the unbiased variance).
+    ``deferred_stats``, when a list, collects those per-slice updates instead
+    of applying them, so a caller that runs slices out of order can apply
+    them in its own order with ``track``.
+    """
+
+    # Axes each statistic reduces over; axes the parameter gradients sum over.
+    _axes: tuple[int, ...] = (0,)
+    _param_axes: tuple[int, ...] = (0,)
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
         super().__init__()
@@ -251,6 +244,7 @@ class _BatchNormBase(Module):
         self.beta = Tensor(np.zeros(channels), "beta")
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
+        self.deferred_stats: list | None = None
 
     def _local_params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
@@ -258,60 +252,77 @@ class _BatchNormBase(Module):
     def _local_buffers(self):
         return ["running_mean", "running_var"]
 
-    def _forward2d(self, x2d: np.ndarray) -> np.ndarray:
-        if x2d.shape[1] != self.channels:
-            raise DimensionError(
-                f"batchnorm expects {self.channels} channels, got {x2d.shape[1]}"
-            )
-        if self.training:
-            y, xhat, inv_std, mean, var = _bn_forward_train(
-                x2d, self.gamma.data, self.beta.data, self.eps
-            )
-            batch = x2d.shape[0]
-            # Running stats track the unbiased variance.
-            self.running_mean = (
-                1.0 - self.momentum
-            ) * self.running_mean + self.momentum * mean
-            self.running_var = (
-                1.0 - self.momentum
-            ) * self.running_var + self.momentum * var * batch / (batch - 1)
-            self._push((xhat, inv_std, True))
-            return y
-        inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-        xhat = (x2d - self.running_mean) * inv_std
-        self._push((xhat, inv_std, False))
-        return self.gamma.data * xhat + self.beta.data
+    def _channel(self, vector: np.ndarray) -> np.ndarray:
+        """A per-channel vector shaped to broadcast against the input."""
+        return vector
 
-    def _backward2d(self, grad2d: np.ndarray) -> np.ndarray:
+    def track(self, mean_steps: np.ndarray, var_steps: np.ndarray) -> None:
+        """Fold (k, C) rows of momentum-scaled statistics in, row by row."""
+        keep = 1.0 - self.momentum
+        for mean_step, var_step in zip(mean_steps, var_steps):
+            self.running_mean = keep * self.running_mean + mean_step
+            self.running_var = keep * self.running_var + var_step
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if x.shape[1] != self.channels:
+            raise DimensionError(
+                f"batchnorm expects {self.channels} channels, got {x.shape[1]}"
+            )
+        gamma, beta = self._channel(self.gamma.data), self._channel(self.beta.data)
+        if not self.training:
+            inv_std = self._channel(1.0 / np.sqrt(self.running_var + self.eps))
+            xhat = (x - self._channel(self.running_mean)) * inv_std
+            self._push((xhat, inv_std, False))
+            return gamma * xhat + beta
+        count = math.prod(x.shape[a] for a in self._axes)
+        if count < 2:
+            raise DimensionError("batch normalization needs batch size >= 2 in train mode")
+        # The sums np.mean and np.var take, without their call overhead.
+        mean = x.sum(axis=self._axes, keepdims=True) / count
+        centered = x - mean
+        var = (centered * centered).sum(axis=self._axes, keepdims=True) / count
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        xhat = centered * inv_std
+        # Running stats track the unbiased variance.
+        steps = (
+            self.momentum * mean.reshape(-1, self.channels),
+            self.momentum * var.reshape(-1, self.channels) * count / (count - 1),
+        )
+        if self.deferred_stats is None:
+            self.track(*steps)
+        else:
+            self.deferred_stats.append(steps)
+        self._push((xhat, inv_std, True))
+        return gamma * xhat + beta
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
         xhat, inv_std, batch_stats = self._pop()
-        dx, dgamma, dbeta = _bn_backward(grad2d, xhat, inv_std, self.gamma.data, batch_stats)
-        self.gamma.add_grad(dgamma)
-        self.beta.add_grad(dbeta)
-        return dx
+        self.gamma.add_grad((grad_out * xhat).sum(axis=self._param_axes))
+        self.beta.add_grad(grad_out.sum(axis=self._param_axes))
+        gx = grad_out * self._channel(self.gamma.data)
+        if not batch_stats:
+            return gx * inv_std
+        count = math.prod(grad_out.shape[a] for a in self._axes)
+        return (inv_std / count) * (
+            count * gx
+            - gx.sum(axis=self._axes, keepdims=True)
+            - xhat * (gx * xhat).sum(axis=self._axes, keepdims=True)
+        )
 
 
 class BatchNorm1d(_BatchNormBase):
     """Normalizes each feature over the batch axis of a (B, F) input."""
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self._forward2d(x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return self._backward2d(grad_out)
-
 
 class BatchNorm2d(_BatchNormBase):
-    """Normalizes each channel over the spatial positions of a (C, H, W) map."""
+    """Normalizes each channel of each map in a (B, C, H, W) stack over its
+    own H x W positions; in train mode every map has its own statistics."""
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        c, h, w = x.shape
-        y = self._forward2d(x.reshape(c, h * w).T)
-        return y.T.reshape(c, h, w)
+    _axes = (2, 3)
+    _param_axes = (0, 2, 3)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        c, h, w = grad_out.shape
-        dx = self._backward2d(grad_out.reshape(c, h * w).T)
-        return dx.T.reshape(c, h, w)
+    def _channel(self, vector: np.ndarray) -> np.ndarray:
+        return vector[:, None, None]
 
 
 # Input shapes whose im2col tap index a Conv2d keeps (see Conv2d._tap_index).
@@ -319,12 +330,15 @@ TAP_INDEX_CACHE = 64
 
 
 class Conv2d(Module):
-    """2-D convolution (cross-correlation) on a single (C, H, W) map.
+    """2-D convolution (cross-correlation) on a (B, C, H, W) stack of maps.
 
-    Forward is one matmul of the flattened weight with the im2col matrix of
-    the zero-padded map; backward gathers that matrix again for the weight
-    gradient and scatters the input gradient back with one col2im
-    ``np.bincount`` (Chellapilla et al. 2006).
+    Forward gathers the (B, C*kh*kw, L) im2col stack of the zero-padded maps
+    with one fancy index through the per-(h, w) tap index, then multiplies
+    the flattened weight with each map's matrix in one stacked matmul, so
+    every map's output is what a forward of that map alone gives. Backward
+    gathers the im2col stack again, takes the weight gradient as one matmul
+    over all B*L columns, and scatters the input gradient back with one
+    col2im ``np.bincount`` (Chellapilla et al. 2006).
     """
 
     def __init__(
@@ -367,13 +381,13 @@ class Conv2d(Module):
         )
 
     def _tap_index(self, h: int, w: int) -> np.ndarray:
-        """Flat positions in one padded channel plane read by the kernel.
+        """Flat positions in one padded (Hp, Wp) map read by the kernel.
 
         Row ``i * kw + j`` holds, for every output position in row-major
         order, the position kernel tap (i, j) reads, so gathering it from
         each channel plane yields the im2col matrix. The index depends only
-        on the input's (h, w), not on the channel count, and is cached per
-        shape (at most ``TAP_INDEX_CACHE`` shapes, oldest dropped first).
+        on the input's (h, w), not on the channel or map count, and is cached
+        per shape (at most ``TAP_INDEX_CACHE`` shapes, oldest dropped first).
         """
         index = self._tap_indices.get((h, w))
         if index is None:
@@ -390,85 +404,92 @@ class Conv2d(Module):
         return index
 
     def _cols(self, padded: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """The (C*kh*kw, L) im2col matrix of a padded (C, Hp, Wp) map."""
-        c = padded.shape[0]
-        return padded.reshape(c, -1)[:, index].reshape(c * index.shape[0], -1)
+        """The (B, C*kh*kw, L) im2col stack of a padded (B, C, Hp, Wp) stack."""
+        b, c = padded.shape[:2]
+        return padded.reshape(b, c, -1)[:, :, index].reshape(b, c * index.shape[0], -1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 3 or x.shape[0] != self.in_channels:
+        if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise DimensionError(
-                f"conv2d expects ({self.in_channels}, H, W), got {x.shape}"
+                f"conv2d expects (B, {self.in_channels}, H, W), got {x.shape}"
             )
-        c, h, w = x.shape
+        b, c, h, w = x.shape
         out_h, out_w = self.out_shape(h, w)
         ph, pw = self.padding
-        padded = np.zeros((c, h + 2 * ph, w + 2 * pw))
-        padded[:, ph : ph + h, pw : pw + w] = x
+        padded = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
+        padded[:, :, ph : ph + h, pw : pw + w] = x
         cols = self._cols(padded, self._tap_index(h, w))
         y = self.weight.data.reshape(self.out_channels, -1) @ cols
         if self.bias is not None:
             y += self.bias.data[:, None]
-        # The im2col matrix is kh*kw times the map; backward gathers it again.
-        self._push((padded, x.shape))
-        return y.reshape(self.out_channels, out_h, out_w)
+        # The im2col stack is kh*kw times the maps; backward gathers it again.
+        self._push(padded)
+        return y.reshape(b, self.out_channels, out_h, out_w)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        padded, (c, h, w) = self._pop()
-        index = self._tap_index(h, w)
-        g = grad_out.reshape(self.out_channels, -1)
+        padded = self._pop()
+        b, c, hp, wp = padded.shape
+        ph, pw = self.padding
+        index = self._tap_index(hp - 2 * ph, wp - 2 * pw)
+        g = grad_out.reshape(b, self.out_channels, -1)
         weight = self.weight.data.reshape(self.out_channels, -1)
         if self.bias is not None:
-            self.bias.add_grad(g.sum(axis=1))
+            self.bias.add_grad(g.sum(axis=(0, 2)))
         cols = self._cols(padded, index)
-        self.weight.add_grad((g @ cols.T).reshape(self.weight.shape))
+        self.weight.add_grad(
+            (
+                g.transpose(1, 0, 2).reshape(self.out_channels, -1)
+                @ cols.transpose(0, 2, 1).reshape(-1, weight.shape[1])
+            ).reshape(self.weight.shape)
+        )
         # col2im: each im2col entry's gradient adds onto the padded position
-        # it was read from, channel plane by channel plane.
-        plane = padded[0].size
-        positions = (index + (np.arange(c) * plane)[:, None, None]).reshape(-1)
+        # it was read from, channel plane by channel plane of each map.
+        plane = hp * wp
+        positions = (index + (np.arange(b * c) * plane)[:, None, None]).reshape(-1)
         dpadded = np.bincount(
-            positions, weights=(weight.T @ g).reshape(-1), minlength=c * plane
+            positions, weights=(weight.T @ g).reshape(-1), minlength=padded.size
         ).reshape(padded.shape)
-        ph, pw = self.padding
-        return dpadded[:, ph : ph + h, pw : pw + w]
+        return dpadded[:, :, ph : hp - ph, pw : wp - pw]
 
 
 class QuadrantPool(Module):
-    """Averages the four (possibly overlapping) quadrants of a (C, H, W) map.
+    """Averages the four (possibly overlapping) quadrants of each map in a
+    (B, C, H, W) stack.
 
     Rows split into [0, ceil(H/2)) and [floor(H/2), H); columns likewise. For
     odd dimensions the halves overlap by one row/column, and for size one
     they coincide, so every quadrant is non-empty for any H, W >= 1. Output
-    is channel-major with quadrant order TL, TR, BL, BR: entry c*4 + q.
+    is (B, 4C), each row channel-major with quadrant order TL, TR, BL, BR:
+    entry c*4 + q.
     """
 
     @staticmethod
-    def _halves(size: int) -> tuple[slice, slice]:
-        return slice(0, -(-size // 2)), slice(size // 2, size)
+    def _quadrants(h: int, w: int) -> list[tuple[slice, slice, int]]:
+        """(rows, cols, cell count) of the TL, TR, BL, BR quadrants."""
+        row_halves = slice(0, -(-h // 2)), slice(h // 2, h)
+        col_halves = slice(0, -(-w // 2)), slice(w // 2, w)
+        return [
+            (rows, cols, (rows.stop - rows.start) * (cols.stop - cols.start))
+            for rows in row_halves
+            for cols in col_halves
+        ]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        c, h, w = x.shape
-        top, bottom = self._halves(h)
-        left, right = self._halves(w)
-        quads = (
-            (top, left),
-            (top, right),
-            (bottom, left),
-            (bottom, right),
-        )
+        b, c, h, w = x.shape
+        quads = self._quadrants(h, w)
         means = np.stack(
-            [x[:, rows, cols].mean(axis=(1, 2)) for rows, cols in quads], axis=1
+            [x[:, :, rows, cols].sum(axis=(2, 3)) / size for rows, cols, size in quads],
+            axis=2,
         )
         self._push((x.shape, quads))
-        return means.reshape(4 * c)
+        return means.reshape(b, 4 * c)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         shape, quads = self._pop()
-        c = shape[0]
-        grads = grad_out.reshape(c, 4)
+        grads = grad_out.reshape(shape[0], shape[1], 4)
         dx = np.zeros(shape)
-        for q, (rows, cols) in enumerate(quads):
-            size = (rows.stop - rows.start) * (cols.stop - cols.start)
-            dx[:, rows, cols] += grads[:, q][:, None, None] / size
+        for q, (rows, cols, size) in enumerate(quads):
+            dx[:, :, rows, cols] += grads[:, :, q, None, None] / size
         return dx
 
 

@@ -1,5 +1,8 @@
 """Shared fixtures: tiny datasets, corpora, and stub providers."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -42,7 +45,8 @@ class StubProvider:
     """Deterministic provider with a preset pair-score table.
 
     ``table`` maps (text_a, text_b) to a score; unseen pairs get ``default``.
-    Embeddings are a fixed-seed function of the pair so results are stable.
+    Embeddings are seeded from a SHA-256 of the pair, so they are the same in
+    every process (``hash`` of a string is salted per process).
     """
 
     def __init__(self, table=None, default=0.0, D=4):
@@ -54,7 +58,8 @@ class StubProvider:
         return float(self.table.get((a, b), self.default))
 
     def _embedding(self, a, b):
-        seed = abs(hash((a, b))) % (2**32)
+        digest = hashlib.sha256(json.dumps([a, b]).encode("utf-8")).digest()
+        seed = int.from_bytes(digest[:8], "little")
         return np.random.default_rng(seed).standard_normal(self.D)
 
     def nli(self, a, b):

@@ -76,14 +76,14 @@ class TestCriterion1DimensionAudit:
         encoder.enable_grad(False)
         for a in range(1, 51):
             for c in range(1, 51):
-                assert encoder.forward(np.zeros((8, a, c))).shape == (16,)
+                assert encoder.forward([np.zeros((8, a, c))]).shape == (1, 16)
 
         # one full-width pass confirms the 1024-wide embedding
         full = ConvEncoder(ConvEncoderConfig.default(), np.random.default_rng(0))
         full.eval()
         full.enable_grad(False)
-        out = full.forward(np.random.default_rng(1).standard_normal((768, 3, 4)))
-        assert out.shape == (1024,)
+        out = full.forward([np.random.default_rng(1).standard_normal((768, 3, 4))])
+        assert out.shape == (1, 1024)
         _report(1, "joint width 3824, pair input 7648, encoder output 1024 on [1,50]^2")
 
 
@@ -122,7 +122,9 @@ class TestCriterion3OracleEquivalence:
             layer = Conv2d(c_in, c_out, (kh, kw), stride, padding, rng)
             x = rng.standard_normal((c_in, h, w))
             expected = naive_conv2d(x, layer.weight.data, layer.bias.data, stride, padding)
-            np.testing.assert_allclose(layer.forward(x), expected, atol=ORACLE_TOLERANCE)
+            np.testing.assert_allclose(
+                layer.forward(x[None])[0], expected, atol=ORACLE_TOLERANCE
+            )
             layer.clear_cache()
             checked += 1
         _report(3, "conv2d == naive quadruple loop on 100 random cases (1e-12)")

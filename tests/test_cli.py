@@ -393,6 +393,68 @@ class TestExtractFeaturesFollowsLayout:
         ).read_bytes()
 
 
+class TestExtractFeaturesTfidfOptional:
+    """Against an existing layout the stored metadata TF-IDF is used and
+    --tfidf is optional; fitting a new layout still needs it."""
+
+    def _extract(self, pipeline_dir, layout, out, tfidf=None):
+        args = [
+            "extract-features",
+            "--dataset",
+            pipeline_dir["val"],
+            "--split",
+            "validation",
+            "--corpus",
+            pipeline_dir["corpus"],
+            "--layout",
+            str(layout),
+            "--out",
+            str(out),
+        ]
+        if tfidf is not None:
+            args += ["--tfidf", str(tfidf)]
+        return main(pipeline_dir["base"] + args)
+
+    def test_stored_tfidf_used_without_flag(self, pipeline_dir, tmp_path):
+        out = pipeline_dir["dir"]
+        assert self._extract(pipeline_dir, out / "layout.json", tmp_path / "val.jsonl") == 0
+        assert (tmp_path / "val.jsonl").read_bytes() == (
+            out / "features_val.jsonl"
+        ).read_bytes()
+
+    def test_differing_tfidf_still_rejected(self, pipeline_dir, tmp_path, capsys):
+        out = pipeline_dir["dir"]
+        tfidf = json.loads((out / "tfidf.json").read_text())
+        tfidf["idf"][0] += 0.5
+        other = tmp_path / "other_tfidf.json"
+        other.write_text(json.dumps(tfidf))
+        capsys.readouterr()
+        code = self._extract(
+            pipeline_dir, out / "layout.json", tmp_path / "val.jsonl", tfidf=other
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "MedrankError"
+        assert str(other) in payload["message"]
+        assert not (tmp_path / "val.jsonl").exists()
+
+    def test_new_layout_needs_tfidf(self, pipeline_dir, tmp_path, capsys):
+        layout = tmp_path / "new_layout.json"
+        capsys.readouterr()
+        code = self._extract(pipeline_dir, layout, tmp_path / "val.jsonl")
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "MedrankError"
+        assert str(layout) in payload["message"]
+        assert "--tfidf" in payload["message"]
+        assert not layout.exists()
+        assert not (tmp_path / "val.jsonl").exists()
+
+
 class TestStoredProviderNotRefit:
     """predict, and extract-features against an existing layout, score with
     the provider TF-IDF the model was fit with, whatever --corpus holds."""

@@ -139,8 +139,8 @@ class TestConvEncoder:
         encoder.enable_grad(False)
         for a in (1, 2, 5, 11):
             for c in (1, 3, 8):
-                out = encoder.forward(rng.standard_normal((8, a, c)))
-                assert out.shape == (config.out_dim,)
+                out = encoder.forward([rng.standard_normal((8, a, c))])
+                assert out.shape == (1, config.out_dim)
 
     def test_default_output_is_1024(self):
         assert ConvEncoderConfig.default().out_dim == 1024
@@ -151,13 +151,13 @@ class TestConvEncoder:
         zero_params(encoder)
         encoder.eval()
         encoder.enable_grad(False)
-        out = encoder.forward(np.random.default_rng(1).standard_normal((8, 2, 3)))
-        np.testing.assert_array_equal(out, np.zeros(16))
+        out = encoder.forward([np.random.default_rng(1).standard_normal((8, 2, 3))])
+        np.testing.assert_array_equal(out, np.zeros((1, 16)))
 
     def test_wrong_channel_count_rejected(self):
         encoder = ConvEncoder(ConvEncoderConfig.scaled_down(), np.random.default_rng(0))
         with pytest.raises(DimensionError):
-            encoder.forward(np.zeros((3, 2, 2)))
+            encoder.forward([np.zeros((3, 2, 2))])
 
 
 class TestMetadata:
@@ -638,13 +638,17 @@ def _oracle_head_forward(head, matrix, training):
 
 def oracle_question_loss(model, prepared, alpha, compute_grads=True):
     """question_loss with joint rows, pair rows and the d_joint scatter built
-    one candidate and one ordered pair at a time."""
+    one candidate and one ordered pair at a time; the NLI rows come from the
+    one encoder call over all maps (its oracle is in test_tensornet.py)."""
+    nli_rows = model.encoder.forward(
+        [tensor for inst in prepared.instances for tensor in inst.tensors]
+    )
     joints = []
     filter_targets = []
     row_of = []
     for k, inst in enumerate(prepared.instances):
         for pos, g in enumerate(inst.cand_idx):
-            nli_vec = model.encoder.forward(inst.tensors[pos])
+            nli_vec = nli_rows[len(joints)]
             joints.append(np.concatenate([nli_vec, inst.rqe_embedding, inst.metas[pos]]))
             filter_targets.append(prepared.labels[g])
             row_of.append((k, g))
@@ -692,34 +696,33 @@ def oracle_question_loss(model, prepared, alpha, compute_grads=True):
             d_joint[j] += d_pair_matrix[r, width:]
     d_filter = bce_grad(filter_probs, targets)
     d_joint += model.filter_head.backward(d_filter[:, None])
-    nli_width = model.encoder.out_dim
-    for r in reversed(range(joint_matrix.shape[0])):
-        model.encoder.backward(d_joint[r, :nli_width])
+    model.encoder.backward(d_joint[:, : model.encoder.out_dim])
     return total
 
 
 def oracle_infer(model, question, index, provider, config):
     """infer's ensemble with joint rows and pair rows built one at a time;
-    returns (scores, ranking, relevant). The model must be in eval mode."""
+    returns (scores, ranking, relevant). The NLI rows of every hit come from
+    one encoder call. The model must be in eval mode."""
     cand_sentences = _candidate_sentences(question)
     candidates = list(question.candidates)
     n = len(candidates)
     filter_sum = np.zeros(n)
     pair_sum = np.zeros((n, n))
     hits = retrieve(index, question.text, config)
-    for hit in hits:
-        prep = _prepare_instance(
+    preps = [
+        _prepare_instance(
             model, instance_from_retrieved(hit), tuple(range(n)), candidates,
             cand_sentences, provider,
         )
+        for hit in hits
+    ]
+    nli_rows = model.encoder.forward([tensor for prep in preps for tensor in prep.tensors])
+    for k, prep in enumerate(preps):
         joints = np.stack(
             [
                 np.concatenate(
-                    [
-                        model.encoder.forward(prep.tensors[i]),
-                        prep.rqe_embedding,
-                        prep.metas[i],
-                    ]
+                    [nli_rows[k * n + i], prep.rqe_embedding, prep.metas[i]]
                 )
                 for i in range(n)
             ]

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -459,3 +463,26 @@ class TestProviderMeta:
         assert meta["provider_tfidf"] is None
         with pytest.raises(MedrankError, match="model.json: no stored TF-IDF"):
             provider_from_meta(meta, "model.json")
+
+
+class TestStubProvider:
+    def test_embedding_independent_of_hash_seed(self):
+        # The stub's embeddings must not follow Python's per-process string
+        # hash salt, or the joint tests built on it see new inputs each run.
+        tests = Path(__file__).resolve().parent
+        code = (
+            "import sys; sys.path[:0] = sys.argv[1:]\n"
+            "from conftest import StubProvider\n"
+            "print(hash('a'), StubProvider(D=3).nli('a', 'b').embedding.tolist())"
+        )
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            run = subprocess.run(
+                [sys.executable, "-c", code, str(tests), str(tests.parent / "src")],
+                env=env, capture_output=True, text=True, timeout=60, check=True,
+            )
+            salted, embedding = run.stdout.strip().split(" ", 1)
+            outputs.append((salted, embedding))
+        assert outputs[0][0] != outputs[1][0]
+        assert outputs[0][1] == outputs[1][1]

@@ -1,5 +1,6 @@
 """Neural core: forward semantics, gradient oracles, optimizers, checkpoints."""
 
+import contextlib
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 from medrank import tensornet
 from medrank.errors import DimensionError
 from medrank.gradcheck import grad_check
+from medrank.joint import ConvEncoder, ConvEncoderConfig
 from medrank.tensornet import (
     Adam,
     BatchNorm1d,
@@ -170,8 +172,8 @@ class TestConv2d:
     def test_one_by_one_kernel_preserves_spatial_dims(self):
         rng = np.random.default_rng(0)
         layer = Conv2d(3, 2, (1, 1), rng=rng)
-        out = layer.forward(rng.standard_normal((3, 5, 7)))
-        assert out.shape == (2, 5, 7)
+        out = layer.forward(rng.standard_normal((1, 3, 5, 7)))
+        assert out.shape == (1, 2, 5, 7)
 
     def test_matches_naive_oracle_on_random_cases(self):
         rng = np.random.default_rng(42)
@@ -191,7 +193,7 @@ class TestConv2d:
             expected = naive_conv2d(
                 x, layer.weight.data, layer.bias.data, stride, padding
             )
-            np.testing.assert_allclose(layer.forward(x), expected, atol=1e-12)
+            np.testing.assert_allclose(layer.forward(x[None])[0], expected, atol=1e-12)
 
     def test_forward_and_backward_match_windowed_oracle(self):
         rng = np.random.default_rng(7)
@@ -224,8 +226,12 @@ class TestConv2d:
                 padded, x.shape, grad_out, layer.weight.data, stride, padding
             )
             layer.zero_grad()
-            np.testing.assert_allclose(layer.forward(x), expected, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(layer.backward(grad_out), dx, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                layer.forward(x[None])[0], expected, rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                layer.backward(grad_out[None])[0], dx, rtol=0, atol=1e-12
+            )
             np.testing.assert_allclose(layer.weight.grad, dweight, rtol=0, atol=1e-12)
             if bias:
                 np.testing.assert_allclose(layer.bias.grad, dbias, rtol=0, atol=1e-12)
@@ -248,12 +254,12 @@ class TestConv2d:
             singles.append((y, g, windowed_conv2d_backward(
                 padded, x.shape, g, weight, stride, padding
             )))
-        outputs = [layer.forward(x) for x in maps]
+        outputs = [layer.forward(x[None])[0] for x in maps]
         for y, single in reversed(list(zip(outputs, singles))):
             expected, g, (dx, dweight, dbias) = single
             layer.zero_grad()
             np.testing.assert_allclose(y, expected, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(layer.backward(g), dx, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(layer.backward(g[None])[0], dx, rtol=0, atol=1e-12)
             np.testing.assert_allclose(layer.weight.grad, dweight, rtol=0, atol=1e-12)
             np.testing.assert_allclose(layer.bias.grad, dbias, rtol=0, atol=1e-12)
         assert pending(layer) == 0
@@ -262,19 +268,19 @@ class TestConv2d:
     def test_forward_caches_only_the_padded_map(self):
         rng = np.random.default_rng(9)
         layer = Conv2d(4, 5, (3, 3), (1, 1), (2, 1), rng)
-        x = rng.standard_normal((4, 3, 6))
+        x = rng.standard_normal((2, 4, 3, 6))
         layer.forward(x)
-        (ctx,) = layer._ctx
-        padded, shape = ctx
-        assert shape == x.shape
-        np.testing.assert_array_equal(padded, np.pad(x, ((0, 0), (2, 2), (1, 1))))
+        (padded,) = layer._ctx
+        np.testing.assert_array_equal(
+            padded, np.pad(x, ((0, 0), (0, 0), (2, 2), (1, 1)))
+        )
         assert padded.base is None
 
     def test_gradient(self):
         rng = np.random.default_rng(2)
         layer = Conv2d(2, 3, (3, 3), (2, 2), (1, 1), rng)
-        x = rng.standard_normal((2, 5, 5))
-        r = rng.standard_normal((3, 3, 3))
+        x = rng.standard_normal((1, 2, 5, 5))
+        r = rng.standard_normal((1, 3, 3, 3))
         layer.zero_grad()
         layer.forward(x)
         layer.backward(r)
@@ -285,13 +291,13 @@ class TestConv2d:
     def test_input_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(3)
         layer = Conv2d(2, 2, (2, 2), (1, 1), (1, 1), rng)
-        x = rng.standard_normal((2, 3, 3))
-        r = rng.standard_normal((2, 4, 4))
+        x = rng.standard_normal((1, 2, 3, 3))
+        r = rng.standard_normal((1, 2, 4, 4))
         layer.forward(x)
         dx = layer.backward(r)
         eps = 1e-6
         layer.enable_grad(False)
-        for idx in [(0, 0, 0), (1, 2, 1), (0, 1, 2)]:
+        for idx in [(0, 0, 0, 0), (0, 1, 2, 1), (0, 0, 1, 2)]:
             orig = x[idx]
             x[idx] = orig + eps
             up = float((layer.forward(x) * r).sum())
@@ -304,24 +310,24 @@ class TestConv2d:
 class TestQuadrantPool:
     def test_constant_input(self):
         pool = QuadrantPool()
-        out = pool.forward(np.full((3, 5, 4), 2.5))
+        out = pool.forward(np.full((1, 3, 5, 4), 2.5))
         np.testing.assert_allclose(out, 2.5)
-        assert out.shape == (12,)
+        assert out.shape == (1, 12)
 
     def test_two_by_two_hand_case(self):
         pool = QuadrantPool()
-        out = pool.forward(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-        np.testing.assert_array_equal(out, [1.0, 2.0, 3.0, 4.0])
+        out = pool.forward(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+        np.testing.assert_array_equal(out, [[1.0, 2.0, 3.0, 4.0]])
 
     def test_single_cell(self):
         pool = QuadrantPool()
-        out = pool.forward(np.array([[[7.0]]]))
-        np.testing.assert_array_equal(out, [7.0, 7.0, 7.0, 7.0])
+        out = pool.forward(np.array([[[[7.0]]]]))
+        np.testing.assert_array_equal(out, [[7.0, 7.0, 7.0, 7.0]])
 
     def test_odd_dims_overlap(self):
         # 3x3 single channel: quadrants are the four overlapping 2x2 corners.
         x = np.arange(9, dtype=float).reshape(1, 3, 3)
-        out = QuadrantPool().forward(x)
+        out = QuadrantPool().forward(x[None])[0]
         expected = [
             x[0, :2, :2].mean(),
             x[0, :2, 1:].mean(),
@@ -336,19 +342,20 @@ class TestQuadrantPool:
         for c in (1, 3):
             for h in (1, 2, 5):
                 for w in (1, 4, 7):
-                    assert pool.forward(rng.standard_normal((c, h, w))).shape == (4 * c,)
+                    out = pool.forward(rng.standard_normal((1, c, h, w)))
+                    assert out.shape == (1, 4 * c)
                     pool.clear_cache()
 
     def test_gradient(self):
         rng = np.random.default_rng(4)
         pool = QuadrantPool()
-        x = rng.standard_normal((2, 3, 5))
-        r = rng.standard_normal(8)
+        x = rng.standard_normal((1, 2, 3, 5))
+        r = rng.standard_normal((1, 8))
         pool.forward(x)
         dx = pool.backward(r)
         pool.enable_grad(False)
         eps = 1e-6
-        for idx in [(0, 0, 0), (1, 1, 2), (0, 2, 4)]:
+        for idx in [(0, 0, 0, 0), (0, 1, 1, 2), (0, 0, 2, 4)]:
             orig = x[idx]
             x[idx] = orig + eps
             up = float((pool.forward(x) * r).sum())
@@ -415,8 +422,8 @@ class TestBatchNorm:
         bn.running_mean = rng.standard_normal(3)
         bn.running_var = rng.uniform(0.5, 2.0, 3)
         bn.eval()
-        x = rng.standard_normal((3, 4, 5))
-        r = rng.standard_normal((3, 4, 5))
+        x = rng.standard_normal((1, 3, 4, 5))
+        r = rng.standard_normal((1, 3, 4, 5))
         bn.zero_grad()
         bn.forward(x)
         bn.backward(r)
@@ -441,6 +448,267 @@ class TestBatchNorm:
             down = float((bn.forward(x) * r).sum())
             x[idx] = orig
             assert dx[idx] == pytest.approx((up - down) / (2 * eps), abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the single-map (C, H, W) layers that the stacked layers replaced
+# ---------------------------------------------------------------------------
+
+
+def single_bn2d_forward(bn, x):
+    """BatchNorm2d on one (C, H, W) map; train mode folds the map's
+    statistics into ``bn``'s running buffers. Returns (y, cache)."""
+    c, h, w = x.shape
+    x2d = x.reshape(c, h * w).T
+    if bn.training:
+        batch = x2d.shape[0]
+        mean = x2d.mean(axis=0)
+        var = x2d.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + bn.eps)
+        xhat = (x2d - mean) * inv_std
+        bn.running_mean = (1.0 - bn.momentum) * bn.running_mean + bn.momentum * mean
+        bn.running_var = (
+            1.0 - bn.momentum
+        ) * bn.running_var + bn.momentum * var * batch / (batch - 1)
+    else:
+        inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
+        xhat = (x2d - bn.running_mean) * inv_std
+    y = bn.gamma.data * xhat + bn.beta.data
+    return y.T.reshape(c, h, w), (xhat, inv_std, bn.training)
+
+
+def single_bn2d_backward(bn, cache, grad_out):
+    xhat, inv_std, batch_stats = cache
+    c, h, w = grad_out.shape
+    g = grad_out.reshape(c, h * w).T
+    bn.gamma.add_grad((g * xhat).sum(axis=0))
+    bn.beta.add_grad(g.sum(axis=0))
+    gx = g * bn.gamma.data
+    if batch_stats:
+        n = g.shape[0]
+        dx = (inv_std / n) * (n * gx - gx.sum(axis=0) - xhat * (gx * xhat).sum(axis=0))
+    else:
+        dx = gx * inv_std
+    return dx.T.reshape(c, h, w)
+
+
+def _quadrants(h, w):
+    def halves(size):
+        return slice(0, -(-size // 2)), slice(size // 2, size)
+
+    (top, bottom), (left, right) = halves(h), halves(w)
+    return ((top, left), (top, right), (bottom, left), (bottom, right))
+
+
+def single_pool_forward(x):
+    """QuadrantPool on one (C, H, W) map: the (4C,) channel-major means."""
+    quads = _quadrants(*x.shape[1:])
+    means = np.stack([x[:, rows, cols].mean(axis=(1, 2)) for rows, cols in quads], axis=1)
+    return means.reshape(-1)
+
+
+def single_pool_backward(shape, grad_out):
+    grads = grad_out.reshape(shape[0], 4)
+    dx = np.zeros(shape)
+    for q, (rows, cols) in enumerate(_quadrants(*shape[1:])):
+        size = (rows.stop - rows.start) * (cols.stop - cols.start)
+        dx[:, rows, cols] += grads[:, q][:, None, None] / size
+    return dx
+
+
+def single_forward(layer, x):
+    """One single-map layer forward; returns (y, cache)."""
+    if isinstance(layer, Conv2d):
+        bias = None if layer.bias is None else layer.bias.data
+        y, padded = windowed_conv2d_forward(
+            x, layer.weight.data, bias, layer.stride, layer.padding
+        )
+        return y, (padded, x.shape)
+    if isinstance(layer, BatchNorm2d):
+        return single_bn2d_forward(layer, x)
+    if isinstance(layer, ReLU):
+        return np.maximum(x, 0.0), x > 0
+    return single_pool_forward(x), x.shape
+
+
+def single_backward(layer, cache, grad_out):
+    """One single-map layer backward; parameter gradients add onto ``layer``."""
+    if isinstance(layer, Conv2d):
+        padded, shape = cache
+        dx, dweight, dbias = windowed_conv2d_backward(
+            padded, shape, grad_out, layer.weight.data, layer.stride, layer.padding
+        )
+        layer.weight.add_grad(dweight)
+        if layer.bias is not None:
+            layer.bias.add_grad(dbias)
+        return dx
+    if isinstance(layer, BatchNorm2d):
+        return single_bn2d_backward(layer, cache, grad_out)
+    if isinstance(layer, ReLU):
+        return grad_out * cache
+    return single_pool_backward(cache, grad_out)
+
+
+class SingleMapEncoder:
+    """Runs a ConvEncoder's layers on one (C, a, c) map per call with the
+    single-map code above; backward calls run last forward first."""
+
+    def __init__(self, encoder):
+        self.layers = encoder.stack.layers
+        self._ctx = []
+
+    def forward(self, x):
+        caches = []
+        for layer in self.layers:
+            x, cache = single_forward(layer, x)
+            caches.append(cache)
+        self._ctx.append(caches)
+        return x
+
+    def backward(self, grad_out):
+        for layer, cache in reversed(list(zip(self.layers, self._ctx.pop()))):
+            grad_out = single_backward(layer, cache, grad_out)
+        return grad_out
+
+
+def encoder_map_lists(seed, count):
+    """Seeded lists of (8, a, c) maps: each mixes repeated and unique shapes,
+    holds a 1 x c and an a x 1 map, and interleaves its shapes; the last list
+    has only unique shapes."""
+    rng = np.random.default_rng(seed)
+    lists = []
+    for _ in range(count - 1):
+        shapes = {(1, int(rng.integers(1, 7))), (int(rng.integers(2, 7)), 1)}
+        distinct = int(rng.integers(3, 6))
+        while len(shapes) < distinct:
+            shapes.add((int(rng.integers(1, 7)), int(rng.integers(1, 7))))
+        shapes = sorted(shapes)
+        repeats = rng.integers(0, len(shapes), size=int(rng.integers(1, 5)))
+        picks = shapes + [shapes[int(k)] for k in repeats]
+        lists.append([rng.standard_normal((8, *picks[k])) for k in rng.permutation(len(picks))])
+    unique = ((1, 1), (1, 4), (3, 1), (2, 5), (4, 3), (6, 6))
+    lists.append([rng.standard_normal((8, a, c)) for a, c in unique])
+    return lists
+
+
+def twin_encoders(seed):
+    """A scaled-down ConvEncoder and an identical twin for the single-map
+    oracle, with random batchnorm parameters and running statistics."""
+    twins = [
+        ConvEncoder(ConvEncoderConfig.scaled_down(), np.random.default_rng(seed))
+        for _ in range(2)
+    ]
+    state = np.random.default_rng([seed, 1])
+    pairs = zip(*([m for m in e.modules() if isinstance(m, BatchNorm2d)] for e in twins))
+    for bn, twin in pairs:
+        c = bn.channels
+        gamma, beta = state.uniform(0.5, 1.5, c), state.standard_normal(c)
+        mean, var = 0.2 * state.standard_normal(c), state.uniform(0.7, 1.5, c)
+        for layer in (bn, twin):
+            layer.gamma.data[...], layer.beta.data[...] = gamma, beta
+            layer.running_mean, layer.running_var = mean.copy(), var.copy()
+    return twins
+
+
+class TestStackedLayers:
+    """Each stacked layer equals the single-map layer run map by map."""
+
+    @pytest.mark.parametrize(
+        "make, shape",
+        [
+            (lambda rng: Conv2d(3, 2, (3, 2), (2, 1), (1, 2), rng), (4, 3, 5, 4)),
+            (lambda rng: Conv2d(3, 4, (1, 1), (1, 1), (0, 0), rng, bias=False), (3, 3, 1, 6)),
+            (lambda rng: BatchNorm2d(3), (4, 3, 2, 5)),
+            (lambda rng: BatchNorm2d(3).eval(), (4, 3, 2, 5)),
+            (lambda rng: ReLU(), (3, 2, 4, 3)),
+            (lambda rng: QuadrantPool(), (4, 3, 5, 2)),
+        ],
+    )
+    def test_stack_matches_maps_one_at_a_time(self, make, shape):
+        layer, single = make(np.random.default_rng(0)), make(np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(shape)
+        layer.zero_grad()
+        single.zero_grad()
+        y = layer.forward(x)
+        outs, caches = zip(*(single_forward(single, m) for m in x))
+        np.testing.assert_allclose(y, np.stack(outs), rtol=0, atol=1e-12)
+        grad = rng.standard_normal(y.shape)
+        dx = layer.backward(grad)
+        for b in reversed(range(shape[0])):
+            expected = single_backward(single, caches[b], grad[b])
+            np.testing.assert_allclose(dx[b], expected, rtol=0, atol=1e-12)
+        for (name, t), (_, ref) in zip(layer.named_params(), single.named_params()):
+            np.testing.assert_allclose(t.grad, ref.grad, rtol=0, atol=1e-12, err_msg=name)
+        for (name, buf), (_, ref) in zip(layer.named_buffers(), single.named_buffers()):
+            np.testing.assert_allclose(buf, ref, rtol=0, atol=1e-12, err_msg=name)
+        assert pending(layer) == 0
+
+
+def compare_with_single_map_oracle(training, lists, seed=21):
+    """Runs consecutive pairs of map lists through a grouped encoder and the
+    single-map oracle on its twin; asserts rows, input and parameter
+    gradients per list and the running buffers after each pair."""
+    rng = np.random.default_rng(seed)
+    for i in range(0, len(lists) - 1, 2):
+        grouped, twin = twin_encoders(seed + i)
+        oracle = SingleMapEncoder(twin)
+        for net in (grouped, twin):
+            net.train(training)
+        for maps in lists[i : i + 2]:
+            grouped.zero_grad()
+            twin.zero_grad()
+            rows = grouped.forward(maps)
+            np.testing.assert_allclose(
+                rows, np.stack([oracle.forward(x) for x in maps]), rtol=0, atol=1e-12
+            )
+            d_rows = rng.standard_normal(rows.shape)
+            d_maps = grouped.backward(d_rows)
+            for k in reversed(range(len(maps))):
+                expected = oracle.backward(d_rows[k])
+                np.testing.assert_allclose(d_maps[k], expected, rtol=0, atol=1e-12)
+            for (name, t), (_, ref) in zip(grouped.named_params(), twin.named_params()):
+                np.testing.assert_allclose(t.grad, ref.grad, rtol=0, atol=1e-12, err_msg=name)
+            assert pending(grouped) == 0
+        for (name, buf), (_, ref) in zip(grouped.named_buffers(), twin.named_buffers()):
+            np.testing.assert_allclose(buf, ref, rtol=0, atol=1e-12, err_msg=name)
+
+
+class TestGroupedEncoderOracle:
+    """ConvEncoder groups maps by shape; the single-map layers are its oracle."""
+
+    LISTS = 52
+
+    def test_fixture_mixes_shapes(self):
+        lists = encoder_map_lists(seed=20, count=self.LISTS)
+        shapes = [[x.shape[1:] for x in maps] for maps in lists]
+        assert all(len(set(s)) < len(s) for s in shapes[:-1])
+        assert len(set(shapes[-1])) == len(shapes[-1])
+        assert all(any(a == 1 for a, _ in s) and any(c == 1 for _, c in s) for s in shapes)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_rows_gradients_and_buffers_match(self, training):
+        compare_with_single_map_oracle(training, encoder_map_lists(seed=20, count=self.LISTS))
+
+    def test_running_stats_applied_in_group_order_are_caught(self, monkeypatch):
+        # Folding each group's statistics in as the group runs, instead of
+        # map by map in map order, moves the running buffers.
+        monkeypatch.setattr(
+            ConvEncoder,
+            "_running_stats_in_map_order",
+            lambda self, groups: contextlib.nullcontext(),
+        )
+        with pytest.raises(AssertionError, match="running_"):
+            compare_with_single_map_oracle(True, encoder_map_lists(seed=20, count=self.LISTS))
+
+    def test_rows_come_back_in_map_order(self):
+        encoder = ConvEncoder(ConvEncoderConfig.scaled_down(), np.random.default_rng(0))
+        encoder.eval()
+        encoder.enable_grad(False)
+        maps = encoder_map_lists(seed=3, count=2)[0]
+        rows = encoder.forward(maps)
+        for k, x in enumerate(maps):
+            np.testing.assert_allclose(encoder.forward([x])[0], rows[k], rtol=0, atol=1e-12)
 
 
 class TestSequentialComposite:
