@@ -9,7 +9,11 @@ fewer than N pairs cleared the threshold).
 Filtering is a logistic regression trained by full-batch gradient descent;
 ranking reuses the same features with a pairwise hinge objective
 (sum of max(0, 1 - w . (x_better - x_worse)) plus L2) optimized by
-subgradient descent.
+subgradient descent. Both descents start at w = 0 and only ever add multiples
+of training rows plus L2 shrinkage, so every iterate is w = X^T a for one
+coefficient per training row. The fits iterate ``a`` and read the features
+through one thin-QR factor R of X^T (X X^T = R^T R, R is min(n, F) x n), so a
+step costs n * min(n, F) instead of n * F; w = X^T a is formed once at the end.
 """
 
 from __future__ import annotations
@@ -290,6 +294,12 @@ def load_features(path: str | Path) -> list[dict]:
             for key in ("question_id", "answer_id", "features"):
                 if key not in row:
                     raise SchemaError(f"{path}:{lineno}: missing field {key!r}")
+            try:
+                features = np.asarray(row["features"], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"{path}:{lineno}: features: {exc}") from exc
+            if not np.isfinite(features).all():
+                raise SchemaError(f"{path}:{lineno}: non-finite feature value")
             rows.append(row)
     return rows
 
@@ -305,6 +315,13 @@ class LogregModel:
     bias: float
 
 
+def _row_factor(rows: np.ndarray) -> np.ndarray:
+    """R of the thin QR of rows^T: rows @ rows^T == R^T @ R, R is min(n, F) x n."""
+    if not np.isfinite(rows).all():
+        raise SchemaError("training features contain non-finite values")
+    return np.linalg.qr(rows.T, mode="r")
+
+
 def train_logreg_filter(
     features: np.ndarray,
     labels: np.ndarray,
@@ -315,7 +332,10 @@ def train_logreg_filter(
     """Single linear layer + sigmoid trained with mean BCE, full batch.
 
     Weights start at zero (the objective is convex), so an untrained model
-    predicts 0.5 everywhere.
+    predicts 0.5 everywhere. The iterate is w = X^T a: each step updates the
+    n row coefficients a <- (1 - 2 lr wd) a - (lr / n) (p - y), with logits
+    R^T (R a) + b for R the thin-QR factor of X^T. Non-finite features raise
+    ``SchemaError``.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -324,17 +344,18 @@ def train_logreg_filter(
     classes = set(np.unique(labels).tolist())
     if not classes <= {0.0, 1.0} or len(classes) < 2:
         raise SchemaError("training needs at least one example of each class")
-    n, dim = features.shape
-    weight = np.zeros(dim)
+    factor = _row_factor(features)
+    n = features.shape[0]
+    shrink = 1.0 - 2.0 * lr * weight_decay
+    coef = np.zeros(n)
     bias = 0.0
     for _ in range(steps):
-        probs = sigmoid(features @ weight + bias)
-        residual = probs - labels
-        grad_w = features.T @ residual / n + 2.0 * weight_decay * weight
-        grad_b = float(residual.mean())
-        weight -= lr * grad_w
-        bias -= lr * grad_b
-    return LogregModel(weight=weight, bias=bias)
+        residual = sigmoid(factor.T @ (factor @ coef) + bias) - labels
+        bias -= lr * (float(residual.sum()) / n)
+        residual *= lr / n
+        coef *= shrink
+        coef -= residual
+    return LogregModel(weight=features.T @ coef, bias=bias)
 
 
 def predict_logreg(model: LogregModel, features: np.ndarray) -> np.ndarray:
@@ -356,27 +377,43 @@ class HingeRankModel:
 
 def ranking_pairs(
     groups: list[tuple[np.ndarray, np.ndarray]]
-) -> np.ndarray:
-    """Stack x_better - x_worse rows over every within-question pair.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked rows plus (better, worse) row indices of every ranked pair.
 
     Each group is (features (c, F), reference_ranks (c,)); better means a
-    smaller reference rank. A question with c candidates contributes
-    c*(c-1)/2 rows.
+    smaller reference rank. A question with c candidates and distinct ranks
+    contributes c*(c-1)/2 pairs; pairs with equal ranks are skipped. Pairs
+    come group by group in i-major order over i < j, and their differences
+    are rows[better] - rows[worse].
     """
-    diffs = []
-    for features, ranks in groups:
+    if not groups:
+        raise SchemaError("no ranking groups in the training data")
+    rows, ranks = [], []
+    for features, group_ranks in groups:
         features = np.asarray(features, dtype=np.float64)
-        ranks = np.asarray(ranks)
-        c = features.shape[0]
-        for i in range(c):
-            for j in range(i + 1, c):
-                if ranks[i] < ranks[j]:
-                    diffs.append(features[i] - features[j])
-                elif ranks[j] < ranks[i]:
-                    diffs.append(features[j] - features[i])
-    if not diffs:
+        group_ranks = np.asarray(group_ranks)
+        if features.ndim != 2 or group_ranks.shape != (features.shape[0],):
+            raise DimensionError("each group needs features (c, F) and ranks (c,)")
+        rows.append(features)
+        ranks.append(group_ranks)
+    sizes = np.array([len(r) for r in ranks])
+    starts = np.cumsum(sizes) - sizes
+    first, second = [], []
+    for c in np.unique(sizes):  # one triu_indices per group size
+        i, j = np.triu_indices(c, k=1)
+        offsets = starts[sizes == c, None]
+        first.append((offsets + i).ravel())
+        second.append((offsets + j).ravel())
+    i, j = np.concatenate(first), np.concatenate(second)
+    order = np.argsort(i, kind="stable")  # back to group order, i-major
+    rank = np.concatenate(ranks)
+    i, j = i[order], j[order]
+    ranked = rank[i] != rank[j]
+    i, j = i[ranked], j[ranked]
+    if not len(i):
         raise SchemaError("no valid ranking pairs in the training data")
-    return np.stack(diffs)
+    swap = rank[j] < rank[i]
+    return np.vstack(rows), np.where(swap, j, i), np.where(swap, i, j)
 
 
 def train_pairwise_hinge(
@@ -385,15 +422,28 @@ def train_pairwise_hinge(
     steps: int = 500,
     weight_decay: float = 1e-4,
 ) -> HingeRankModel:
-    """Subgradient descent on the hinge-on-differences ranking objective."""
-    diffs = ranking_pairs(groups)
-    weight = np.zeros(diffs.shape[1])
+    """Subgradient descent on the hinge-on-differences ranking objective.
+
+    The iterate is w = X^T a over the stacked rows X: scores are R^T (R a) for
+    R the thin-QR factor of X^T, and each step shrinks a by (1 - 2 lr wd),
+    then adds lr to the better row's and subtracts lr from the worse row's
+    coefficient of every pair with margin < 1. Non-finite features raise
+    ``SchemaError``.
+    """
+    rows, better, worse = ranking_pairs(groups)
+    factor = _row_factor(rows)
+    n = rows.shape[0]
+    shrink = 1.0 - 2.0 * lr * weight_decay
+    coef = np.zeros(n)
     for _ in range(steps):
-        margins = diffs @ weight
-        violated = margins < 1.0
-        grad = -diffs[violated].sum(axis=0) + 2.0 * weight_decay * weight
-        weight -= lr * grad
-    return HingeRankModel(weight=weight)
+        scores = factor.T @ (factor @ coef)
+        violated = scores[better] - scores[worse] < 1.0
+        coef *= shrink
+        coef += lr * (
+            np.bincount(better[violated], minlength=n)
+            - np.bincount(worse[violated], minlength=n)
+        )
+    return HingeRankModel(weight=rows.T @ coef)
 
 
 def hinge_score(model: HingeRankModel, features: np.ndarray) -> np.ndarray:
@@ -464,6 +514,9 @@ def train_checkpoint(
         "logreg.bias": np.array([logreg.bias]),
         "hinge.weight": hinge.weight,
     }
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise MedrankError(f"non-finite {name} after training; no checkpoint written")
     write_manifest(path, meta, arrays)
 
 

@@ -12,6 +12,7 @@ from medrank.providers import (
     tfidf_transform,
 )
 from medrank.retrieval import EntailedCandidate
+from medrank.tensornet import sigmoid
 
 from conftest import StubProvider, make_candidate, make_question
 
@@ -228,6 +229,21 @@ class TestFeaturePersistence:
         with pytest.raises(SchemaError):
             bl.load_features(tmp_path / "f.jsonl")
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_feature_rejected_with_line(self, tmp_path, value):
+        good = '{"question_id": "q", "answer_id": "a1", "features": [0.5, 1.0]}'
+        bad = f'{{"question_id": "q", "answer_id": "a2", "features": [0.5, {value}]}}'
+        (tmp_path / "f.jsonl").write_text(f"{good}\n{bad}\n")
+        with pytest.raises(SchemaError, match=r"f\.jsonl:2: non-finite"):
+            bl.load_features(tmp_path / "f.jsonl")
+
+    def test_non_numeric_feature_rejected_with_line(self, tmp_path):
+        (tmp_path / "f.jsonl").write_text(
+            '{"question_id": "q", "answer_id": "a", "features": ["x"]}\n'
+        )
+        with pytest.raises(SchemaError, match=r"f\.jsonl:1: features"):
+            bl.load_features(tmp_path / "f.jsonl")
+
 
 class TestLogregFilter:
     def test_zero_weight_predicts_half(self):
@@ -256,6 +272,13 @@ class TestLogregFilter:
         with pytest.raises(SchemaError):
             bl.train_logreg_filter(np.ones((3, 2)), np.ones(3))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, value):
+        features = np.ones((2, 3))
+        features[1, 2] = value
+        with pytest.raises(SchemaError, match="non-finite"):
+            bl.train_logreg_filter(features, np.array([0.0, 1.0]))
+
     def test_ranking_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(1)
         features = rng.standard_normal((6, 3))
@@ -277,13 +300,15 @@ class TestPairwiseHinge:
         for c in (2, 3, 5):
             features = rng.standard_normal((c, 3))
             ranks = np.arange(1, c + 1)
-            diffs = bl.ranking_pairs([(features, ranks)])
+            rows, better, worse = bl.ranking_pairs([(features, ranks)])
+            diffs = rows[better] - rows[worse]
             assert diffs.shape[0] == c * (c - 1) // 2
 
     def test_zero_weight_hinge_loss_is_one_per_pair(self):
         rng = np.random.default_rng(0)
         features = rng.standard_normal((4, 3))
-        diffs = bl.ranking_pairs([(features, np.arange(1, 5))])
+        rows, better, worse = bl.ranking_pairs([(features, np.arange(1, 5))])
+        diffs = rows[better] - rows[worse]
         loss = pairwise_hinge_loss(np.zeros(3), diffs, weight_decay=0.0)
         assert loss == pytest.approx(diffs.shape[0])
 
@@ -299,8 +324,143 @@ class TestPairwiseHinge:
         with pytest.raises(SchemaError):
             bl.train_pairwise_hinge([(np.ones((1, 2)), np.array([1]))])
 
+    def test_ranks_must_align_with_rows(self):
+        with pytest.raises(DimensionError):
+            bl.ranking_pairs([(np.ones((3, 2)), np.array([1, 2]))])
+
+    def test_tied_ranks_only_rejected(self):
+        with pytest.raises(SchemaError):
+            bl.ranking_pairs([(np.ones((3, 2)), np.array([2, 2, 2]))])
+
+    def test_no_groups_rejected(self):
+        with pytest.raises(SchemaError):
+            bl.ranking_pairs([])
+
+    def test_non_finite_features_rejected(self):
+        features = np.array([[1.0, 0.0], [np.nan, 1.0]])
+        with pytest.raises(SchemaError, match="non-finite"):
+            bl.train_pairwise_hinge([(features, np.array([1, 2]))])
+
     def test_rank_by_scores_tie_break(self):
         ids = ["a", "b", "c"]
         scores = np.array([0.5, 0.9, 0.5])
         system_ranks = [2, 3, 1]
         assert bl.rank_by_scores(ids, scores, system_ranks) == ["b", "c", "a"]
+
+
+# ---------------------------------------------------------------------------
+# The primal loops the row-coefficient fits replaced, kept as their oracle
+# ---------------------------------------------------------------------------
+
+
+def primal_logreg(features, labels, lr, steps, weight_decay):
+    """Full-batch descent on w itself: two passes over the (n, F) matrix a step."""
+    n, dim = features.shape
+    weight = np.zeros(dim)
+    bias = 0.0
+    for _ in range(steps):
+        probs = sigmoid(features @ weight + bias)
+        residual = probs - labels
+        grad_w = features.T @ residual / n + 2.0 * weight_decay * weight
+        grad_b = float(residual.mean())
+        weight -= lr * grad_w
+        bias -= lr * grad_b
+    return weight, bias
+
+
+def primal_pair_diffs(groups):
+    """x_better - x_worse for every within-question pair with distinct ranks."""
+    diffs = []
+    for features, ranks in groups:
+        c = features.shape[0]
+        for i in range(c):
+            for j in range(i + 1, c):
+                if ranks[i] < ranks[j]:
+                    diffs.append(features[i] - features[j])
+                elif ranks[j] < ranks[i]:
+                    diffs.append(features[j] - features[i])
+    return np.stack(diffs)
+
+
+def primal_hinge(groups, lr, steps, weight_decay):
+    """Subgradient descent on w over the stacked difference rows."""
+    diffs = primal_pair_diffs(groups)
+    weight = np.zeros(diffs.shape[1])
+    for _ in range(steps):
+        margins = diffs @ weight
+        violated = margins < 1.0
+        grad = -diffs[violated].sum(axis=0) + 2.0 * weight_decay * weight
+        weight -= lr * grad
+    return weight
+
+
+ORACLE_KINDS = (
+    "wide",
+    "tall",
+    "duplicate_rows",
+    "zero_column",
+    "tied_ranks",
+    "single_row_groups",
+    "no_steps",
+    "no_weight_decay",
+)
+
+
+def oracle_case(kind, seed):
+    """Seeded groups, stacked features, labels and fit settings for one case."""
+    rng = np.random.default_rng(seed)
+    if kind == "wide":
+        sizes, dim = rng.integers(2, 6, size=4), 150
+    elif kind == "tall":
+        sizes, dim = rng.integers(3, 8, size=12), 4
+    else:
+        sizes, dim = rng.integers(2, 6, size=6), 10
+    if kind == "single_row_groups":
+        sizes[::2] = 1
+    n = int(sizes.sum())
+    features = rng.standard_normal((n, dim)) * rng.uniform(0.2, 2.0, size=dim)
+    if kind == "duplicate_rows":
+        copies = rng.choice(n, size=n // 3, replace=False)
+        features[copies] = features[rng.integers(n, size=copies.size)]
+        features[1] = features[0]
+    if kind == "zero_column":
+        features[:, rng.integers(dim)] = 0.0
+    groups, start = [], 0
+    for c in sizes:
+        if kind == "tied_ranks":
+            ranks = rng.integers(1, 3, size=c)
+        else:
+            ranks = rng.permutation(c) + 1
+        groups.append((features[start : start + c], ranks))
+        start += c
+    labels = rng.integers(0, 2, size=n).astype(np.float64)
+    labels[:2] = (0.0, 1.0)
+    settings = {
+        "steps": 0 if kind == "no_steps" else int(rng.integers(50, 400)),
+        "weight_decay": 0.0 if kind == "no_weight_decay" else float(rng.uniform(1e-4, 1e-2)),
+    }
+    return groups, features, labels, settings
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+class TestFitsMatchPrimalLoops:
+    """The row-coefficient fits reproduce the primal loops to rounding."""
+
+    def test_logreg(self, kind, seed):
+        _, features, labels, settings = oracle_case(kind, seed)
+        model = bl.train_logreg_filter(features, labels, lr=0.5, **settings)
+        weight, bias = primal_logreg(features, labels, lr=0.5, **settings)
+        np.testing.assert_allclose(model.weight, weight, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(model.bias, bias, rtol=1e-9, atol=0.0)
+
+    def test_hinge(self, kind, seed):
+        groups, _, _, settings = oracle_case(kind, seed)
+        model = bl.train_pairwise_hinge(groups, lr=0.01, **settings)
+        weight = primal_hinge(groups, lr=0.01, **settings)
+        np.testing.assert_allclose(model.weight, weight, rtol=1e-9, atol=0.0)
+
+    def test_pairs(self, kind, seed):
+        groups, _, _, _ = oracle_case(kind, seed)
+        rows, better, worse = bl.ranking_pairs(groups)
+        np.testing.assert_array_equal(rows[better] - rows[worse], primal_pair_diffs(groups))

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from medrank import baseline as bl
 from medrank import cli
 from medrank.cli import main
 from medrank.corpus import load_dataset
@@ -1005,6 +1006,59 @@ class TestErrorHandling:
         assert payload["error"] == "MedrankError"
         assert "non-finite loss" in payload["message"]
         assert "in epoch 1" in payload["message"]
+        assert not model.exists()
+
+    def _train_baseline(self, pipeline_dir, features, out):
+        return main(
+            pipeline_dir["base"]
+            + [
+                "train-baseline",
+                "--features",
+                str(features),
+                "--dataset",
+                pipeline_dir["train"],
+                "--split",
+                "train",
+                "--layout",
+                f"{pipeline_dir['dir']}/layout.json",
+                "--out",
+                str(out),
+            ]
+        )
+
+    def test_nan_feature_writes_no_checkpoint(self, pipeline_dir, capsys, tmp_path):
+        lines = (pipeline_dir["dir"] / "features_train.jsonl").read_text().splitlines()
+        row = json.loads(lines[2])
+        row["features"][5] = float("nan")
+        lines[2] = json.dumps(row)  # json.dumps writes the bare token NaN
+        features = tmp_path / "features.jsonl"
+        features.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "baseline.json"
+        capsys.readouterr()
+        assert self._train_baseline(pipeline_dir, features, model) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "SchemaError"
+        assert f"{features}:3: non-finite" in payload["message"]
+        assert not model.exists()
+
+    def test_non_finite_weights_write_no_checkpoint(
+        self, pipeline_dir, capsys, tmp_path, monkeypatch
+    ):
+        def nan_fit(features, labels, **settings):
+            return bl.LogregModel(weight=np.full(features.shape[1], np.nan), bias=0.0)
+
+        monkeypatch.setattr(bl, "train_logreg_filter", nan_fit)
+        model = tmp_path / "baseline.json"
+        capsys.readouterr()
+        features = pipeline_dir["dir"] / "features_train.jsonl"
+        assert self._train_baseline(pipeline_dir, features, model) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "MedrankError"
+        assert "non-finite logreg.weight" in payload["message"]
         assert not model.exists()
 
     @pytest.mark.parametrize("error", [FloatingPointError, MemoryError])
