@@ -298,8 +298,17 @@ def load_features(path: str | Path) -> list[dict]:
                 features = np.asarray(row["features"], dtype=np.float64)
             except (TypeError, ValueError) as exc:
                 raise SchemaError(f"{path}:{lineno}: features: {exc}") from exc
+            if features.ndim != 1:
+                raise SchemaError(f"{path}:{lineno}: features must be a list of numbers")
             if not np.isfinite(features).all():
                 raise SchemaError(f"{path}:{lineno}: non-finite feature value")
+            if not rows:
+                width, first_line = features.size, lineno
+            elif features.size != width:
+                raise SchemaError(
+                    f"{path}:{lineno}: {features.size} features, but line "
+                    f"{first_line} has {width}"
+                )
             rows.append(row)
     return rows
 
@@ -485,8 +494,16 @@ def train_checkpoint(
     hinge ranker on every question with two or more rows, then write both with
     ``layout`` as the checkpoint's ``feature_config``. The keyword settings are
     the ``baseline.*`` config keys."""
+    unlabeled = [row for row in rows if row.get("label") is None]
+    if unlabeled:
+        first = unlabeled[0]
+        raise SchemaError(
+            f"{len(unlabeled)} of {len(rows)} feature rows have no label (first: "
+            f"question_id {first['question_id']!r}, answer_id {first['answer_id']!r}); "
+            "training needs a label on every row"
+        )
     features = np.asarray([row["features"] for row in rows], dtype=np.float64)
-    labels = np.asarray([row.get("label") for row in rows], dtype=np.float64)
+    labels = np.asarray([row["label"] for row in rows], dtype=np.float64)
     logreg = train_logreg_filter(
         features, labels, lr=lr, steps=steps, weight_decay=weight_decay
     )

@@ -11,13 +11,17 @@ Three provider kinds are available, all deterministic under a fixed seed:
 * ``precomputed`` — score/embedding lookup from a JSONL file keyed by the
   SHA-256 of the sentence pair.
 
-Every provider answers ``nli``/``rqe`` (score plus embedding) and the
-score-only ``nli_entailment``/``rqe_score``, which return the same float
-without building an embedding. Retrieval ranks the corpus and ANLI scores
-sentences through the score-only methods, so the D-wide projection runs only
-for the pairs whose embedding is read. ``toy_hash`` and ``tfidf_cosine``
-memoise one vector per text (under ``ProviderConfig.cache``), so scoring a
-query against a corpus transforms each text once.
+Every provider answers five calls: ``nli``/``rqe`` (score plus embedding),
+the score-only ``nli_entailment``/``rqe_score``, which return the same float
+without building an embedding, and ``rqe_scores``, which scores one query
+against many texts and returns exactly the ``rqe_score`` floats. Retrieval
+ranks the corpus through ``rqe_scores`` and ANLI scores sentences through
+``nli_entailment``, so the D-wide projection runs only for the pairs whose
+embedding is read.
+
+``toy_hash`` and ``tfidf_cosine`` score a pair by one ordered sparse dot
+(see ``_VectorProvider``), which ``rqe_scores`` computes for a whole corpus
+in one gather-multiply-bincount over a CSR block of the corpus texts.
 
 The hand-rolled vectorizer (rather than an off-the-shelf one) pins the exact
 vocabulary-selection rule: top-V terms by document frequency with
@@ -33,6 +37,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -193,14 +198,6 @@ class ProviderConfig:
             raise SchemaError(f"unknown provider kind {self.kind!r}")
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
-
-
 def _clamp(score: float) -> float:
     return min(max(score, 0.0), 1.0)
 
@@ -219,9 +216,10 @@ class _Provider:
     """Shared caching and scalar plumbing; subclasses implement _score()
     (the raw score alone) and _pair() (the raw score and its embedding).
 
-    A custom provider must answer all four public calls: ``nli``/``rqe``
-    and the score-only ``nli_entailment``/``rqe_score``, which return
-    exactly ``nli(...).entailment`` / ``rqe(...).score``.
+    A custom provider must answer all five public calls: ``nli``/``rqe``,
+    the score-only ``nli_entailment``/``rqe_score``, which return exactly
+    ``nli(...).entailment`` / ``rqe(...).score``, and ``rqe_scores``, which
+    returns exactly the ``rqe_score`` floats of one query against many texts.
     """
 
     def __init__(self, config: ProviderConfig):
@@ -262,45 +260,138 @@ class _Provider:
         """``rqe(chq, faq).score`` without the embedding."""
         return _clamp(self._score(chq, faq))
 
+    def rqe_scores(self, query: str, texts, swap: bool = False) -> np.ndarray:
+        """``[rqe_score(query, t) for t in texts]`` as an array, or
+        ``[rqe_score(t, query) ...]`` with ``swap``."""
+        if swap:
+            return np.array([self.rqe_score(t, query) for t in texts], dtype=np.float64)
+        return np.array([self.rqe_score(query, t) for t in texts], dtype=np.float64)
+
+
+def _ordered_dots(
+    terms: np.ndarray, values: np.ndarray, rows: np.ndarray, dense: np.ndarray, n: int
+) -> np.ndarray:
+    """Raw dots of n sparse rows with one dense vector.
+
+    Entry k is ``values[k]`` at term ``terms[k]`` of row ``rows[k]``. A row's
+    dot is the sum of its ``values * dense[terms]``, added one after another
+    in entry order: ``np.bincount`` accumulates each bin sequentially from 0
+    (and returns integer zeros when there are no entries at all).
+    """
+    return np.bincount(rows, values * dense[terms], n).astype(np.float64, copy=False)
+
+
+def _ordered_dot(values: np.ndarray, gathered: np.ndarray) -> float:
+    """The one-row ``_ordered_dots``: the same products, added in the same
+    order from 0, in Python floats (IEEE doubles, like bincount's sums)."""
+    dot = 0.0
+    for product in (values * gathered).tolist():
+        dot += product
+    return dot
+
+
+class _SparseRows(NamedTuple):
+    """The nonzero terms of some texts, in text order and then term order,
+    in the layout ``_ordered_dots`` reads, plus one norm per text."""
+
+    terms: np.ndarray
+    values: np.ndarray
+    rows: np.ndarray
+    norms: np.ndarray
+
 
 class _VectorProvider(_Provider):
-    """Scores a pair from one vector per text; the vectors are memoised.
+    """Scores a pair from one vector per text by an ordered sparse dot.
 
-    With ``config.cache`` each text's vector is computed once and kept
-    read-only, so scoring a query against a corpus transforms each corpus
-    text once and the query once.
+    A pair's raw dot sums the products over the first text's nonzero terms,
+    added one after another in term order. The products are non-negative, so
+    the zero products that a sum over the second text's terms would add
+    change nothing: the dot is the same float for either argument order, and
+    ``rqe_scores`` gets it for a whole corpus by summing over the corpus
+    texts' nonzero terms. The score is the dot over the two texts' ``_norm``s,
+    clamped to [0, 1].
+
+    With ``config.cache`` the scalar calls keep each text's vector (read-only)
+    and, for a text scored as first argument, its nonzero terms, so a text is
+    transformed once; ``rqe_scores`` keeps each corpus's CSR block (not its
+    dense vectors), keyed by the texts.
     """
 
     def __init__(self, config: ProviderConfig):
         super().__init__(config)
         self._vectors: dict[str, np.ndarray] = {}
+        self._nonzeros: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._corpora: dict[tuple[str, ...], _SparseRows] = {}
 
     def _transform(self, text: str) -> np.ndarray:
-        raise NotImplementedError
-
-    def _similarity(self, u: np.ndarray, v: np.ndarray) -> float:
         raise NotImplementedError
 
     def _embed(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _norm(self, vec: np.ndarray) -> float:
+        """What a text's raw dots are divided by (with the other text's);
+        1 for a zero vector, whose dots are all 0."""
+        return float(np.linalg.norm(vec)) or 1.0
+
     def _vector(self, text: str) -> np.ndarray:
-        if self.config.cache:
-            hit = self._vectors.get(text)
-            if hit is not None:
-                return hit
-        vec = _frozen(self._transform(text))
-        if self.config.cache:
-            self._vectors[text] = vec
+        vec = self._vectors.get(text)
+        if vec is None:
+            vec = _frozen(self._transform(text))
+            if self.config.cache:
+                self._vectors[text] = vec
         return vec
 
+    def _nonzero(self, text: str, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero terms of ``vec`` (the vector of ``text``), in order,
+        and their values."""
+        hit = self._nonzeros.get(text)
+        if hit is None:
+            terms = np.flatnonzero(vec)
+            hit = terms, vec[terms]
+            if self.config.cache:
+                self._nonzeros[text] = hit
+        return hit
+
+    def _similarity(self, text_a: str, u: np.ndarray, v: np.ndarray) -> float:
+        terms, values = self._nonzero(text_a, u)
+        dot = _ordered_dot(values, v[terms])
+        return _clamp(dot / (self._norm(u) * self._norm(v)))
+
     def _score(self, text_a: str, text_b: str) -> float:
-        return self._similarity(self._vector(text_a), self._vector(text_b))
+        return self._similarity(text_a, self._vector(text_a), self._vector(text_b))
 
     def _pair(self, text_a: str, text_b: str) -> tuple[float, np.ndarray]:
         u = self._vector(text_a)
         v = self._vector(text_b)
-        return self._similarity(u, v), self._embed(u, v)
+        return self._similarity(text_a, u, v), self._embed(u, v)
+
+    def _sparse_rows(self, texts: tuple[str, ...]) -> _SparseRows:
+        vectors = [self._transform(text) for text in texts]
+        terms = [np.flatnonzero(vec) for vec in vectors]
+        return _SparseRows(
+            terms=np.concatenate(terms),
+            values=np.concatenate([vec[t] for vec, t in zip(vectors, terms)]),
+            rows=np.repeat(np.arange(len(texts)), [t.size for t in terms]),
+            norms=np.array([self._norm(vec) for vec in vectors]),
+        )
+
+    def rqe_scores(self, query: str, texts, swap: bool = False) -> np.ndarray:
+        """One gather-multiply-bincount over the texts' nonzero terms. The
+        dot and the norm product do not depend on argument order, so
+        ``swap`` gives the same floats."""
+        texts = tuple(texts)
+        if not texts:
+            return np.zeros(0)
+        corpus = self._corpora.get(texts)
+        if corpus is None:
+            corpus = self._sparse_rows(texts)
+            if self.config.cache:
+                self._corpora[texts] = corpus
+        q = self._vector(query)
+        dots = _ordered_dots(corpus.terms, corpus.values, corpus.rows, q, len(texts))
+        scores = np.divide(dots, self._norm(q) * corpus.norms, out=dots)
+        return np.minimum(np.maximum(scores, 0.0, out=scores), 1.0, out=scores)
 
 
 class ToyHashProvider(_VectorProvider):
@@ -327,9 +418,6 @@ class ToyHashProvider(_VectorProvider):
             vec[self._bucket(first + " " + second)] += 1.0
         return vec
 
-    def _similarity(self, u: np.ndarray, v: np.ndarray) -> float:
-        return max(0.0, _cosine(u, v))
-
     def _embed(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self._projection @ (u - v)
 
@@ -347,8 +435,10 @@ class TfidfCosineProvider(_VectorProvider):
     def _transform(self, text: str) -> np.ndarray:
         return tfidf_transform(self.model, text)
 
-    def _similarity(self, u: np.ndarray, v: np.ndarray) -> float:
-        return _clamp(float(np.dot(u, v)))
+    def _norm(self, vec: np.ndarray) -> float:
+        """``tfidf_transform`` returns unit or zero vectors, so a raw dot is
+        already the cosine."""
+        return 1.0
 
     def _embed(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self._projection @ np.concatenate([u, v])

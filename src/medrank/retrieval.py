@@ -6,9 +6,12 @@ are returned (ties broken by corpus order). When nothing clears the
 threshold the single best-scoring pair is returned anyway, so retrieval
 never comes back empty.
 
-Ranking the corpus reads scores only, through the provider's ``rqe_score``;
-the full ``rqe`` (score plus embedding) runs only for the at most N pairs
-that are kept, so an embedding is never built for a discarded pair.
+Ranking the corpus reads scores only, through one call of the provider's
+``rqe_scores`` per query, which returns the query's ``rqe_score`` against
+every corpus question at once (a vector provider computes them as one sparse
+product over the whole corpus). The full ``rqe`` (score plus embedding) runs
+only for the at most N pairs that are kept, so an embedding is never built
+for a discarded pair.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ class EntailmentIndex:
             raise SchemaError("cannot build a retrieval index over an empty corpus")
         self.pairs = list(pairs)
         self.provider = provider
+        self._questions = tuple(pair.question_text for pair in self.pairs)
 
     def _score(self, query: str, pair: QAPair, config: RetrievalConfig) -> RqeResult:
         """Score and embedding of one pair; called only for kept pairs."""
@@ -68,19 +72,16 @@ class EntailmentIndex:
 
     def scores(self, query: str, config: RetrievalConfig) -> np.ndarray:
         """Score-only RQE of the query against every pair, in corpus order."""
-        rqe_score = self.provider.rqe_score
-        return np.array(
-            [rqe_score(*_oriented(query, pair, config)) for pair in self.pairs]
-        )
-
+        scores = self.provider.rqe_scores(query, self._questions, config.swap_direction)
+        return np.asarray(scores, dtype=np.float64)
 
 
 def _select(scores: np.ndarray, config: RetrievalConfig, fallback: bool) -> list[int]:
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    kept = [i for i in order if scores[i] >= config.T][: config.N]
-    if not kept and fallback:
-        kept = [order[0]]
-    return kept
+    order = np.argsort(-scores, kind="stable")  # ties keep corpus order
+    kept = order[scores[order] >= config.T][: config.N]
+    if not kept.size and fallback:
+        kept = order[:1]
+    return kept.tolist()
 
 
 def retrieve(

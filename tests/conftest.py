@@ -78,6 +78,10 @@ class StubProvider:
     def rqe_score(self, a, b):
         return self._score(a, b)
 
+    def rqe_scores(self, query, texts, swap=False):
+        pairs = [(t, query) if swap else (query, t) for t in texts]
+        return np.array([self._score(a, b) for a, b in pairs])
+
 
 @pytest.fixture
 def qa_pairs():

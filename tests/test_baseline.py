@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from medrank import baseline as bl
+from medrank.corpus import Dataset
 from medrank.errors import DimensionError, SchemaError
 from medrank.providers import (
     ProviderConfig,
@@ -243,6 +244,74 @@ class TestFeaturePersistence:
         )
         with pytest.raises(SchemaError, match=r"f\.jsonl:1: features"):
             bl.load_features(tmp_path / "f.jsonl")
+
+    @pytest.mark.parametrize("bad", ["[0.5]", "[0.5, 1.0, 2.0]", "[]"])
+    def test_ragged_row_rejected_with_line(self, tmp_path, bad):
+        row = '{{"question_id": "q", "answer_id": "a{}", "features": {}}}'
+        lines = [row.format(1, "[0.5, 1.0]"), "", row.format(2, "[0.0, 2.0]")]
+        lines.append(row.format(3, bad))
+        (tmp_path / "f.jsonl").write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=r"f\.jsonl:4: \d features, but line 1 has 2"):
+            bl.load_features(tmp_path / "f.jsonl")
+
+    def test_nested_features_rejected_with_line(self, tmp_path):
+        (tmp_path / "f.jsonl").write_text(
+            '{"question_id": "q", "answer_id": "a", "features": [[0.5, 1.0]]}\n'
+        )
+        with pytest.raises(SchemaError, match=r"f\.jsonl:1: features must be a list"):
+            bl.load_features(tmp_path / "f.jsonl")
+
+
+class TestTrainCheckpoint:
+    """``train_checkpoint`` needs a label on every feature row."""
+
+    def _rows_and_dataset(self):
+        rng = np.random.default_rng(4)
+        questions, rows = [], []
+        for q in range(4):
+            candidates = [
+                make_candidate(f"q{q}-a{r}", reference_rank=r, reference_score=5 - r)
+                for r in range(1, 5)
+            ]
+            questions.append(make_question(f"q{q}", candidates=candidates))
+            for c in candidates:
+                rows.append(
+                    {
+                        "question_id": f"q{q}",
+                        "answer_id": c.answer_id,
+                        "label": int(c.reference_score >= 3),
+                        "features": rng.standard_normal(3).tolist(),
+                    }
+                )
+        return rows, Dataset(split="train", questions=tuple(questions))
+
+    def _train(self, rows, dataset, path):
+        bl.train_checkpoint(
+            rows, dataset, {"layout": "unused"}, path, ranker="logreg",
+            lr=0.5, steps=5, weight_decay=1e-4, hinge_lr=0.1, hinge_steps=5,
+        )
+
+    def test_unlabeled_rows_rejected_before_fitting(self, tmp_path):
+        rows, dataset = self._rows_and_dataset()
+        for row in rows[2:5]:
+            del row["label"]
+        labeled = [row for row in rows if "label" in row]
+        assert {row["label"] for row in labeled} == {0, 1}
+        self._train(labeled, dataset, tmp_path / "labeled.json")
+        assert (tmp_path / "labeled.json").exists()
+        with pytest.raises(
+            SchemaError,
+            match=r"3 of 16 feature rows have no label \(first: question_id 'q0', "
+            r"answer_id 'q0-a3'\)",
+        ):
+            self._train(rows, dataset, tmp_path / "all.json")
+        assert not (tmp_path / "all.json").exists()
+
+    def test_null_label_counts_as_unlabeled(self, tmp_path):
+        rows, dataset = self._rows_and_dataset()
+        rows[-1]["label"] = None
+        with pytest.raises(SchemaError, match=r"1 of 16 feature rows have no label"):
+            self._train(rows, dataset, tmp_path / "model.json")
 
 
 class TestLogregFilter:

@@ -1043,6 +1043,52 @@ class TestErrorHandling:
         assert f"{features}:3: non-finite" in payload["message"]
         assert not model.exists()
 
+    def _one_error_line(self, capsys):
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        return json.loads(err[0])
+
+    def test_ragged_feature_row_writes_no_checkpoint(self, pipeline_dir, capsys, tmp_path):
+        lines = (pipeline_dir["dir"] / "features_train.jsonl").read_text().splitlines()
+        row = json.loads(lines[3])
+        width = len(row["features"])
+        row["features"].pop()
+        lines[3] = json.dumps(row)
+        features = tmp_path / "features.jsonl"
+        features.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "baseline.json"
+        capsys.readouterr()
+        assert self._train_baseline(pipeline_dir, features, model) == 2
+        payload = self._one_error_line(capsys)
+        assert payload["error"] == "SchemaError"
+        assert (
+            f"{features}:4: {width - 1} features, but line 1 has {width}"
+            in payload["message"]
+        )
+        assert not model.exists()
+
+    def test_unlabeled_rows_write_no_checkpoint(self, pipeline_dir, capsys, tmp_path):
+        rows = [
+            json.loads(line)
+            for line in (pipeline_dir["dir"] / "features_train.jsonl").read_text().splitlines()
+        ]
+        for row in rows[:5]:
+            del row["label"]
+        assert {row["label"] for row in rows[5:]} == {0, 1}
+        features = tmp_path / "features.jsonl"
+        features.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        model = tmp_path / "baseline.json"
+        capsys.readouterr()
+        assert self._train_baseline(pipeline_dir, features, model) == 2
+        payload = self._one_error_line(capsys)
+        assert payload["error"] == "SchemaError"
+        assert (
+            f"5 of {len(rows)} feature rows have no label (first: question_id "
+            f"{rows[0]['question_id']!r}, answer_id {rows[0]['answer_id']!r})"
+            in payload["message"]
+        )
+        assert not model.exists()
+
     def test_non_finite_weights_write_no_checkpoint(
         self, pipeline_dir, capsys, tmp_path, monkeypatch
     ):

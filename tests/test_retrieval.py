@@ -237,3 +237,147 @@ class TestLazyEmbeddings:
         assert [h.pair.pair_id for h in hits] == ["p0"]
         assert hits[0].score == 0.0
         assert provider.embedded == 1
+
+
+# Queries for the batched call: shared terms, a corpus question itself, an
+# all-OOV query, an in-vocabulary query sharing no term with any corpus
+# question, and the empty query.
+BATCH_QUERIES = [
+    "what causes headache pain",
+    "what causes fever at night",
+    "zzz qqq unknown words",
+    "sunburn remedy",
+    "",
+]
+FOREIGN = "sunburn remedy"
+
+
+def _batch_provider(kind, cache):
+    """A real provider able to score every BATCH_QUERIES/K_QUESTIONS pair."""
+    if kind == "tfidf_cosine":
+        model = fit_tfidf(K_QUESTIONS + [FOREIGN], V=60)
+        assert "sunburn" in model.vocabulary
+        return TfidfCosineProvider(
+            ProviderConfig(kind=kind, D=8, seed=1, cache=cache), model
+        )
+    if kind == "toy_hash":
+        return ToyHashProvider(ProviderConfig(kind=kind, D=64, seed=1, cache=cache))
+    rng = np.random.default_rng(11)
+    records = {}
+    for query in BATCH_QUERIES + K_QUESTIONS:
+        for question in K_QUESTIONS:
+            for a, b in ((query, question), (question, query)):
+                key = pair_key(a, b)
+                # Scores outside [0, 1] check that both paths clamp alike.
+                score = float(rng.uniform(-0.2, 1.2))
+                records[key] = {"key": key, "score": score, "embedding": [0.0] * 8}
+    return PrecomputedProvider(
+        ProviderConfig(kind=kind, D=8, path="unused", cache=cache), records
+    )
+
+
+def _scalar_scores(provider, query, texts, swap):
+    if swap:
+        return np.array([provider.rqe_score(t, query) for t in texts])
+    return np.array([provider.rqe_score(query, t) for t in texts])
+
+
+class TestBatchedScores:
+    """``rqe_scores`` returns exactly the scalar ``rqe_score`` floats."""
+
+    @pytest.mark.parametrize("kind", ["tfidf_cosine", "toy_hash", "precomputed"])
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_bit_identical_to_scalar_calls(self, kind, swap, cache):
+        batch = _batch_provider(kind, cache)
+        scalar = _batch_provider(kind, cache)
+        for query in BATCH_QUERIES:
+            fast = batch.rqe_scores(query, K_QUESTIONS, swap)
+            assert fast.dtype == np.float64 and fast.shape == (len(K_QUESTIONS),)
+            # a fresh instance, then the batch instance's own memo-hit path
+            assert fast.tobytes() == _scalar_scores(scalar, query, K_QUESTIONS, swap).tobytes()
+            assert fast.tobytes() == _scalar_scores(batch, query, K_QUESTIONS, swap).tobytes()
+            again = batch.rqe_scores(query, tuple(K_QUESTIONS), swap)
+            assert again.tobytes() == fast.tobytes()
+
+    @pytest.mark.parametrize("kind", ["tfidf_cosine", "toy_hash"])
+    def test_unmatched_queries_score_zero(self, kind):
+        provider = _batch_provider(kind, cache=True)
+        for query in ("zzz qqq unknown words", FOREIGN, ""):
+            scores = provider.rqe_scores(query, K_QUESTIONS)
+            if kind == "tfidf_cosine" or not query:
+                assert not scores.any()
+            assert np.array_equal(scores, _scalar_scores(provider, query, K_QUESTIONS, False))
+
+    @pytest.mark.parametrize("kind", ["tfidf_cosine", "toy_hash"])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_within_1e15_of_dense_dot_oracle(self, kind, swap):
+        provider = _batch_provider(kind, cache=True)
+
+        def cosine(a, b):  # the dense np.dot scores the sparse dot replaced
+            u, v = provider._transform(a), provider._transform(b)
+            if kind == "tfidf_cosine":
+                return min(max(float(np.dot(u, v)), 0.0), 1.0)
+            nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+            if nu == 0.0 or nv == 0.0:
+                return 0.0
+            return min(max(float(np.dot(u, v) / (nu * nv)), 0.0), 1.0)
+
+        for query in BATCH_QUERIES:
+            fast = provider.rqe_scores(query, K_QUESTIONS, swap)
+            oracle = [cosine(t, query) if swap else cosine(query, t) for t in K_QUESTIONS]
+            np.testing.assert_allclose(fast, oracle, rtol=0, atol=1e-15)
+        assert provider.rqe_scores(K_QUESTIONS[3], K_QUESTIONS)[3] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("kind", ["tfidf_cosine", "toy_hash", "precomputed"])
+    @pytest.mark.parametrize("query", BATCH_QUERIES[:2] + [K_QUESTIONS[4]])
+    def test_identical_questions_tie_in_corpus_order(self, kind, query):
+        dup = K_QUESTIONS[4]
+        questions = [dup] + K_QUESTIONS[:4] + K_QUESTIONS[5:] + [dup]
+        pairs = [QAPair(f"p{i}", q, f"answer {i}", "faq") for i, q in enumerate(questions)]
+        index = EntailmentIndex(pairs, _batch_provider(kind, cache=True))
+        config = RetrievalConfig(N=len(pairs), T=0.0)
+        scores = index.scores(query, config)
+        assert scores[0].tobytes() == scores[-1].tobytes()
+        hits = retrieve(index, query, config)
+        order = sorted(range(len(pairs)), key=lambda i: (-scores[i], i))
+        assert [h.pair.pair_id for h in hits] == [f"p{i}" for i in order]
+        ids = [h.pair.pair_id for h in hits]
+        assert ids.index("p0") < ids.index(f"p{len(pairs) - 1}")
+        top = retrieve(index, query, RetrievalConfig(N=1, T=0.0))
+        assert [h.pair.pair_id for h in top] == ids[:1]
+        if query == dup and kind != "precomputed":  # both copies score 1.0
+            assert ids[:2] == ["p0", f"p{len(pairs) - 1}"]
+
+    @pytest.mark.parametrize("kind", ["tfidf_cosine", "toy_hash"])
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_shared_provider_keeps_corpora_apart(self, kind, cache):
+        provider = _batch_provider(kind, cache)
+        corpora = [K_QUESTIONS, K_QUESTIONS[::-1], K_QUESTIONS[2:9], [FOREIGN] + K_QUESTIONS[:3]]
+        indexes = [
+            EntailmentIndex([QAPair(f"p{i}", q, "a", "faq") for i, q in enumerate(c)], provider)
+            for c in corpora
+        ]
+        reference = _batch_provider(kind, cache)
+        for query in BATCH_QUERIES + BATCH_QUERIES[::-1]:
+            for questions, index in zip(corpora, indexes):
+                for swap in (False, True):
+                    got = index.scores(query, RetrievalConfig(swap_direction=swap))
+                    want = _scalar_scores(reference, query, questions, swap)
+                    assert got.tobytes() == want.tobytes()
+        assert len(provider._corpora) == (len(corpora) if cache else 0)
+
+    @pytest.mark.parametrize("kind", ["tfidf_cosine", "toy_hash"])
+    def test_corpus_texts_are_not_memoised_densely(self, kind):
+        provider = _batch_provider(kind, cache=True)
+        provider.rqe_scores(BATCH_QUERIES[0], K_QUESTIONS)
+        provider.rqe_scores(BATCH_QUERIES[1], K_QUESTIONS, swap=True)
+        assert set(provider._vectors) == set(BATCH_QUERIES[:2])
+
+    def test_empty_and_all_oov_corpora(self):
+        for kind in ("tfidf_cosine", "toy_hash", "precomputed"):
+            scores = _batch_provider(kind, cache=True).rqe_scores("q", [])
+            assert scores.dtype == np.float64 and scores.shape == (0,)
+        provider = _batch_provider("tfidf_cosine", cache=True)
+        scores = provider.rqe_scores(BATCH_QUERIES[0], ["zzz", "qqq unknown"])
+        assert scores.dtype == np.float64 and scores.tolist() == [0.0, 0.0]
