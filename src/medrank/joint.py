@@ -10,8 +10,10 @@ batch with loss
 
     L_total = sum_instances( sum_c L_filter(c) + alpha * sum_pairs L_pair )
 
-and at inference the per-instance scores are ensembled: filtering by the
-mean probability at threshold 0.5, ranking by summed pairwise win scores.
+Both heads emit logits, and the loss is binary cross-entropy taken on the
+logits. At inference the sigmoid turns them into probabilities and the
+per-instance scores are ensembled: filtering by the mean probability at
+threshold 0.5, ranking by summed pairwise win probabilities.
 """
 
 from __future__ import annotations
@@ -52,10 +54,9 @@ from .tensornet import (
     ReLU,
     SGD,
     Sequential,
-    Sigmoid,
-    bce_grad,
-    bce_loss,
+    logit_bce,
     read_manifest,
+    sigmoid,
     write_manifest,
 )
 
@@ -81,7 +82,10 @@ class ConvEncoderConfig:
     """Layer stack for the NLI pair-tensor encoder.
 
     ReLU follows every layer except the last; quadrant pooling turns the
-    final feature map into a vector of length 4 x last channels.
+    final feature map into a vector of length 4 x last channels. A layer
+    without batchnorm gets a bias, except the last: both heads start with a
+    bias-free linear layer and a batchnorm, which cancel any constant shift
+    of the encoded rows.
     """
 
     in_channels: int
@@ -143,7 +147,7 @@ class ConvEncoder(Module):
                     spec.stride,
                     spec.padding,
                     rng,
-                    bias=not spec.batchnorm,
+                    bias=not spec.batchnorm and i != last,
                 )
             )
             names.append(f"conv{i + 1}")
@@ -348,7 +352,8 @@ def build_metadata(
 
 @dataclass(frozen=True)
 class HeadConfig:
-    """Linear widths; every hidden layer gets batchnorm + ReLU, output sigmoid."""
+    """Linear widths; every hidden layer gets batchnorm + ReLU, and the last
+    linear layer emits one logit per row."""
 
     widths: tuple[int, ...]
 
@@ -386,8 +391,6 @@ def build_head(config: HeadConfig, rng: np.random.Generator) -> Sequential:
         names.append(f"relu{i + 1}")
     blocks.append(Linear(widths[-2], widths[-1], rng))
     names.append(f"linear{len(widths) - 1}")
-    blocks.append(Sigmoid())
-    names.append("sigmoid")
     return Sequential(blocks, names)
 
 
@@ -644,7 +647,7 @@ def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _head_forward(head: Sequential, matrix: np.ndarray) -> np.ndarray:
-    """Head output per row; in train mode a batch of one falls back to running
+    """Head logit per row; in train mode a batch of one falls back to running
     stats, and the head is left in the mode it was found in."""
     if not head.training or matrix.shape[0] >= 2:
         return head.forward(matrix)[:, 0]
@@ -664,13 +667,14 @@ def question_loss(
     """Forward (and optionally backward) for one question batch.
 
     Returns L_total = sum over instances of the summed filter BCE plus alpha
-    times the summed pairwise BCE over all ordered candidate pairs.
+    times the summed pairwise BCE over all ordered candidate pairs, each
+    taken on the head's logits.
     """
     joint_matrix = _joint_rows(model, prepared.instances)
     cand = np.concatenate([inst.cand_idx for inst in prepared.instances])
-    targets = prepared.labels[cand]
-    filter_probs = _head_forward(model.filter_head, joint_matrix)
-    total = bce_loss(filter_probs, targets, reduction="sum")
+    total, d_filter = logit_bce(
+        _head_forward(model.filter_head, joint_matrix), prepared.labels[cand]
+    )
 
     # Pairs never cross instances: each instance's pairs, shifted to its rows.
     sizes = [len(inst.cand_idx) for inst in prepared.instances]
@@ -682,11 +686,14 @@ def question_loss(
     if len(first):
         row_ranks = np.asarray(prepared.ranks)[cand]
         pair_targets = (row_ranks[first] < row_ranks[second]).astype(np.float64)
-        pair_probs = _head_forward(
-            model.pair_head,
-            np.concatenate([joint_matrix[first], joint_matrix[second]], axis=1),
+        pair_loss, d_pair = logit_bce(
+            _head_forward(
+                model.pair_head,
+                np.concatenate([joint_matrix[first], joint_matrix[second]], axis=1),
+            ),
+            pair_targets,
         )
-        total += alpha * bce_loss(pair_probs, pair_targets, reduction="sum")
+        total += alpha * pair_loss
 
     if not compute_grads:
         model.clear_cache()
@@ -694,8 +701,7 @@ def question_loss(
 
     d_joint = np.zeros_like(joint_matrix)
     if len(first):
-        d_pair = alpha * bce_grad(pair_probs, pair_targets)
-        d_pair_matrix = model.pair_head.backward(d_pair[:, None])
+        d_pair_matrix = model.pair_head.backward(alpha * d_pair[:, None])
         width = joint_matrix.shape[1]
         # Row r of d_pair_matrix is [d first | d second]; the interleaved index
         # adds the halves in pair order, as a loop over the pairs would.
@@ -704,7 +710,6 @@ def question_loss(
             np.stack([first, second], axis=1).ravel(),
             d_pair_matrix.reshape(-1, width),
         )
-    d_filter = bce_grad(filter_probs, targets)
     d_joint += model.filter_head.backward(d_filter[:, None])
 
     model.encoder.backward(d_joint[:, : model.encoder.out_dim])
@@ -829,10 +834,11 @@ def infer(
 ) -> Prediction:
     """Ensemble filtering and ranking over the retrieved entailed answers.
 
-    relevance(i) = [mean_k filter_k(i) >= 0.5]; ranking score
-    s(i) = sum_k sum_{j != i} pair_k(i, j), sorted descending with ties
-    broken by ascending system rank. Runs in eval mode without gradients,
-    then leaves every module's training and gradient flags as it found them.
+    The sigmoid of each head logit is its probability: relevance(i) =
+    [mean_k filter_k(i) >= 0.5]; ranking score s(i) = sum_k sum_{j != i}
+    pair_k(i, j), sorted descending with ties broken by ascending system
+    rank. Runs in eval mode without gradients, then leaves every module's
+    training and gradient flags as it found them.
     """
     flags = [(m, m.training, m.grad_enabled) for m in model.modules()]
     model.eval()
@@ -860,11 +866,13 @@ def infer(
         pair_sum = np.zeros((n, n))
         for start in range(0, len(rows), n):
             joints = rows[start : start + n]
-            filter_sum += _head_forward(model.filter_head, joints)
+            filter_sum += sigmoid(_head_forward(model.filter_head, joints))
             if n > 1:
-                pair_sum[first, second] += _head_forward(
-                    model.pair_head,
-                    np.concatenate([joints[first], joints[second]], axis=1),
+                pair_sum[first, second] += sigmoid(
+                    _head_forward(
+                        model.pair_head,
+                        np.concatenate([joints[first], joints[second]], axis=1),
+                    )
                 )
         mean_filter = filter_sum / len(hits)
         scores = pair_sum.sum(axis=1)

@@ -140,6 +140,7 @@ def load_tfidf(path: str | Path) -> TfidfModel:
 
 
 def _check_probs(probs: np.ndarray) -> np.ndarray:
+    """``probs`` if it is a valid (entailment, neutral, contradiction) vector."""
     if probs.shape != (3,):
         raise DimensionError("NLI probs must be a 3-vector")
     if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-9:
@@ -149,13 +150,14 @@ def _check_probs(probs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NliResult:
-    """(entailment, neutral, contradiction) probabilities plus an embedding."""
+    """(entailment, neutral, contradiction) probabilities plus an embedding.
+
+    Not validated here: the providers build the probabilities valid, and
+    ``PrecomputedProvider`` checks the ones it reads from its records.
+    """
 
     probs: np.ndarray
     embedding: np.ndarray
-
-    def __post_init__(self):
-        _check_probs(self.probs)
 
     @property
     def entailment(self) -> float:
@@ -506,7 +508,7 @@ class PrecomputedProvider(_Provider):
     def nli(self, sentence_a: str, sentence_b: str) -> NliResult:
         record = self._lookup(sentence_a, sentence_b)
         if record is not None and record.get("probs") is not None:
-            probs = np.asarray(record["probs"], dtype=np.float64)
+            probs = _check_probs(np.asarray(record["probs"], dtype=np.float64))
             embedding = np.asarray(record["embedding"], dtype=np.float64)
             return NliResult(probs=_frozen(probs), embedding=_frozen(embedding))
         return super().nli(sentence_a, sentence_b)

@@ -6,11 +6,11 @@ before the matching backward passes, which must then run in reverse order
 (last forward, first backward). Call ``eval()``/``enable_grad(False)`` for
 inference so no caches accumulate.
 
-Included: linear, ReLU, sigmoid, batch normalization (1d over a batch, 2d
-over the spatial positions of each feature map), 2-D convolution
-(cross-correlation convention; im2col matmul forward, col2im scatter
-backward), quadrant average pooling, binary cross-entropy, SGD/Adam, and a
-JSON checkpoint manifest.
+Included: linear, ReLU, batch normalization (1d over a batch, 2d over the
+spatial positions of each feature map), 2-D convolution (cross-correlation
+convention; im2col matmul forward, col2im scatter backward), quadrant
+average pooling, the sigmoid function, binary cross-entropy on logits,
+SGD/Adam, and a JSON checkpoint manifest.
 
 The convolutional layers (``Conv2d``, ``BatchNorm2d``, ``ReLU``,
 ``QuadrantPool``) take a stack of same-shape maps, (B, C, H, W), and treat
@@ -27,8 +27,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, SchemaError
-
-BCE_CLAMP = 1e-12
 
 
 class Tensor:
@@ -207,17 +205,6 @@ class ReLU(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         mask = self._pop()
         return grad_out * mask
-
-
-class Sigmoid(Module):
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = sigmoid(x)
-        self._push(out)
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        out = self._pop()
-        return grad_out * out * (1.0 - out)
 
 
 class _BatchNormBase(Module):
@@ -533,31 +520,22 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def bce_loss(pred, target, reduction: str = "sum") -> float:
-    """Binary cross-entropy -(t ln p + (1-t) ln(1-p)) with p clamped.
+def logit_bce(logits, targets) -> tuple[float, np.ndarray]:
+    """Summed binary cross-entropy of sigmoid(logits) against the targets, and
+    its gradient with respect to the logits.
 
-    Predictions are clamped to [1e-12, 1 - 1e-12]. ``reduction`` is "sum",
-    "mean", or "none".
+    The loss is softplus(z) - t z, which equals -(t ln p + (1-t) ln(1-p)) at
+    p = sigmoid(z), and the gradient is sigmoid(z) - t, so both stay finite
+    and a saturated wrong logit still gets a gradient of full size.
     """
-    p = np.clip(np.asarray(pred, dtype=np.float64), BCE_CLAMP, 1.0 - BCE_CLAMP)
-    t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise DimensionError(f"bce shapes differ: {p.shape} vs {t.shape}")
-    losses = -(t * np.log(p) + (1.0 - t) * np.log1p(-p))
-    if reduction == "sum":
-        return float(losses.sum())
-    if reduction == "mean":
-        return float(losses.mean())
-    if reduction == "none":
-        return losses
-    raise ValueError(f"unknown reduction {reduction!r}")
-
-
-def bce_grad(pred, target) -> np.ndarray:
-    """Elementwise d/dp of the summed binary cross-entropy."""
-    p = np.clip(np.asarray(pred, dtype=np.float64), BCE_CLAMP, 1.0 - BCE_CLAMP)
-    t = np.asarray(target, dtype=np.float64)
-    return -(t / p) + (1.0 - t) / (1.0 - p)
+    z = np.asarray(logits, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    if z.shape != t.shape:
+        raise DimensionError(f"bce shapes differ: {z.shape} vs {t.shape}")
+    # softplus(z) = max(z, 0) + log(1 + e^-|z|); unlike np.logaddexp it passes
+    # a NaN logit through without a warning, for the trainer to report.
+    softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    return float((softplus - t * z).sum()), sigmoid(z) - t
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +560,9 @@ class _Optimizer:
     same order as the unblocked formula, so results are bit-identical.
     """
 
-    def __init__(self, params: Sequence[Tensor], lr: float, weight_decay: float):
+    def __init__(self, params: Sequence[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.weight_decay = weight_decay
         size = min(SWEEP_BLOCK, max((p.data.size for p in self.params), default=0))
         self._scratch = (np.empty(size), np.empty(size))
 
@@ -596,10 +573,8 @@ class _Optimizer:
     def _sweep(self, p: Tensor, states: Sequence[np.ndarray], update: Callable) -> None:
         """Call ``update(param, grad, states, a, b)`` on each flat block of ``p``.
 
-        ``grad`` already includes the weight decay term (held in scratch
-        ``a``, so ``update`` may overwrite ``a`` once it has read ``grad``);
-        ``b`` is free scratch. ``states`` are C-ordered arrays shaped like
-        ``p.data``.
+        ``a`` and ``b`` are free scratch blocks. ``states`` are C-ordered
+        arrays shaped like ``p.data``.
         """
         flat = p.data.reshape(-1)
         grad = np.ascontiguousarray(p.grad, dtype=np.float64).reshape(-1)
@@ -609,45 +584,22 @@ class _Optimizer:
             block = slice(start, start + SWEEP_BLOCK)
             pb = flat[block]
             a, b = scratch_a[: pb.size], scratch_b[: pb.size]
-            gb = grad[block]
-            if self.weight_decay:
-                np.multiply(pb, self.weight_decay, out=a)
-                a += gb
-                gb = a
-            update(pb, gb, [s[block] for s in flat_states], a, b)
+            update(pb, grad[block], [s[block] for s in flat_states], a, b)
 
 
 class SGD(_Optimizer):
-    """Plain gradient descent with optional momentum and L2 weight decay."""
-
-    def __init__(
-        self,
-        params: Sequence[Tensor],
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params, lr, weight_decay)
-        self.momentum = momentum
-        self._velocity = (
-            [np.zeros(p.data.shape) for p in self.params] if momentum else None
-        )
+    """Plain gradient descent: p -= lr g."""
 
     def step(self) -> None:
-        lr, momentum = self.lr, self.momentum
+        lr = self.lr
 
         def update(p, g, states, a, b):
-            if momentum:
-                (v,) = states
-                v *= momentum
-                v += g
-                g = v
             np.multiply(g, lr, out=b)
             p -= b
 
-        for i, p in enumerate(self.params):
+        for p in self.params:
             if p.grad is not None:
-                self._sweep(p, [self._velocity[i]] if momentum else [], update)
+                self._sweep(p, [], update)
 
 
 class Adam(_Optimizer):
@@ -664,9 +616,8 @@ class Adam(_Optimizer):
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ):
-        super().__init__(params, lr, weight_decay)
+        super().__init__(params, lr)
         self.betas = betas
         self.eps = eps
         self._m = [np.zeros(p.data.shape) for p in self.params]
@@ -688,7 +639,7 @@ class Adam(_Optimizer):
             np.multiply(g, 1.0 - b2, out=b)
             b *= g
             v += b
-            np.divide(v, bc2, out=a)  # g is dead from here on
+            np.divide(v, bc2, out=a)
             np.sqrt(a, out=a)
             a += eps
             np.divide(m, bc1, out=b)

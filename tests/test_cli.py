@@ -13,7 +13,7 @@ from medrank.corpus import load_dataset
 from medrank.evalkit import load_predictions
 from medrank.providers import load_tfidf, tokenize
 from medrank.retrieval import EntailmentIndex
-from medrank.tensornet import Sigmoid
+from medrank.tensornet import Linear
 
 
 @pytest.fixture(scope="module")
@@ -977,12 +977,14 @@ class TestErrorHandling:
     def test_non_finite_loss_writes_no_checkpoint(
         self, pipeline_dir, capsys, tmp_path, monkeypatch
     ):
-        def nan_forward(self, x):
-            out = np.full_like(x, np.nan)
-            self._push(out)
-            return out
+        linear_forward = Linear.forward
 
-        monkeypatch.setattr(Sigmoid, "forward", nan_forward)
+        def nan_forward(self, x):
+            # Only the heads' last Linear emits one logit per row.
+            out = linear_forward(self, x)
+            return np.full_like(out, np.nan) if self.out_dim == 1 else out
+
+        monkeypatch.setattr(Linear, "forward", nan_forward)
         model = tmp_path / "joint.json"
         capsys.readouterr()
         code = main(

@@ -37,7 +37,7 @@ from medrank.joint import ConvEncoder
 from medrank.providers import ProviderConfig, TfidfCosineProvider, fit_tfidf, tfidf_transform
 from medrank.retrieval import EntailmentIndex, RetrievalConfig, retrieve
 from medrank.synth import SynthConfig, generate
-from medrank.tensornet import Module, bce_grad, bce_loss, conv_out_dim
+from medrank.tensornet import Linear, Module, conv_out_dim, logit_bce, sigmoid
 
 from conftest import StubProvider, make_candidate, make_question, pending
 
@@ -597,14 +597,44 @@ class TestCheckpoint:
 
 
 class TestHeads:
-    def test_head_outputs_probabilities(self):
+    def test_head_ends_in_its_logit_layer(self):
         rng = np.random.default_rng(0)
         head = build_head(HeadConfig.scaled_filter(48), rng)
         head.eval()
         head.enable_grad(False)
-        out = head.forward(rng.standard_normal((5, 48)))
+        x = rng.standard_normal((5, 48))
+        out = head.forward(x)
         assert out.shape == (5, 1)
-        assert np.all((out > 0) & (out < 1))
+        assert head.names[-1] == "linear3" and isinstance(head.layers[-1], Linear)
+        hidden = x
+        for layer in head.layers[:-1]:
+            hidden = layer.forward(hidden)
+        np.testing.assert_array_equal(out, head.layers[-1].forward(hidden))
+
+    def test_saturated_wrong_logit_still_moves_linear1(self):
+        # Every logit sits at or below -40 with target 1: the loss gradient of
+        # each is -1, so linear1 gets what a seed of -1 per row gives it.
+        rng = np.random.default_rng(4)
+        head = build_head(HeadConfig.scaled_filter(48), rng)
+        x = rng.standard_normal((4, 48))
+        head.enable_grad(False)
+        head.layers[-1].bias.data -= 40.0 + head.forward(x).max()
+        head.enable_grad(True)
+        grads = []
+        for seed in ("loss", "minus_one"):
+            head.zero_grad()
+            logits = head.forward(x)[:, 0]
+            assert logits.max() <= -40.0
+            loss, d_logits = logit_bce(logits, np.ones(4))
+            if seed == "loss":
+                assert loss >= 160.0
+                np.testing.assert_allclose(d_logits, -1.0, rtol=0, atol=1e-12)
+            else:
+                d_logits = -np.ones(4)
+            head.backward(d_logits[:, None])
+            grads.append(head.layers[0].weight.grad.copy())
+        assert np.abs(grads[1]).max() > 1e-2
+        np.testing.assert_allclose(grads[0], grads[1], rtol=1e-9, atol=1e-15)
 
     def test_eval_determinism(self):
         rng = np.random.default_rng(0)
@@ -654,10 +684,10 @@ def oracle_question_loss(model, prepared, alpha, compute_grads=True):
             row_of.append((k, g))
     joint_matrix = np.stack(joints)
     targets = np.asarray(filter_targets, dtype=np.float64)
-    filter_probs = _oracle_head_forward(
+    filter_logits = _oracle_head_forward(
         model.filter_head, joint_matrix, model.training
     )[:, 0]
-    total = bce_loss(filter_probs, targets, reduction="sum")
+    total, d_filter = logit_bce(filter_logits, targets)
 
     pair_rows = []
     pair_targets = []
@@ -671,16 +701,15 @@ def oracle_question_loss(model, prepared, alpha, compute_grads=True):
                 pair_targets.append(
                     1.0 if prepared.ranks[gi] < prepared.ranks[gj] else 0.0
                 )
-    pair_probs = None
     if pair_rows:
         pair_matrix = np.stack(
             [np.concatenate([joint_matrix[i], joint_matrix[j]]) for i, j in pair_rows]
         )
-        pair_probs = _oracle_head_forward(
+        pair_logits = _oracle_head_forward(
             model.pair_head, pair_matrix, model.training
         )[:, 0]
-        pair_target_arr = np.asarray(pair_targets, dtype=np.float64)
-        total += alpha * bce_loss(pair_probs, pair_target_arr, reduction="sum")
+        pair_loss, d_pair = logit_bce(pair_logits, np.asarray(pair_targets, dtype=np.float64))
+        total += alpha * pair_loss
 
     if not compute_grads:
         model.clear_cache()
@@ -688,13 +717,11 @@ def oracle_question_loss(model, prepared, alpha, compute_grads=True):
 
     d_joint = np.zeros_like(joint_matrix)
     if pair_rows:
-        d_pair = alpha * bce_grad(pair_probs, pair_target_arr)
-        d_pair_matrix = model.pair_head.backward(d_pair[:, None])
+        d_pair_matrix = model.pair_head.backward(alpha * d_pair[:, None])
         width = joint_matrix.shape[1]
         for r, (i, j) in enumerate(pair_rows):
             d_joint[i] += d_pair_matrix[r, :width]
             d_joint[j] += d_pair_matrix[r, width:]
-    d_filter = bce_grad(filter_probs, targets)
     d_joint += model.filter_head.backward(d_filter[:, None])
     model.encoder.backward(d_joint[:, : model.encoder.out_dim])
     return total
@@ -727,7 +754,7 @@ def oracle_infer(model, question, index, provider, config):
                 for i in range(n)
             ]
         )
-        filter_sum += model.filter_head.forward(joints)[:, 0]
+        filter_sum += sigmoid(model.filter_head.forward(joints)[:, 0])
         if n > 1:
             rows = []
             coords = []
@@ -736,7 +763,7 @@ def oracle_infer(model, question, index, provider, config):
                     if i != j:
                         rows.append(np.concatenate([joints[i], joints[j]]))
                         coords.append((i, j))
-            probs = model.pair_head.forward(np.stack(rows))[:, 0]
+            probs = sigmoid(model.pair_head.forward(np.stack(rows))[:, 0])
             for (i, j), p in zip(coords, probs):
                 pair_sum[i, j] += p
     mean_filter = filter_sum / len(hits)

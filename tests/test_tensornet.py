@@ -22,12 +22,10 @@ from medrank.tensornet import (
     SGD,
     SWEEP_BLOCK,
     Sequential,
-    Sigmoid,
     Tensor,
-    bce_grad,
-    bce_loss,
     conv_out_dim,
     he_uniform,
+    logit_bce,
     read_manifest,
     sigmoid,
     write_manifest,
@@ -93,37 +91,56 @@ def windowed_conv2d_backward(padded, x_shape, grad_out, weight, stride, padding)
 
 class TestBceLoss:
     def test_symmetric_point(self):
-        assert bce_loss(np.array([0.5]), np.array([1.0])) == pytest.approx(
-            math.log(2), abs=1e-12
-        )
+        loss, grad = logit_bce(np.zeros(2), np.array([1.0, 0.0]))
+        assert loss == 2 * math.log(2)
+        np.testing.assert_array_equal(grad, [-0.5, 0.5])
 
     def test_perfect_prediction_is_small(self):
-        assert bce_loss(np.array([1.0]), np.array([1.0])) == pytest.approx(
-            0.0, abs=1e-9
-        )
+        loss, _ = logit_bce(np.array([40.0]), np.array([1.0]))
+        assert loss == pytest.approx(0.0, abs=1e-9)
 
-    def test_clamping_keeps_loss_finite(self):
-        assert math.isfinite(bce_loss(np.array([0.0]), np.array([1.0])))
+    def test_saturated_logits_keep_loss_and_gradient(self):
+        # Wrong-side logits cost |z| and pull with gradient -+1; right-side
+        # ones cost and pull (almost) nothing.
+        z = np.array([-40.0, 40.0, -40.0, 40.0])
+        t = np.array([1.0, 0.0, 0.0, 1.0])
+        for i, want in enumerate((40.0, 40.0, 0.0, 0.0)):
+            loss, _ = logit_bce(z[i : i + 1], t[i : i + 1])
+            assert loss == pytest.approx(want, rel=1e-12, abs=1e-12)
+        loss, grad = logit_bce(z, t)
+        assert math.isfinite(loss) and np.isfinite(grad).all()
+        np.testing.assert_allclose(grad, [-1.0, 1.0, 0.0, 0.0], rtol=0, atol=1e-12)
+        huge, huge_grad = logit_bce(np.array([-1e4, 1e4]), np.array([1.0, 0.0]))
+        assert huge == 2e4
+        np.testing.assert_array_equal(huge_grad, [-1.0, 1.0])
 
-    def test_reductions(self):
-        pred = np.array([0.5, 0.5])
-        target = np.array([1.0, 0.0])
-        assert bce_loss(pred, target, "sum") == pytest.approx(2 * math.log(2))
-        assert bce_loss(pred, target, "mean") == pytest.approx(math.log(2))
+    def test_matches_probability_form(self):
+        rng = np.random.default_rng(1)
+        z = rng.uniform(-6.0, 6.0, size=9)
+        t = rng.integers(0, 2, size=9).astype(float)
+        p = sigmoid(z)
+        loss, grad = logit_bce(z, t)
+        want = -(t * np.log(p) + (1.0 - t) * np.log1p(-p)).sum()
+        assert loss == pytest.approx(want, rel=1e-12)
+        np.testing.assert_allclose(grad, p - t, rtol=0, atol=1e-15)
 
     def test_grad_matches_finite_difference(self):
         rng = np.random.default_rng(0)
-        pred = rng.uniform(0.05, 0.95, size=7)
+        z = rng.uniform(-4.0, 4.0, size=7)
         target = rng.integers(0, 2, size=7).astype(float)
-        grad = bce_grad(pred, target)
-        eps = 1e-7
+        _, grad = logit_bce(z, target)
+        eps = 1e-6
         for i in range(7):
-            bumped = pred.copy()
+            bumped = z.copy()
             bumped[i] += eps
-            dipped = pred.copy()
+            dipped = z.copy()
             dipped[i] -= eps
-            numeric = (bce_loss(bumped, target) - bce_loss(dipped, target)) / (2 * eps)
+            numeric = (logit_bce(bumped, target)[0] - logit_bce(dipped, target)[0]) / (2 * eps)
             assert grad[i] == pytest.approx(numeric, rel=1e-5)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            logit_bce(np.zeros(2), np.zeros(3))
 
 
 class TestActivations:
@@ -712,16 +729,15 @@ class TestGroupedEncoderOracle:
 
 
 class TestSequentialComposite:
-    def test_linear_sigmoid_bce_gradient(self):
+    def test_linear_logit_bce_gradient(self):
         rng = np.random.default_rng(8)
-        net = Sequential([Linear(4, 1, rng), Sigmoid()])
+        net = Sequential([Linear(4, 1, rng)])
         x = rng.standard_normal((5, 4))
         t = rng.integers(0, 2, size=5).astype(float)
         net.zero_grad()
-        probs = net.forward(x)[:, 0]
-        net.backward(bce_grad(probs, t)[:, None])
+        net.backward(logit_bce(net.forward(x)[:, 0], t)[1][:, None])
         net.enable_grad(False)
-        err = grad_check(lambda: bce_loss(net.forward(x)[:, 0], t), net.params())
+        err = grad_check(lambda: logit_bce(net.forward(x)[:, 0], t)[0], net.params())
         assert err <= 1e-4
 
     def test_lifo_interleaved_forwards(self):
@@ -792,32 +808,18 @@ class TestOptimizers:
             opt.step()
         assert abs(w.data[0]) < 1e-2
 
-    def test_weight_decay(self):
-        w = Tensor(np.array([1.0]))
-        w.grad = np.array([0.0])
-        SGD([w], lr=0.1, weight_decay=0.5).step()
-        assert w.data[0] == pytest.approx(1.0 - 0.1 * 0.5)
 
-
-def reference_sgd(data, grads, lr, momentum, weight_decay):
-    """The unblocked SGD formulas: oracle for the in-place sweep."""
+def reference_sgd(data, grads, lr):
+    """The unblocked SGD formula: oracle for the in-place sweep."""
     data = [d.copy() for d in data]
-    velocity = [np.zeros_like(d) for d in data]
     for step_grads in grads:
-        for p, v, g in zip(data, velocity, step_grads):
-            if g is None:
-                continue
-            if weight_decay:
-                g = g + weight_decay * p
-            if momentum:
-                v *= momentum
-                v += g
-                g = v
-            p -= lr * g
+        for p, g in zip(data, step_grads):
+            if g is not None:
+                p -= lr * g
     return data
 
 
-def reference_adam(data, grads, lr, betas, eps, weight_decay):
+def reference_adam(data, grads, lr, betas, eps):
     """The unblocked Adam formulas: oracle for the in-place sweep."""
     data = [d.copy() for d in data]
     ms = [np.zeros_like(d) for d in data]
@@ -827,8 +829,6 @@ def reference_adam(data, grads, lr, betas, eps, weight_decay):
         for p, m, v, g in zip(data, ms, vs, step_grads):
             if g is None:
                 continue
-            if weight_decay:
-                g = g + weight_decay * p
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
@@ -868,27 +868,19 @@ class TestInPlaceOptimizers:
             optimizer.step()
         return [t.data for t in tensors]
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_adam_matches_reference(self, weight_decay):
+    def test_adam_matches_reference(self):
         data, grads = self._problem()
-        got = self._run(Adam, data, grads, lr=0.01, weight_decay=weight_decay)
-        want = reference_adam(data, grads, 0.01, (0.9, 0.999), 1e-8, weight_decay)
+        got = self._run(Adam, data, grads, lr=0.01)
+        want = reference_adam(data, grads, 0.01, (0.9, 0.999), 1e-8)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
-    @pytest.mark.parametrize("momentum", [0.0, 0.9])
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_sgd_matches_reference(self, momentum, weight_decay):
+    def test_sgd_matches_reference(self):
         data, grads = self._problem(seed=1)
-        got = self._run(
-            SGD, data, grads, lr=0.1, momentum=momentum, weight_decay=weight_decay
-        )
-        want = reference_sgd(data, grads, 0.1, momentum, weight_decay)
+        got = self._run(SGD, data, grads, lr=0.1)
+        want = reference_sgd(data, grads, 0.1)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
-
-    def test_sgd_without_momentum_keeps_no_velocity(self):
-        assert SGD([Tensor(np.ones(3))], lr=0.1)._velocity is None
 
     def test_zero_grad_reuses_buffer(self):
         w = Tensor(np.ones((2, 3)))
@@ -902,7 +894,7 @@ class TestInPlaceOptimizers:
     @pytest.mark.parametrize("optimizer_cls", [Adam, SGD])
     def test_step_allocates_no_weight_sized_temporary(self, optimizer_cls):
         w = Tensor(np.full(2**21, 0.5))
-        optimizer = optimizer_cls([w], lr=1e-3, weight_decay=0.01)
+        optimizer = optimizer_cls([w], lr=1e-3)
         optimizer.zero_grad()
         optimizer.step()
         tracemalloc.start()
