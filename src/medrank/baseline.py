@@ -49,8 +49,9 @@ def anli(
 
     anli = sum_S max_P NLI(S, P) / |S| where S ranges over the candidate
     answer's sentences and P over the entailed answer's. An empty entailed
-    list scores 0. Only the entailment probability is read, so the provider's
-    score-only ``nli_entailment`` is used and no embedding is built.
+    list scores 0. Only the entailment scores are read, so each candidate
+    sentence goes through one score-only ``nli_scores`` call against every
+    entailed sentence and no embedding is built.
     """
     if not candidate_sentences:
         raise SchemaError("anli needs at least one candidate sentence")
@@ -58,7 +59,7 @@ def anli(
         return 0.0
     total = 0.0
     for s in candidate_sentences:
-        total += max(nli_provider.nli_entailment(s, p) for p in entailed_sentences)
+        total += float(nli_provider.nli_scores(s, entailed_sentences).max())
     return total / len(candidate_sentences)
 
 

@@ -105,7 +105,9 @@ def cmd_ingest(config: RunConfig, args) -> int:
 
 def cmd_fit_tfidf(config: RunConfig, args) -> int:
     pairs = load_qa_corpus(args.corpus)
-    vocab_size = args.vocab_size or config.metadata_vocab_size()
+    vocab_size = (
+        config.metadata_vocab_size() if args.vocab_size is None else args.vocab_size
+    )
     model = fit_tfidf([p.answer_text for p in pairs], V=vocab_size)
     save_tfidf(model, args.out)
     print(f"fitted tf-idf on {len(pairs)} documents, |vocab|={len(model.vocabulary)}")
@@ -167,6 +169,15 @@ def cmd_train_baseline(config: RunConfig, args) -> int:
 
 
 def cmd_train_joint(config: RunConfig, args) -> int:
+    train_config = TrainConfig(
+        alpha=config.train.alpha,
+        epochs=config.train.epochs if args.epochs is None else args.epochs,
+        lr=config.train.lr,
+        optimizer=config.train.optimizer,
+        seed=config.train.seed,
+        augmentation=config.train.augmentation,
+        retrieval=config.retrieval_config(),
+    )
     dataset = load_dataset(args.dataset, "train")
     pairs = load_qa_corpus(args.corpus)
     provider, provider_tfidf = fit_provider(config.provider_config(), pairs)
@@ -194,15 +205,6 @@ def cmd_train_joint(config: RunConfig, args) -> int:
     else:
         filter_config = HeadConfig.default_filter(joint_dim)
         pair_config = HeadConfig.default_pair(2 * joint_dim)
-    train_config = TrainConfig(
-        alpha=config.train.alpha,
-        epochs=args.epochs or config.train.epochs,
-        lr=config.train.lr,
-        optimizer=config.train.optimizer,
-        seed=config.train.seed,
-        augmentation=config.train.augmentation,
-        retrieval=config.retrieval_config(),
-    )
     model = build_joint_model(
         layout,
         metadata_tfidf,

@@ -41,6 +41,8 @@ class CandidateAnswer:
     def __post_init__(self):
         if not self.answer_id:
             raise SchemaError("answer_id must be non-empty")
+        if not self.text.strip():
+            raise SchemaError(f"answer {self.answer_id!r}: blank text")
         if not isinstance(self.system_rank, int) or self.system_rank < 1:
             raise SchemaError(
                 f"answer {self.answer_id!r}: system_rank must be a positive integer"
@@ -102,10 +104,10 @@ class QAPair:
     def __post_init__(self):
         if not self.pair_id:
             raise SchemaError("pair_id must be non-empty")
-        if not self.question_text:
-            raise SchemaError(f"pair {self.pair_id!r}: empty question_text")
-        if not self.answer_text:
-            raise SchemaError(f"pair {self.pair_id!r}: empty answer_text")
+        if not self.question_text.strip():
+            raise SchemaError(f"pair {self.pair_id!r}: blank question_text")
+        if not self.answer_text.strip():
+            raise SchemaError(f"pair {self.pair_id!r}: blank answer_text")
 
 
 @dataclass(frozen=True)

@@ -412,6 +412,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.alpha < 0:
             raise SchemaError("alpha must be >= 0")
+        if self.epochs < 1:
+            raise SchemaError(f"epochs must be >= 1, got {self.epochs}")
+        if not self.lr > 0:
+            raise SchemaError(f"lr must be > 0, got {self.lr}")
         if self.optimizer not in ("adam", "sgd"):
             raise SchemaError(f"unknown optimizer {self.optimizer!r}")
 
@@ -511,11 +515,8 @@ class EntailedInstance:
 
 
 def instance_from_retrieved(candidate: EntailedCandidate) -> EntailedInstance:
-    sentences = tuple(split_sentences(candidate.pair.answer_text))
-    if not sentences:
-        sentences = (candidate.pair.answer_text,)
     return EntailedInstance(
-        sentences=sentences,
+        sentences=tuple(split_sentences(candidate.pair.answer_text)),
         source=candidate.pair.source,
         score=candidate.score,
         rqe_embedding=candidate.embedding,
@@ -545,11 +546,10 @@ def augment_training(
         )
         if not lower:
             continue
-        sentences = tuple(split_sentences(anchor.text)) or (anchor.text,)
         out.append(
             (
                 EntailedInstance(
-                    sentences=sentences,
+                    sentences=tuple(split_sentences(anchor.text)),
                     source=anchor.source,
                     score=1.0,
                     rqe_embedding=self_embedding,
@@ -619,11 +619,7 @@ def _prepare_instance(
 
 
 def _candidate_sentences(question: QuestionRecord) -> list[tuple[str, ...]]:
-    out = []
-    for candidate in question.candidates:
-        sentences = tuple(split_sentences(candidate.text))
-        out.append(sentences if sentences else (candidate.text,))
-    return out
+    return [tuple(split_sentences(candidate.text)) for candidate in question.candidates]
 
 
 def _joint_rows(model: JointModel, instances: list[_PreparedInstance]) -> np.ndarray:

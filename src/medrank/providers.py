@@ -5,23 +5,23 @@ Three provider kinds are available, all deterministic under a fixed seed:
 * ``toy_hash`` — seeded feature hashing of word unigrams and bigrams into D
   buckets; cosine of bucket vectors gives the scores, a seeded random
   projection of the bucket-vector difference gives the embeddings.
-* ``tfidf_cosine`` — cosine similarity of TF-IDF vectors; a cosine s maps to
-  NLI probabilities (s, (1-s)/2, (1-s)/2); embeddings are a seeded random
-  projection of the concatenated pair of TF-IDF vectors.
+* ``tfidf_cosine`` — cosine similarity of TF-IDF vectors gives both the NLI
+  and the RQE score; embeddings are a seeded random projection of the
+  concatenated pair of TF-IDF vectors.
 * ``precomputed`` — score/embedding lookup from a JSONL file keyed by the
   SHA-256 of the sentence pair.
 
-Every provider answers five calls: ``nli``/``rqe`` (score plus embedding),
-the score-only ``nli_entailment``/``rqe_score``, which return the same float
-without building an embedding, and ``rqe_scores``, which scores one query
-against many texts and returns exactly the ``rqe_score`` floats. Retrieval
+Every provider answers four calls: ``nli``/``rqe``, which return a
+``PairResult`` (the score plus a D-wide embedding), and the score-only
+``nli_scores``/``rqe_scores``, which score one text against many and return
+exactly the ``PairResult`` scores without building an embedding. Retrieval
 ranks the corpus through ``rqe_scores`` and ANLI scores sentences through
-``nli_entailment``, so the D-wide projection runs only for the pairs whose
+``nli_scores``, so the D-wide projection runs only for the pairs whose
 embedding is read.
 
-``toy_hash`` and ``tfidf_cosine`` score a pair by one ordered sparse dot
-(see ``_VectorProvider``), which ``rqe_scores`` computes for a whole corpus
-in one gather-multiply-bincount over a CSR block of the corpus texts.
+``toy_hash`` and ``tfidf_cosine`` score every pair by one ordered sparse dot
+(see ``_VectorProvider``): one gather-multiply-bincount over a CSR block of
+the texts, one text for a single pair and a whole corpus for a batch.
 
 The hand-rolled vectorizer (rather than an off-the-shelf one) pins the exact
 vocabulary-selection rule: top-V terms by document frequency with
@@ -44,8 +44,6 @@ import numpy as np
 from .errors import DimensionError, MedrankError, SchemaError
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-
-NLI_LABELS = ("entailment", "neutral", "contradiction")
 
 
 def tokenize(text: str) -> list[str]:
@@ -139,41 +137,13 @@ def load_tfidf(path: str | Path) -> TfidfModel:
 # ---------------------------------------------------------------------------
 
 
-def _check_probs(probs: np.ndarray) -> np.ndarray:
-    """``probs`` if it is a valid (entailment, neutral, contradiction) vector."""
-    if probs.shape != (3,):
-        raise DimensionError("NLI probs must be a 3-vector")
-    if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-9:
-        raise SchemaError("NLI probs must be non-negative and sum to 1")
-    return probs
-
-
 @dataclass(frozen=True)
-class NliResult:
-    """(entailment, neutral, contradiction) probabilities plus an embedding.
-
-    Not validated here: the providers build the probabilities valid, and
-    ``PrecomputedProvider`` checks the ones it reads from its records.
-    """
-
-    probs: np.ndarray
-    embedding: np.ndarray
-
-    @property
-    def entailment(self) -> float:
-        return float(self.probs[0])
-
-
-@dataclass(frozen=True)
-class RqeResult:
-    """Question-entailment confidence in [0, 1] plus an embedding."""
+class PairResult:
+    """A pair's score in [0, 1] (the NLI entailment probability or the RQE
+    confidence) plus its D-wide embedding, read-only."""
 
     score: float
     embedding: np.ndarray
-
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise SchemaError(f"RQE score must be in [0, 1], got {self.score}")
 
 
 @dataclass(frozen=True)
@@ -204,70 +174,46 @@ def _clamp(score: float) -> float:
     return min(max(score, 0.0), 1.0)
 
 
-def _probs_from_score(score: float) -> np.ndarray:
-    score = _clamp(score)
-    return np.array([score, (1.0 - score) / 2.0, (1.0 - score) / 2.0])
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
 
 
 class _Provider:
-    """Shared caching and scalar plumbing; subclasses implement _score()
-    (the raw score alone) and _pair() (the raw score and its embedding).
+    """The memo of finished pair results; subclasses implement _pair() (a
+    pair's score, already in [0, 1], and its embedding) and the two batched
+    score calls.
 
-    A custom provider must answer all five public calls: ``nli``/``rqe``,
-    the score-only ``nli_entailment``/``rqe_score``, which return exactly
-    ``nli(...).entailment`` / ``rqe(...).score``, and ``rqe_scores``, which
-    returns exactly the ``rqe_score`` floats of one query against many texts.
+    A custom provider must answer all four public calls: ``nli``/``rqe``,
+    which return a ``PairResult``, ``nli_scores(sentence, premises)``, which
+    returns exactly ``[nli(sentence, p).score for p in premises]`` as an
+    array, and ``rqe_scores(query, texts, swap)``, which returns exactly
+    ``[rqe(query, t).score for t in texts]``, or ``[rqe(t, query).score ...]``
+    with ``swap``. The score-only calls build no embedding.
     """
 
     def __init__(self, config: ProviderConfig):
         self.config = config
-        self._memo: dict[tuple[str, str], tuple[float, np.ndarray]] = {}
-
-    def _score(self, text_a: str, text_b: str) -> float:
-        raise NotImplementedError
+        self._memo: dict[tuple[str, str], PairResult] = {}
 
     def _pair(self, text_a: str, text_b: str) -> tuple[float, np.ndarray]:
         raise NotImplementedError
 
-    def _scored(self, text_a: str, text_b: str) -> tuple[float, np.ndarray]:
+    def _result(self, text_a: str, text_b: str) -> PairResult:
         key = (text_a, text_b)
-        if self.config.cache:
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
-        score, embedding = self._pair(text_a, text_b)
-        result = (score, _frozen(embedding))
-        if self.config.cache:
-            self._memo[key] = result
+        result = self._memo.get(key)
+        if result is None:
+            score, embedding = self._pair(text_a, text_b)
+            result = PairResult(score=score, embedding=_frozen(embedding))
+            if self.config.cache:
+                self._memo[key] = result
         return result
 
-    def nli(self, sentence_a: str, sentence_b: str) -> NliResult:
-        score, embedding = self._scored(sentence_a, sentence_b)
-        return NliResult(probs=_frozen(_probs_from_score(score)), embedding=embedding)
+    def nli(self, sentence_a: str, sentence_b: str) -> PairResult:
+        return self._result(sentence_a, sentence_b)
 
-    def rqe(self, chq: str, faq: str) -> RqeResult:
-        score, embedding = self._scored(chq, faq)
-        return RqeResult(score=_clamp(score), embedding=embedding)
-
-    def nli_entailment(self, sentence_a: str, sentence_b: str) -> float:
-        """``nli(sentence_a, sentence_b).entailment`` without the embedding."""
-        return _clamp(self._score(sentence_a, sentence_b))
-
-    def rqe_score(self, chq: str, faq: str) -> float:
-        """``rqe(chq, faq).score`` without the embedding."""
-        return _clamp(self._score(chq, faq))
-
-    def rqe_scores(self, query: str, texts, swap: bool = False) -> np.ndarray:
-        """``[rqe_score(query, t) for t in texts]`` as an array, or
-        ``[rqe_score(t, query) ...]`` with ``swap``."""
-        if swap:
-            return np.array([self.rqe_score(t, query) for t in texts], dtype=np.float64)
-        return np.array([self.rqe_score(query, t) for t in texts], dtype=np.float64)
+    def rqe(self, chq: str, faq: str) -> PairResult:
+        return self._result(chq, faq)
 
 
 def _ordered_dots(
@@ -283,15 +229,6 @@ def _ordered_dots(
     return np.bincount(rows, values * dense[terms], n).astype(np.float64, copy=False)
 
 
-def _ordered_dot(values: np.ndarray, gathered: np.ndarray) -> float:
-    """The one-row ``_ordered_dots``: the same products, added in the same
-    order from 0, in Python floats (IEEE doubles, like bincount's sums)."""
-    dot = 0.0
-    for product in (values * gathered).tolist():
-        dot += product
-    return dot
-
-
 class _SparseRows(NamedTuple):
     """The nonzero terms of some texts, in text order and then term order,
     in the layout ``_ordered_dots`` reads, plus one norm per text."""
@@ -305,24 +242,24 @@ class _SparseRows(NamedTuple):
 class _VectorProvider(_Provider):
     """Scores a pair from one vector per text by an ordered sparse dot.
 
-    A pair's raw dot sums the products over the first text's nonzero terms,
-    added one after another in term order. The products are non-negative, so
-    the zero products that a sum over the second text's terms would add
-    change nothing: the dot is the same float for either argument order, and
-    ``rqe_scores`` gets it for a whole corpus by summing over the corpus
-    texts' nonzero terms. The score is the dot over the two texts' ``_norm``s,
-    clamped to [0, 1].
+    A pair's raw dot sums the products over one text's nonzero terms, added
+    one after another in term order (``_ordered_dots``). The products are
+    non-negative, so the zero products that a sum over the other text's terms
+    would add change nothing: the dot is the same float whichever text's
+    terms it runs over. ``_pair`` sums over the first text's terms, and
+    ``rqe_scores`` gets a whole corpus at once by summing over the corpus
+    texts'. The score is the dot over the two texts' ``_norm``s, clamped to
+    [0, 1]. ``nli_scores`` is ``rqe_scores`` without swap.
 
-    With ``config.cache`` the scalar calls keep each text's vector (read-only)
-    and, for a text scored as first argument, its nonzero terms, so a text is
-    transformed once; ``rqe_scores`` keeps each corpus's CSR block (not its
-    dense vectors), keyed by the texts.
+    With ``config.cache`` the provider keeps each embedded or queried text's
+    vector (read-only), so a text is transformed once; the CSR block of each
+    corpus (not its dense vectors) and of each text embedded as a first
+    argument, keyed by the texts; and each embedded pair's ``PairResult``.
     """
 
     def __init__(self, config: ProviderConfig):
         super().__init__(config)
         self._vectors: dict[str, np.ndarray] = {}
-        self._nonzeros: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._corpora: dict[tuple[str, ...], _SparseRows] = {}
 
     def _transform(self, text: str) -> np.ndarray:
@@ -344,39 +281,33 @@ class _VectorProvider(_Provider):
                 self._vectors[text] = vec
         return vec
 
-    def _nonzero(self, text: str, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The nonzero terms of ``vec`` (the vector of ``text``), in order,
-        and their values."""
-        hit = self._nonzeros.get(text)
-        if hit is None:
-            terms = np.flatnonzero(vec)
-            hit = terms, vec[terms]
-            if self.config.cache:
-                self._nonzeros[text] = hit
-        return hit
-
-    def _similarity(self, text_a: str, u: np.ndarray, v: np.ndarray) -> float:
-        terms, values = self._nonzero(text_a, u)
-        dot = _ordered_dot(values, v[terms])
-        return _clamp(dot / (self._norm(u) * self._norm(v)))
-
-    def _score(self, text_a: str, text_b: str) -> float:
-        return self._similarity(text_a, self._vector(text_a), self._vector(text_b))
-
-    def _pair(self, text_a: str, text_b: str) -> tuple[float, np.ndarray]:
-        u = self._vector(text_a)
-        v = self._vector(text_b)
-        return self._similarity(text_a, u, v), self._embed(u, v)
-
-    def _sparse_rows(self, texts: tuple[str, ...]) -> _SparseRows:
-        vectors = [self._transform(text) for text in texts]
+    def _sparse_rows(self, vectors: list[np.ndarray]) -> _SparseRows:
         terms = [np.flatnonzero(vec) for vec in vectors]
         return _SparseRows(
             terms=np.concatenate(terms),
             values=np.concatenate([vec[t] for vec, t in zip(vectors, terms)]),
-            rows=np.repeat(np.arange(len(texts)), [t.size for t in terms]),
+            rows=np.repeat(np.arange(len(vectors)), [t.size for t in terms]),
             norms=np.array([self._norm(vec) for vec in vectors]),
         )
+
+    def _block(self, texts: tuple[str, ...], vectors=None) -> _SparseRows:
+        """The CSR block of ``texts``; ``vectors`` are their vectors when the
+        caller has them already."""
+        block = self._corpora.get(texts)
+        if block is None:
+            if vectors is None:
+                vectors = [self._transform(text) for text in texts]
+            block = self._sparse_rows(vectors)
+            if self.config.cache:
+                self._corpora[texts] = block
+        return block
+
+    def _pair(self, text_a: str, text_b: str) -> tuple[float, np.ndarray]:
+        u = self._vector(text_a)
+        v = self._vector(text_b)
+        row = self._block((text_a,), [u])
+        dot = float(_ordered_dots(row.terms, row.values, row.rows, v, 1)[0])
+        return _clamp(dot / (float(row.norms[0]) * self._norm(v))), self._embed(u, v)
 
     def rqe_scores(self, query: str, texts, swap: bool = False) -> np.ndarray:
         """One gather-multiply-bincount over the texts' nonzero terms. The
@@ -385,15 +316,14 @@ class _VectorProvider(_Provider):
         texts = tuple(texts)
         if not texts:
             return np.zeros(0)
-        corpus = self._corpora.get(texts)
-        if corpus is None:
-            corpus = self._sparse_rows(texts)
-            if self.config.cache:
-                self._corpora[texts] = corpus
+        corpus = self._block(texts)
         q = self._vector(query)
         dots = _ordered_dots(corpus.terms, corpus.values, corpus.rows, q, len(texts))
         scores = np.divide(dots, self._norm(q) * corpus.norms, out=dots)
         return np.minimum(np.maximum(scores, 0.0, out=scores), 1.0, out=scores)
+
+    def nli_scores(self, sentence: str, premises) -> np.ndarray:
+        return self.rqe_scores(sentence, premises)
 
 
 class ToyHashProvider(_VectorProvider):
@@ -452,7 +382,8 @@ def pair_key(text_a: str, text_b: str) -> str:
 
 
 def load_precomputed(path: str | Path) -> dict[str, dict]:
-    """Load precomputed records {key, score, probs?, embedding} from JSONL."""
+    """Load precomputed records {key, score, probs?, embedding} from JSONL;
+    ``PrecomputedProvider`` validates their values."""
     records: dict[str, dict] = {}
     path = Path(path)
     with path.open(encoding="utf-8") as handle:
@@ -466,59 +397,97 @@ def load_precomputed(path: str | Path) -> dict[str, dict]:
             for key in ("key", "score", "embedding"):
                 if key not in record:
                     raise SchemaError(f"{path}:{lineno}: missing field {key!r}")
+            if record["key"] in records:
+                raise SchemaError(f"{path}:{lineno}: duplicate key {record['key']!r}")
             records[record["key"]] = record
     return records
 
 
+class _Record(NamedTuple):
+    """A parsed precomputed record."""
+
+    score: float  # clamped to [0, 1]
+    embedding: np.ndarray  # read-only, length D
+    nli: PairResult | None  # (probs[0], embedding) when the record has probs
+
+
+def _parse_record(record: dict, D: int, where: str) -> _Record:
+    try:
+        score = float(record["score"])
+        embedding = np.asarray(record["embedding"], dtype=np.float64)
+        probs = record.get("probs")
+        probs = None if probs is None else np.asarray(probs, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: non-numeric field: {exc}") from exc
+    if not math.isfinite(score):
+        raise SchemaError(f"{where}: score must be finite, got {score}")
+    if embedding.shape != (D,):
+        raise DimensionError(
+            f"{where}: embedding has shape {embedding.shape}, expected ({D},)"
+        )
+    if not np.all(np.isfinite(embedding)):
+        raise SchemaError(f"{where}: embedding must be finite")
+    embedding = _frozen(embedding)
+    nli = None
+    if probs is not None:
+        if probs.shape != (3,):
+            raise DimensionError(f"{where}: NLI probs must be a 3-vector")
+        if not (np.all(probs >= 0) and abs(float(probs.sum()) - 1.0) <= 1e-9):
+            raise SchemaError(f"{where}: NLI probs must be non-negative and sum to 1")
+        nli = PairResult(score=float(probs[0]), embedding=embedding)
+    return _Record(score=_clamp(score), embedding=embedding, nli=nli)
+
+
 class PrecomputedProvider(_Provider):
-    """Serves scores and embeddings from a precomputed lookup table."""
+    """Serves scores and embeddings from a precomputed lookup table.
+
+    Every record is validated and parsed here, once. ``rqe`` reads a
+    record's score; ``nli`` reads ``probs[0]`` instead when the record has
+    probs. A pair with no record raises ``KeyError``, or scores 0 with a
+    zero embedding under ``fallback_zero``.
+    """
 
     def __init__(self, config: ProviderConfig, records: dict[str, dict] | None = None):
         super().__init__(config)
+        where = "precomputed"
         if records is None:
             if config.path is None:
                 raise SchemaError("precomputed provider needs a path or records")
             records = load_precomputed(config.path)
-        self.records = records
+            where = config.path
+        self._records = {
+            key: _parse_record(record, config.D, f"{where}: record {key!r}")
+            for key, record in records.items()
+        }
+        self._missing = _Record(0.0, _frozen(np.zeros(config.D)), None)
 
-    def _lookup(self, text_a: str, text_b: str) -> dict | None:
-        record = self.records.get(pair_key(text_a, text_b))
-        if record is None and not self.config.fallback_zero:
-            raise KeyError(
-                f"no precomputed entry for pair key {pair_key(text_a, text_b)}"
-            )
+    def _record(self, text_a: str, text_b: str) -> _Record:
+        key = pair_key(text_a, text_b)
+        record = self._records.get(key)
+        if record is None:
+            if not self.config.fallback_zero:
+                raise KeyError(f"no precomputed entry for pair key {key}")
+            return self._missing
         return record
 
-    def _score(self, text_a: str, text_b: str) -> float:
-        record = self._lookup(text_a, text_b)
-        return 0.0 if record is None else float(record["score"])
-
     def _pair(self, text_a: str, text_b: str) -> tuple[float, np.ndarray]:
-        record = self._lookup(text_a, text_b)
-        if record is None:
-            return 0.0, np.zeros(self.config.D, dtype=np.float64)
-        embedding = np.asarray(record["embedding"], dtype=np.float64)
-        if embedding.shape != (self.config.D,):
-            raise DimensionError(
-                f"precomputed embedding has length {embedding.shape[0]}, "
-                f"expected {self.config.D}"
-            )
-        return float(record["score"]), embedding
+        record = self._record(text_a, text_b)
+        return record.score, record.embedding
 
-    def nli(self, sentence_a: str, sentence_b: str) -> NliResult:
-        record = self._lookup(sentence_a, sentence_b)
-        if record is not None and record.get("probs") is not None:
-            probs = _check_probs(np.asarray(record["probs"], dtype=np.float64))
-            embedding = np.asarray(record["embedding"], dtype=np.float64)
-            return NliResult(probs=_frozen(probs), embedding=_frozen(embedding))
-        return super().nli(sentence_a, sentence_b)
+    def nli(self, sentence_a: str, sentence_b: str) -> PairResult:
+        result = self._record(sentence_a, sentence_b).nli
+        return super().nli(sentence_a, sentence_b) if result is None else result
 
-    def nli_entailment(self, sentence_a: str, sentence_b: str) -> float:
-        record = self._lookup(sentence_a, sentence_b)
-        if record is not None and record.get("probs") is not None:
-            probs = np.asarray(record["probs"], dtype=np.float64)
-            return float(_check_probs(probs)[0])
-        return super().nli_entailment(sentence_a, sentence_b)
+    def nli_scores(self, sentence: str, premises) -> np.ndarray:
+        records = [self._record(sentence, p) for p in premises]
+        return np.array(
+            [r.score if r.nli is None else r.nli.score for r in records], dtype=np.float64
+        )
+
+    def rqe_scores(self, query: str, texts, swap: bool = False) -> np.ndarray:
+        """One lookup per pair: the keys have a direction."""
+        pairs = [(t, query) if swap else (query, t) for t in texts]
+        return np.array([self._record(*pair).score for pair in pairs], dtype=np.float64)
 
 
 Provider = _Provider

@@ -7,11 +7,11 @@ threshold the single best-scoring pair is returned anyway, so retrieval
 never comes back empty.
 
 Ranking the corpus reads scores only, through one call of the provider's
-``rqe_scores`` per query, which returns the query's ``rqe_score`` against
-every corpus question at once (a vector provider computes them as one sparse
-product over the whole corpus). The full ``rqe`` (score plus embedding) runs
-only for the at most N pairs that are kept, so an embedding is never built
-for a discarded pair.
+``rqe_scores`` per query, which returns exactly the ``rqe(...).score`` of the
+query against every corpus question at once (a vector provider computes them
+as one sparse product over the whole corpus). The full ``rqe`` (score plus
+embedding) runs only for the at most N pairs that are kept, so an embedding
+is never built for a discarded pair.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import QAPair
 from .errors import SchemaError
-from .providers import Provider, RqeResult
+from .providers import PairResult, Provider
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class EntailmentIndex:
         self.provider = provider
         self._questions = tuple(pair.question_text for pair in self.pairs)
 
-    def _score(self, query: str, pair: QAPair, config: RetrievalConfig) -> RqeResult:
+    def _score(self, query: str, pair: QAPair, config: RetrievalConfig) -> PairResult:
         """Score and embedding of one pair; called only for kept pairs."""
         return self.provider.rqe(*_oriented(query, pair, config))
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from medrank.corpus import CandidateAnswer, QAPair, QuestionRecord
-from medrank.providers import NliResult, RqeResult
+from medrank.providers import PairResult
 
 
 def make_candidate(
@@ -41,6 +41,19 @@ def make_question(question_id="q1", text="What is it?", candidates=None):
     )
 
 
+def ordered_sum_score(provider, text_a, text_b):
+    """A vector provider's score of one pair, summed the slow way: the
+    products over the first text's nonzero terms, added one after another in
+    term order as Python floats, over the two texts' norms, clamped to
+    [0, 1]. The provider's bincount sums must give exactly this float."""
+    u, v = provider._transform(text_a), provider._transform(text_b)
+    terms = np.flatnonzero(u)
+    dot = 0.0
+    for product in (u[terms] * v[terms]).tolist():
+        dot += product
+    return min(max(dot / (provider._norm(u) * provider._norm(v)), 0.0), 1.0)
+
+
 class StubProvider:
     """Deterministic provider with a preset pair-score table.
 
@@ -63,20 +76,13 @@ class StubProvider:
         return np.random.default_rng(seed).standard_normal(self.D)
 
     def nli(self, a, b):
-        s = self._score(a, b)
-        return NliResult(
-            probs=np.array([s, (1 - s) / 2, (1 - s) / 2]),
-            embedding=self._embedding(a, b),
-        )
+        return PairResult(score=self._score(a, b), embedding=self._embedding(a, b))
 
     def rqe(self, a, b):
-        return RqeResult(score=self._score(a, b), embedding=self._embedding(a, b))
+        return PairResult(score=self._score(a, b), embedding=self._embedding(a, b))
 
-    def nli_entailment(self, a, b):
-        return self._score(a, b)
-
-    def rqe_score(self, a, b):
-        return self._score(a, b)
+    def nli_scores(self, sentence, premises):
+        return np.array([self._score(sentence, p) for p in premises])
 
     def rqe_scores(self, query, texts, swap=False):
         pairs = [(t, query) if swap else (query, t) for t in texts]

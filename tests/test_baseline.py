@@ -7,6 +7,7 @@ from medrank import baseline as bl
 from medrank.corpus import Dataset
 from medrank.errors import DimensionError, SchemaError
 from medrank.providers import (
+    PairResult,
     ProviderConfig,
     TfidfCosineProvider,
     fit_tfidf,
@@ -27,16 +28,18 @@ class MatrixNliProvider:
         self.cols = {p: j for j, p in enumerate(entailed_sentences)}
 
     def nli(self, s, p):
-        from medrank.providers import NliResult
+        score = float(self.matrix[self.rows[s], self.cols[p]])
+        return PairResult(score=score, embedding=np.zeros(2))
 
-        score = self.nli_entailment(s, p)
-        return NliResult(
-            probs=np.array([score, (1 - score) / 2, (1 - score) / 2]),
-            embedding=np.zeros(2),
-        )
+    def rqe(self, s, p):
+        return self.nli(s, p)
 
-    def nli_entailment(self, s, p):
-        return float(self.matrix[self.rows[s], self.cols[p]])
+    def nli_scores(self, s, premises):
+        return np.array([self.nli(s, p).score for p in premises])
+
+    def rqe_scores(self, query, texts, swap=False):
+        pairs = [(t, query) if swap else (query, t) for t in texts]
+        return np.array([self.rqe(a, b).score for a, b in pairs])
 
 
 class TestAnli:
@@ -89,7 +92,7 @@ class TestAnli:
         value = bl.anli(sentences, entailed, provider)
         assert provider._memo == {}
         brute = sum(
-            max(provider.nli(s, p).entailment for p in entailed) for s in sentences
+            max(provider.nli(s, p).score for p in entailed) for s in sentences
         )
         assert value == brute / len(sentences)
 

@@ -1010,6 +1010,79 @@ class TestErrorHandling:
         assert "in epoch 1" in payload["message"]
         assert not model.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--set", "train.epochs=0"], "epochs must be >= 1"),
+            (["--epochs", "0"], "epochs must be >= 1"),
+            (["--set", "train.lr=-1"], "lr must be > 0"),
+            (["--set", "train.lr=0"], "lr must be > 0"),
+        ],
+    )
+    def test_unusable_training_settings_write_no_checkpoint(
+        self, pipeline_dir, capsys, tmp_path, flags, message
+    ):
+        sets, options = (flags, []) if flags[0] == "--set" else ([], flags)
+        model = tmp_path / "joint.json"
+        capsys.readouterr()
+        code = main(
+            pipeline_dir["base"]
+            + sets
+            + [
+                "train-joint",
+                "--dataset",
+                pipeline_dir["train"],
+                "--corpus",
+                pipeline_dir["corpus"],
+                "--out",
+                str(model),
+            ]
+            + options
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "SchemaError"
+        assert message in payload["message"]
+        assert not model.exists()
+
+    def test_zero_vocab_size_is_not_ignored(self, pipeline_dir, capsys, tmp_path):
+        out = tmp_path / "tfidf.json"
+        capsys.readouterr()
+        code = main(
+            pipeline_dir["base"]
+            + ["fit-tfidf", "--corpus", pipeline_dir["corpus"], "--vocab-size", "0",
+               "--out", str(out)]
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "V must be >= 1" in json.loads(lines[0])["message"]
+        assert not out.exists()
+
+    def test_blank_candidate_fails_at_load(self, pipeline_dir, capsys, tmp_path):
+        rows = Path(pipeline_dir["train"]).read_text(encoding="utf-8").splitlines()
+        record = json.loads(rows[0])
+        record["candidates"][0]["text"] = "   "
+        dataset = tmp_path / "blank.jsonl"
+        dataset.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        answer_id = record["candidates"][0]["answer_id"]
+        features = tmp_path / "features.jsonl"
+        capsys.readouterr()
+        code = main(
+            pipeline_dir["base"]
+            + ["extract-features", "--dataset", str(dataset), "--corpus",
+               pipeline_dir["corpus"], "--layout", f"{pipeline_dir['dir']}/layout.json",
+               "--out", str(features)]
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "SchemaError"
+        assert f"{answer_id!r}: blank text" in payload["message"]
+        assert not features.exists()
+
     def _train_baseline(self, pipeline_dir, features, out):
         return main(
             pipeline_dir["base"]

@@ -130,6 +130,14 @@ class TestLoadDataset:
         dataset = load_dataset(path, "test")
         assert dataset.questions[0].candidates[0].reference_score is None
 
+    @pytest.mark.parametrize("blank", ["", "   ", " \n\t "])
+    def test_blank_candidate_text_rejected(self, tmp_path, blank):
+        # A blank answer has no sentence to score; it must fail when loaded.
+        path = tmp_path / "d.jsonl"
+        _write_question(path, candidate={"answer_id": "a7", "text": blank})
+        with pytest.raises(SchemaError, match="'a7': blank text"):
+            load_dataset(path, "train")
+
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
         _write_question(path, extra_field=1)
@@ -182,6 +190,15 @@ class TestLoadCorpus:
         path = tmp_path / "c.jsonl"
         path.write_text("}{\n")
         with pytest.raises(SchemaError, match=r":1"):
+            load_qa_corpus(path)
+
+    @pytest.mark.parametrize("field", ["question_text", "answer_text"])
+    @pytest.mark.parametrize("blank", ["", "   ", "\n\t"])
+    def test_blank_text_rejected(self, tmp_path, field, blank):
+        path = tmp_path / "c.jsonl"
+        row = {"pair_id": "p", "question_text": "q", "answer_text": "a", "source": "s"}
+        path.write_text(json.dumps(dict(row, **{field: blank})) + "\n")
+        with pytest.raises(SchemaError, match=f"'p': blank {field}"):
             load_qa_corpus(path)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from medrank.corpus import QAPair
-from medrank.errors import MedrankError, SchemaError
+from medrank.errors import DimensionError, MedrankError, SchemaError
 from medrank.providers import (
     PrecomputedProvider,
     ProviderConfig,
@@ -31,6 +31,9 @@ from medrank.providers import (
     tfidf_transform,
     tokenize,
 )
+
+from conftest import StubProvider, ordered_sum_score
+from test_baseline import MatrixNliProvider
 
 
 class TestFitTfidf:
@@ -119,27 +122,29 @@ def cosine_provider():
 class TestTfidfCosineProvider:
     def test_identical_sentences_entail(self, cosine_provider):
         result = cosine_provider.nli("alpha beta", "alpha beta")
-        assert result.entailment == pytest.approx(1.0, abs=1e-12)
+        assert result.score == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_sentences(self, cosine_provider):
-        result = cosine_provider.nli("alpha", "epsilon")
-        np.testing.assert_allclose(result.probs, [0.0, 0.5, 0.5], atol=1e-12)
+        assert cosine_provider.nli("alpha", "epsilon").score == 0.0
 
-    def test_probs_on_simplex(self, cosine_provider):
+    def test_scores_in_unit_interval(self, cosine_provider):
         rng = np.random.default_rng(1)
         words = ["alpha", "beta", "gamma", "delta", "epsilon", "zzz"]
         for _ in range(40):
             a = " ".join(rng.choice(words, size=3))
             b = " ".join(rng.choice(words, size=3))
-            probs = cosine_provider.nli(a, b).probs
-            assert np.all(probs >= 0)
-            assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+            score = cosine_provider.nli(a, b).score
+            assert type(score) is float and 0.0 <= score <= 1.0
 
     def test_determinism_bitwise(self, cosine_provider):
         first = cosine_provider.nli("alpha beta", "beta gamma")
         second = cosine_provider.nli("alpha beta", "beta gamma")
-        assert np.array_equal(first.probs, second.probs)
-        assert np.array_equal(first.embedding, second.embedding)
+        assert second is first  # the memo returns the finished result
+        fresh = TfidfCosineProvider(cosine_provider.config, cosine_provider.model)
+        third = fresh.nli("alpha beta", "beta gamma")
+        assert _bits(third.score) == _bits(first.score)
+        assert np.array_equal(third.embedding, first.embedding)
+        assert not first.embedding.flags.writeable
 
     def test_determinism_across_instances(self):
         model = fit_tfidf(["alpha beta", "beta gamma"], V=5)
@@ -168,15 +173,13 @@ class TestToyHashProvider:
     def test_identical_and_disjoint(self):
         provider = ToyHashProvider(ProviderConfig(kind="toy_hash", D=64, seed=0))
         assert provider.rqe("one two", "one two").score == pytest.approx(1.0)
-        assert provider.nli("one two", "one two").entailment == pytest.approx(
-            1.0
-        )
+        assert provider.nli("one two", "one two").score == pytest.approx(1.0)
 
     def test_determinism_across_instances(self):
         config = ProviderConfig(kind="toy_hash", D=32, seed=5)
         r1 = ToyHashProvider(config).nli("a b c", "c d")
         r2 = ToyHashProvider(config).nli("a b c", "c d")
-        np.testing.assert_array_equal(r1.probs, r2.probs)
+        assert r1.score == r2.score
         np.testing.assert_array_equal(r1.embedding, r2.embedding)
 
     def test_seed_changes_output(self):
@@ -208,7 +211,7 @@ class TestPrecomputedProvider:
             ProviderConfig(kind="precomputed", D=3, path="unused"), self._records()
         )
         result = provider.nli("premise", "hypothesis")
-        np.testing.assert_allclose(result.probs, [0.8, 0.15, 0.05])
+        assert result.score == 0.8  # probs[0]
         np.testing.assert_allclose(result.embedding, [1.0, 2.0, 3.0])
         assert provider.rqe("premise", "hypothesis").score == 0.8
 
@@ -225,7 +228,7 @@ class TestPrecomputedProvider:
             self._records(),
         )
         result = provider.nli("other", "pair")
-        np.testing.assert_allclose(result.probs, [0.0, 0.5, 0.5])
+        assert result.score == 0.0
         np.testing.assert_array_equal(result.embedding, np.zeros(3))
 
     def test_file_loading(self, tmp_path):
@@ -244,6 +247,58 @@ class TestPrecomputedProvider:
         path.write_text(json.dumps({"key": "k", "score": 0.5}) + "\n")
         with pytest.raises(SchemaError, match="embedding"):
             load_precomputed(path)
+
+    def test_duplicate_key_names_file_and_line(self, tmp_path):
+        path = tmp_path / "pre.jsonl"
+        record = {"key": pair_key("a", "b"), "score": 0.5, "embedding": [0.0, 1.0]}
+        other = dict(record, key=pair_key("b", "a"))
+        path.write_text("".join(json.dumps(r) + "\n" for r in (record, other, record)))
+        with pytest.raises(SchemaError, match=r"pre\.jsonl:3: duplicate key"):
+            load_precomputed(path)
+
+    @staticmethod
+    def _one_record(**fields):
+        key = pair_key("a", "b")
+        record = {"key": key, "score": 0.5, "embedding": [0.0, 1.0], **fields}
+        return {key: record}
+
+    def _build(self, **fields):
+        return PrecomputedProvider(
+            ProviderConfig(kind="precomputed", D=2, path="unused"),
+            self._one_record(**fields),
+        )
+
+    def test_invalid_probs_rejected_at_construction(self):
+        for probs in ([0.9, 0.9, 0.1], [-0.1, 0.6, 0.5], [float("nan"), 0.5, 0.5]):
+            with pytest.raises(SchemaError, match="probs"):
+                self._build(probs=probs)
+        with pytest.raises(DimensionError, match="probs"):
+            self._build(probs=[0.5, 0.5])
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_score_rejected_at_construction(self, score):
+        with pytest.raises(SchemaError, match="score must be finite"):
+            self._build(score=score)
+
+    @pytest.mark.parametrize("probs", [None, [0.8, 0.15, 0.05]])
+    def test_embedding_length_checked_at_construction(self, probs):
+        with pytest.raises(DimensionError, match="record.*expected \\(2,\\)"):
+            self._build(embedding=[1.0, 2.0, 3.0], probs=probs)
+        with pytest.raises(SchemaError, match="embedding must be finite"):
+            self._build(embedding=[1.0, float("nan")], probs=probs)
+
+    def test_file_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "pre.jsonl"
+        record = next(iter(self._one_record(score=float("nan")).values()))
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(SchemaError, match=r"pre\.jsonl: record"):
+            build_provider(ProviderConfig(kind="precomputed", D=2, path=str(path)))
+
+    def test_records_parsed_once(self):
+        provider = self._build(probs=[0.8, 0.15, 0.05])
+        first = provider.nli("a", "b")
+        assert provider.nli("a", "b") is first
+        assert provider.rqe("a", "b").embedding is first.embedding
 
 
 class TestTokenize:
@@ -309,6 +364,14 @@ def _providers(cache=True):
     }
 
 
+def _rqe_only(provider, a, b):
+    return float(provider.rqe_scores(a, [b])[0])
+
+
+def _nli_only(provider, a, b):
+    return float(provider.nli_scores(a, [b])[0])
+
+
 class TestScoreOnly:
     @pytest.mark.parametrize("kind", ["tfidf_cosine", "toy_hash", "precomputed"])
     @pytest.mark.parametrize("cache", [True, False])
@@ -318,35 +381,24 @@ class TestScoreOnly:
         score_first = _providers(cache)[kind]
         full_first = _providers(cache)[kind]
         for a, b in SCORE_PAIRS:
-            rqe_only = score_first.rqe_score(a, b)
-            nli_only = score_first.nli_entailment(a, b)
+            rqe_only = _rqe_only(score_first, a, b)
+            nli_only = _nli_only(score_first, a, b)
+            swapped = float(score_first.rqe_scores(b, [a], swap=True)[0])
             full_rqe = full_first.rqe(a, b).score
-            full_nli = full_first.nli(a, b).entailment
-            assert _bits(rqe_only) == _bits(full_rqe)
+            full_nli = full_first.nli(a, b).score
+            assert _bits(rqe_only) == _bits(full_rqe) == _bits(swapped)
             assert _bits(nli_only) == _bits(full_nli)
             assert _bits(score_first.rqe(a, b).score) == _bits(rqe_only)
-            assert _bits(full_first.rqe_score(a, b)) == _bits(full_rqe)
-            assert _bits(full_first.nli_entailment(a, b)) == _bits(full_nli)
+            assert _bits(_rqe_only(full_first, a, b)) == _bits(full_rqe)
+            assert _bits(_nli_only(full_first, a, b)) == _bits(full_nli)
 
     def test_precomputed_probs_and_clamping(self):
         provider = _providers()["precomputed"]
-        assert provider.rqe_score(*SCORE_PAIRS[0]) == 0.0
-        assert provider.rqe_score(*SCORE_PAIRS[1]) == 1.0
-        record = provider.records[pair_key(*SCORE_PAIRS[1])]
-        assert provider.nli_entailment(*SCORE_PAIRS[1]) == record["probs"][0]
-        assert provider.rqe_score(*SCORE_PAIRS[-1]) == 0.0
-
-    def test_precomputed_invalid_probs_rejected_alike(self):
-        key = pair_key("a", "b")
-        records = {key: {"key": key, "score": 0.5, "probs": [0.9, 0.9, 0.1],
-                         "embedding": [0.0, 0.0]}}
-        provider = PrecomputedProvider(
-            ProviderConfig(kind="precomputed", D=2, path="unused"), records
-        )
-        with pytest.raises(SchemaError):
-            provider.nli("a", "b")
-        with pytest.raises(SchemaError):
-            provider.nli_entailment("a", "b")
+        assert _rqe_only(provider, *SCORE_PAIRS[0]) == 0.0
+        assert _rqe_only(provider, *SCORE_PAIRS[1]) == 1.0
+        record = _precomputed_records()[pair_key(*SCORE_PAIRS[1])]
+        assert _nli_only(provider, *SCORE_PAIRS[1]) == record["probs"][0]
+        assert _rqe_only(provider, *SCORE_PAIRS[-1]) == 0.0
 
     def test_precomputed_missing_key_raises(self):
         provider = PrecomputedProvider(
@@ -354,20 +406,23 @@ class TestScoreOnly:
             _precomputed_records(),
         )
         with pytest.raises(KeyError):
-            provider.rqe_score("other", "pair")
+            provider.rqe_scores("other", ["pair"])
+        with pytest.raises(KeyError):
+            provider.nli_scores("other", ["pair"])
 
     @pytest.mark.parametrize("kind", ["tfidf_cosine", "toy_hash", "precomputed"])
     def test_score_only_builds_no_embedding(self, kind):
         provider = _providers()[kind]
         for a, b in SCORE_PAIRS:
-            provider.rqe_score(a, b)
-            provider.nli_entailment(a, b)
+            provider.rqe_scores(a, [b])
+            provider.rqe_scores(a, [b], swap=True)
+            provider.nli_scores(a, [b])
         assert provider._memo == {}
 
     def test_tfidf_embedding_matches_fresh_transforms(self, cosine_provider):
         model = cosine_provider.model
         for a, b in SCORE_PAIRS:
-            cosine_provider.rqe_score(a, b)  # fills the vector memo first
+            cosine_provider.rqe_scores(a, [b])  # fills the vector memo first
             expected = cosine_provider._projection @ np.concatenate(
                 [tfidf_transform(model, a), tfidf_transform(model, b)]
             )
@@ -377,10 +432,66 @@ class TestScoreOnly:
         cached = _providers(cache=True)["tfidf_cosine"]
         uncached = _providers(cache=False)["tfidf_cosine"]
         for provider in (cached, uncached):
-            provider.rqe_score("alpha beta", "beta gamma")
+            provider.rqe("alpha beta", "beta gamma")
         assert set(cached._vectors) == {"alpha beta", "beta gamma"}
         assert not cached._vectors["alpha beta"].flags.writeable
         assert uncached._vectors == {}
+        assert uncached._memo == {}
+
+
+# Every fake and provider kind answers the same four calls the same way.
+# Long texts give many nonzero terms, so a change of summation order shows.
+CONFORMANCE_TEXTS = sorted(
+    {text for pair in SCORE_PAIRS for text in pair}
+    | {
+        "alpha beta gamma delta epsilon alpha beta gamma alpha beta alpha",
+        "epsilon delta gamma beta alpha gamma gamma delta zzz epsilon beta",
+        "delta alpha epsilon beta gamma qqq delta alpha epsilon delta",
+    }
+)
+
+
+def _conformance_providers():
+    providers = {}
+    for cache in (True, False):
+        for kind, provider in _providers(cache).items():
+            providers[f"{kind}-cache={cache}"] = provider
+    texts = CONFORMANCE_TEXTS
+    rng = np.random.default_rng(23)
+    providers["StubProvider"] = StubProvider(
+        {(a, b): float(rng.random()) for a in texts for b in texts}, D=3
+    )
+    providers["MatrixNliProvider"] = MatrixNliProvider(
+        rng.random((len(texts), len(texts))), texts, texts
+    )
+    return providers
+
+
+@pytest.mark.parametrize("name", sorted(_conformance_providers()))
+def test_protocol_conformance(name):
+    provider = _conformance_providers()[name]
+    texts = CONFORMANCE_TEXTS
+    batches = [
+        (query, provider.nli_scores(query, texts), provider.rqe_scores(query, texts),
+         provider.rqe_scores(query, texts, swap=True))
+        for query in texts
+    ]
+    if hasattr(provider, "_memo"):  # the fakes keep no memo
+        assert provider._memo == {}
+    for query, nli_scores, forward, swapped in batches:
+        for scores in (nli_scores, forward, swapped):
+            assert scores.dtype == np.float64 and scores.shape == (len(texts),)
+        for k, text in enumerate(texts):
+            assert _bits(float(nli_scores[k])) == _bits(provider.nli(query, text).score)
+            assert _bits(float(forward[k])) == _bits(provider.rqe(query, text).score)
+            assert _bits(float(swapped[k])) == _bits(provider.rqe(text, query).score)
+            if hasattr(provider, "_transform"):  # the vector providers
+                oracle = ordered_sum_score(provider, query, text)
+                assert _bits(float(forward[k])) == _bits(oracle)
+                oracle = ordered_sum_score(provider, text, query)
+                assert _bits(float(swapped[k])) == _bits(oracle)
+    for scores in (provider.nli_scores(texts[0], []), provider.rqe_scores(texts[0], [])):
+        assert scores.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +544,10 @@ class TestProviderMeta:
                 assert _bits(rqe_a.score) == _bits(rqe_b.score)
                 assert np.array_equal(rqe_a.embedding, rqe_b.embedding)
                 nli_a, nli_b = provider_a.nli(a, b), provider_b.nli(a, b)
-                assert np.array_equal(nli_a.probs, nli_b.probs)
+                assert _bits(nli_a.score) == _bits(nli_b.score)
                 assert np.array_equal(nli_a.embedding, nli_b.embedding)
-            assert _bits(original.rqe_score(a, b)) == _bits(reloaded.rqe_score(a, b))
-            assert _bits(original.nli_entailment(a, b)) == _bits(
-                reloaded.nli_entailment(a, b)
-            )
+            assert _bits(_rqe_only(original, a, b)) == _bits(_rqe_only(reloaded, a, b))
+            assert _bits(_nli_only(original, a, b)) == _bits(_nli_only(reloaded, a, b))
         if strict:
             with pytest.raises(KeyError):
                 reloaded.rqe(*SCORE_PAIRS[-1])

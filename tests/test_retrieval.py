@@ -278,12 +278,12 @@ def _batch_provider(kind, cache):
 
 def _scalar_scores(provider, query, texts, swap):
     if swap:
-        return np.array([provider.rqe_score(t, query) for t in texts])
-    return np.array([provider.rqe_score(query, t) for t in texts])
+        return np.array([provider.rqe(t, query).score for t in texts])
+    return np.array([provider.rqe(query, t).score for t in texts])
 
 
 class TestBatchedScores:
-    """``rqe_scores`` returns exactly the scalar ``rqe_score`` floats."""
+    """``rqe_scores`` returns exactly the ``rqe(...).score`` floats."""
 
     @pytest.mark.parametrize("kind", ["tfidf_cosine", "toy_hash", "precomputed"])
     @pytest.mark.parametrize("swap", [False, True])
