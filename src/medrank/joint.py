@@ -19,7 +19,6 @@ threshold 0.5, ranking by summed pairwise win probabilities.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,6 +48,7 @@ from .tensornet import (
     Conv2d,
     Linear,
     BatchNorm1d,
+    Maps,
     Module,
     QuadrantPool,
     ReLU,
@@ -126,9 +126,10 @@ class ConvEncoderConfig:
 class ConvEncoder(Module):
     """Conv stack plus quadrant pooling over a list of (C, a, c) maps.
 
-    ``forward`` groups the maps by shape, runs each group through the stack
-    as one (B, C, a, c) stack and returns the (n, 4C') rows in map order;
-    ``backward`` takes the rows' gradients and runs the groups in reverse.
+    ``forward`` packs all the maps, whatever their shapes, into one ``Maps``
+    value and runs it through the stack once, so each layer runs once per
+    call; it returns the (n, 4C') rows in map order. ``backward`` takes the
+    rows' gradients and returns the maps' gradients in map order.
     """
 
     def __init__(self, config: ConvEncoderConfig, rng: np.random.Generator):
@@ -161,7 +162,6 @@ class ConvEncoder(Module):
         blocks.append(QuadrantPool())
         names.append("pool")
         self.stack = Sequential(blocks, names)
-        self._batchnorms = [b for b in blocks if isinstance(b, BatchNorm2d)]
 
     def children(self):
         return [("stack", self.stack)]
@@ -171,51 +171,21 @@ class ConvEncoder(Module):
         return self.config.out_dim
 
     def forward(self, maps: list[np.ndarray]) -> np.ndarray:
-        by_shape: dict[tuple[int, ...], list[int]] = {}
-        for k, tensor in enumerate(maps):
-            by_shape.setdefault(tensor.shape, []).append(k)
-        for shape in by_shape:
-            if shape[0] != self.config.in_channels:
+        channels = self.config.in_channels
+        for tensor in maps:
+            if tensor.ndim != 3 or tensor.shape[0] != channels:
                 raise DimensionError(
-                    f"encoder expects {self.config.in_channels} channels, got {shape[0]}"
+                    f"encoder expects ({channels}, a, c) maps, got {tensor.shape}"
                 )
-        groups = list(by_shape.values())
-        rows = np.empty((len(maps), self.out_dim))
-        with self._running_stats_in_map_order(groups):
-            for group in groups:
-                rows[group] = self.stack.forward(np.stack([maps[k] for k in group]))
-        self._push(groups)
-        return rows
+        if not maps:
+            return np.empty((0, self.out_dim))
+        return self.stack.forward(Maps.pack(maps))
 
     def backward(self, d_rows: np.ndarray) -> list[np.ndarray]:
         """Gradients of the input maps, in map order."""
-        groups = self._pop()
-        d_maps: list = [None] * len(d_rows)
-        for group in reversed(groups):
-            for k, d_map in zip(group, self.stack.backward(d_rows[group])):
-                d_maps[k] = d_map
-        return d_maps
-
-    @contextmanager
-    def _running_stats_in_map_order(self, groups: list[list[int]]):
-        """Apply the batchnorm running-statistic updates per map in map
-        order, as one forward per map would, although the stack runs group
-        by group: the moving average weighs later maps more."""
-        if not self.training or not groups:
-            yield
-            return
-        for bn in self._batchnorms:
-            bn.deferred_stats = []
-        try:
-            yield
-            logs = [bn.deferred_stats for bn in self._batchnorms]
-        finally:
-            for bn in self._batchnorms:
-                bn.deferred_stats = None
-        order = np.argsort(np.concatenate(groups))
-        for bn, log in zip(self._batchnorms, logs):
-            means, variances = zip(*log)
-            bn.track(np.concatenate(means)[order], np.concatenate(variances)[order])
+        if not len(d_rows):
+            return []
+        return self.stack.backward(d_rows).unpack()
 
 
 def build_pair_tensor(
@@ -836,9 +806,11 @@ def infer(
     rank. Runs in eval mode without gradients, then leaves every module's
     training and gradient flags as it found them.
     """
-    flags = [(m, m.training, m.grad_enabled) for m in model.modules()]
-    model.eval()
-    model.enable_grad(False)
+    modules = list(model.modules())
+    flags = [(m.training, m.grad_enabled) for m in modules]
+    for module in modules:
+        module.training = module.grad_enabled = False
+        module._ctx.clear()
     try:
         cand_sentences = _candidate_sentences(question)
         candidates = list(question.candidates)
@@ -886,7 +858,7 @@ def infer(
             scores={candidates[i].answer_id: float(scores[i]) for i in range(n)},
         )
     finally:
-        for module, training, grad_enabled in flags:
+        for module, (training, grad_enabled) in zip(modules, flags):
             module.training = training
             module.grad_enabled = grad_enabled
 

@@ -8,13 +8,15 @@ inference so no caches accumulate.
 
 Included: linear, ReLU, batch normalization (1d over a batch, 2d over the
 spatial positions of each feature map), 2-D convolution (cross-correlation
-convention; im2col matmul forward, col2im scatter backward), quadrant
+convention; im2col matmul forward, col2im gather backward), quadrant
 average pooling, the sigmoid function, binary cross-entropy on logits,
 SGD/Adam, and a JSON checkpoint manifest.
 
 The convolutional layers (``Conv2d``, ``BatchNorm2d``, ``ReLU``,
-``QuadrantPool``) take a stack of same-shape maps, (B, C, H, W), and treat
-each map independently, so one call serves every map of one shape.
+``QuadrantPool``) take ``Maps``: any number of maps of any sizes packed side
+by side into one (C, P) array. Each map is treated independently, so one call
+serves every map whatever its shape. They also take a (B, C, H, W) stack of
+same-shape maps and then give a stack back.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,6 +76,96 @@ def conv_out_dim(size: int, kernel: int, stride: int, padding: int) -> int:
             f"(k={kernel}, s={stride}, p={padding})"
         )
     return out
+
+
+class Maps(np.lib.mixins.NDArrayOperatorsMixin):
+    """Feature maps of one channel count and any sizes, packed side by side.
+
+    ``data`` is (C, P): map k's H_k x W_k cells sit row-major in columns
+    ``[start_k, start_k + H_k * W_k)``, the maps in order. ``shapes`` holds
+    each map's (H, W) and ``sizes`` its cell count. Elementwise numpy
+    functions and operators act on ``data`` and keep the geometry, so ``ReLU``
+    takes a ``Maps`` as it takes an array.
+    """
+
+    __slots__ = ("data", "shapes", "sizes")
+
+    def __init__(self, data: np.ndarray, shapes, sizes: np.ndarray | None = None):
+        self.data = data
+        self.shapes = tuple(shapes)
+        self.sizes = (
+            np.array([h * w for h, w in self.shapes], dtype=np.intp)
+            if sizes is None
+            else sizes
+        )
+
+    @classmethod
+    def pack(cls, maps: Sequence[np.ndarray]) -> "Maps":
+        """Pack a non-empty list of (C, H, W) maps."""
+        data = np.concatenate([m.reshape(m.shape[0], -1) for m in maps], axis=1)
+        return cls(data, [m.shape[1:] for m in maps])
+
+    @classmethod
+    def from_stack(cls, x: np.ndarray) -> "Maps":
+        """Pack a (B, C, H, W) stack of same-shape maps."""
+        if x.ndim != 4:
+            raise DimensionError(f"expected a (B, C, H, W) stack of maps, got {x.shape}")
+        b, c, h, w = x.shape
+        return cls(
+            x.transpose(1, 0, 2, 3).reshape(c, -1),
+            [(h, w)] * b,
+            np.full(b, h * w, dtype=np.intp),
+        )
+
+    def like(self, data: np.ndarray) -> "Maps":
+        """Same geometry, other data."""
+        return Maps(data, self.shapes, self.sizes)
+
+    def starts(self) -> np.ndarray:
+        """First column of each map."""
+        return np.cumsum(self.sizes) - self.sizes
+
+    def unpack(self) -> list[np.ndarray]:
+        """The (C, H, W) maps, in order."""
+        ends = np.cumsum(self.sizes).tolist()
+        return [
+            self.data[:, end - h * w : end].reshape(-1, h, w)
+            for end, (h, w) in zip(ends, self.shapes)
+        ]
+
+    def to_stack(self) -> np.ndarray:
+        """The maps as a (B, C, H, W) stack; they must share one shape."""
+        h, w = self.shapes[0]
+        c = self.data.shape[0]
+        return self.data.reshape(c, len(self.shapes), h, w).transpose(1, 0, 2, 3)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        return self.like(ufunc(*(a.data if isinstance(a, Maps) else a for a in inputs)))
+
+
+def _as_maps(x) -> tuple[Maps, bool]:
+    """``x`` as packed maps, and whether it came as a (B, C, H, W) stack."""
+    if isinstance(x, Maps):
+        return x, False
+    return Maps.from_stack(x), True
+
+
+# Input shapes whose geometry a Conv2d or QuadrantPool keeps (see _shape_piece).
+TAP_INDEX_CACHE = 64
+
+
+def _shape_piece(cache: dict, h: int, w: int, build: Callable):
+    """``build(h, w)``, kept in ``cache`` per (h, w); at most
+    ``TAP_INDEX_CACHE`` shapes, the oldest dropped first."""
+    piece = cache.get((h, w))
+    if piece is None:
+        piece = build(h, w)
+        if len(cache) >= TAP_INDEX_CACHE:
+            del cache[next(iter(cache))]
+        cache[(h, w)] = piece
+    return piece
 
 
 # ---------------------------------------------------------------------------
@@ -208,19 +300,12 @@ class ReLU(Module):
 
 
 class _BatchNormBase(Module):
-    """Batchnorm over the axes ``_axes`` of the input, per channel.
+    """Per-channel batchnorm parameters and running statistics.
 
-    In train mode each slice over ``_axes`` is normalized by its own
-    statistics, and each slice's statistics fold into the running buffers in
-    slice order (an exponential moving average with the unbiased variance).
-    ``deferred_stats``, when a list, collects those per-slice updates instead
-    of applying them, so a caller that runs slices out of order can apply
-    them in its own order with ``track``.
+    In train mode each batch (or map) is normalized by its own statistics,
+    and each one's statistics fold into the running buffers in order (an
+    exponential moving average with the unbiased variance).
     """
-
-    # Axes each statistic reduces over; axes the parameter gradients sum over.
-    _axes: tuple[int, ...] = (0,)
-    _param_axes: tuple[int, ...] = (0,)
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
         super().__init__()
@@ -231,7 +316,6 @@ class _BatchNormBase(Module):
         self.beta = Tensor(np.zeros(channels), "beta")
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.deferred_stats: list | None = None
 
     def _local_params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
@@ -239,93 +323,157 @@ class _BatchNormBase(Module):
     def _local_buffers(self):
         return ["running_mean", "running_var"]
 
-    def _channel(self, vector: np.ndarray) -> np.ndarray:
-        """A per-channel vector shaped to broadcast against the input."""
-        return vector
+    def _check_channels(self, channels: int) -> None:
+        if channels != self.channels:
+            raise DimensionError(
+                f"batchnorm expects {self.channels} channels, got {channels}"
+            )
 
     def track(self, mean_steps: np.ndarray, var_steps: np.ndarray) -> None:
-        """Fold (k, C) rows of momentum-scaled statistics in, row by row."""
+        """Fold (k, C) rows of momentum-scaled statistics in, in row order.
+
+        Folding row by row, b = keep * b + row, leaves keep^k times the old
+        buffer plus each row weighted by keep to the number of rows after it,
+        which is what this computes in one pass.
+        """
         keep = 1.0 - self.momentum
-        for mean_step, var_step in zip(mean_steps, var_steps):
-            self.running_mean = keep * self.running_mean + mean_step
-            self.running_var = keep * self.running_var + var_step
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[1] != self.channels:
-            raise DimensionError(
-                f"batchnorm expects {self.channels} channels, got {x.shape[1]}"
-            )
-        gamma, beta = self._channel(self.gamma.data), self._channel(self.beta.data)
-        if not self.training:
-            inv_std = self._channel(1.0 / np.sqrt(self.running_var + self.eps))
-            xhat = (x - self._channel(self.running_mean)) * inv_std
-            self._push((xhat, inv_std, False))
-            return gamma * xhat + beta
-        count = math.prod(x.shape[a] for a in self._axes)
-        if count < 2:
-            raise DimensionError("batch normalization needs batch size >= 2 in train mode")
-        # The sums np.mean and np.var take, without their call overhead.
-        mean = x.sum(axis=self._axes, keepdims=True) / count
-        centered = x - mean
-        var = (centered * centered).sum(axis=self._axes, keepdims=True) / count
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = centered * inv_std
-        # Running stats track the unbiased variance.
-        steps = (
-            self.momentum * mean.reshape(-1, self.channels),
-            self.momentum * var.reshape(-1, self.channels) * count / (count - 1),
-        )
-        if self.deferred_stats is None:
-            self.track(*steps)
-        else:
-            self.deferred_stats.append(steps)
-        self._push((xhat, inv_std, True))
-        return gamma * xhat + beta
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xhat, inv_std, batch_stats = self._pop()
-        self.gamma.add_grad((grad_out * xhat).sum(axis=self._param_axes))
-        self.beta.add_grad(grad_out.sum(axis=self._param_axes))
-        gx = grad_out * self._channel(self.gamma.data)
-        if not batch_stats:
-            return gx * inv_std
-        count = math.prod(grad_out.shape[a] for a in self._axes)
-        return (inv_std / count) * (
-            count * gx
-            - gx.sum(axis=self._axes, keepdims=True)
-            - xhat * (gx * xhat).sum(axis=self._axes, keepdims=True)
-        )
+        weights = keep ** np.arange(len(mean_steps) - 1, -1, -1)
+        decay = keep ** len(mean_steps)
+        self.running_mean = decay * self.running_mean + weights @ mean_steps
+        self.running_var = decay * self.running_var + weights @ var_steps
 
 
 class BatchNorm1d(_BatchNormBase):
     """Normalizes each feature over the batch axis of a (B, F) input."""
 
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._check_channels(x.shape[1])
+        gamma, beta = self.gamma.data, self.beta.data
+        if not self.training:
+            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            xhat = (x - self.running_mean) * inv_std
+            self._push((xhat, inv_std, False))
+            return gamma * xhat + beta
+        count = x.shape[0]
+        if count < 2:
+            raise DimensionError("batch normalization needs batch size >= 2 in train mode")
+        # The sums np.mean and np.var take, without their call overhead.
+        mean = x.sum(axis=0, keepdims=True) / count
+        centered = x - mean
+        var = (centered * centered).sum(axis=0, keepdims=True) / count
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        xhat = centered * inv_std
+        # Running stats track the unbiased variance.
+        self.track(self.momentum * mean, self.momentum * var * count / (count - 1))
+        self._push((xhat, inv_std, True))
+        return gamma * xhat + beta
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        xhat, inv_std, batch_stats = self._pop()
+        self.gamma.add_grad((grad_out * xhat).sum(axis=0))
+        self.beta.add_grad(grad_out.sum(axis=0))
+        gx = grad_out * self.gamma.data
+        if not batch_stats:
+            return gx * inv_std
+        count = grad_out.shape[0]
+        return (inv_std / count) * (
+            count * gx
+            - gx.sum(axis=0, keepdims=True)
+            - xhat * (gx * xhat).sum(axis=0, keepdims=True)
+        )
+
 
 class BatchNorm2d(_BatchNormBase):
-    """Normalizes each channel of each map in a (B, C, H, W) stack over its
-    own H x W positions; in train mode every map has its own statistics."""
+    """Normalizes each channel of each map over the map's own cells.
 
-    _axes = (2, 3)
-    _param_axes = (0, 2, 3)
+    In train mode every map has its own statistics, taken per column segment
+    of the packed maps with ``np.add.reduceat``, and they fold into the
+    running buffers in map order.
+    """
 
-    def _channel(self, vector: np.ndarray) -> np.ndarray:
-        return vector[:, None, None]
+    def forward(self, x):
+        maps, stacked = _as_maps(x)
+        data = maps.data
+        self._check_channels(data.shape[0])
+        gamma, beta = self.gamma.data[:, None], self.beta.data[:, None]
+        if not self.training:
+            inv_std = (1.0 / np.sqrt(self.running_var + self.eps))[:, None]
+            xhat = (data - self.running_mean[:, None]) * inv_std
+            self._push((xhat, inv_std, None, stacked))
+        else:
+            counts = maps.sizes
+            if (counts < 2).any():
+                raise DimensionError(
+                    "batch normalization needs maps of >= 2 cells in train mode"
+                )
+            starts = maps.starts()
+            mean = np.add.reduceat(data, starts, axis=1) / counts
+            centered = data - np.repeat(mean, counts, axis=1)
+            var = np.add.reduceat(centered * centered, starts, axis=1) / counts
+            inv_std = np.repeat(1.0 / np.sqrt(var + self.eps), counts, axis=1)
+            xhat = centered * inv_std
+            # Running stats track the unbiased variance.
+            self.track(
+                (self.momentum * mean).T, (self.momentum * var * counts / (counts - 1)).T
+            )
+            self._push((xhat, inv_std, (starts, counts), stacked))
+        out = maps.like(gamma * xhat + beta)
+        return out.to_stack() if stacked else out
+
+    def backward(self, grad_out):
+        xhat, inv_std, segments, stacked = self._pop()
+        g = _as_maps(grad_out)[0]
+        gh = g.data * xhat
+        self.gamma.add_grad(gh.sum(axis=1))
+        self.beta.add_grad(g.data.sum(axis=1))
+        gamma = self.gamma.data[:, None]
+        gx = g.data * gamma
+        if segments is None:
+            dx = gx * inv_std
+        else:
+            starts, counts = segments
+            means = np.stack(
+                [
+                    np.add.reduceat(gx, starts, axis=1),
+                    np.add.reduceat(gh, starts, axis=1) * gamma,
+                ]
+            ) / counts
+            mean_gx, mean_gxhat = np.repeat(means, counts, axis=2)
+            dx = inv_std * (gx - mean_gx - xhat * mean_gxhat)
+        out = g.like(dx)
+        return out.to_stack() if stacked else out
 
 
-# Input shapes whose im2col tap index a Conv2d keeps (see Conv2d._tap_index).
-TAP_INDEX_CACHE = 64
+class _ConvPiece(NamedTuple):
+    """Where a Conv2d reads one (h, w) input map: row ``i * kw + j`` of
+    ``taps`` holds, for every output cell in row-major order, the map's flat
+    cell that kernel tap (i, j) reads, or ``_PADDING`` where it reads the
+    zero padding. ``reads`` is the inverse: per tap, the output cell that
+    reads each input cell through it (one at most), or ``_PADDING``."""
+
+    out_shape: tuple[int, int]
+    taps: np.ndarray
+    reads: np.ndarray
+
+
+# An index past the end of any packed maps. Offsetting keeps it there, and
+# Conv2d then clips it onto the zero column it appends after the input cells
+# (forward) or after the output cells (backward).
+_PADDING = np.iinfo(np.intp).max // 2
 
 
 class Conv2d(Module):
-    """2-D convolution (cross-correlation) on a (B, C, H, W) stack of maps.
+    """2-D convolution (cross-correlation) over packed maps.
 
-    Forward gathers the (B, C*kh*kw, L) im2col stack of the zero-padded maps
-    with one fancy index through the per-(h, w) tap index, then multiplies
-    the flattened weight with each map's matrix in one stacked matmul, so
-    every map's output is what a forward of that map alone gives. Backward
-    gathers the im2col stack again, takes the weight gradient as one matmul
-    over all B*L columns, and scatters the input gradient back with one
-    col2im ``np.bincount`` (Chellapilla et al. 2006).
+    Forward gathers the (C*kh*kw, L) im2col matrix of all L output cells of
+    all maps with one ``np.take``, through per-shape tap indices offset to
+    each map's columns, with every padding tap reading one appended zero
+    column. One matmul with the flattened weight then gives every map's
+    output as a forward of that map alone would. Backward gathers the
+    im2col matrix again, takes the weight gradient as one matmul, and does
+    col2im as one gather through the inverse tap indices followed by a sum
+    over the taps (Chellapilla et al. 2006). The per-shape indices are
+    cached for at most ``TAP_INDEX_CACHE`` shapes.
     """
 
     def __init__(
@@ -353,7 +501,7 @@ class Conv2d(Module):
             "weight",
         )
         self.bias = Tensor(np.zeros(out_channels), "bias") if bias else None
-        self._tap_indices: dict[tuple[int, int], np.ndarray] = {}
+        self._tap_indices: dict[tuple[int, int], _ConvPiece] = {}
 
     def _local_params(self):
         params = [("weight", self.weight)]
@@ -367,117 +515,129 @@ class Conv2d(Module):
             conv_out_dim(w, self.kernel[1], self.stride[1], self.padding[1]),
         )
 
-    def _tap_index(self, h: int, w: int) -> np.ndarray:
-        """Flat positions in one padded (Hp, Wp) map read by the kernel.
-
-        Row ``i * kw + j`` holds, for every output position in row-major
-        order, the position kernel tap (i, j) reads, so gathering it from
-        each channel plane yields the im2col matrix. The index depends only
-        on the input's (h, w), not on the channel or map count, and is cached
-        per shape (at most ``TAP_INDEX_CACHE`` shapes, oldest dropped first).
-        """
-        index = self._tap_indices.get((h, w))
-        if index is None:
-            kh, kw = self.kernel
-            sh, sw = self.stride
-            out_h, out_w = self.out_shape(h, w)
-            wp = w + 2 * self.padding[1]
-            taps = np.arange(kh)[:, None] * wp + np.arange(kw)
-            outputs = np.arange(out_h)[:, None] * (sh * wp) + np.arange(out_w) * sw
-            index = taps.reshape(-1, 1) + outputs.reshape(1, -1)
-            if len(self._tap_indices) >= TAP_INDEX_CACHE:
-                del self._tap_indices[next(iter(self._tap_indices))]
-            self._tap_indices[(h, w)] = index
-        return index
-
-    def _cols(self, padded: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """The (B, C*kh*kw, L) im2col stack of a padded (B, C, Hp, Wp) stack."""
-        b, c = padded.shape[:2]
-        return padded.reshape(b, c, -1)[:, :, index].reshape(b, c * index.shape[0], -1)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise DimensionError(
-                f"conv2d expects (B, {self.in_channels}, H, W), got {x.shape}"
-            )
-        b, c, h, w = x.shape
+    def _piece(self, h: int, w: int) -> _ConvPiece:
+        (kh, kw), (sh, sw), (ph, pw) = self.kernel, self.stride, self.padding
         out_h, out_w = self.out_shape(h, w)
-        ph, pw = self.padding
-        padded = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
-        padded[:, :, ph : ph + h, pw : pw + w] = x
-        cols = self._cols(padded, self._tap_index(h, w))
-        y = self.weight.data.reshape(self.out_channels, -1) @ cols
+        rows = np.arange(kh)[:, None] + np.arange(out_h) * sh - ph
+        cols = np.arange(kw)[:, None] + np.arange(out_w) * sw - pw
+        inside = ((rows >= 0) & (rows < h))[:, None, :, None] & (
+            (cols >= 0) & (cols < w)
+        )[None, :, None, :]
+        taps = np.where(inside, rows[:, None, :, None] * w + cols[None, :, None, :], _PADDING)
+        taps = taps.reshape(kh * kw, out_h * out_w)
+        tap, out = np.nonzero(taps != _PADDING)
+        reads = np.full((kh * kw, h * w), _PADDING)
+        reads[tap, taps[tap, out]] = out
+        return _ConvPiece((out_h, out_w), taps, reads)
+
+    def forward(self, x):
+        maps, stacked = _as_maps(x)
+        c, p = maps.data.shape
+        if c != self.in_channels:
+            raise DimensionError(f"conv2d expects {self.in_channels} channels, got {c}")
+        pieces = [_shape_piece(self._tap_indices, h, w, self._piece) for h, w in maps.shapes]
+        out_sizes = np.array([piece.taps.shape[1] for piece in pieces], dtype=np.intp)
+        taps = np.concatenate([piece.taps for piece in pieces], axis=1)
+        taps += np.repeat(maps.starts(), out_sizes)
+        np.minimum(taps, p, out=taps)
+        # The maps plus one zero column, which every padding tap reads.
+        cells = np.zeros((c, p + 1))
+        cells[:, :p] = maps.data
+        # np.take writes the gathered (C, kh*kw, L) block C-ordered, so the
+        # reshape below is a view; a[:, taps] would need a copy.
+        y = self.weight.data.reshape(self.out_channels, -1) @ np.take(
+            cells, taps, axis=1
+        ).reshape(-1, taps.shape[1])
         if self.bias is not None:
             y += self.bias.data[:, None]
-        # The im2col stack is kh*kw times the maps; backward gathers it again.
-        self._push(padded)
-        return y.reshape(b, self.out_channels, out_h, out_w)
+        # The im2col matrix is kh*kw times the maps; backward gathers it again.
+        self._push((cells, taps, pieces, maps.like(None), stacked))
+        out = Maps(y, [piece.out_shape for piece in pieces], out_sizes)
+        return out.to_stack() if stacked else out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        padded = self._pop()
-        b, c, hp, wp = padded.shape
-        ph, pw = self.padding
-        index = self._tap_index(hp - 2 * ph, wp - 2 * pw)
-        g = grad_out.reshape(b, self.out_channels, -1)
-        weight = self.weight.data.reshape(self.out_channels, -1)
+    def backward(self, grad_out):
+        cells, taps, pieces, geometry, stacked = self._pop()
+        g = _as_maps(grad_out)[0]
         if self.bias is not None:
-            self.bias.add_grad(g.sum(axis=(0, 2)))
-        cols = self._cols(padded, index)
-        self.weight.add_grad(
-            (
-                g.transpose(1, 0, 2).reshape(self.out_channels, -1)
-                @ cols.transpose(0, 2, 1).reshape(-1, weight.shape[1])
-            ).reshape(self.weight.shape)
-        )
-        # col2im: each im2col entry's gradient adds onto the padded position
-        # it was read from, channel plane by channel plane of each map.
-        plane = hp * wp
-        positions = (index + (np.arange(b * c) * plane)[:, None, None]).reshape(-1)
-        dpadded = np.bincount(
-            positions, weights=(weight.T @ g).reshape(-1), minlength=padded.size
-        ).reshape(padded.shape)
-        return dpadded[:, :, ph : hp - ph, pw : wp - pw]
+            self.bias.add_grad(g.data.sum(axis=1))
+        n_taps, n_out = taps.shape
+        cols = np.take(cells, taps, axis=1).reshape(-1, n_out)
+        self.weight.add_grad((g.data @ cols.T).reshape(self.weight.shape))
+        # col2im as a gather: each input cell sums, tap by tap, the im2col
+        # gradient of the one output cell that read it through that tap, or
+        # of an appended zero output column where none did.
+        g_ext = np.zeros((self.out_channels, n_out + 1))
+        g_ext[:, :n_out] = g.data
+        dcols = self.weight.data.reshape(self.out_channels, -1).T @ g_ext
+        reads = np.concatenate([piece.reads for piece in pieces], axis=1)
+        reads += np.repeat(g.starts(), geometry.sizes)
+        np.minimum(reads, n_out, out=reads)
+        reads += np.arange(n_taps)[:, None] * (n_out + 1)
+        dx = np.take(dcols.reshape(cells.shape[0], -1), reads, axis=1).sum(axis=1)
+        out = geometry.like(dx)
+        return out.to_stack() if stacked else out
+
+
+class _PoolPiece(NamedTuple):
+    """One (h, w) map's quadrants: ``cells`` holds the flat positions of the
+    TL, TR, BL and BR quadrants' cells in turn, ``sizes`` their counts."""
+
+    cells: np.ndarray
+    sizes: np.ndarray
 
 
 class QuadrantPool(Module):
-    """Averages the four (possibly overlapping) quadrants of each map in a
-    (B, C, H, W) stack.
+    """Averages the four (possibly overlapping) quadrants of each map.
 
     Rows split into [0, ceil(H/2)) and [floor(H/2), H); columns likewise. For
     odd dimensions the halves overlap by one row/column, and for size one
     they coincide, so every quadrant is non-empty for any H, W >= 1. Output
-    is (B, 4C), each row channel-major with quadrant order TL, TR, BL, BR:
-    entry c*4 + q.
+    is (n, 4C) for n maps, each row channel-major with quadrant order TL, TR,
+    BL, BR: entry c*4 + q. Forward gathers every quadrant's cells and sums
+    them per quadrant with one ``np.add.reduceat``.
     """
 
+    def __init__(self):
+        super().__init__()
+        self._pieces: dict[tuple[int, int], _PoolPiece] = {}
+
     @staticmethod
-    def _quadrants(h: int, w: int) -> list[tuple[slice, slice, int]]:
-        """(rows, cols, cell count) of the TL, TR, BL, BR quadrants."""
-        row_halves = slice(0, -(-h // 2)), slice(h // 2, h)
-        col_halves = slice(0, -(-w // 2)), slice(w // 2, w)
-        return [
-            (rows, cols, (rows.stop - rows.start) * (cols.stop - cols.start))
+    def _piece(h: int, w: int) -> _PoolPiece:
+        row_halves = np.arange(-(-h // 2)), np.arange(h // 2, h)
+        col_halves = np.arange(-(-w // 2)), np.arange(w // 2, w)
+        quads = [
+            (rows[:, None] * w + cols).reshape(-1)
             for rows in row_halves
             for cols in col_halves
         ]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        b, c, h, w = x.shape
-        quads = self._quadrants(h, w)
-        means = np.stack(
-            [x[:, :, rows, cols].sum(axis=(2, 3)) / size for rows, cols, size in quads],
-            axis=2,
+        return _PoolPiece(
+            np.concatenate(quads), np.array([q.size for q in quads], dtype=np.intp)
         )
-        self._push((x.shape, quads))
-        return means.reshape(b, 4 * c)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        shape, quads = self._pop()
-        grads = grad_out.reshape(shape[0], shape[1], 4)
-        dx = np.zeros(shape)
-        for q, (rows, cols, size) in enumerate(quads):
-            dx[:, :, rows, cols] += grads[:, :, q, None, None] / size
-        return dx
+    def forward(self, x) -> np.ndarray:
+        maps, stacked = _as_maps(x)
+        c, n = maps.data.shape[0], len(maps.shapes)
+        pieces = [_shape_piece(self._pieces, h, w, self._piece) for h, w in maps.shapes]
+        sizes = np.concatenate([p.sizes for p in pieces])
+        cells = np.concatenate([p.cells for p in pieces]) + np.repeat(
+            maps.starts(), [p.cells.size for p in pieces]
+        )
+        sums = np.add.reduceat(
+            np.take(maps.data, cells, axis=1), np.cumsum(sizes) - sizes, axis=1
+        )
+        means = sums / sizes
+        self._push((cells, sizes, maps.like(None), maps.data.shape, stacked))
+        return means.reshape(c, n, 4).transpose(1, 0, 2).reshape(n, 4 * c)
+
+    def backward(self, grad_out: np.ndarray):
+        cells, sizes, geometry, (c, p), stacked = self._pop()
+        grads = grad_out.reshape(len(sizes) // 4, c, 4).transpose(1, 0, 2).reshape(c, -1)
+        values = np.repeat(grads / sizes, sizes, axis=1)
+        positions = (cells + (np.arange(c) * p)[:, None]).reshape(-1)
+        out = geometry.like(
+            np.bincount(positions, weights=values.reshape(-1), minlength=c * p).reshape(c, p)
+        )
+        return out.to_stack() if stacked else out
 
 
 class Sequential(Module):

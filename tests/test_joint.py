@@ -159,6 +159,18 @@ class TestConvEncoder:
         with pytest.raises(DimensionError):
             encoder.forward([np.zeros((3, 2, 2))])
 
+    def test_two_dimensional_map_rejected(self):
+        encoder = ConvEncoder(ConvEncoderConfig.scaled_down(), np.random.default_rng(0))
+        with pytest.raises(DimensionError):
+            encoder.forward([np.zeros((8, 3))])
+
+    def test_no_maps_give_no_rows(self):
+        encoder = ConvEncoder(ConvEncoderConfig.scaled_down(), np.random.default_rng(0))
+        rows = encoder.forward([])
+        assert rows.shape == (0, encoder.out_dim)
+        assert encoder.backward(rows) == []
+        assert pending(encoder) == 0
+
 
 class TestMetadata:
     def _layout(self):

@@ -1,6 +1,5 @@
 """Neural core: forward semantics, gradient oracles, optimizers, checkpoints."""
 
-import contextlib
 import math
 import tracemalloc
 
@@ -287,11 +286,23 @@ class TestConv2d:
         layer = Conv2d(4, 5, (3, 3), (1, 1), (2, 1), rng)
         x = rng.standard_normal((2, 4, 3, 6))
         layer.forward(x)
-        (padded,) = layer._ctx
-        np.testing.assert_array_equal(
-            padded, np.pad(x, ((0, 0), (0, 0), (2, 2), (1, 1)))
-        )
-        assert padded.base is None
+        (ctx,) = layer._ctx
+        cells, *geometry = ctx
+        # The two maps packed side by side, padded with the one zero column
+        # that every padding tap reads.
+        packed = x.transpose(1, 0, 2, 3).reshape(4, -1)
+        np.testing.assert_array_equal(cells, np.pad(packed, ((0, 0), (0, 1))))
+        assert cells.base is None
+
+        # The rest is integer geometry, nothing float like the im2col matrix.
+        def arrays(item):
+            if isinstance(item, np.ndarray):
+                yield item
+            elif isinstance(item, (list, tuple)):
+                for part in item:
+                    yield from arrays(part)
+
+        assert {a.dtype.kind for a in arrays(geometry)} == {"i"}
 
     def test_gradient(self):
         rng = np.random.default_rng(2)
@@ -362,6 +373,17 @@ class TestQuadrantPool:
                     out = pool.forward(rng.standard_normal((1, c, h, w)))
                     assert out.shape == (1, 4 * c)
                     pool.clear_cache()
+
+    def test_shape_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(tensornet, "TAP_INDEX_CACHE", 2)
+        rng = np.random.default_rng(5)
+        pool = QuadrantPool()
+        for h, w in ((1, 1), (2, 3), (3, 3), (2, 3), (1, 1)):
+            x = rng.standard_normal((2, h, w))
+            np.testing.assert_allclose(
+                pool.forward(x[None])[0], single_pool_forward(x), rtol=0, atol=1e-12
+            )
+        assert len(pool._pieces) == 2
 
     def test_gradient(self):
         rng = np.random.default_rng(4)
@@ -662,8 +684,28 @@ class TestStackedLayers:
         assert pending(layer) == 0
 
 
+class CountingLayer:
+    """Pass-through proxy for one stack layer: counts forward and backward
+    calls and forwards every other attribute to the layer."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = {"forward": 0, "backward": 0}
+
+    def __getattr__(self, attr):
+        return getattr(self._inner, attr)
+
+    def forward(self, x):
+        self.calls["forward"] += 1
+        return self._inner.forward(x)
+
+    def backward(self, grad_out):
+        self.calls["backward"] += 1
+        return self._inner.backward(grad_out)
+
+
 def compare_with_single_map_oracle(training, lists, seed=21):
-    """Runs consecutive pairs of map lists through a grouped encoder and the
+    """Runs consecutive pairs of map lists through a ConvEncoder and the
     single-map oracle on its twin; asserts rows, input and parameter
     gradients per list and the running buffers after each pair."""
     rng = np.random.default_rng(seed)
@@ -692,7 +734,8 @@ def compare_with_single_map_oracle(training, lists, seed=21):
 
 
 class TestGroupedEncoderOracle:
-    """ConvEncoder groups maps by shape; the single-map layers are its oracle."""
+    """ConvEncoder packs maps of mixed shapes into one pass; the single-map
+    layers are its oracle."""
 
     LISTS = 52
 
@@ -707,16 +750,40 @@ class TestGroupedEncoderOracle:
     def test_rows_gradients_and_buffers_match(self, training):
         compare_with_single_map_oracle(training, encoder_map_lists(seed=20, count=self.LISTS))
 
-    def test_running_stats_applied_in_group_order_are_caught(self, monkeypatch):
-        # Folding each group's statistics in as the group runs, instead of
-        # map by map in map order, moves the running buffers.
+    def test_running_stats_folded_out_of_map_order_are_caught(self, monkeypatch):
+        # The moving average weighs later maps more, so folding the per-map
+        # statistics in reverse map order moves the running buffers.
+        fold = BatchNorm2d.track
         monkeypatch.setattr(
-            ConvEncoder,
-            "_running_stats_in_map_order",
-            lambda self, groups: contextlib.nullcontext(),
+            BatchNorm2d,
+            "track",
+            lambda self, means, variances: fold(self, means[::-1], variances[::-1]),
         )
         with pytest.raises(AssertionError, match="running_"):
             compare_with_single_map_oracle(True, encoder_map_lists(seed=20, count=self.LISTS))
+
+    def test_each_layer_runs_once_per_call_behind_proxies(self):
+        # Pass-through proxies with a one-argument forward and backward, as a
+        # tracer wraps the stack's layers: every layer runs once per encoder
+        # call in each direction, and the rows and gradients are the
+        # unwrapped twin's bit for bit.
+        wrapped, twin = twin_encoders(seed=30)
+        proxies = [CountingLayer(layer) for layer in wrapped.stack.layers]
+        wrapped.stack.layers = proxies
+        mixed, unique = encoder_map_lists(seed=31, count=2)
+        maps = mixed + unique
+        assert len({x.shape for x in maps}) >= 4
+        d_rows = np.random.default_rng(32).standard_normal((len(maps), wrapped.out_dim))
+        for net in (wrapped, twin):
+            net.zero_grad()
+        np.testing.assert_array_equal(wrapped.forward(maps), twin.forward(maps))
+        for got, expected in zip(wrapped.backward(d_rows), twin.backward(d_rows), strict=True):
+            np.testing.assert_array_equal(got, expected)
+        for (name, t), (_, ref) in zip(wrapped.named_params(), twin.named_params()):
+            np.testing.assert_array_equal(t.grad, ref.grad, err_msg=name)
+        for (name, buf), (_, ref) in zip(wrapped.named_buffers(), twin.named_buffers()):
+            np.testing.assert_array_equal(buf, ref, err_msg=name)
+        assert [p.calls for p in proxies] == [{"forward": 1, "backward": 1}] * len(proxies)
 
     def test_rows_come_back_in_map_order(self):
         encoder = ConvEncoder(ConvEncoderConfig.scaled_down(), np.random.default_rng(0))
