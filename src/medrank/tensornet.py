@@ -34,29 +34,72 @@ from .errors import DimensionError, SchemaError
 class Tensor:
     """A dense value with an optional same-shape gradient buffer.
 
-    ``data`` is C-ordered, so the optimizers can update it through flat views.
+    ``data`` and the gradient are C-ordered float64, so the optimizers can
+    update them through flat views. After ``zero_grad`` the buffer is stale:
+    it reads as zeros, and the first gradient contribution is written into it
+    rather than added, so no pass fills it with zeros first. Later
+    contributions add.
     """
 
     def __init__(self, data, name: str = ""):
         self.data = np.asarray(data, dtype=np.float64, order="C")
-        self.grad: np.ndarray | None = None
+        self._grad: np.ndarray | None = None
+        self._stale = False
         self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def zero_grad(self) -> None:
-        """Zero the gradient buffer in place; allocate it only when missing."""
-        if self.grad is None or self.grad.shape != self.data.shape:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad.fill(0.0)
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The gradient buffer; a stale one is zero-filled on this read."""
+        if self._stale:
+            self._grad.fill(0.0)
+            self._stale = False
+        return self._grad
 
-    def add_grad(self, grad: np.ndarray) -> None:
-        if self.grad is None:
+    @grad.setter
+    def grad(self, value) -> None:
+        self._grad = None if value is None else np.asarray(value, np.float64, order="C")
+        self._stale = False
+
+    def zero_grad(self) -> None:
+        """Mark the gradient buffer stale, without writing to it; allocate it
+        only when missing."""
+        if self._grad is None or self._grad.shape != self.data.shape:
+            self._grad = np.empty_like(self.data)
+        self._stale = True
+
+    def _write_not_add(self, shape: tuple[int, ...], want: tuple[int, ...]) -> bool:
+        """Whether a contribution of ``shape`` (which must be ``want``) is
+        written, because the buffer is stale, rather than added; clears the
+        stale mark."""
+        if shape != want:
+            raise DimensionError(
+                f"gradient of shape {shape} for tensor {self.name!r} of shape {self.data.shape}"
+            )
+        if self._grad is None:
             self.zero_grad()
-        self.grad += grad
+        stale, self._stale = self._stale, False
+        return stale
+
+    def add_grad(self, grad) -> None:
+        """Add ``grad``, of exactly this tensor's shape, to the gradient."""
+        if self._write_not_add(np.shape(grad), self.data.shape):
+            np.copyto(self._grad, grad)
+        else:
+            self._grad += grad
+
+    def add_matmul(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Add ``a @ b``, the gradient flattened to (shape[0], rest), to the
+        gradient. A stale buffer takes the product straight from the matmul,
+        so the first contribution makes no product-sized temporary."""
+        rows, cols = self.data.shape[0], math.prod(self.data.shape[1:])
+        if self._write_not_add((a.shape[0], b.shape[1]), (rows, cols)):
+            np.matmul(a, b, out=self._grad.reshape(rows, cols))
+        else:
+            self._grad += (a @ b).reshape(self.data.shape)
 
     def __repr__(self) -> str:
         return f"Tensor(name={self.name!r}, shape={self.shape})"
@@ -281,7 +324,7 @@ class Linear(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x = self._pop()
-        self.weight.add_grad(grad_out.T @ x)
+        self.weight.add_matmul(grad_out.T, x)
         if self.bias is not None:
             self.bias.add_grad(grad_out.sum(axis=0))
         return grad_out @ self.weight.data
@@ -562,7 +605,7 @@ class Conv2d(Module):
             self.bias.add_grad(g.data.sum(axis=1))
         n_taps, n_out = taps.shape
         cols = np.take(cells, taps, axis=1).reshape(-1, n_out)
-        self.weight.add_grad((g.data @ cols.T).reshape(self.weight.shape))
+        self.weight.add_matmul(g.data, cols.T)
         # col2im as a gather: each input cell sums, tap by tap, the im2col
         # gradient of the one output cell that read it through that tap, or
         # of an appended zero output column where none did.
@@ -737,7 +780,7 @@ class _Optimizer:
         arrays shaped like ``p.data``.
         """
         flat = p.data.reshape(-1)
-        grad = np.ascontiguousarray(p.grad, dtype=np.float64).reshape(-1)
+        grad = p.grad.reshape(-1)
         flat_states = [s.reshape(-1) for s in states]
         scratch_a, scratch_b = self._scratch
         for start in range(0, flat.size, SWEEP_BLOCK):

@@ -862,6 +862,65 @@ class TestSharedForwardOracle:
             assert prediction.relevant == relevant
 
 
+def _zero_fill_and_add(model):
+    """Give every parameter of ``model`` the gradient contract of an
+    accumulate-only core: ``zero_grad`` fills the buffer with zeros, and
+    every contribution, the first one too, is added to it."""
+
+    def zero_grad(tensor):
+        if tensor.grad is None or tensor.grad.shape != tensor.shape:
+            tensor.grad = np.zeros_like(tensor.data)
+        else:
+            tensor.grad.fill(0.0)
+
+    def add_grad(tensor, grad):
+        if tensor.grad is None:
+            zero_grad(tensor)
+        tensor.grad += grad
+
+    for tensor in model.params():
+        tensor.zero_grad = lambda t=tensor: zero_grad(t)
+        tensor.add_grad = lambda g, t=tensor: add_grad(t, g)
+        tensor.add_matmul = lambda a, b, t=tensor: add_grad(t, (a @ b).reshape(t.shape))
+
+
+class TestTrainingExactness:
+    def test_adam_steps_match_zero_fill_and_add_oracle(self):
+        train, _, _, provider, index, model = small_world(questions=3, seed=9)
+        twin = small_world(questions=3, seed=9)[-1]
+        _zero_fill_and_add(twin)
+        trainers = [
+            JointTrainer(net, provider, index, TrainConfig(seed=9, lr=0.01))
+            for net in (model, twin)
+        ]
+        trainers[0].prepare(train)
+        prepared = trainers[0].prepared
+        solo = _solo_prepared(model, provider)
+        # The one-candidate question comes after a question with pairs, so the
+        # pair head's buffers hold that step's gradient when it gets none.
+        questions = [prepared[0], solo, *prepared[1:], solo]
+        assert any(len(inst.cand_idx) > 1 for inst in prepared[0].instances)
+        for trainer in trainers:
+            trainer.prepared = questions
+        for _ in range(2):
+            for trainer in trainers:
+                trainer.run_epoch()
+        assert trainers[0].optimizer._t == trainers[1].optimizer._t == 2 * len(questions)
+        for (name, tensor), (_, ref) in zip(model.named_params(), twin.named_params()):
+            assert tensor.data.tobytes() == ref.data.tobytes(), name
+        for optimizer in (trainers[0].optimizer, trainers[1].optimizer):
+            assert all(m.any() for m in optimizer._m)
+        for moment in ("_m", "_v"):
+            for (name, _), ours, ref in zip(
+                model.named_params(),
+                getattr(trainers[0].optimizer, moment),
+                getattr(trainers[1].optimizer, moment),
+            ):
+                assert ours.tobytes() == ref.tobytes(), f"{moment} {name}"
+        for (name, buffer), (_, ref) in zip(model.named_buffers(), twin.named_buffers()):
+            assert buffer.tobytes() == ref.tobytes(), name
+
+
 class TestHeadForward:
     @pytest.mark.parametrize("training", [True, False])
     def test_one_row_batch_keeps_the_head_mode(self, training):

@@ -842,6 +842,109 @@ class TestSequentialComposite:
         assert pending(net) == 0
 
 
+def _weight_layers(rng):
+    """A Linear and a Conv2d with an input and an output gradient for each."""
+    linear = Linear(4, 3, rng)
+    conv = Conv2d(2, 3, (2, 3), stride=(1, 2), padding=(1, 1), rng=rng)
+    maps = tensornet.Maps.pack([rng.standard_normal((2, 4, 5)), rng.standard_normal((2, 3, 2))])
+    conv_out = conv.forward(maps)
+    conv.clear_cache()
+
+    def linear_case():
+        return rng.standard_normal((5, 4)), rng.standard_normal((5, 3))
+
+    def conv_case():
+        return (
+            maps.like(rng.standard_normal(maps.data.shape)),
+            conv_out.like(rng.standard_normal(conv_out.data.shape)),
+        )
+
+    return [(linear, linear_case), (conv, conv_case)]
+
+
+def _first_weight_product(layer, x, grad_out):
+    """The product the layer's backward takes as its weight gradient:
+    ``grad_out.T @ x`` for a Linear, ``g @ cols.T`` for a Conv2d."""
+    if isinstance(layer, Linear):
+        return grad_out.T @ x
+    cells, taps = layer._ctx[-1][:2]
+    cols = np.take(cells, taps, axis=1).reshape(-1, taps.shape[1])
+    return (grad_out.data @ cols.T).reshape(layer.weight.shape)
+
+
+class TestGradientContract:
+    """``zero_grad`` marks the buffers stale; the first contribution writes,
+    later ones add, and a stale buffer reads as zeros."""
+
+    def _backward(self, layer, x, grad_out):
+        layer.forward(x)
+        layer.backward(grad_out)
+        return [t.grad.copy() for t in layer.params()]
+
+    def test_no_contribution_reads_zeros_over_old_values(self):
+        for layer, case in _weight_layers(np.random.default_rng(0)):
+            layer.zero_grad()
+            old = self._backward(layer, *case())
+            assert all(np.abs(g).sum() > 0 for g in old)
+            buffers = [t.grad for t in layer.params()]
+            layer.zero_grad()
+            for t, buffer in zip(layer.params(), buffers):
+                assert t.grad is buffer
+                np.testing.assert_array_equal(t.grad, np.zeros(t.shape))
+
+    def test_two_backwards_sum_exactly(self):
+        for layer, case in _weight_layers(np.random.default_rng(1)):
+            (x1, g1), (x2, g2) = case(), case()
+            layer.zero_grad()
+            first = self._backward(layer, x1, g1)
+            layer.zero_grad()
+            second = self._backward(layer, x2, g2)
+            layer.zero_grad()
+            layer.forward(x1)
+            layer.forward(x2)
+            layer.backward(g2)
+            layer.backward(g1)
+            for t, a, b in zip(layer.params(), first, second):
+                np.testing.assert_array_equal(t.grad, b + a)
+
+    def test_first_weight_contribution_is_the_product_bytes(self):
+        for layer, case in _weight_layers(np.random.default_rng(2)):
+            x, grad_out = case()
+            # Old contents must be overwritten, not added to.
+            layer.weight.grad = np.full(layer.weight.shape, np.nan)
+            layer.zero_grad()
+            layer.forward(x)
+            expected = _first_weight_product(layer, x, grad_out)
+            layer.backward(grad_out)
+            assert layer.weight.grad.tobytes() == expected.tobytes()
+
+    def test_first_contribution_without_zero_grad_writes(self):
+        w = Tensor(np.zeros((2, 3)), "w")
+        a, b = np.arange(4.0).reshape(2, 2), np.arange(6.0).reshape(2, 3)
+        w.add_matmul(a, b)
+        np.testing.assert_array_equal(w.grad, a @ b)
+        w.add_grad(np.ones((2, 3)))
+        np.testing.assert_array_equal(w.grad, a @ b + 1.0)
+
+    @pytest.mark.parametrize("bad", [np.ones(3), np.ones((3, 2)), 1.0])
+    def test_wrong_gradient_shape_raises(self, bad):
+        w = Tensor(np.zeros((2, 3)), "w")
+        w.zero_grad()
+        with pytest.raises(DimensionError, match="'w'"):
+            w.add_grad(bad)
+        w.add_grad(np.ones((2, 3)))
+        with pytest.raises(DimensionError, match="'w'"):
+            w.add_grad(bad)
+        np.testing.assert_array_equal(w.grad, np.ones((2, 3)))
+
+    def test_wrong_product_shape_raises(self):
+        w = Tensor(np.zeros((2, 3)), "w")
+        w.zero_grad()
+        with pytest.raises(DimensionError, match="'w'"):
+            w.add_matmul(np.ones((3, 1)), np.ones((1, 2)))
+        np.testing.assert_array_equal(w.grad, np.zeros((2, 3)))
+
+
 class TestOptimizers:
     def test_sgd_zero_gradient_is_noop(self):
         w = Tensor(np.array([1.0, -2.0]))
