@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CandidateAnswer, Dataset, QAPair, QuestionRecord, derive_label
-from .errors import DimensionError, MedrankError, SchemaError
+from .errors import ConfigError, DimensionError, MedrankError, SchemaError
 from .evalkit import Prediction
 from .preprocess import split_sentences
 from .providers import (
@@ -434,7 +434,7 @@ def train_pairwise_hinge(
 ) -> HingeRankModel:
     """Subgradient descent on the hinge-on-differences ranking objective.
 
-    The iterate is w = X^T a over the stacked rows X: scores are R^T (R a) for
+    The iterate is w = X^T a over the training rows X: scores are R^T (R a) for
     R the thin-QR factor of X^T, and each step shrinks a by (1 - 2 lr wd),
     then adds lr to the better row's and subtracts lr from the worse row's
     coefficient of every pair with margin < 1. Non-finite features raise
@@ -478,6 +478,10 @@ def rank_by_scores(
 # ---------------------------------------------------------------------------
 
 
+# What a baseline checkpoint ranks by: the filter probability or the hinge score.
+RANKERS = ("logreg", "hinge")
+
+
 def train_checkpoint(
     rows: list[dict],
     dataset: Dataset,
@@ -495,6 +499,8 @@ def train_checkpoint(
     hinge ranker on every question with two or more rows, then write both with
     ``layout`` as the checkpoint's ``feature_config``. The keyword settings are
     the ``baseline.*`` config keys."""
+    if ranker not in RANKERS:
+        raise ConfigError(f"baseline.ranker: expected one of {RANKERS}, got {ranker!r}")
     unlabeled = [row for row in rows if row.get("label") is None]
     if unlabeled:
         first = unlabeled[0]
@@ -558,6 +564,8 @@ def predict_checkpoint(
     )
     hinge = HingeRankModel(weight=arrays["hinge.weight"])
     ranker = ranker or meta.get("ranker", "logreg")
+    if ranker not in RANKERS:
+        raise MedrankError(f"{where}: unknown ranker {ranker!r}; expected one of {RANKERS}")
     predictions = []
     for question in dataset.questions:
         features = question_features(

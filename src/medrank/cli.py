@@ -232,6 +232,8 @@ def cmd_predict(config: RunConfig, args) -> int:
     dataset = load_dataset(args.dataset, args.split)
     pairs = load_qa_corpus(args.corpus)
     if meta.get("kind") == "joint":
+        if args.ranker is not None:
+            raise MedrankError(f"{args.model}: --ranker applies to baseline checkpoints only")
         predictions = predict_joint_checkpoint(meta, arrays, dataset, pairs, args.model)
     elif meta.get("kind") == "baseline":
         predictions = bl.predict_checkpoint(
@@ -363,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", default="validation")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--ranker", choices=["logreg", "hinge"])
+    p.add_argument("--ranker", choices=bl.RANKERS)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_predict)
 

@@ -33,6 +33,7 @@ from .tensornet import (
     BatchNorm2d,
     Conv2d,
     Linear,
+    Maps,
     Module,
     Tensor,
     _BatchNormBase,
@@ -100,6 +101,13 @@ def _check_module(
         module.enable_grad(True)
 
 
+def _functional(y, r) -> float:
+    """The linear functional sum(y * r) of an array or of packed maps."""
+    if isinstance(y, Maps):
+        y, r = y.data, r.data
+    return float((y * r).sum())
+
+
 def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[str, float]:
     """Central-difference checks for every differentiable component.
 
@@ -122,29 +130,31 @@ def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[
 
     results["linear_sigmoid_bce"] = _check_module(head, linear_loss, linear_seed)
 
-    # conv2d on a stack of three maps under a fixed random linear functional
+    # conv2d on three packed maps under a fixed random linear functional
     conv = Conv2d(2, 3, (3, 3), (2, 2), (1, 1), rng)
-    cx = rng.standard_normal((3, 2, 5, 5))
-    cr = rng.standard_normal((3, 3, 3, 3))
+    cx = Maps.pack(list(rng.standard_normal((3, 2, 5, 5))))
+    cr = Maps.pack(list(rng.standard_normal((3, 3, 3, 3))))
 
     def conv_seed() -> None:
         conv.forward(cx)
         conv.backward(cr)
 
     results["conv2d"] = _check_module(
-        conv, lambda: float((conv.forward(cx) * cr).sum()), conv_seed
+        conv, lambda: _functional(conv.forward(cx), cr), conv_seed
     )
 
     # batchnorm in train mode (batch statistics path): over a batch of rows,
-    # and per map over a stack of three maps
+    # and per map over three packed maps
     batchnorm_errors = []
     for bn, shape in ((BatchNorm1d(4), (6, 4)), (BatchNorm2d(4), (3, 4, 2, 3))):
         bn.gamma.data[...] = rng.uniform(0.5, 1.5, size=4)
         bn.beta.data[...] = rng.standard_normal(4)
         bx, br = rng.standard_normal(shape), rng.standard_normal(shape)
+        if len(shape) == 4:
+            bx, br = Maps.pack(list(bx)), Maps.pack(list(br))
 
         def bn_loss(bn=bn, bx=bx, br=br) -> float:
-            return float((bn.forward(bx) * br).sum())
+            return _functional(bn.forward(bx), br)
 
         def bn_seed(bn=bn, bx=bx, br=br) -> None:
             bn.forward(bx)

@@ -592,6 +592,34 @@ def _candidate_sentences(question: QuestionRecord) -> list[tuple[str, ...]]:
     return [tuple(split_sentences(candidate.text)) for candidate in question.candidates]
 
 
+def _prepare_retrieved(
+    model: JointModel,
+    question: QuestionRecord,
+    index: EntailmentIndex,
+    nli_provider: Provider,
+    retrieval_config: RetrievalConfig,
+    augment: bool = False,
+) -> list[_PreparedInstance]:
+    """One prepared instance per retrieved hit, over all of the question's
+    candidates; with ``augment``, then one per ``augment_training`` instance.
+    Every retrieval and RQE call precedes the first NLI call."""
+    cand_sentences = _candidate_sentences(question)
+    candidates = list(question.candidates)
+    all_idx = tuple(range(len(candidates)))
+    pieces = [
+        (instance_from_retrieved(hit), all_idx)
+        for hit in retrieve(index, question.text, retrieval_config)
+    ]
+    if augment:
+        pieces.extend(augment_training(question, index.provider))
+    return [
+        _prepare_instance(
+            model, instance, cand_idx, candidates, cand_sentences, nli_provider
+        )
+        for instance, cand_idx in pieces
+    ]
+
+
 def _joint_rows(model: JointModel, instances: list[_PreparedInstance]) -> np.ndarray:
     """(n, joint_dim) rows [encoded NLI map; RQE embedding; metadata], one per
     candidate of each instance in order; every map goes through one encoder
@@ -718,31 +746,19 @@ class JointTrainer:
                     )
                 labels.append(derive_label(candidate.reference_score))
                 ranks.append(candidate.reference_rank)
-            cand_sentences = _candidate_sentences(question)
-            all_idx = tuple(range(len(question.candidates)))
-            pieces: list[tuple[EntailedInstance, tuple[int, ...]]] = [
-                (instance_from_retrieved(hit), all_idx)
-                for hit in retrieve(self.index, question.text, self.config.retrieval)
-            ]
-            if self.config.augmentation:
-                pieces.extend(augment_training(question, self.index.provider))
-            instances = [
-                _prepare_instance(
-                    self.model,
-                    instance,
-                    cand_idx,
-                    list(question.candidates),
-                    cand_sentences,
-                    self.nli_provider,
-                )
-                for instance, cand_idx in pieces
-            ]
             self.prepared.append(
                 _PreparedQuestion(
                     question_id=question.question_id,
                     labels=np.asarray(labels, dtype=np.float64),
                     ranks=ranks,
-                    instances=instances,
+                    instances=_prepare_retrieved(
+                        self.model,
+                        question,
+                        self.index,
+                        self.nli_provider,
+                        self.config.retrieval,
+                        augment=self.config.augmentation,
+                    ),
                 )
             )
 
@@ -812,22 +828,9 @@ def infer(
         module.training = module.grad_enabled = False
         module._ctx.clear()
     try:
-        cand_sentences = _candidate_sentences(question)
         candidates = list(question.candidates)
         n = len(candidates)
-        all_idx = tuple(range(n))
-        hits = retrieve(index, question.text, retrieval_config)
-        preps = [
-            _prepare_instance(
-                model,
-                instance_from_retrieved(hit),
-                all_idx,
-                candidates,
-                cand_sentences,
-                nli_provider,
-            )
-            for hit in hits
-        ]
+        preps = _prepare_retrieved(model, question, index, nli_provider, retrieval_config)
         rows = _joint_rows(model, preps)
         first, second = _ordered_pairs(n)
         filter_sum = np.zeros(n)
@@ -842,7 +845,7 @@ def infer(
                         np.concatenate([joints[first], joints[second]], axis=1),
                     )
                 )
-        mean_filter = filter_sum / len(hits)
+        mean_filter = filter_sum / len(preps)
         scores = pair_sum.sum(axis=1)
         order = sorted(
             range(n), key=lambda i: (-scores[i], candidates[i].system_rank)

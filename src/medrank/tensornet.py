@@ -15,8 +15,7 @@ SGD/Adam, and a JSON checkpoint manifest.
 The convolutional layers (``Conv2d``, ``BatchNorm2d``, ``ReLU``,
 ``QuadrantPool``) take ``Maps``: any number of maps of any sizes packed side
 by side into one (C, P) array. Each map is treated independently, so one call
-serves every map whatever its shape. They also take a (B, C, H, W) stack of
-same-shape maps and then give a stack back.
+serves every map whatever its shape.
 """
 
 from __future__ import annotations
@@ -148,18 +147,6 @@ class Maps(np.lib.mixins.NDArrayOperatorsMixin):
         data = np.concatenate([m.reshape(m.shape[0], -1) for m in maps], axis=1)
         return cls(data, [m.shape[1:] for m in maps])
 
-    @classmethod
-    def from_stack(cls, x: np.ndarray) -> "Maps":
-        """Pack a (B, C, H, W) stack of same-shape maps."""
-        if x.ndim != 4:
-            raise DimensionError(f"expected a (B, C, H, W) stack of maps, got {x.shape}")
-        b, c, h, w = x.shape
-        return cls(
-            x.transpose(1, 0, 2, 3).reshape(c, -1),
-            [(h, w)] * b,
-            np.full(b, h * w, dtype=np.intp),
-        )
-
     def like(self, data: np.ndarray) -> "Maps":
         """Same geometry, other data."""
         return Maps(data, self.shapes, self.sizes)
@@ -176,23 +163,10 @@ class Maps(np.lib.mixins.NDArrayOperatorsMixin):
             for end, (h, w) in zip(ends, self.shapes)
         ]
 
-    def to_stack(self) -> np.ndarray:
-        """The maps as a (B, C, H, W) stack; they must share one shape."""
-        h, w = self.shapes[0]
-        c = self.data.shape[0]
-        return self.data.reshape(c, len(self.shapes), h, w).transpose(1, 0, 2, 3)
-
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method != "__call__" or kwargs:
             return NotImplemented
         return self.like(ufunc(*(a.data if isinstance(a, Maps) else a for a in inputs)))
-
-
-def _as_maps(x) -> tuple[Maps, bool]:
-    """``x`` as packed maps, and whether it came as a (B, C, H, W) stack."""
-    if isinstance(x, Maps):
-        return x, False
-    return Maps.from_stack(x), True
 
 
 # Input shapes whose geometry a Conv2d or QuadrantPool keeps (see _shape_piece).
@@ -434,15 +408,14 @@ class BatchNorm2d(_BatchNormBase):
     running buffers in map order.
     """
 
-    def forward(self, x):
-        maps, stacked = _as_maps(x)
+    def forward(self, maps: Maps) -> Maps:
         data = maps.data
         self._check_channels(data.shape[0])
         gamma, beta = self.gamma.data[:, None], self.beta.data[:, None]
         if not self.training:
             inv_std = (1.0 / np.sqrt(self.running_var + self.eps))[:, None]
             xhat = (data - self.running_mean[:, None]) * inv_std
-            self._push((xhat, inv_std, None, stacked))
+            self._push((xhat, inv_std, None))
         else:
             counts = maps.sizes
             if (counts < 2).any():
@@ -459,13 +432,11 @@ class BatchNorm2d(_BatchNormBase):
             self.track(
                 (self.momentum * mean).T, (self.momentum * var * counts / (counts - 1)).T
             )
-            self._push((xhat, inv_std, (starts, counts), stacked))
-        out = maps.like(gamma * xhat + beta)
-        return out.to_stack() if stacked else out
+            self._push((xhat, inv_std, (starts, counts)))
+        return maps.like(gamma * xhat + beta)
 
-    def backward(self, grad_out):
-        xhat, inv_std, segments, stacked = self._pop()
-        g = _as_maps(grad_out)[0]
+    def backward(self, g: Maps) -> Maps:
+        xhat, inv_std, segments = self._pop()
         gh = g.data * xhat
         self.gamma.add_grad(gh.sum(axis=1))
         self.beta.add_grad(g.data.sum(axis=1))
@@ -483,8 +454,7 @@ class BatchNorm2d(_BatchNormBase):
             ) / counts
             mean_gx, mean_gxhat = np.repeat(means, counts, axis=2)
             dx = inv_std * (gx - mean_gx - xhat * mean_gxhat)
-        out = g.like(dx)
-        return out.to_stack() if stacked else out
+        return g.like(dx)
 
 
 class _ConvPiece(NamedTuple):
@@ -573,8 +543,7 @@ class Conv2d(Module):
         reads[tap, taps[tap, out]] = out
         return _ConvPiece((out_h, out_w), taps, reads)
 
-    def forward(self, x):
-        maps, stacked = _as_maps(x)
+    def forward(self, maps: Maps) -> Maps:
         c, p = maps.data.shape
         if c != self.in_channels:
             raise DimensionError(f"conv2d expects {self.in_channels} channels, got {c}")
@@ -594,13 +563,11 @@ class Conv2d(Module):
         if self.bias is not None:
             y += self.bias.data[:, None]
         # The im2col matrix is kh*kw times the maps; backward gathers it again.
-        self._push((cells, taps, pieces, maps.like(None), stacked))
-        out = Maps(y, [piece.out_shape for piece in pieces], out_sizes)
-        return out.to_stack() if stacked else out
+        self._push((cells, taps, pieces, maps.like(None)))
+        return Maps(y, [piece.out_shape for piece in pieces], out_sizes)
 
-    def backward(self, grad_out):
-        cells, taps, pieces, geometry, stacked = self._pop()
-        g = _as_maps(grad_out)[0]
+    def backward(self, g: Maps) -> Maps:
+        cells, taps, pieces, geometry = self._pop()
         if self.bias is not None:
             self.bias.add_grad(g.data.sum(axis=1))
         n_taps, n_out = taps.shape
@@ -617,8 +584,7 @@ class Conv2d(Module):
         np.minimum(reads, n_out, out=reads)
         reads += np.arange(n_taps)[:, None] * (n_out + 1)
         dx = np.take(dcols.reshape(cells.shape[0], -1), reads, axis=1).sum(axis=1)
-        out = geometry.like(dx)
-        return out.to_stack() if stacked else out
+        return geometry.like(dx)
 
 
 class _PoolPiece(NamedTuple):
@@ -657,8 +623,7 @@ class QuadrantPool(Module):
             np.concatenate(quads), np.array([q.size for q in quads], dtype=np.intp)
         )
 
-    def forward(self, x) -> np.ndarray:
-        maps, stacked = _as_maps(x)
+    def forward(self, maps: Maps) -> np.ndarray:
         c, n = maps.data.shape[0], len(maps.shapes)
         pieces = [_shape_piece(self._pieces, h, w, self._piece) for h, w in maps.shapes]
         sizes = np.concatenate([p.sizes for p in pieces])
@@ -669,18 +634,17 @@ class QuadrantPool(Module):
             np.take(maps.data, cells, axis=1), np.cumsum(sizes) - sizes, axis=1
         )
         means = sums / sizes
-        self._push((cells, sizes, maps.like(None), maps.data.shape, stacked))
+        self._push((cells, sizes, maps.like(None), maps.data.shape))
         return means.reshape(c, n, 4).transpose(1, 0, 2).reshape(n, 4 * c)
 
-    def backward(self, grad_out: np.ndarray):
-        cells, sizes, geometry, (c, p), stacked = self._pop()
+    def backward(self, grad_out: np.ndarray) -> Maps:
+        cells, sizes, geometry, (c, p) = self._pop()
         grads = grad_out.reshape(len(sizes) // 4, c, 4).transpose(1, 0, 2).reshape(c, -1)
         values = np.repeat(grads / sizes, sizes, axis=1)
         positions = (cells + (np.arange(c) * p)[:, None]).reshape(-1)
-        out = geometry.like(
+        return geometry.like(
             np.bincount(positions, weights=values.reshape(-1), minlength=c * p).reshape(c, p)
         )
-        return out.to_stack() if stacked else out
 
 
 class Sequential(Module):

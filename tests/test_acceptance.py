@@ -40,7 +40,7 @@ from medrank.retrieval import (
     coverage,
     retrieve,
 )
-from medrank.tensornet import Conv2d
+from medrank.tensornet import Conv2d, Maps
 
 from conftest import StubProvider, make_candidate, make_question
 from test_baseline import MatrixNliProvider
@@ -123,7 +123,7 @@ class TestCriterion3OracleEquivalence:
             x = rng.standard_normal((c_in, h, w))
             expected = naive_conv2d(x, layer.weight.data, layer.bias.data, stride, padding)
             np.testing.assert_allclose(
-                layer.forward(x[None])[0], expected, atol=ORACLE_TOLERANCE
+                layer.forward(Maps.pack([x])).unpack()[0], expected, atol=ORACLE_TOLERANCE
             )
             layer.clear_cache()
             checked += 1

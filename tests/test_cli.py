@@ -13,7 +13,7 @@ from medrank.corpus import load_dataset
 from medrank.evalkit import load_predictions
 from medrank.providers import load_tfidf, tokenize
 from medrank.retrieval import EntailmentIndex
-from medrank.tensornet import Linear
+from medrank.tensornet import Linear, read_manifest
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +114,83 @@ def pipeline_dir(tmp_path_factory, synth_dir):
         "corpus": corpus,
         "base": base,
     }
+
+
+def _predict_baseline(pipeline_dir, model, out, *extra):
+    """``predict`` of ``model`` on the validation split; the exit code."""
+    return main(
+        pipeline_dir["base"]
+        + [
+            "predict",
+            "--model",
+            str(model),
+            "--dataset",
+            pipeline_dir["val"],
+            "--corpus",
+            pipeline_dir["corpus"],
+            *extra,
+            "--out",
+            str(out),
+        ]
+    )
+
+
+def _train_baseline(pipeline_dir, out, *settings):
+    """``train-baseline`` on the pipeline's training features; the exit code."""
+    sets = [arg for setting in settings for arg in ("--set", setting)]
+    return main(
+        pipeline_dir["base"]
+        + sets
+        + [
+            "train-baseline",
+            "--features",
+            f"{pipeline_dir['dir']}/features_train.jsonl",
+            "--dataset",
+            pipeline_dir["train"],
+            "--split",
+            "train",
+            "--layout",
+            f"{pipeline_dir['dir']}/layout.json",
+            "--out",
+            str(out),
+        ]
+    )
+
+
+def _hinge_scores(arrays, features):
+    return bl.hinge_score(bl.HingeRankModel(weight=arrays["hinge.weight"]), features)
+
+
+def _logreg_probs(arrays, features):
+    model = bl.LogregModel(weight=arrays["logreg.weight"], bias=float(arrays["logreg.bias"][0]))
+    return bl.predict_logreg(model, features)
+
+
+def _expected_scores(pipeline_dir, model, score):
+    """Per validation question, answer id -> ``score(arrays, features)`` of the
+    ``model`` checkpoint's arrays over the question's extracted feature rows."""
+    _, arrays = read_manifest(model)
+    by_question = {}
+    for row in bl.load_features(pipeline_dir["dir"] / "features_val.jsonl"):
+        by_question.setdefault(row["question_id"], []).append(row)
+    expected = {}
+    for qid, rows in by_question.items():
+        scores = score(arrays, np.asarray([row["features"] for row in rows]))
+        expected[qid] = {row["answer_id"]: float(s) for row, s in zip(rows, scores)}
+    return expected
+
+
+def _assert_scores(preds_path, expected):
+    predictions = load_predictions(preds_path)
+    assert len(predictions) == len(expected) == 6
+    for prediction in predictions:
+        assert prediction.scores == expected[prediction.question_id]
+
+
+def _error_payload(capsys):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
 
 
 class TestSynthCommand:
@@ -290,26 +367,10 @@ class TestPipelineCommands:
         ).read_bytes()
 
     def test_hinge_ranker_flag(self, pipeline_dir, tmp_path):
-        out = pipeline_dir["dir"]
-        code = main(
-            pipeline_dir["base"]
-            + [
-                "predict",
-                "--model",
-                f"{out}/baseline.json",
-                "--dataset",
-                pipeline_dir["val"],
-                "--split",
-                "validation",
-                "--corpus",
-                pipeline_dir["corpus"],
-                "--ranker",
-                "hinge",
-                "--out",
-                str(tmp_path / "preds_hinge.jsonl"),
-            ]
-        )
-        assert code == 0
+        model = pipeline_dir["dir"] / "baseline.json"
+        preds = tmp_path / "preds_hinge.jsonl"
+        assert _predict_baseline(pipeline_dir, model, preds, "--ranker", "hinge") == 0
+        _assert_scores(preds, _expected_scores(pipeline_dir, model, _hinge_scores))
 
     def test_train_joint_byte_identical(self, pipeline_dir, tmp_path):
         args = pipeline_dir["base"] + [
@@ -649,6 +710,65 @@ class TestStoredProviderNotRefit:
         assert str(model) in payload["message"]
         assert message in payload["message"]
         assert not (tmp_path / "preds.jsonl").exists()
+
+
+class TestRankerChoice:
+    """``baseline.ranker`` and ``predict --ranker`` pick what a baseline
+    checkpoint ranks by, and an unknown or inapplicable choice fails."""
+
+    def test_default_checkpoint_ranks_by_filter_probability(self, pipeline_dir, tmp_path):
+        model = pipeline_dir["dir"] / "baseline.json"
+        preds = tmp_path / "preds.jsonl"
+        assert _predict_baseline(pipeline_dir, model, preds) == 0
+        _assert_scores(preds, _expected_scores(pipeline_dir, model, _logreg_probs))
+
+    def test_stored_hinge_ranker_is_used_without_flag(self, pipeline_dir, tmp_path):
+        model = tmp_path / "hinge.json"
+        assert _train_baseline(pipeline_dir, model, "baseline.ranker=hinge") == 0
+        assert read_manifest(model)[0]["ranker"] == "hinge"
+        preds = tmp_path / "preds.jsonl"
+        assert _predict_baseline(pipeline_dir, model, preds) == 0
+        _assert_scores(preds, _expected_scores(pipeline_dir, model, _hinge_scores))
+        flagged = tmp_path / "preds_logreg.jsonl"
+        assert _predict_baseline(pipeline_dir, model, flagged, "--ranker", "logreg") == 0
+        _assert_scores(flagged, _expected_scores(pipeline_dir, model, _logreg_probs))
+
+    def test_unknown_ranker_setting_rejected_before_fitting(
+        self, pipeline_dir, tmp_path, capsys
+    ):
+        model = tmp_path / "logistic.json"
+        capsys.readouterr()
+        assert _train_baseline(pipeline_dir, model, "baseline.ranker=logistic") == 2
+        payload = _error_payload(capsys)
+        assert payload["error"] == "ConfigError"
+        assert "baseline.ranker" in payload["message"]
+        assert "'logistic'" in payload["message"]
+        assert not model.exists()
+
+    def test_unknown_stored_ranker_rejected(self, pipeline_dir, tmp_path, capsys):
+        checkpoint = json.loads((pipeline_dir["dir"] / "baseline.json").read_text())
+        checkpoint["meta"]["ranker"] = "logistic"
+        model = tmp_path / "logistic.json"
+        model.write_text(json.dumps(checkpoint))
+        preds = tmp_path / "preds.jsonl"
+        capsys.readouterr()
+        assert _predict_baseline(pipeline_dir, model, preds) == 2
+        payload = _error_payload(capsys)
+        assert payload["error"] == "MedrankError"
+        assert str(model) in payload["message"]
+        assert "'logistic'" in payload["message"]
+        assert not preds.exists()
+
+    def test_ranker_flag_on_joint_checkpoint_fails(self, pipeline_dir, tmp_path, capsys):
+        model = pipeline_dir["dir"] / "joint.json"
+        preds = tmp_path / "preds.jsonl"
+        capsys.readouterr()
+        assert _predict_baseline(pipeline_dir, model, preds, "--ranker", "hinge") == 2
+        payload = _error_payload(capsys)
+        assert payload["error"] == "MedrankError"
+        assert str(model) in payload["message"]
+        assert "--ranker" in payload["message"]
+        assert not preds.exists()
 
 
 class TestPrecomputedJointModel:

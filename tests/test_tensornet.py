@@ -8,7 +8,7 @@ import pytest
 
 from medrank import tensornet
 from medrank.errors import DimensionError
-from medrank.gradcheck import grad_check
+from medrank.gradcheck import _functional, grad_check
 from medrank.joint import ConvEncoder, ConvEncoderConfig
 from medrank.tensornet import (
     Adam,
@@ -16,6 +16,7 @@ from medrank.tensornet import (
     BatchNorm2d,
     Conv2d,
     Linear,
+    Maps,
     QuadrantPool,
     ReLU,
     SGD,
@@ -86,6 +87,11 @@ def windowed_conv2d_backward(padded, x_shape, grad_out, weight, stride, padding)
             contrib = np.tensordot(weight[:, :, i, j], grad_out, axes=([0], [0]))
             dpadded[:, i : i + sh * out_h : sh, j : j + sw * out_w : sw] += contrib
     return dpadded[:, ph : ph + h, pw : pw + w], dweight, grad_out.sum(axis=(1, 2))
+
+
+def pack(maps):
+    """Packs (C, H, W) maps, such as the rows of a (B, C, H, W) array."""
+    return Maps.pack(list(maps))
 
 
 class TestBceLoss:
@@ -188,8 +194,8 @@ class TestConv2d:
     def test_one_by_one_kernel_preserves_spatial_dims(self):
         rng = np.random.default_rng(0)
         layer = Conv2d(3, 2, (1, 1), rng=rng)
-        out = layer.forward(rng.standard_normal((1, 3, 5, 7)))
-        assert out.shape == (1, 2, 5, 7)
+        out = layer.forward(pack(rng.standard_normal((1, 3, 5, 7))))
+        assert out.data.shape == (2, 35) and out.shapes == ((5, 7),)
 
     def test_matches_naive_oracle_on_random_cases(self):
         rng = np.random.default_rng(42)
@@ -209,7 +215,9 @@ class TestConv2d:
             expected = naive_conv2d(
                 x, layer.weight.data, layer.bias.data, stride, padding
             )
-            np.testing.assert_allclose(layer.forward(x[None])[0], expected, atol=1e-12)
+            np.testing.assert_allclose(
+                layer.forward(pack([x])).unpack()[0], expected, atol=1e-12
+            )
 
     def test_forward_and_backward_match_windowed_oracle(self):
         rng = np.random.default_rng(7)
@@ -243,10 +251,10 @@ class TestConv2d:
             )
             layer.zero_grad()
             np.testing.assert_allclose(
-                layer.forward(x[None])[0], expected, rtol=0, atol=1e-12
+                layer.forward(pack([x])).unpack()[0], expected, rtol=0, atol=1e-12
             )
             np.testing.assert_allclose(
-                layer.backward(grad_out[None])[0], dx, rtol=0, atol=1e-12
+                layer.backward(pack([grad_out])).unpack()[0], dx, rtol=0, atol=1e-12
             )
             np.testing.assert_allclose(layer.weight.grad, dweight, rtol=0, atol=1e-12)
             if bias:
@@ -270,12 +278,14 @@ class TestConv2d:
             singles.append((y, g, windowed_conv2d_backward(
                 padded, x.shape, g, weight, stride, padding
             )))
-        outputs = [layer.forward(x[None])[0] for x in maps]
+        outputs = [layer.forward(pack([x])).unpack()[0] for x in maps]
         for y, single in reversed(list(zip(outputs, singles))):
             expected, g, (dx, dweight, dbias) = single
             layer.zero_grad()
             np.testing.assert_allclose(y, expected, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(layer.backward(g[None])[0], dx, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                layer.backward(pack([g])).unpack()[0], dx, rtol=0, atol=1e-12
+            )
             np.testing.assert_allclose(layer.weight.grad, dweight, rtol=0, atol=1e-12)
             np.testing.assert_allclose(layer.bias.grad, dbias, rtol=0, atol=1e-12)
         assert pending(layer) == 0
@@ -285,7 +295,7 @@ class TestConv2d:
         rng = np.random.default_rng(9)
         layer = Conv2d(4, 5, (3, 3), (1, 1), (2, 1), rng)
         x = rng.standard_normal((2, 4, 3, 6))
-        layer.forward(x)
+        layer.forward(pack(x))
         (ctx,) = layer._ctx
         cells, *geometry = ctx
         # The two maps packed side by side, padded with the one zero column
@@ -307,30 +317,30 @@ class TestConv2d:
     def test_gradient(self):
         rng = np.random.default_rng(2)
         layer = Conv2d(2, 3, (3, 3), (2, 2), (1, 1), rng)
-        x = rng.standard_normal((1, 2, 5, 5))
-        r = rng.standard_normal((1, 3, 3, 3))
+        x = pack(rng.standard_normal((1, 2, 5, 5)))
+        r = pack(rng.standard_normal((1, 3, 3, 3)))
         layer.zero_grad()
         layer.forward(x)
         layer.backward(r)
         layer.enable_grad(False)
-        err = grad_check(lambda: float((layer.forward(x) * r).sum()), layer.params())
+        err = grad_check(lambda: _functional(layer.forward(x), r), layer.params())
         assert err <= 1e-4
 
     def test_input_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(3)
         layer = Conv2d(2, 2, (2, 2), (1, 1), (1, 1), rng)
-        x = rng.standard_normal((1, 2, 3, 3))
-        r = rng.standard_normal((1, 2, 4, 4))
-        layer.forward(x)
-        dx = layer.backward(r)
+        x = rng.standard_normal((2, 3, 3))
+        r = pack(rng.standard_normal((1, 2, 4, 4)))
+        layer.forward(pack([x]))
+        (dx,) = layer.backward(r).unpack()
         eps = 1e-6
         layer.enable_grad(False)
-        for idx in [(0, 0, 0, 0), (0, 1, 2, 1), (0, 0, 1, 2)]:
+        for idx in [(0, 0, 0), (1, 2, 1), (0, 1, 2)]:
             orig = x[idx]
             x[idx] = orig + eps
-            up = float((layer.forward(x) * r).sum())
+            up = _functional(layer.forward(pack([x])), r)
             x[idx] = orig - eps
-            down = float((layer.forward(x) * r).sum())
+            down = _functional(layer.forward(pack([x])), r)
             x[idx] = orig
             assert dx[idx] == pytest.approx((up - down) / (2 * eps), rel=1e-4)
 
@@ -338,24 +348,24 @@ class TestConv2d:
 class TestQuadrantPool:
     def test_constant_input(self):
         pool = QuadrantPool()
-        out = pool.forward(np.full((1, 3, 5, 4), 2.5))
+        out = pool.forward(pack(np.full((1, 3, 5, 4), 2.5)))
         np.testing.assert_allclose(out, 2.5)
         assert out.shape == (1, 12)
 
     def test_two_by_two_hand_case(self):
         pool = QuadrantPool()
-        out = pool.forward(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+        out = pool.forward(pack(np.array([[[[1.0, 2.0], [3.0, 4.0]]]])))
         np.testing.assert_array_equal(out, [[1.0, 2.0, 3.0, 4.0]])
 
     def test_single_cell(self):
         pool = QuadrantPool()
-        out = pool.forward(np.array([[[[7.0]]]]))
+        out = pool.forward(pack(np.array([[[[7.0]]]])))
         np.testing.assert_array_equal(out, [[7.0, 7.0, 7.0, 7.0]])
 
     def test_odd_dims_overlap(self):
         # 3x3 single channel: quadrants are the four overlapping 2x2 corners.
         x = np.arange(9, dtype=float).reshape(1, 3, 3)
-        out = QuadrantPool().forward(x[None])[0]
+        out = QuadrantPool().forward(pack([x]))[0]
         expected = [
             x[0, :2, :2].mean(),
             x[0, :2, 1:].mean(),
@@ -370,7 +380,7 @@ class TestQuadrantPool:
         for c in (1, 3):
             for h in (1, 2, 5):
                 for w in (1, 4, 7):
-                    out = pool.forward(rng.standard_normal((1, c, h, w)))
+                    out = pool.forward(pack(rng.standard_normal((1, c, h, w))))
                     assert out.shape == (1, 4 * c)
                     pool.clear_cache()
 
@@ -381,25 +391,25 @@ class TestQuadrantPool:
         for h, w in ((1, 1), (2, 3), (3, 3), (2, 3), (1, 1)):
             x = rng.standard_normal((2, h, w))
             np.testing.assert_allclose(
-                pool.forward(x[None])[0], single_pool_forward(x), rtol=0, atol=1e-12
+                pool.forward(pack([x]))[0], single_pool_forward(x), rtol=0, atol=1e-12
             )
         assert len(pool._pieces) == 2
 
     def test_gradient(self):
         rng = np.random.default_rng(4)
         pool = QuadrantPool()
-        x = rng.standard_normal((1, 2, 3, 5))
+        x = rng.standard_normal((2, 3, 5))
         r = rng.standard_normal((1, 8))
-        pool.forward(x)
-        dx = pool.backward(r)
+        pool.forward(pack([x]))
+        (dx,) = pool.backward(r).unpack()
         pool.enable_grad(False)
         eps = 1e-6
-        for idx in [(0, 0, 0, 0), (0, 1, 1, 2), (0, 0, 2, 4)]:
+        for idx in [(0, 0, 0), (1, 1, 2), (0, 2, 4)]:
             orig = x[idx]
             x[idx] = orig + eps
-            up = float((pool.forward(x) * r).sum())
+            up = float((pool.forward(pack([x])) * r).sum())
             x[idx] = orig - eps
-            down = float((pool.forward(x) * r).sum())
+            down = float((pool.forward(pack([x])) * r).sum())
             x[idx] = orig
             assert dx[idx] == pytest.approx((up - down) / (2 * eps), rel=1e-5)
 
@@ -461,13 +471,13 @@ class TestBatchNorm:
         bn.running_mean = rng.standard_normal(3)
         bn.running_var = rng.uniform(0.5, 2.0, 3)
         bn.eval()
-        x = rng.standard_normal((1, 3, 4, 5))
-        r = rng.standard_normal((1, 3, 4, 5))
+        x = pack(rng.standard_normal((1, 3, 4, 5)))
+        r = pack(rng.standard_normal((1, 3, 4, 5)))
         bn.zero_grad()
         bn.forward(x)
         bn.backward(r)
         bn.enable_grad(False)
-        err = grad_check(lambda: float((bn.forward(x) * r).sum()), bn.params())
+        err = grad_check(lambda: _functional(bn.forward(x), r), bn.params())
         assert err <= 1e-4
 
     def test_input_gradient_train_mode(self):
@@ -490,7 +500,7 @@ class TestBatchNorm:
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the single-map (C, H, W) layers that the stacked layers replaced
+# Oracle: the single-map (C, H, W) layers that the packed layers replaced
 # ---------------------------------------------------------------------------
 
 
@@ -650,7 +660,7 @@ def twin_encoders(seed):
 
 
 class TestStackedLayers:
-    """Each stacked layer equals the single-map layer run map by map."""
+    """Each layer over packed maps equals the single-map layer run map by map."""
 
     @pytest.mark.parametrize(
         "make, shape",
@@ -669,11 +679,14 @@ class TestStackedLayers:
         x = rng.standard_normal(shape)
         layer.zero_grad()
         single.zero_grad()
-        y = layer.forward(x)
+        y = layer.forward(pack(x))
         outs, caches = zip(*(single_forward(single, m) for m in x))
-        np.testing.assert_allclose(y, np.stack(outs), rtol=0, atol=1e-12)
-        grad = rng.standard_normal(y.shape)
-        dx = layer.backward(grad)
+        pooled = isinstance(layer, QuadrantPool)
+        np.testing.assert_allclose(
+            y if pooled else y.unpack(), np.stack(outs), rtol=0, atol=1e-12
+        )
+        grad = rng.standard_normal(np.shape(outs))
+        dx = layer.backward(grad if pooled else pack(grad)).unpack()
         for b in reversed(range(shape[0])):
             expected = single_backward(single, caches[b], grad[b])
             np.testing.assert_allclose(dx[b], expected, rtol=0, atol=1e-12)
@@ -846,7 +859,7 @@ def _weight_layers(rng):
     """A Linear and a Conv2d with an input and an output gradient for each."""
     linear = Linear(4, 3, rng)
     conv = Conv2d(2, 3, (2, 3), stride=(1, 2), padding=(1, 1), rng=rng)
-    maps = tensornet.Maps.pack([rng.standard_normal((2, 4, 5)), rng.standard_normal((2, 3, 2))])
+    maps = Maps.pack([rng.standard_normal((2, 4, 5)), rng.standard_normal((2, 3, 2))])
     conv_out = conv.forward(maps)
     conv.clear_cache()
 
