@@ -20,9 +20,10 @@ from . import baseline as bl
 from . import evalkit
 from .config import RunConfig
 from .corpus import Dataset, load_dataset, load_qa_corpus, save_dataset
-from .errors import ConfigError, MedrankError
+from .errors import ConfigError, MedrankError, read_json_object
 from .gradcheck import gradient_check_battery
 from .joint import (
+    DEFAULT_METADATA_WIDTH,
     ConvEncoderConfig,
     HeadConfig,
     TrainConfig,
@@ -122,7 +123,7 @@ def cmd_extract_features(config: RunConfig, args) -> int:
         # Retrieve and score as the layout was fit, whatever the run's
         # retrieval.* and provider.* say; a --tfidf must be the stored one.
         feature_config, retrieval_config, provider, tfidf = bl.layout_settings(
-            json.loads(layout_path.read_text(encoding="utf-8")), str(layout_path)
+            read_json_object(layout_path), str(layout_path)
         )
         if args.tfidf is not None and load_tfidf(args.tfidf).to_dict() != tfidf.to_dict():
             raise MedrankError(
@@ -160,7 +161,7 @@ def cmd_train_baseline(config: RunConfig, args) -> int:
     bl.train_checkpoint(
         rows,
         load_dataset(args.dataset, args.split),
-        json.loads(Path(args.layout).read_text(encoding="utf-8")),
+        read_json_object(args.layout),
         args.out,
         **dataclasses.asdict(config.baseline),
     )
@@ -185,12 +186,11 @@ def cmd_train_joint(config: RunConfig, args) -> int:
     metadata_tfidf = fit_tfidf(
         [p.answer_text for p in pairs], V=config.metadata_vocab_size()
     )
-    pack = config.scaled_down or args.pack_metadata
     layout = fit_metadata_layout(
         list(dataset.questions),
         pairs,
         V=len(metadata_tfidf.vocabulary),
-        M=None if pack else 2032,
+        M=None if config.scaled_down else DEFAULT_METADATA_WIDTH,
     )
     encoder_config = (
         ConvEncoderConfig.scaled_down()
@@ -353,11 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int)
-    p.add_argument(
-        "--pack-metadata",
-        action="store_true",
-        help="size the metadata block without padding",
-    )
     p.set_defaults(handler=cmd_train_joint)
 
     p = sub.add_parser("predict", help="run a trained model over a dataset")

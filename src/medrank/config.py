@@ -88,13 +88,24 @@ class RunConfig:
     synth: SynthSection = field(default_factory=SynthSection)
     tfidf: TfidfSection = field(default_factory=TfidfSection)
     paths: PathsSection = field(default_factory=PathsSection)
+    # the dotted keys given a value by a config file or --set
+    _explicit: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
     # -- typed views consumed by the pipeline modules --------------------
+
+    def _sized(self, dotted: str, value: int, scaled: int) -> int:
+        """``value``, or ``scaled`` under ``scaled_down``; a file or ``--set``
+        that also sets ``dotted`` contradicts it and fails."""
+        if not self.scaled_down:
+            return value
+        if dotted in self._explicit:
+            raise ConfigError(f"{dotted} is set, but --scaled-down fixes it at {scaled}")
+        return scaled
 
     def provider_config(self) -> ProviderConfig:
         return ProviderConfig(
             kind=self.provider.kind,
-            D=8 if self.scaled_down else self.provider.D,
+            D=self._sized("provider.D", self.provider.D, 8),
             seed=self.provider.seed,
             vocab_size=self.provider.vocab_size,
             path=self.provider.path,
@@ -119,7 +130,7 @@ class RunConfig:
         )
 
     def metadata_vocab_size(self) -> int:
-        return 16 if self.scaled_down else self.tfidf.V
+        return self._sized("tfidf.V", self.tfidf.V, 16)
 
     # -- dotted-key plumbing ---------------------------------------------
 
@@ -148,6 +159,7 @@ class RunConfig:
         if key not in hints:
             raise ConfigError(f"unknown config key {dotted!r}")
         setattr(section, key, _coerce(raw, hints[key], dotted))
+        self._explicit.add(dotted)
 
     @classmethod
     def from_text(cls, text: str, where: str = "<config>") -> "RunConfig":

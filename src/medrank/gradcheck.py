@@ -221,7 +221,7 @@ def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[
         sentences=("w00 w01 w04", "w02 w05"),
         source="faq",
         score=0.9,
-        rqe_embedding=provider.rqe(question.text, question.text).embedding,
+        rqe_embedding=provider.rqe(question.text, question.text),
     )
     prepared = _PreparedQuestion(
         question_id=question.question_id,

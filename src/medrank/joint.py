@@ -205,7 +205,7 @@ def build_pair_tensor(
     tensor = np.empty((channels, a, c))
     for i, premise in enumerate(entailed_sentences):
         for j, hypothesis in enumerate(candidate_sentences):
-            embedding = nli_provider.nli(premise, hypothesis).embedding
+            embedding = nli_provider.nli(premise, hypothesis)
             if embedding.shape[0] != channels:
                 raise DimensionError(
                     f"provider embedding has {embedding.shape[0]} dims, "
@@ -508,7 +508,7 @@ def augment_training(
     ]
     if len(ranked) < 2:
         return []
-    self_embedding = rqe_provider.rqe(question.text, question.text).embedding
+    self_embedding = rqe_provider.rqe(question.text, question.text)
     out = []
     for _, anchor in ranked:
         lower = tuple(
@@ -986,13 +986,16 @@ def predict_checkpoint(
     where: str = "<checkpoint>",
 ) -> list[Prediction]:
     """``predict`` for a joint checkpoint: its model, provider and retrieval."""
-    model = joint_model_from_manifest(meta, arrays, where)
-    provider = provider_from_meta(meta, where)
-    train = meta["train"]
-    retrieval_config = RetrievalConfig(
-        N=int(train["retrieval_N"]),
-        T=float(train["retrieval_T"]),
-        swap_direction=bool(train.get("retrieval_swap_direction", False)),
-    )
+    try:
+        model = joint_model_from_manifest(meta, arrays, where)
+        provider = provider_from_meta(meta, where)
+        train = meta["train"]
+        retrieval_config = RetrievalConfig(
+            N=int(train["retrieval_N"]),
+            T=float(train["retrieval_T"]),
+            swap_direction=bool(train.get("retrieval_swap_direction", False)),
+        )
+    except KeyError as exc:
+        raise SchemaError(f"{where}: joint checkpoint lacks field {exc}") from exc
     index = EntailmentIndex(corpus_pairs, provider)
     return predict_dataset(model, dataset, index, provider, retrieval_config)

@@ -11,17 +11,17 @@ Three provider kinds are available, all deterministic under a fixed seed:
 * ``precomputed`` — score/embedding lookup from a JSONL file keyed by the
   SHA-256 of the sentence pair.
 
-Every provider answers four calls: ``nli``/``rqe``, which return a
-``PairResult`` (the score plus a D-wide embedding), and the score-only
-``nli_scores``/``rqe_scores``, which score one text against many and return
-exactly the ``PairResult`` scores without building an embedding. Retrieval
-ranks the corpus through ``rqe_scores`` and ANLI scores sentences through
-``nli_scores``, so the D-wide projection runs only for the pairs whose
-embedding is read.
+Every provider answers four calls. ``nli``/``rqe`` return a pair's
+read-only D-wide embedding, the deep feature the joint model and the
+baseline read. ``nli_scores``/``rqe_scores`` score one text against many and
+are the only source of scores: retrieval ranks the corpus through
+``rqe_scores`` and ANLI scores sentences through ``nli_scores``. So the
+D-wide projection runs only for the pairs whose embedding is read, and a
+score is never computed for them.
 
-``toy_hash`` and ``tfidf_cosine`` score every pair by one ordered sparse dot
+``toy_hash`` and ``tfidf_cosine`` score a batch by one ordered sparse dot
 (see ``_VectorProvider``): one gather-multiply-bincount over a CSR block of
-the texts, one text for a single pair and a whole corpus for a batch.
+the batch texts.
 
 The hand-rolled vectorizer (rather than an off-the-shelf one) pins the exact
 vocabulary-selection rule: top-V terms by document frequency with
@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, MedrankError, SchemaError
+from .errors import DimensionError, MedrankError, SchemaError, read_json_object
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -128,22 +128,12 @@ def save_tfidf(model: TfidfModel, path: str | Path) -> None:
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return TfidfModel.from_dict(payload, where=str(path))
+    return TfidfModel.from_dict(read_json_object(path), where=str(path))
 
 
 # ---------------------------------------------------------------------------
-# Provider results and configuration
+# Provider configuration
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PairResult:
-    """A pair's score in [0, 1] (the NLI entailment probability or the RQE
-    confidence) plus its D-wide embedding, read-only."""
-
-    score: float
-    embedding: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -170,50 +160,42 @@ class ProviderConfig:
             raise SchemaError(f"unknown provider kind {self.kind!r}")
 
 
-def _clamp(score: float) -> float:
-    return min(max(score, 0.0), 1.0)
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
 
 
 class _Provider:
-    """The memo of finished pair results; subclasses implement _pair() (a
-    pair's score, already in [0, 1], and its embedding) and the two batched
-    score calls.
+    """The memo of pair embeddings; subclasses implement _pair() (a pair's
+    D-wide embedding) and the two batched score calls.
 
-    A custom provider must answer all four public calls: ``nli``/``rqe``,
-    which return a ``PairResult``, ``nli_scores(sentence, premises)``, which
-    returns exactly ``[nli(sentence, p).score for p in premises]`` as an
-    array, and ``rqe_scores(query, texts, swap)``, which returns exactly
-    ``[rqe(query, t).score for t in texts]``, or ``[rqe(t, query).score ...]``
-    with ``swap``. The score-only calls build no embedding.
+    A custom provider must answer all four public calls: ``nli(a, b)`` and
+    ``rqe(a, b)``, which return the pair's read-only (D,) float64 embedding;
+    ``nli_scores(sentence, premises)``, which returns the NLI score in
+    [0, 1] of each (sentence, premise) as an array; and
+    ``rqe_scores(query, texts, swap)``, which returns the RQE score in
+    [0, 1] of each (query, text), or of each (text, query) with ``swap``.
     """
 
     def __init__(self, config: ProviderConfig):
         self.config = config
-        self._memo: dict[tuple[str, str], PairResult] = {}
+        self._memo: dict[tuple[str, str], np.ndarray] = {}
 
-    def _pair(self, text_a: str, text_b: str) -> tuple[float, np.ndarray]:
+    def _pair(self, text_a: str, text_b: str) -> np.ndarray:
         raise NotImplementedError
 
-    def _result(self, text_a: str, text_b: str) -> PairResult:
+    def nli(self, text_a: str, text_b: str) -> np.ndarray:
+        """The pair's embedding, memoised under ``config.cache``; ``rqe`` is
+        the same call."""
         key = (text_a, text_b)
-        result = self._memo.get(key)
-        if result is None:
-            score, embedding = self._pair(text_a, text_b)
-            result = PairResult(score=score, embedding=_frozen(embedding))
+        embedding = self._memo.get(key)
+        if embedding is None:
+            embedding = _frozen(self._pair(text_a, text_b))
             if self.config.cache:
-                self._memo[key] = result
-        return result
+                self._memo[key] = embedding
+        return embedding
 
-    def nli(self, sentence_a: str, sentence_b: str) -> PairResult:
-        return self._result(sentence_a, sentence_b)
-
-    def rqe(self, chq: str, faq: str) -> PairResult:
-        return self._result(chq, faq)
+    rqe = nli
 
 
 def _ordered_dots(
@@ -240,21 +222,21 @@ class _SparseRows(NamedTuple):
 
 
 class _VectorProvider(_Provider):
-    """Scores a pair from one vector per text by an ordered sparse dot.
+    """Scores pairs from one vector per text by an ordered sparse dot.
 
     A pair's raw dot sums the products over one text's nonzero terms, added
     one after another in term order (``_ordered_dots``). The products are
     non-negative, so the zero products that a sum over the other text's terms
     would add change nothing: the dot is the same float whichever text's
-    terms it runs over. ``_pair`` sums over the first text's terms, and
+    terms it runs over, and the score is the same in either direction.
     ``rqe_scores`` gets a whole corpus at once by summing over the corpus
-    texts'. The score is the dot over the two texts' ``_norm``s, clamped to
-    [0, 1]. ``nli_scores`` is ``rqe_scores`` without swap.
+    texts' terms. The score is the dot over the two texts' ``_norm``s,
+    clamped to [0, 1]. ``nli_scores`` is ``rqe_scores`` without swap.
 
     With ``config.cache`` the provider keeps each embedded or queried text's
     vector (read-only), so a text is transformed once; the CSR block of each
-    corpus (not its dense vectors) and of each text embedded as a first
-    argument, keyed by the texts; and each embedded pair's ``PairResult``.
+    corpus (not its dense vectors), keyed by its texts; and each embedded
+    pair's embedding.
     """
 
     def __init__(self, config: ProviderConfig):
@@ -281,33 +263,23 @@ class _VectorProvider(_Provider):
                 self._vectors[text] = vec
         return vec
 
-    def _sparse_rows(self, vectors: list[np.ndarray]) -> _SparseRows:
-        terms = [np.flatnonzero(vec) for vec in vectors]
-        return _SparseRows(
-            terms=np.concatenate(terms),
-            values=np.concatenate([vec[t] for vec, t in zip(vectors, terms)]),
-            rows=np.repeat(np.arange(len(vectors)), [t.size for t in terms]),
-            norms=np.array([self._norm(vec) for vec in vectors]),
-        )
-
-    def _block(self, texts: tuple[str, ...], vectors=None) -> _SparseRows:
-        """The CSR block of ``texts``; ``vectors`` are their vectors when the
-        caller has them already."""
+    def _block(self, texts: tuple[str, ...]) -> _SparseRows:
         block = self._corpora.get(texts)
         if block is None:
-            if vectors is None:
-                vectors = [self._transform(text) for text in texts]
-            block = self._sparse_rows(vectors)
+            vectors = [self._transform(text) for text in texts]
+            terms = [np.flatnonzero(vec) for vec in vectors]
+            block = _SparseRows(
+                terms=np.concatenate(terms),
+                values=np.concatenate([vec[t] for vec, t in zip(vectors, terms)]),
+                rows=np.repeat(np.arange(len(texts)), [t.size for t in terms]),
+                norms=np.array([self._norm(vec) for vec in vectors]),
+            )
             if self.config.cache:
                 self._corpora[texts] = block
         return block
 
-    def _pair(self, text_a: str, text_b: str) -> tuple[float, np.ndarray]:
-        u = self._vector(text_a)
-        v = self._vector(text_b)
-        row = self._block((text_a,), [u])
-        dot = float(_ordered_dots(row.terms, row.values, row.rows, v, 1)[0])
-        return _clamp(dot / (float(row.norms[0]) * self._norm(v))), self._embed(u, v)
+    def _pair(self, text_a: str, text_b: str) -> np.ndarray:
+        return self._embed(self._vector(text_a), self._vector(text_b))
 
     def rqe_scores(self, query: str, texts, swap: bool = False) -> np.ndarray:
         """One gather-multiply-bincount over the texts' nonzero terms. The
@@ -406,9 +378,9 @@ def load_precomputed(path: str | Path) -> dict[str, dict]:
 class _Record(NamedTuple):
     """A parsed precomputed record."""
 
-    score: float  # clamped to [0, 1]
+    score: float  # the RQE score, clamped to [0, 1]
+    nli_score: float  # probs[0] when the record has probs, else ``score``
     embedding: np.ndarray  # read-only, length D
-    nli: PairResult | None  # (probs[0], embedding) when the record has probs
 
 
 def _parse_record(record: dict, D: int, where: str) -> _Record:
@@ -427,24 +399,25 @@ def _parse_record(record: dict, D: int, where: str) -> _Record:
         )
     if not np.all(np.isfinite(embedding)):
         raise SchemaError(f"{where}: embedding must be finite")
-    embedding = _frozen(embedding)
-    nli = None
+    score = min(max(score, 0.0), 1.0)
+    nli_score = score
     if probs is not None:
         if probs.shape != (3,):
             raise DimensionError(f"{where}: NLI probs must be a 3-vector")
         if not (np.all(probs >= 0) and abs(float(probs.sum()) - 1.0) <= 1e-9):
             raise SchemaError(f"{where}: NLI probs must be non-negative and sum to 1")
-        nli = PairResult(score=float(probs[0]), embedding=embedding)
-    return _Record(score=_clamp(score), embedding=embedding, nli=nli)
+        nli_score = float(probs[0])
+    return _Record(score=score, nli_score=nli_score, embedding=_frozen(embedding))
 
 
 class PrecomputedProvider(_Provider):
     """Serves scores and embeddings from a precomputed lookup table.
 
-    Every record is validated and parsed here, once. ``rqe`` reads a
-    record's score; ``nli`` reads ``probs[0]`` instead when the record has
-    probs. A pair with no record raises ``KeyError``, or scores 0 with a
-    zero embedding under ``fallback_zero``.
+    Every record is validated and parsed here, once. ``rqe_scores`` reads a
+    record's score; ``nli_scores`` reads ``probs[0]`` instead when the record
+    has probs. ``nli`` and ``rqe`` read its embedding. A pair with no record
+    raises ``KeyError``, or scores 0 with a zero embedding under
+    ``fallback_zero``.
     """
 
     def __init__(self, config: ProviderConfig, records: dict[str, dict] | None = None):
@@ -459,7 +432,7 @@ class PrecomputedProvider(_Provider):
             key: _parse_record(record, config.D, f"{where}: record {key!r}")
             for key, record in records.items()
         }
-        self._missing = _Record(0.0, _frozen(np.zeros(config.D)), None)
+        self._missing = _Record(0.0, 0.0, _frozen(np.zeros(config.D)))
 
     def _record(self, text_a: str, text_b: str) -> _Record:
         key = pair_key(text_a, text_b)
@@ -470,18 +443,12 @@ class PrecomputedProvider(_Provider):
             return self._missing
         return record
 
-    def _pair(self, text_a: str, text_b: str) -> tuple[float, np.ndarray]:
-        record = self._record(text_a, text_b)
-        return record.score, record.embedding
-
-    def nli(self, sentence_a: str, sentence_b: str) -> PairResult:
-        result = self._record(sentence_a, sentence_b).nli
-        return super().nli(sentence_a, sentence_b) if result is None else result
+    def _pair(self, text_a: str, text_b: str) -> np.ndarray:
+        return self._record(text_a, text_b).embedding
 
     def nli_scores(self, sentence: str, premises) -> np.ndarray:
-        records = [self._record(sentence, p) for p in premises]
         return np.array(
-            [r.score if r.nli is None else r.nli.score for r in records], dtype=np.float64
+            [self._record(sentence, p).nli_score for p in premises], dtype=np.float64
         )
 
     def rqe_scores(self, query: str, texts, swap: bool = False) -> np.ndarray:

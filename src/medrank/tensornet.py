@@ -27,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, SchemaError
+from .errors import DimensionError, SchemaError, read_json_object
 
 
 class Tensor:
@@ -837,11 +837,17 @@ def write_manifest(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) 
 
 
 def read_manifest(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "meta" not in payload or "arrays" not in payload:
+    """The ``meta`` object and named arrays of a ``write_manifest`` file;
+    anything else raises a ``SchemaError`` naming the file."""
+    payload = read_json_object(path)
+    meta, entries = payload.get("meta"), payload.get("arrays")
+    if not isinstance(meta, dict) or not isinstance(entries, dict):
         raise SchemaError(f"{path}: not a checkpoint manifest")
-    arrays = {
-        name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in payload["arrays"].items()
-    }
-    return payload["meta"], arrays
+    try:
+        arrays = {
+            name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            for name, entry in entries.items()
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: unreadable array: {exc!r}") from exc
+    return meta, arrays

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from medrank.corpus import CandidateAnswer, QAPair, QuestionRecord
-from medrank.providers import PairResult
+from medrank.providers import pair_key
 
 
 def make_candidate(
@@ -54,12 +54,25 @@ def ordered_sum_score(provider, text_a, text_b):
     return min(max(dot / (provider._norm(u) * provider._norm(v)), 0.0), 1.0)
 
 
+def record_score(records, text_a, text_b, nli=False):
+    """A precomputed pair's score read straight from its raw record: for NLI
+    the entailment ``probs[0]`` when the record has probs, else the score
+    clamped to [0, 1]; 0 for a pair without a record (``fallback_zero``)."""
+    record = records.get(pair_key(text_a, text_b))
+    if record is None:
+        return 0.0
+    if nli and "probs" in record:
+        return float(record["probs"][0])
+    return min(max(float(record["score"]), 0.0), 1.0)
+
+
 class StubProvider:
     """Deterministic provider with a preset pair-score table.
 
     ``table`` maps (text_a, text_b) to a score; unseen pairs get ``default``.
-    Embeddings are seeded from a SHA-256 of the pair, so they are the same in
-    every process (``hash`` of a string is salted per process).
+    Embeddings are read-only and seeded from a SHA-256 of the pair, so they
+    are the same in every process (``hash`` of a string is salted per
+    process).
     """
 
     def __init__(self, table=None, default=0.0, D=4):
@@ -73,13 +86,15 @@ class StubProvider:
     def _embedding(self, a, b):
         digest = hashlib.sha256(json.dumps([a, b]).encode("utf-8")).digest()
         seed = int.from_bytes(digest[:8], "little")
-        return np.random.default_rng(seed).standard_normal(self.D)
+        embedding = np.random.default_rng(seed).standard_normal(self.D)
+        embedding.setflags(write=False)
+        return embedding
 
     def nli(self, a, b):
-        return PairResult(score=self._score(a, b), embedding=self._embedding(a, b))
+        return self._embedding(a, b)
 
     def rqe(self, a, b):
-        return PairResult(score=self._score(a, b), embedding=self._embedding(a, b))
+        return self._embedding(a, b)
 
     def nli_scores(self, sentence, premises):
         return np.array([self._score(sentence, p) for p in premises])

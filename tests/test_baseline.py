@@ -7,7 +7,6 @@ from medrank import baseline as bl
 from medrank.corpus import Dataset
 from medrank.errors import DimensionError, SchemaError
 from medrank.providers import (
-    PairResult,
     ProviderConfig,
     TfidfCosineProvider,
     fit_tfidf,
@@ -16,7 +15,7 @@ from medrank.providers import (
 from medrank.retrieval import EntailedCandidate
 from medrank.tensornet import sigmoid
 
-from conftest import StubProvider, make_candidate, make_question
+from conftest import StubProvider, make_candidate, make_question, ordered_sum_score
 
 
 class MatrixNliProvider:
@@ -27,19 +26,22 @@ class MatrixNliProvider:
         self.rows = {s: i for i, s in enumerate(candidate_sentences)}
         self.cols = {p: j for j, p in enumerate(entailed_sentences)}
 
-    def nli(self, s, p):
-        score = float(self.matrix[self.rows[s], self.cols[p]])
-        return PairResult(score=score, embedding=np.zeros(2))
+    def score(self, s, p):
+        return float(self.matrix[self.rows[s], self.cols[p]])
 
-    def rqe(self, s, p):
-        return self.nli(s, p)
+    def nli(self, s, p):
+        embedding = np.zeros(2)
+        embedding.setflags(write=False)
+        return embedding
+
+    rqe = nli
 
     def nli_scores(self, s, premises):
-        return np.array([self.nli(s, p).score for p in premises])
+        return np.array([self.score(s, p) for p in premises])
 
     def rqe_scores(self, query, texts, swap=False):
         pairs = [(t, query) if swap else (query, t) for t in texts]
-        return np.array([self.rqe(a, b).score for a, b in pairs])
+        return np.array([self.score(a, b) for a, b in pairs])
 
 
 class TestAnli:
@@ -92,7 +94,7 @@ class TestAnli:
         value = bl.anli(sentences, entailed, provider)
         assert provider._memo == {}
         brute = sum(
-            max(provider.nli(s, p).score for p in entailed) for s in sentences
+            max(ordered_sum_score(provider, s, p) for p in entailed) for s in sentences
         )
         assert value == brute / len(sentences)
 

@@ -1167,6 +1167,31 @@ class TestErrorHandling:
         assert message in payload["message"]
         assert not model.exists()
 
+    @pytest.mark.parametrize(
+        "setting, via_file",
+        [("provider.D=0", False), ("provider.D=32", True), ("tfidf.V=500", False),
+         ("tfidf.V=500", True)],
+    )
+    def test_scaled_down_rejects_explicit_sizes(
+        self, pipeline_dir, capsys, tmp_path, setting, via_file
+    ):
+        config_path = tmp_path / "run.conf"
+        config_path.write_text(setting + "\n", encoding="utf-8")
+        flags = ["--config", str(config_path)] if via_file else ["--set", setting]
+        model = tmp_path / "joint.json"
+        capsys.readouterr()
+        code = main(
+            pipeline_dir["base"]
+            + flags
+            + ["train-joint", "--dataset", pipeline_dir["train"],
+               "--corpus", pipeline_dir["corpus"], "--out", str(model)]
+        )
+        assert code == 2
+        payload = _error_payload(capsys)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith(setting.split("=")[0] + " is set, but --scaled-down")
+        assert not model.exists()
+
     def test_zero_vocab_size_is_not_ignored(self, pipeline_dir, capsys, tmp_path):
         out = tmp_path / "tfidf.json"
         capsys.readouterr()
@@ -1347,6 +1372,60 @@ class TestErrorHandling:
             ["--set", "notakey", "synth", "--out-dir", str(tmp_path)]
         )
         assert code == 2
+
+
+def _truncated(text):
+    return text[: len(text) // 2]
+
+
+def _without_encoder(text):
+    payload = json.loads(text)
+    del payload["meta"]["encoder"]
+    return json.dumps(payload)
+
+
+# case: (pipeline file rewritten, its rewrite, the command that reads it)
+UNREADABLE_JSON = {
+    "checkpoint-truncated": ("joint.json", _truncated, "predict"),
+    "checkpoint-string": ("joint.json", lambda text: '"meta arrays"', "predict"),
+    "checkpoint-meta-list": ("joint.json", lambda text: '{"meta": [], "arrays": {}}', "predict"),
+    "checkpoint-no-encoder": ("joint.json", _without_encoder, "predict"),
+    "layout-truncated": ("layout.json", _truncated, "extract-features"),
+    "layout-list": ("layout.json", lambda text: "[1]", "extract-features"),
+    "train-layout-truncated": ("layout.json", _truncated, "train-baseline"),
+    "train-layout-list": ("layout.json", lambda text: "[1]", "train-baseline"),
+    "tfidf-truncated": ("tfidf.json", _truncated, "extract-features"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_JSON))
+def test_unreadable_json_input_names_the_file(pipeline_dir, capsys, tmp_path, case):
+    name, rewrite, command = UNREADABLE_JSON[case]
+    source = Path(pipeline_dir["dir"]) / name
+    bad = tmp_path / name
+    bad.write_text(rewrite(source.read_text(encoding="utf-8")), encoding="utf-8")
+    inputs = {
+        other: str(source.parent / other) for other in ("joint.json", "layout.json", "tfidf.json")
+    }
+    if name == "tfidf.json":  # extract-features reads it only to fit a new layout
+        inputs["layout.json"] = str(tmp_path / "new_layout.json")
+    inputs[name] = str(bad)
+    out = tmp_path / "out"
+    args = {
+        "predict": ["--model", inputs["joint.json"], "--dataset", pipeline_dir["val"],
+                    "--corpus", pipeline_dir["corpus"]],
+        "extract-features": ["--dataset", pipeline_dir["train"], "--corpus",
+                             pipeline_dir["corpus"], "--tfidf", inputs["tfidf.json"],
+                             "--layout", inputs["layout.json"]],
+        "train-baseline": ["--features", f"{pipeline_dir['dir']}/features_train.jsonl",
+                           "--dataset", pipeline_dir["train"], "--layout", inputs["layout.json"]],
+    }[command]
+    capsys.readouterr()
+    assert main(pipeline_dir["base"] + [command] + args + ["--out", str(out)]) == 2
+    payload = _error_payload(capsys)
+    assert payload["error"] == "SchemaError"
+    assert payload["message"].startswith(str(bad))
+    assert not out.exists()
 
 
 class TestConfigFile:

@@ -110,3 +110,28 @@ class TestRunConfig:
         config.set_value("synth.questions", "10")
         assert config.synth_config().questions == 10
         assert config.retrieval_config().N == 3
+
+    @pytest.mark.parametrize(
+        "key, view", [("provider.D", "provider_config"), ("tfidf.V", "metadata_vocab_size")]
+    )
+    @pytest.mark.parametrize("value", ["0", "32", "768"])
+    def test_scaled_down_rejects_an_explicit_size(self, key, view, value):
+        # --set, before scaled_down is switched on, and a config file, with
+        # the key on either side of scaled_down=true
+        set_config = RunConfig()
+        set_config.set_value(key, value)
+        set_config.scaled_down = True
+        configs = [set_config]
+        for lines in ([f"{key}={value}", "scaled_down=true"],
+                      ["scaled_down=true", f"{key}={value}"]):
+            configs.append(RunConfig.from_text("\n".join(lines), where="run.conf"))
+        for config in configs:
+            with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+                getattr(config, view)()
+
+    def test_explicit_size_used_without_scaled_down(self):
+        config = RunConfig()
+        config.set_value("provider.D", "32")
+        config.set_value("tfidf.V", "500")
+        assert config.provider_config().D == 32
+        assert config.metadata_vocab_size() == 500

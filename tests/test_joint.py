@@ -102,7 +102,7 @@ class TestPairTensor:
     def test_cell_contents(self):
         provider = StubProvider(D=4)
         tensor = build_pair_tensor(["e0", "e1"], ["c0"], provider, channels=4)
-        np.testing.assert_array_equal(tensor[:, 1, 0], provider.nli("e1", "c0").embedding)
+        np.testing.assert_array_equal(tensor[:, 1, 0], provider.nli("e1", "c0"))
 
     def test_constant_provider_gives_constant_tensor(self):
         class ConstantProvider(StubProvider):
@@ -285,7 +285,7 @@ class TestAugmentation:
         provider = StubProvider(D=4)
         question = self._question(2)
         instances = augment_training(question, provider)
-        expected = provider.rqe(question.text, question.text).embedding
+        expected = provider.rqe(question.text, question.text)
         for instance, _ in instances:
             assert instance.score == 1.0
             np.testing.assert_array_equal(instance.rqe_embedding, expected)

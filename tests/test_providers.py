@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from medrank import providers
 from medrank.corpus import QAPair
 from medrank.errors import DimensionError, MedrankError, SchemaError
 from medrank.providers import (
@@ -32,7 +33,7 @@ from medrank.providers import (
     tokenize,
 )
 
-from conftest import StubProvider, ordered_sum_score
+from conftest import StubProvider, ordered_sum_score, record_score
 from test_baseline import MatrixNliProvider
 
 
@@ -121,11 +122,11 @@ def cosine_provider():
 
 class TestTfidfCosineProvider:
     def test_identical_sentences_entail(self, cosine_provider):
-        result = cosine_provider.nli("alpha beta", "alpha beta")
-        assert result.score == pytest.approx(1.0, abs=1e-12)
+        score = _nli_only(cosine_provider, "alpha beta", "alpha beta")
+        assert score == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_sentences(self, cosine_provider):
-        assert cosine_provider.nli("alpha", "epsilon").score == 0.0
+        assert _nli_only(cosine_provider, "alpha", "epsilon") == 0.0
 
     def test_scores_in_unit_interval(self, cosine_provider):
         rng = np.random.default_rng(1)
@@ -133,65 +134,65 @@ class TestTfidfCosineProvider:
         for _ in range(40):
             a = " ".join(rng.choice(words, size=3))
             b = " ".join(rng.choice(words, size=3))
-            score = cosine_provider.nli(a, b).score
-            assert type(score) is float and 0.0 <= score <= 1.0
+            scores = cosine_provider.nli_scores(a, [b])
+            assert scores.dtype == np.float64 and 0.0 <= scores[0] <= 1.0
 
     def test_determinism_bitwise(self, cosine_provider):
         first = cosine_provider.nli("alpha beta", "beta gamma")
         second = cosine_provider.nli("alpha beta", "beta gamma")
-        assert second is first  # the memo returns the finished result
+        assert second is first  # the memo returns the finished embedding
         fresh = TfidfCosineProvider(cosine_provider.config, cosine_provider.model)
         third = fresh.nli("alpha beta", "beta gamma")
-        assert _bits(third.score) == _bits(first.score)
-        assert np.array_equal(third.embedding, first.embedding)
-        assert not first.embedding.flags.writeable
+        assert np.array_equal(third, first)
+        assert not first.flags.writeable
+        assert _bits(_nli_only(fresh, "alpha beta", "beta gamma")) == _bits(
+            _nli_only(cosine_provider, "alpha beta", "beta gamma")
+        )
 
     def test_determinism_across_instances(self):
         model = fit_tfidf(["alpha beta", "beta gamma"], V=5)
         config = ProviderConfig(kind="tfidf_cosine", D=4, seed=9)
         p1 = TfidfCosineProvider(config, model)
         p2 = TfidfCosineProvider(config, model)
-        r1 = p1.rqe("alpha", "beta gamma")
-        r2 = p2.rqe("alpha", "beta gamma")
-        assert r1.score == r2.score
-        assert np.array_equal(r1.embedding, r2.embedding)
+        assert _bits(_rqe_only(p1, "alpha", "beta gamma")) == _bits(
+            _rqe_only(p2, "alpha", "beta gamma")
+        )
+        assert np.array_equal(p1.rqe("alpha", "beta gamma"), p2.rqe("alpha", "beta gamma"))
 
     def test_rqe_symmetry(self, cosine_provider):
-        assert cosine_provider.rqe("alpha beta", "beta gamma").score == (
-            cosine_provider.rqe("beta gamma", "alpha beta").score
+        assert _bits(_rqe_only(cosine_provider, "alpha beta", "beta gamma")) == _bits(
+            _rqe_only(cosine_provider, "beta gamma", "alpha beta")
         )
 
     def test_rqe_range(self, cosine_provider):
-        assert cosine_provider.rqe("alpha", "alpha").score == pytest.approx(1.0)
-        assert cosine_provider.rqe("alpha", "epsilon").score == 0.0
+        assert _rqe_only(cosine_provider, "alpha", "alpha") == pytest.approx(1.0)
+        assert _rqe_only(cosine_provider, "alpha", "epsilon") == 0.0
 
     def test_embedding_dimension(self, cosine_provider):
-        assert cosine_provider.nli("a", "b").embedding.shape == (6,)
+        embedding = cosine_provider.nli("a", "b")
+        assert embedding.shape == (6,) and embedding.dtype == np.float64
 
 
 class TestToyHashProvider:
     def test_identical_and_disjoint(self):
         provider = ToyHashProvider(ProviderConfig(kind="toy_hash", D=64, seed=0))
-        assert provider.rqe("one two", "one two").score == pytest.approx(1.0)
-        assert provider.nli("one two", "one two").score == pytest.approx(1.0)
+        assert _rqe_only(provider, "one two", "one two") == pytest.approx(1.0)
+        assert _nli_only(provider, "one two", "one two") == pytest.approx(1.0)
 
     def test_determinism_across_instances(self):
         config = ProviderConfig(kind="toy_hash", D=32, seed=5)
-        r1 = ToyHashProvider(config).nli("a b c", "c d")
-        r2 = ToyHashProvider(config).nli("a b c", "c d")
-        assert r1.score == r2.score
-        np.testing.assert_array_equal(r1.embedding, r2.embedding)
+        p1, p2 = ToyHashProvider(config), ToyHashProvider(config)
+        assert _bits(_nli_only(p1, "a b c", "c d")) == _bits(_nli_only(p2, "a b c", "c d"))
+        np.testing.assert_array_equal(p1.nli("a b c", "c d"), p2.nli("a b c", "c d"))
 
     def test_seed_changes_output(self):
         a = ToyHashProvider(ProviderConfig(kind="toy_hash", D=32, seed=1)).nli("a b", "c")
         b = ToyHashProvider(ProviderConfig(kind="toy_hash", D=32, seed=2)).nli("a b", "c")
-        assert not np.array_equal(a.embedding, b.embedding)
+        assert not np.array_equal(a, b)
 
     def test_order_sensitive_embedding(self):
         provider = ToyHashProvider(ProviderConfig(kind="toy_hash", D=32, seed=0))
-        ab = provider.nli("a", "b").embedding
-        ba = provider.nli("b", "a").embedding
-        assert not np.array_equal(ab, ba)
+        assert not np.array_equal(provider.nli("a", "b"), provider.nli("b", "a"))
 
 
 class TestPrecomputedProvider:
@@ -210,10 +211,9 @@ class TestPrecomputedProvider:
         provider = PrecomputedProvider(
             ProviderConfig(kind="precomputed", D=3, path="unused"), self._records()
         )
-        result = provider.nli("premise", "hypothesis")
-        assert result.score == 0.8  # probs[0]
-        np.testing.assert_allclose(result.embedding, [1.0, 2.0, 3.0])
-        assert provider.rqe("premise", "hypothesis").score == 0.8
+        assert _nli_only(provider, "premise", "hypothesis") == 0.8  # probs[0]
+        assert _rqe_only(provider, "premise", "hypothesis") == 0.8
+        np.testing.assert_allclose(provider.nli("premise", "hypothesis"), [1.0, 2.0, 3.0])
 
     def test_missing_key_raises(self):
         provider = PrecomputedProvider(
@@ -227,9 +227,8 @@ class TestPrecomputedProvider:
             ProviderConfig(kind="precomputed", D=3, path="unused", fallback_zero=True),
             self._records(),
         )
-        result = provider.nli("other", "pair")
-        assert result.score == 0.0
-        np.testing.assert_array_equal(result.embedding, np.zeros(3))
+        assert _nli_only(provider, "other", "pair") == 0.0
+        np.testing.assert_array_equal(provider.nli("other", "pair"), np.zeros(3))
 
     def test_file_loading(self, tmp_path):
         key = pair_key("a", "b")
@@ -240,7 +239,7 @@ class TestPrecomputedProvider:
         provider = build_provider(
             ProviderConfig(kind="precomputed", D=2, path=str(path))
         )
-        assert provider.rqe("a", "b").score == 0.5
+        assert _rqe_only(provider, "a", "b") == 0.5
 
     def test_file_missing_field(self, tmp_path):
         path = tmp_path / "pre.jsonl"
@@ -298,7 +297,7 @@ class TestPrecomputedProvider:
         provider = self._build(probs=[0.8, 0.15, 0.05])
         first = provider.nli("a", "b")
         assert provider.nli("a", "b") is first
-        assert provider.rqe("a", "b").embedding is first.embedding
+        assert provider.rqe("a", "b") is first
 
 
 class TestTokenize:
@@ -372,25 +371,35 @@ def _nli_only(provider, a, b):
     return float(provider.nli_scores(a, [b])[0])
 
 
+def _oracle(provider, a, b, nli=False):
+    """The score of (a, b) computed without the provider's batched calls:
+    the slow ordered sum for a vector provider, the raw record for
+    ``precomputed``."""
+    if isinstance(provider, PrecomputedProvider):
+        return record_score(_precomputed_records(), a, b, nli)
+    return ordered_sum_score(provider, a, b)
+
+
 class TestScoreOnly:
     @pytest.mark.parametrize("kind", ["tfidf_cosine", "toy_hash", "precomputed"])
     @pytest.mark.parametrize("cache", [True, False])
     def test_bit_identical_to_full_results(self, kind, cache):
-        # Score first on one instance, full result first on another, so both
-        # cold paths and both memo-hit paths are compared.
+        # Score first on one instance, embed first on another, so the scores
+        # are checked against the oracle both cold and after the embedding
+        # calls have filled the vector memo.
         score_first = _providers(cache)[kind]
-        full_first = _providers(cache)[kind]
+        embed_first = _providers(cache)[kind]
         for a, b in SCORE_PAIRS:
-            rqe_only = _rqe_only(score_first, a, b)
-            nli_only = _nli_only(score_first, a, b)
-            swapped = float(score_first.rqe_scores(b, [a], swap=True)[0])
-            full_rqe = full_first.rqe(a, b).score
-            full_nli = full_first.nli(a, b).score
-            assert _bits(rqe_only) == _bits(full_rqe) == _bits(swapped)
-            assert _bits(nli_only) == _bits(full_nli)
-            assert _bits(score_first.rqe(a, b).score) == _bits(rqe_only)
-            assert _bits(_rqe_only(full_first, a, b)) == _bits(full_rqe)
-            assert _bits(_nli_only(full_first, a, b)) == _bits(full_nli)
+            embed_first.rqe(a, b)
+            embed_first.nli(a, b)
+            rqe_oracle = _bits(_oracle(score_first, a, b))
+            nli_oracle = _bits(_oracle(score_first, a, b, nli=True))
+            for provider in (score_first, embed_first):
+                swapped = float(provider.rqe_scores(b, [a], swap=True)[0])
+                assert _bits(_rqe_only(provider, a, b)) == rqe_oracle == _bits(swapped)
+                assert _bits(_nli_only(provider, a, b)) == nli_oracle
+            score_first.rqe(a, b)
+            assert _bits(_rqe_only(score_first, a, b)) == rqe_oracle
 
     def test_precomputed_probs_and_clamping(self):
         provider = _providers()["precomputed"]
@@ -426,7 +435,7 @@ class TestScoreOnly:
             expected = cosine_provider._projection @ np.concatenate(
                 [tfidf_transform(model, a), tfidf_transform(model, b)]
             )
-            assert np.array_equal(cosine_provider.rqe(a, b).embedding, expected)
+            assert np.array_equal(cosine_provider.rqe(a, b), expected)
 
     def test_vector_memo_is_frozen_and_follows_cache_flag(self):
         cached = _providers(cache=True)["tfidf_cosine"]
@@ -437,6 +446,17 @@ class TestScoreOnly:
         assert not cached._vectors["alpha beta"].flags.writeable
         assert uncached._vectors == {}
         assert uncached._memo == {}
+
+    @pytest.mark.parametrize("kind", ["tfidf_cosine", "toy_hash"])
+    def test_embedding_computes_no_score(self, kind, monkeypatch):
+        def no_dots(*args):
+            raise AssertionError("an embedding call computed a score")
+
+        monkeypatch.setattr(providers, "_ordered_dots", no_dots)
+        provider = _providers()[kind]
+        for a, b in SCORE_PAIRS:
+            assert provider.nli(a, b).shape == (provider.config.D,)
+            assert provider.rqe(b, a).shape == (provider.config.D,)
 
 
 # Every fake and provider kind answers the same four calls the same way.
@@ -452,24 +472,28 @@ CONFORMANCE_TEXTS = sorted(
 
 
 def _conformance_providers():
-    providers = {}
+    """Each provider with its score oracle, oracle(a, b, nli)."""
+    cases = {}
     for cache in (True, False):
         for kind, provider in _providers(cache).items():
-            providers[f"{kind}-cache={cache}"] = provider
+            cases[f"{kind}-cache={cache}"] = (
+                provider, lambda a, b, nli, provider=provider: _oracle(provider, a, b, nli)
+            )
     texts = CONFORMANCE_TEXTS
     rng = np.random.default_rng(23)
-    providers["StubProvider"] = StubProvider(
-        {(a, b): float(rng.random()) for a in texts for b in texts}, D=3
+    table = {(a, b): float(rng.random()) for a in texts for b in texts}
+    cases["StubProvider"] = (StubProvider(table, D=3), lambda a, b, nli: table[a, b])
+    matrix = rng.random((len(texts), len(texts)))
+    cases["MatrixNliProvider"] = (
+        MatrixNliProvider(matrix, texts, texts),
+        lambda a, b, nli: float(matrix[texts.index(a), texts.index(b)]),
     )
-    providers["MatrixNliProvider"] = MatrixNliProvider(
-        rng.random((len(texts), len(texts))), texts, texts
-    )
-    return providers
+    return cases
 
 
 @pytest.mark.parametrize("name", sorted(_conformance_providers()))
 def test_protocol_conformance(name):
-    provider = _conformance_providers()[name]
+    provider, oracle = _conformance_providers()[name]
     texts = CONFORMANCE_TEXTS
     batches = [
         (query, provider.nli_scores(query, texts), provider.rqe_scores(query, texts),
@@ -482,14 +506,13 @@ def test_protocol_conformance(name):
         for scores in (nli_scores, forward, swapped):
             assert scores.dtype == np.float64 and scores.shape == (len(texts),)
         for k, text in enumerate(texts):
-            assert _bits(float(nli_scores[k])) == _bits(provider.nli(query, text).score)
-            assert _bits(float(forward[k])) == _bits(provider.rqe(query, text).score)
-            assert _bits(float(swapped[k])) == _bits(provider.rqe(text, query).score)
-            if hasattr(provider, "_transform"):  # the vector providers
-                oracle = ordered_sum_score(provider, query, text)
-                assert _bits(float(forward[k])) == _bits(oracle)
-                oracle = ordered_sum_score(provider, text, query)
-                assert _bits(float(swapped[k])) == _bits(oracle)
+            assert _bits(float(nli_scores[k])) == _bits(oracle(query, text, True))
+            assert _bits(float(forward[k])) == _bits(oracle(query, text, False))
+            assert _bits(float(swapped[k])) == _bits(oracle(text, query, False))
+            embedding = provider.nli(query, text)
+            assert embedding.dtype == np.float64 and embedding.ndim == 1
+            assert not embedding.flags.writeable
+            assert np.array_equal(provider.rqe(query, text), embedding)
     for scores in (provider.nli_scores(texts[0], []), provider.rqe_scores(texts[0], [])):
         assert scores.shape == (0,)
 
@@ -540,14 +563,12 @@ class TestProviderMeta:
         pairs = SCORE_PAIRS[:-2] if strict else SCORE_PAIRS
         for a, b in pairs:
             for provider_a, provider_b in ((original, reloaded), (reloaded, original)):
-                rqe_a, rqe_b = provider_a.rqe(a, b), provider_b.rqe(a, b)
-                assert _bits(rqe_a.score) == _bits(rqe_b.score)
-                assert np.array_equal(rqe_a.embedding, rqe_b.embedding)
-                nli_a, nli_b = provider_a.nli(a, b), provider_b.nli(a, b)
-                assert _bits(nli_a.score) == _bits(nli_b.score)
-                assert np.array_equal(nli_a.embedding, nli_b.embedding)
-            assert _bits(_rqe_only(original, a, b)) == _bits(_rqe_only(reloaded, a, b))
-            assert _bits(_nli_only(original, a, b)) == _bits(_nli_only(reloaded, a, b))
+                assert np.array_equal(provider_a.rqe(a, b), provider_b.rqe(a, b))
+                assert np.array_equal(provider_a.nli(a, b), provider_b.nli(a, b))
+            for provider in (original, reloaded):
+                assert _bits(_rqe_only(provider, a, b)) == _bits(_oracle(original, a, b))
+                nli_oracle = _oracle(original, a, b, nli=True)
+                assert _bits(_nli_only(provider, a, b)) == _bits(nli_oracle)
         if strict:
             with pytest.raises(KeyError):
                 reloaded.rqe(*SCORE_PAIRS[-1])
@@ -582,7 +603,7 @@ class TestStubProvider:
         code = (
             "import sys; sys.path[:0] = sys.argv[1:]\n"
             "from conftest import StubProvider\n"
-            "print(hash('a'), StubProvider(D=3).nli('a', 'b').embedding.tolist())"
+            "print(hash('a'), StubProvider(D=3).nli('a', 'b').tolist())"
         )
         outputs = []
         for hash_seed in ("1", "2"):

@@ -15,7 +15,7 @@ from medrank.providers import (
 )
 from medrank.retrieval import EntailmentIndex, RetrievalConfig, coverage, retrieve
 
-from conftest import StubProvider
+from conftest import StubProvider, ordered_sum_score, record_score
 
 
 def _index(scores, query="q"):
@@ -169,16 +169,7 @@ def _counting(cls):
     return Counting
 
 
-def _real_provider(kind, cache):
-    if kind == "tfidf_cosine":
-        model = fit_tfidf(K_QUESTIONS, V=50)
-        return _counting(TfidfCosineProvider)(
-            ProviderConfig(kind=kind, D=8, seed=1, cache=cache), model
-        )
-    if kind == "toy_hash":
-        return _counting(ToyHashProvider)(
-            ProviderConfig(kind=kind, D=64, seed=1, cache=cache)
-        )
+def _real_records():
     rng = np.random.default_rng(5)
     records = {}
     for query in QUERIES:
@@ -190,9 +181,32 @@ def _real_provider(kind, cache):
                     "score": float(rng.random()),
                     "embedding": rng.standard_normal(8).tolist(),
                 }
+    return records
+
+
+def _real_provider(kind, cache):
+    if kind == "tfidf_cosine":
+        model = fit_tfidf(K_QUESTIONS, V=50)
+        return _counting(TfidfCosineProvider)(
+            ProviderConfig(kind=kind, D=8, seed=1, cache=cache), model
+        )
+    if kind == "toy_hash":
+        return _counting(ToyHashProvider)(
+            ProviderConfig(kind=kind, D=64, seed=1, cache=cache)
+        )
     return _counting(PrecomputedProvider)(
-        ProviderConfig(kind=kind, D=8, path="unused", cache=cache), records
+        ProviderConfig(kind=kind, D=8, path="unused", cache=cache), _real_records()
     )
+
+
+def _oracle_scores(provider, query, texts, swap, records):
+    """The RQE scores of ``query`` against ``texts`` computed without
+    ``rqe_scores``: the slow ordered sum for a vector provider, the raw
+    ``records`` for ``precomputed``."""
+    pairs = [(t, query) if swap else (query, t) for t in texts]
+    if isinstance(provider, PrecomputedProvider):
+        return np.array([record_score(records, a, b) for a, b in pairs])
+    return np.array([ordered_sum_score(provider, a, b) for a, b in pairs])
 
 
 class TestLazyEmbeddings:
@@ -212,10 +226,12 @@ class TestLazyEmbeddings:
             assert provider.embedded == len(hits)
             assert len(provider._memo) == (len(hits) if cache else 0)
             for hit in hits:
-                texts = (hit.pair.question_text, query)
-                full = provider.rqe(*(texts if swap else texts[::-1]))
-                assert hit.score == full.score
-                assert np.array_equal(hit.embedding, full.embedding)
+                question = hit.pair.question_text
+                oracle = _oracle_scores(provider, query, [question], swap, _real_records())
+                assert type(hit.score) is float
+                assert np.float64(hit.score).tobytes() == oracle.tobytes()
+                pair = (question, query) if swap else (query, question)
+                assert np.array_equal(hit.embedding, provider.rqe(*pair))
 
     @pytest.mark.parametrize("kind", ["tfidf_cosine", "toy_hash", "precomputed"])
     @pytest.mark.parametrize("swap", [False, True])
@@ -227,8 +243,8 @@ class TestLazyEmbeddings:
         scores = [index.scores(query, config) for query in QUERIES]
         assert provider.embedded == 0
         for query, fast in zip(QUERIES, scores):
-            full = np.array([index._score(query, pair, config).score for pair in pairs])
-            assert fast.tobytes() == full.tobytes()
+            oracle = _oracle_scores(provider, query, K_QUESTIONS, swap, _real_records())
+            assert fast.tobytes() == oracle.tobytes()
 
     def test_all_oov_query_falls_back_to_first_pair(self):
         provider = _real_provider("tfidf_cosine", cache=True)
@@ -252,6 +268,19 @@ BATCH_QUERIES = [
 FOREIGN = "sunburn remedy"
 
 
+def _batch_records():
+    rng = np.random.default_rng(11)
+    records = {}
+    for query in BATCH_QUERIES + K_QUESTIONS:
+        for question in K_QUESTIONS:
+            for a, b in ((query, question), (question, query)):
+                key = pair_key(a, b)
+                # Scores outside [0, 1] check that the provider clamps them.
+                score = float(rng.uniform(-0.2, 1.2))
+                records[key] = {"key": key, "score": score, "embedding": [0.0] * 8}
+    return records
+
+
 def _batch_provider(kind, cache):
     """A real provider able to score every BATCH_QUERIES/K_QUESTIONS pair."""
     if kind == "tfidf_cosine":
@@ -262,41 +291,30 @@ def _batch_provider(kind, cache):
         )
     if kind == "toy_hash":
         return ToyHashProvider(ProviderConfig(kind=kind, D=64, seed=1, cache=cache))
-    rng = np.random.default_rng(11)
-    records = {}
-    for query in BATCH_QUERIES + K_QUESTIONS:
-        for question in K_QUESTIONS:
-            for a, b in ((query, question), (question, query)):
-                key = pair_key(a, b)
-                # Scores outside [0, 1] check that both paths clamp alike.
-                score = float(rng.uniform(-0.2, 1.2))
-                records[key] = {"key": key, "score": score, "embedding": [0.0] * 8}
     return PrecomputedProvider(
-        ProviderConfig(kind=kind, D=8, path="unused", cache=cache), records
+        ProviderConfig(kind=kind, D=8, path="unused", cache=cache), _batch_records()
     )
 
 
-def _scalar_scores(provider, query, texts, swap):
-    if swap:
-        return np.array([provider.rqe(t, query).score for t in texts])
-    return np.array([provider.rqe(query, t).score for t in texts])
+def _batch_oracle(provider, query, texts, swap):
+    return _oracle_scores(provider, query, texts, swap, _batch_records())
 
 
 class TestBatchedScores:
-    """``rqe_scores`` returns exactly the ``rqe(...).score`` floats."""
+    """``rqe_scores`` returns exactly the floats of the one-pair oracles."""
 
     @pytest.mark.parametrize("kind", ["tfidf_cosine", "toy_hash", "precomputed"])
     @pytest.mark.parametrize("swap", [False, True])
     @pytest.mark.parametrize("cache", [True, False])
     def test_bit_identical_to_scalar_calls(self, kind, swap, cache):
         batch = _batch_provider(kind, cache)
-        scalar = _batch_provider(kind, cache)
         for query in BATCH_QUERIES:
             fast = batch.rqe_scores(query, K_QUESTIONS, swap)
             assert fast.dtype == np.float64 and fast.shape == (len(K_QUESTIONS),)
-            # a fresh instance, then the batch instance's own memo-hit path
-            assert fast.tobytes() == _scalar_scores(scalar, query, K_QUESTIONS, swap).tobytes()
-            assert fast.tobytes() == _scalar_scores(batch, query, K_QUESTIONS, swap).tobytes()
+            assert fast.tobytes() == _batch_oracle(batch, query, K_QUESTIONS, swap).tobytes()
+            # embedding every pair fills the vector memo; the scores stay put
+            for text in K_QUESTIONS:
+                batch.rqe(*((text, query) if swap else (query, text)))
             again = batch.rqe_scores(query, tuple(K_QUESTIONS), swap)
             assert again.tobytes() == fast.tobytes()
 
@@ -307,7 +325,7 @@ class TestBatchedScores:
             scores = provider.rqe_scores(query, K_QUESTIONS)
             if kind == "tfidf_cosine" or not query:
                 assert not scores.any()
-            assert np.array_equal(scores, _scalar_scores(provider, query, K_QUESTIONS, False))
+            assert np.array_equal(scores, _batch_oracle(provider, query, K_QUESTIONS, False))
 
     @pytest.mark.parametrize("kind", ["tfidf_cosine", "toy_hash"])
     @pytest.mark.parametrize("swap", [False, True])
@@ -363,7 +381,7 @@ class TestBatchedScores:
             for questions, index in zip(corpora, indexes):
                 for swap in (False, True):
                     got = index.scores(query, RetrievalConfig(swap_direction=swap))
-                    want = _scalar_scores(reference, query, questions, swap)
+                    want = _batch_oracle(reference, query, questions, swap)
                     assert got.tobytes() == want.tobytes()
         assert len(provider._corpora) == (len(corpora) if cache else 0)
 
