@@ -87,14 +87,26 @@ class BaselineFeatureConfig:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "BaselineFeatureConfig":
-        return cls(
-            N=int(payload["N"]),
-            V=int(payload["V"]),
-            D=int(payload["D"]),
-            source_vocab=tuple(payload["source_vocab"]),
-            T=float(payload["T"]),
-        )
+    def from_dict(cls, payload: dict, where: str = "<layout>") -> "BaselineFeatureConfig":
+        """The config a ``to_dict`` payload records; a missing or non-numeric
+        field raises a ``SchemaError`` naming ``where`` and the field."""
+        fields = {}
+        for key, kind in (("N", int), ("V", int), ("D", int), ("T", float)):
+            if key not in payload:
+                raise SchemaError(f"{where}: layout missing field {key!r}")
+            value = payload[key]
+            if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                raise SchemaError(
+                    f"{where}: layout field {key!r} must be {kind.__name__}, got {value!r}"
+                )
+            fields[key] = kind(value)
+        vocab = payload.get("source_vocab")
+        if not isinstance(vocab, list) or not all(isinstance(s, str) for s in vocab):
+            raise SchemaError(f"{where}: layout field 'source_vocab' must be a list of strings")
+        try:
+            return cls(source_vocab=tuple(vocab), **fields)
+        except SchemaError as exc:  # a dimension below 1
+            raise SchemaError(f"{where}: {exc}") from exc
 
 
 def feature_layout(config: BaselineFeatureConfig) -> list[dict]:
@@ -263,10 +275,13 @@ def layout_settings(
 ) -> tuple[BaselineFeatureConfig, RetrievalConfig, Provider, TfidfModel]:
     """Feature config, retrieval config, provider and metadata TF-IDF a
     ``layout_meta`` records; ``where`` names the file in errors."""
-    config = BaselineFeatureConfig.from_dict(spec)
-    retrieval_config = RetrievalConfig(
-        N=config.N, T=config.T, swap_direction=bool(spec.get("swap_direction", False))
-    )
+    config = BaselineFeatureConfig.from_dict(spec, where)
+    try:
+        retrieval_config = RetrievalConfig(
+            N=config.N, T=config.T, swap_direction=bool(spec.get("swap_direction", False))
+        )
+    except SchemaError as exc:  # T outside [0, 1]
+        raise SchemaError(f"{where}: {exc}") from exc
     provider = provider_from_meta(spec, where)
     if spec.get("tfidf") is None:
         raise MedrankError(f"{where}: no stored metadata TF-IDF")
@@ -494,13 +509,15 @@ def train_checkpoint(
     weight_decay: float,
     hinge_lr: float,
     hinge_steps: int,
+    where: str = "<layout>",
 ) -> None:
     """``train-baseline``: fit the logistic filter on every feature row and the
     hinge ranker on every question with two or more rows, then write both with
     ``layout`` as the checkpoint's ``feature_config``. The keyword settings are
-    the ``baseline.*`` config keys."""
+    the ``baseline.*`` config keys; ``where`` names the layout file in errors."""
     if ranker not in RANKERS:
         raise ConfigError(f"baseline.ranker: expected one of {RANKERS}, got {ranker!r}")
+    layout_settings(layout, where)  # what predict will read back must load
     unlabeled = [row for row in rows if row.get("label") is None]
     if unlabeled:
         first = unlabeled[0]
@@ -555,9 +572,10 @@ def predict_checkpoint(
     """``predict`` for a baseline checkpoint, with the retrieval settings,
     provider and metadata TF-IDF its ``feature_config`` stores; nothing is
     refit on the corpus. Relevant means a filter probability >= 0.5."""
-    config, retrieval_config, provider, tfidf = layout_settings(
-        meta["feature_config"], where
-    )
+    spec = meta.get("feature_config")
+    if not isinstance(spec, dict):
+        raise SchemaError(f"{where}: baseline checkpoint has no 'feature_config' object")
+    config, retrieval_config, provider, tfidf = layout_settings(spec, where)
     index = EntailmentIndex(corpus_pairs, provider)
     logreg = LogregModel(
         weight=arrays["logreg.weight"], bias=float(arrays["logreg.bias"][0])

@@ -164,6 +164,7 @@ def cmd_train_baseline(config: RunConfig, args) -> int:
         read_json_object(args.layout),
         args.out,
         **dataclasses.asdict(config.baseline),
+        where=args.layout,
     )
     print(f"trained baseline on {len(rows)} rows -> {args.out}")
     return 0

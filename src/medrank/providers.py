@@ -67,10 +67,12 @@ class TfidfModel:
 
     def __post_init__(self):
         self.idf = np.asarray(self.idf, dtype=np.float64)
-        if len(self.vocabulary) != self.idf.shape[0]:
-            raise DimensionError("vocabulary and idf lengths differ")
-        if np.any(self.idf <= 0):
-            raise SchemaError("idf values must be positive")
+        if self.idf.shape != (len(self.vocabulary),):
+            raise DimensionError(
+                f"idf of shape {self.idf.shape} for a vocabulary of {len(self.vocabulary)}"
+            )
+        if not np.all(np.isfinite(self.idf) & (self.idf > 0)):
+            raise SchemaError("idf values must be finite and positive")
         self._index = {term: i for i, term in enumerate(self.vocabulary)}
 
     def to_dict(self) -> dict:
@@ -81,11 +83,14 @@ class TfidfModel:
         for key in ("vocabulary", "idf", "V"):
             if key not in payload:
                 raise SchemaError(f"{where}: TF-IDF model missing field {key!r}")
-        return cls(
-            vocabulary=list(payload["vocabulary"]),
-            idf=np.asarray(payload["idf"], dtype=np.float64),
-            V=int(payload["V"]),
-        )
+        try:
+            return cls(
+                vocabulary=list(payload["vocabulary"]),
+                idf=np.asarray(payload["idf"], dtype=np.float64),
+                V=int(payload["V"]),
+            )
+        except (DimensionError, SchemaError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{where}: unreadable TF-IDF model: {exc}") from exc
 
 
 def fit_tfidf(corpus: list[str], V: int = 2000) -> TfidfModel:
@@ -509,14 +514,19 @@ def provider_from_meta(meta: dict, where: str = "<checkpoint>") -> Provider:
     spec = meta.get("provider")
     if spec is None:
         raise MedrankError(f"{where}: no stored provider spec")
-    config = ProviderConfig(
-        kind=spec["kind"],
-        D=int(spec["D"]),
-        seed=int(spec["seed"]),
-        vocab_size=int(spec["vocab_size"]),
-        path=spec.get("path"),
-        fallback_zero=bool(spec.get("fallback_zero", False)),
-    )
+    try:
+        config = ProviderConfig(
+            kind=spec["kind"],
+            D=int(spec["D"]),
+            seed=int(spec["seed"]),
+            vocab_size=int(spec["vocab_size"]),
+            path=spec.get("path"),
+            fallback_zero=bool(spec.get("fallback_zero", False)),
+        )
+    except KeyError as exc:
+        raise SchemaError(f"{where}: provider spec missing field {exc}") from exc
+    except (OverflowError, SchemaError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: provider spec: {exc}") from exc
     stored = meta.get("provider_tfidf")
     if stored is None and config.kind == "tfidf_cosine":
         raise MedrankError(f"{where}: no stored TF-IDF for the tfidf_cosine provider")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -712,46 +713,96 @@ def logit_bce(logits, targets) -> tuple[float, np.ndarray]:
 
 # Float64 elements per block of the optimizers' in-place sweep (256 KB). A
 # block's parameter, gradient, state and scratch slices stay in cache while
-# every operation of the update runs over them; 16K-32K elements is the
-# measured plateau (4K pays per-call overhead, 1M spills to memory).
+# every operation of the update runs over them. The measured plateau is
+# 16K-32K elements with one worker and 32K-64K with two (4K-8K pays per-call
+# overhead, 1M spills to memory).
 SWEEP_BLOCK = 32768
+
+# Fewest blocks a sweep worker gets. A pooled step starts its threads afresh:
+# on a 2-core Xeon, Adam over 16 blocks takes 4.1 ms inline and 4.3 ms on two
+# workers, over 32 blocks 10.6 ms and 9.1 ms.
+SWEEP_MIN_BLOCKS = 8
+
+
+def sweep_workers(blocks: int) -> int:
+    """Workers for a sweep whose elements fill ``blocks`` blocks: one per core
+    this process may run on, but no fewer than ``SWEEP_MIN_BLOCKS`` blocks
+    each, and at least one."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # no affinity call on macOS or Windows
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, blocks // SWEEP_MIN_BLOCKS))
 
 
 class _Optimizer:
     """Parameter list, ``zero_grad`` and the blocked in-place update sweep.
 
-    ``step`` visits each parameter that has a gradient in flat blocks of at
+    ``step`` cuts each parameter that has a gradient into flat blocks of at
     most ``SWEEP_BLOCK`` elements and updates the parameter and its state in
-    place through two reused scratch blocks, so a step allocates nothing the
-    size of a weight. Every element goes through the same operations in the
-    same order as the unblocked formula, so results are bit-identical.
+    place through two scratch blocks per worker, so a step allocates nothing
+    the size of a weight. The blocks are dealt in contiguous runs of about
+    equal element counts to ``sweep_workers`` threads, one per usable core
+    (numpy releases the interpreter lock inside each operation); a sweep too
+    small to share runs inline, with no thread. The worker count follows the
+    process's CPU affinity and the number of elements alone, with no setting.
+    Every element goes through the same operations in the same order as the
+    unblocked formula, so results are bit-identical for any worker count.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
-        size = min(SWEEP_BLOCK, max((p.data.size for p in self.params), default=0))
-        self._scratch = (np.empty(size), np.empty(size))
+        self._block = min(SWEEP_BLOCK, max((p.data.size for p in self.params), default=0))
+        self._scratch: list[tuple[np.ndarray, np.ndarray]] = []
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
 
-    def _sweep(self, p: Tensor, states: Sequence[np.ndarray], update: Callable) -> None:
-        """Call ``update(param, grad, states, a, b)`` on each flat block of ``p``.
+    def _sweep(self, update: Callable, *states: Sequence[np.ndarray]) -> None:
+        """Call ``update(param, grad, states, a, b)`` on every flat block of
+        every parameter that has a gradient.
 
-        ``a`` and ``b`` are free scratch blocks. ``states`` are C-ordered
-        arrays shaped like ``p.data``.
+        ``states`` are lists parallel to ``params`` of C-ordered arrays shaped
+        like each parameter; ``a`` and ``b`` are free scratch blocks. Only the
+        caller's thread touches a ``Tensor``: workers see flat arrays alone.
         """
-        flat = p.data.reshape(-1)
-        grad = p.grad.reshape(-1)
-        flat_states = [s.reshape(-1) for s in states]
-        scratch_a, scratch_b = self._scratch
-        for start in range(0, flat.size, SWEEP_BLOCK):
-            block = slice(start, start + SWEEP_BLOCK)
-            pb = flat[block]
-            a, b = scratch_a[: pb.size], scratch_b[: pb.size]
-            update(pb, grad[block], [s[block] for s in flat_states], a, b)
+        live = []  # (flat param, flat grad, flat states) of each parameter with a gradient
+        for p, *p_states in zip(self.params, *states):
+            grad = p.grad
+            if grad is not None:
+                flat = p.data.reshape(-1)
+                live.append((flat, grad.reshape(-1), [s.reshape(-1) for s in p_states]))
+        total = sum(flats[0].size for flats in live)
+        # Many small parameters are little work: count the blocks they fill.
+        workers = sweep_workers(-(-total // SWEEP_BLOCK))
+        shares = [[] for _ in range(workers)]  # contiguous, about total / workers elements each
+        done = 0
+        for flats in live:
+            for start in range(0, flats[0].size, SWEEP_BLOCK):
+                shares[done * workers // total].append((flats, start))
+                done += min(SWEEP_BLOCK, flats[0].size - start)
+        while len(self._scratch) < workers:
+            self._scratch.append((np.empty(self._block), np.empty(self._block)))
+        errors = np.geterr()  # a worker thread starts from numpy's defaults
+
+        def run(share, scratch) -> None:
+            scratch_a, scratch_b = scratch
+            with np.errstate(**errors):
+                for (flat, flat_grad, flat_states), start in share:
+                    block = slice(start, start + SWEEP_BLOCK)
+                    pb = flat[block]
+                    a, b = scratch_a[: pb.size], scratch_b[: pb.size]
+                    update(pb, flat_grad[block], [s[block] for s in flat_states], a, b)
+
+        if workers == 1:
+            run(shares[0], self._scratch[0])
+            return
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, shares, self._scratch))  # re-raises a worker's exception
 
 
 class SGD(_Optimizer):
@@ -764,9 +815,7 @@ class SGD(_Optimizer):
             np.multiply(g, lr, out=b)
             p -= b
 
-        for p in self.params:
-            if p.grad is not None:
-                self._sweep(p, [], update)
+        self._sweep(update)
 
 
 class Adam(_Optimizer):
@@ -814,9 +863,7 @@ class Adam(_Optimizer):
             b /= a
             p -= b
 
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is not None:
-                self._sweep(p, [m, v], update)
+        self._sweep(update, self._m, self._v)
 
 
 # ---------------------------------------------------------------------------

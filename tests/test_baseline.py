@@ -12,7 +12,7 @@ from medrank.providers import (
     fit_tfidf,
     tfidf_transform,
 )
-from medrank.retrieval import EntailedCandidate
+from medrank.retrieval import EntailedCandidate, RetrievalConfig
 from medrank.tensornet import sigmoid
 
 from conftest import StubProvider, make_candidate, make_question, ordered_sum_score
@@ -291,8 +291,15 @@ class TestTrainCheckpoint:
         return rows, Dataset(split="train", questions=tuple(questions))
 
     def _train(self, rows, dataset, path):
+        layout = bl.layout_meta(
+            bl.BaselineFeatureConfig(N=1, V=1, D=2, source_vocab=("s",)),
+            RetrievalConfig(N=1),
+            ProviderConfig(kind="toy_hash", D=2),
+            None,
+            fit_tfidf(["a"], V=1),
+        )
         bl.train_checkpoint(
-            rows, dataset, {"layout": "unused"}, path, ranker="logreg",
+            rows, dataset, layout, path, ranker="logreg",
             lr=0.5, steps=5, weight_decay=1e-4, hinge_lr=0.1, hinge_steps=5,
         )
 

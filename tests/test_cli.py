@@ -1384,17 +1384,50 @@ def _without_encoder(text):
     return json.dumps(payload)
 
 
+def _without_feature_config(text):
+    payload = json.loads(text)
+    del payload["meta"]["feature_config"]
+    return json.dumps(payload)
+
+
+def _without_provider_kind(text):
+    payload = json.loads(text)
+    del payload["provider"]["kind"]
+    return json.dumps(payload)
+
+
+def _nan_idf(text):
+    payload = json.loads(text)
+    payload["idf"][0] = float("nan")  # json writes NaN, which json reads back
+    return json.dumps(payload)
+
+
+def _with(**fields):
+    """A rewrite that sets top-level ``fields`` of a JSON object."""
+    return lambda text: json.dumps({**json.loads(text), **fields})
+
+
 # case: (pipeline file rewritten, its rewrite, the command that reads it)
 UNREADABLE_JSON = {
     "checkpoint-truncated": ("joint.json", _truncated, "predict"),
     "checkpoint-string": ("joint.json", lambda text: '"meta arrays"', "predict"),
     "checkpoint-meta-list": ("joint.json", lambda text: '{"meta": [], "arrays": {}}', "predict"),
     "checkpoint-no-encoder": ("joint.json", _without_encoder, "predict"),
+    "baseline-no-feature-config": ("baseline.json", _without_feature_config, "predict"),
     "layout-truncated": ("layout.json", _truncated, "extract-features"),
     "layout-list": ("layout.json", lambda text: "[1]", "extract-features"),
+    "layout-text-N": ("layout.json", _with(N="3"), "extract-features"),
     "train-layout-truncated": ("layout.json", _truncated, "train-baseline"),
     "train-layout-list": ("layout.json", lambda text: "[1]", "train-baseline"),
+    "train-layout-empty": ("layout.json", lambda text: "{}", "train-baseline"),
+    "train-layout-text-T": ("layout.json", _with(T="high"), "train-baseline"),
+    "train-layout-zero-N": ("layout.json", _with(N=0), "train-baseline"),
+    "train-layout-T-above-one": ("layout.json", _with(T=2.0), "train-baseline"),
+    "train-layout-provider-no-kind": ("layout.json", _without_provider_kind, "train-baseline"),
     "tfidf-truncated": ("tfidf.json", _truncated, "extract-features"),
+    "tfidf-idf-text": ("tfidf.json", _with(idf=["x"]), "extract-features"),
+    "tfidf-idf-short": ("tfidf.json", _with(idf=[1.0]), "extract-features"),
+    "tfidf-idf-nan": ("tfidf.json", _nan_idf, "extract-features"),
 }
 
 
@@ -1405,14 +1438,16 @@ def test_unreadable_json_input_names_the_file(pipeline_dir, capsys, tmp_path, ca
     bad = tmp_path / name
     bad.write_text(rewrite(source.read_text(encoding="utf-8")), encoding="utf-8")
     inputs = {
-        other: str(source.parent / other) for other in ("joint.json", "layout.json", "tfidf.json")
+        other: str(source.parent / other)
+        for other in ("joint.json", "baseline.json", "layout.json", "tfidf.json")
     }
+    model = name if name in ("joint.json", "baseline.json") else "joint.json"
     if name == "tfidf.json":  # extract-features reads it only to fit a new layout
         inputs["layout.json"] = str(tmp_path / "new_layout.json")
     inputs[name] = str(bad)
     out = tmp_path / "out"
     args = {
-        "predict": ["--model", inputs["joint.json"], "--dataset", pipeline_dir["val"],
+        "predict": ["--model", inputs[model], "--dataset", pipeline_dir["val"],
                     "--corpus", pipeline_dir["corpus"]],
         "extract-features": ["--dataset", pipeline_dir["train"], "--corpus",
                              pipeline_dir["corpus"], "--tfidf", inputs["tfidf.json"],

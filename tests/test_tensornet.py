@@ -1,6 +1,9 @@
 """Neural core: forward semantics, gradient oracles, optimizers, checkpoints."""
 
+import concurrent.futures
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,6 +24,7 @@ from medrank.tensornet import (
     ReLU,
     SGD,
     SWEEP_BLOCK,
+    SWEEP_MIN_BLOCKS,
     Sequential,
     Tensor,
     conv_out_dim,
@@ -28,6 +32,7 @@ from medrank.tensornet import (
     logit_bce,
     read_manifest,
     sigmoid,
+    sweep_workers,
     write_manifest,
 )
 
@@ -1089,6 +1094,111 @@ class TestInPlaceOptimizers:
         finally:
             tracemalloc.stop()
         assert peak < w.data.nbytes / 4
+
+
+class TestPooledSweep:
+    """The sweep dealt to several worker threads gives the bytes of one."""
+
+    STEPS = 3
+
+    def _problem(self, seed=0):
+        rng = np.random.default_rng(seed)
+        data = [
+            rng.standard_normal(9 * SWEEP_BLOCK + 5),  # ragged tail
+            rng.standard_normal((6 * SWEEP_BLOCK + 1234,)),
+            rng.standard_normal((3, SWEEP_BLOCK - 7)),  # never gets a gradient
+            rng.standard_normal((2, 3 * SWEEP_BLOCK - 100)),
+            rng.standard_normal(17),
+        ]
+        grads = [
+            [None if i == 2 else rng.standard_normal(d.shape) for i, d in enumerate(data)]
+            for _ in range(self.STEPS)
+        ]
+        return data, grads
+
+    def _run(self, monkeypatch, workers, optimizer_cls, data, grads, **kwargs):
+        """Parameters and state after the steps, with ``workers`` threads;
+        and the worker counts each pool was built with."""
+        monkeypatch.setattr(tensornet, "sweep_workers", lambda blocks: workers)
+        pools = []
+
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+        tensors = [Tensor(d.copy()) for d in data]
+        optimizer = optimizer_cls(tensors, **kwargs)
+        for step_grads in grads:
+            for tensor, g in zip(tensors, step_grads):
+                tensor.grad = None if g is None else g.copy()
+            optimizer.step()
+        state = getattr(optimizer, "_m", []) + getattr(optimizer, "_v", [])
+        return [a.tobytes() for a in [t.data for t in tensors] + state], pools
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("optimizer_cls", [Adam, SGD])
+    def test_pooled_matches_one_worker_bytes(self, monkeypatch, optimizer_cls, workers):
+        data, grads = self._problem()
+        elements = sum(d.size for d, g in zip(data, grads[0]) if g is not None)
+        assert elements > 2 * SWEEP_MIN_BLOCKS * SWEEP_BLOCK
+        pooled, pools = self._run(monkeypatch, workers, optimizer_cls, data, grads, lr=0.01)
+        inline, no_pools = self._run(monkeypatch, 1, optimizer_cls, data, grads, lr=0.01)
+        assert pools == [workers] * self.STEPS and no_pools == []
+        assert pooled == inline
+        assert pooled[2] == data[2].tobytes()
+
+    def test_worker_exception_reaches_step(self, monkeypatch):
+        # Only the last worker's share overflows; the caller's error state
+        # must hold in the worker for this to raise FloatingPointError.
+        data, grads = self._problem(seed=1)
+        grads[0][-1][-1] = 1e200
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            self._run(monkeypatch, 3, Adam, data, grads[:1])
+
+    def test_model_below_minimum_starts_no_thread(self, monkeypatch):
+        # 2 * SWEEP_MIN_BLOCKS - 1 blocks' worth of elements, many of them in
+        # one-element parameters: one worker whatever the cores.
+        rng = np.random.default_rng(2)
+        small = 4 * SWEEP_MIN_BLOCKS
+        sizes = [SWEEP_MIN_BLOCKS * SWEEP_BLOCK, (SWEEP_MIN_BLOCKS - 1) * SWEEP_BLOCK - small]
+        tensors = [Tensor(rng.standard_normal(n)) for n in sizes + [1] * small]
+        for t in tensors:
+            t.grad = rng.standard_normal(t.data.shape)
+        optimizer = Adam(tensors)
+
+        def no_thread(self):
+            raise AssertionError("the sweep started a thread")
+
+        before = threading.active_count()
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        optimizer.step()
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "cores, blocks, want",
+    [
+        (1, 0, 1),
+        (1, 10_000, 1),
+        (2, 0, 1),
+        (2, 2 * SWEEP_MIN_BLOCKS - 1, 1),
+        (2, 2 * SWEEP_MIN_BLOCKS, 2),
+        (2, 10_000, 2),
+        (4, 3 * SWEEP_MIN_BLOCKS + 1, 3),
+        (4, 1_790, 4),
+    ],
+)
+def test_sweep_workers_follow_affinity_and_blocks(monkeypatch, cores, blocks, want):
+    before = threading.active_count()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    assert sweep_workers(blocks) == want
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert sweep_workers(blocks) == want
+    assert all(1 <= sweep_workers(n) <= cores for n in range(0, 40 * SWEEP_MIN_BLOCKS, 3))
+    assert threading.active_count() == before
 
 
 class TestInitialization:
