@@ -517,7 +517,7 @@ def train_checkpoint(
     the ``baseline.*`` config keys; ``where`` names the layout file in errors."""
     if ranker not in RANKERS:
         raise ConfigError(f"baseline.ranker: expected one of {RANKERS}, got {ranker!r}")
-    layout_settings(layout, where)  # what predict will read back must load
+    config = layout_settings(layout, where)[0]  # what predict will read back must load
     unlabeled = [row for row in rows if row.get("label") is None]
     if unlabeled:
         first = unlabeled[0]
@@ -527,6 +527,12 @@ def train_checkpoint(
             "training needs a label on every row"
         )
     features = np.asarray([row["features"] for row in rows], dtype=np.float64)
+    width = feature_dim(config)
+    if rows and features.shape[1] != width:
+        raise SchemaError(
+            f"{where}: the layout's feature rows are {width} wide, but the training "
+            f"feature rows are {features.shape[1]} wide"
+        )
     labels = np.asarray([row["label"] for row in rows], dtype=np.float64)
     logreg = train_logreg_filter(
         features, labels, lr=lr, steps=steps, weight_decay=weight_decay

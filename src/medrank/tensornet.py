@@ -39,12 +39,19 @@ class Tensor:
     it reads as zeros, and the first gradient contribution is written into it
     rather than added, so no pass fills it with zeros first. Later
     contributions add.
+
+    An optimizer packs a tensor of fewer than ``SWEEP_BLOCK`` elements into
+    its arena: ``data`` and the gradient buffer become views of the arena.
+    Update ``data`` in place and never rebind it; an optimizer whose arena
+    no longer holds ``data`` raises on ``step``. Setting ``grad`` copies into
+    the arena, and setting it to ``None`` leaves the tensor without one.
     """
 
     def __init__(self, data, name: str = ""):
         self.data = np.asarray(data, dtype=np.float64, order="C")
         self._grad: np.ndarray | None = None
         self._stale = False
+        self._slot: np.ndarray | None = None  # gradient view in an optimizer's arena
         self.name = name
 
     @property
@@ -61,15 +68,32 @@ class Tensor:
 
     @grad.setter
     def grad(self, value) -> None:
-        self._grad = None if value is None else np.asarray(value, np.float64, order="C")
+        if value is None or self._slot is None:
+            self._grad = None if value is None else np.asarray(value, np.float64, order="C")
+        else:
+            self._slot[...] = value
+            self._grad = self._slot
         self._stale = False
 
     def zero_grad(self) -> None:
         """Mark the gradient buffer stale, without writing to it; allocate it
-        only when missing."""
+        only when missing and not packed."""
+        if self._grad is None:
+            self._grad = self._slot
         if self._grad is None or self._grad.shape != self.data.shape:
             self._grad = np.empty_like(self.data)
         self._stale = True
+
+    def _pack(self, data: np.ndarray, grad: np.ndarray) -> None:
+        """Move into an optimizer's arena through ``data`` and ``grad``, views
+        shaped like this tensor: copy the values and a fresh gradient over. A
+        stale gradient stays stale, and a missing one stays missing."""
+        data[...] = self.data
+        if self._grad is not None:
+            if not self._stale:
+                grad[...] = self._grad
+            self._grad = grad
+        self.data, self._slot = data, grad
 
     def _write_not_add(self, shape: tuple[int, ...], want: tuple[int, ...]) -> bool:
         """Whether a contribution of ``shape`` (which must be ``want``) is
@@ -715,12 +739,15 @@ def logit_bce(logits, targets) -> tuple[float, np.ndarray]:
 # block's parameter, gradient, state and scratch slices stay in cache while
 # every operation of the update runs over them. The measured plateau is
 # 16K-32K elements with one worker and 32K-64K with two (4K-8K pays per-call
-# overhead, 1M spills to memory).
+# overhead, 1M spills to memory). A parameter with fewer elements than this
+# is packed into its optimizer's arena; a larger one keeps its own storage.
 SWEEP_BLOCK = 32768
 
-# Fewest blocks a sweep worker gets. A pooled step starts its threads afresh:
-# on a 2-core Xeon, Adam over 16 blocks takes 4.1 ms inline and 4.3 ms on two
-# workers, over 32 blocks 10.6 ms and 9.1 ms.
+# Fewest blocks a sweep worker gets. A pooled step starts its threads afresh
+# (the calling thread runs one share itself), and the break-even moves with
+# the load on the other core: on a 2-core Xeon VM, Adam over 16 blocks took
+# 3.5-4.0 ms inline and 2.9-3.1 ms on two workers in quiet runs, but 4.2-4.9
+# ms and 4.6-5.5 ms in busy ones, where two workers lost from 4 blocks up.
 SWEEP_MIN_BLOCKS = 8
 
 
@@ -738,48 +765,86 @@ def sweep_workers(blocks: int) -> int:
 class _Optimizer:
     """Parameter list, ``zero_grad`` and the blocked in-place update sweep.
 
-    ``step`` cuts each parameter that has a gradient into flat blocks of at
-    most ``SWEEP_BLOCK`` elements and updates the parameter and its state in
-    place through two scratch blocks per worker, so a step allocates nothing
-    the size of a weight. The blocks are dealt in contiguous runs of about
-    equal element counts to ``sweep_workers`` threads, one per usable core
-    (numpy releases the interpreter lock inside each operation); a sweep too
-    small to share runs inline, with no thread. The worker count follows the
+    The optimizer owns one flat arena whose rows hold the values, gradient
+    buffers and optimizer states of every parameter of fewer than
+    ``SWEEP_BLOCK`` elements, side by side in parameter order; each such
+    ``Tensor``'s ``data`` and gradient are views of it. So the many small
+    parameters are swept as a few contiguous runs (one when all of them have
+    a gradient), not one at a time. A larger parameter keeps its own storage:
+    copying it would cost construction time and memory for no gain.
+
+    ``step`` cuts each run and each larger parameter that has a gradient into
+    flat blocks of at most ``SWEEP_BLOCK`` elements and updates the parameter
+    and its state in place through two scratch blocks per worker, so a step
+    allocates nothing the size of a weight. The blocks are dealt in contiguous
+    shares of about equal element counts to ``sweep_workers`` workers, one per
+    usable core (numpy releases the interpreter lock inside each operation):
+    the calling thread runs the first share and a thread pool the rest, and a
+    sweep too small to share runs inline. The worker count follows the
     process's CPU affinity and the number of elements alone, with no setting.
     Every element goes through the same operations in the same order as the
     unblocked formula, so results are bit-identical for any worker count.
     """
 
-    def __init__(self, params: Sequence[Tensor], lr: float):
+    def __init__(self, params: Sequence[Tensor], lr: float, states: int = 0):
         self.params = list(params)
         self.lr = lr
-        self._block = min(SWEEP_BLOCK, max((p.data.size for p in self.params), default=0))
+        width = sum(p.data.size for p in self.params if p.data.size < SWEEP_BLOCK)
+        self._arena = np.zeros((2 + states, width))  # rows: values, gradients, each state
+        self._columns: list[slice | None] = []  # each parameter's arena columns, if packed
+        self._states: list[list[np.ndarray]] = [[] for _ in range(states)]
+        end = 0
+        for p in self.params:
+            if p.data.size >= SWEEP_BLOCK:
+                self._columns.append(None)
+                for state in self._states:
+                    state.append(np.zeros(p.data.shape))
+                continue
+            columns = slice(end, end + p.data.size)
+            end = columns.stop
+            values, grad, *views = (row[columns].reshape(p.data.shape) for row in self._arena)
+            p._pack(values, grad)
+            self._columns.append(columns)
+            for state, view in zip(self._states, views):
+                state.append(view)
+        self._block = min(SWEEP_BLOCK, sum(p.data.size for p in self.params))
         self._scratch: list[tuple[np.ndarray, np.ndarray]] = []
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
 
-    def _sweep(self, update: Callable, *states: Sequence[np.ndarray]) -> None:
+    def _sweep(self, update: Callable) -> None:
         """Call ``update(param, grad, states, a, b)`` on every flat block of
-        every parameter that has a gradient.
-
-        ``states`` are lists parallel to ``params`` of C-ordered arrays shaped
-        like each parameter; ``a`` and ``b`` are free scratch blocks. Only the
-        caller's thread touches a ``Tensor``: workers see flat arrays alone.
+        every arena run and larger parameter that has a gradient; ``a`` and
+        ``b`` are free scratch blocks. Only the caller's thread touches a
+        ``Tensor``: workers see flat arrays alone.
         """
-        live = []  # (flat param, flat grad, flat states) of each parameter with a gradient
-        for p, *p_states in zip(self.params, *states):
+        segments = []  # (flat param, flat grad, flat states) of each larger parameter, then run
+        runs: list[list[int]] = []  # [start, stop) arena columns with a gradient
+        for p, columns, *p_states in zip(self.params, self._columns, *self._states):
             grad = p.grad
-            if grad is not None:
-                flat = p.data.reshape(-1)
-                live.append((flat, grad.reshape(-1), [s.reshape(-1) for s in p_states]))
-        total = sum(flats[0].size for flats in live)
-        # Many small parameters are little work: count the blocks they fill.
+            if columns is not None and p.data.base is not self._arena:
+                raise RuntimeError(
+                    f"parameter {p.name!r} has left this optimizer's arena (its data "
+                    "was rebound, or a newer optimizer took it over)"
+                )
+            if grad is None:
+                continue  # a packed one splits the run around it
+            if columns is None:
+                flat_states = [s.reshape(-1) for s in p_states]
+                segments.append((p.data.reshape(-1), grad.reshape(-1), flat_states))
+            elif runs and runs[-1][1] == columns.start:
+                runs[-1][1] = columns.stop
+            else:
+                runs.append([columns.start, columns.stop])
+        arena = self._arena
+        segments += [(arena[0, a:b], arena[1, a:b], list(arena[2:, a:b])) for a, b in runs]
+        total = sum(flats[0].size for flats in segments)
         workers = sweep_workers(-(-total // SWEEP_BLOCK))
         shares = [[] for _ in range(workers)]  # contiguous, about total / workers elements each
         done = 0
-        for flats in live:
+        for flats in segments:
             for start in range(0, flats[0].size, SWEEP_BLOCK):
                 shares[done * workers // total].append((flats, start))
                 done += min(SWEEP_BLOCK, flats[0].size - start)
@@ -801,8 +866,11 @@ class _Optimizer:
             return
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, shares, self._scratch))  # re-raises a worker's exception
+        # Leaving the block joins the pool, also when the caller's share raises.
+        with ThreadPoolExecutor(workers - 1) as pool:
+            pending = pool.map(run, shares[1:], self._scratch[1:])
+            run(shares[0], self._scratch[0])
+            list(pending)  # re-raises a worker's exception
 
 
 class SGD(_Optimizer):
@@ -833,11 +901,10 @@ class Adam(_Optimizer):
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ):
-        super().__init__(params, lr)
+        super().__init__(params, lr, states=2)
         self.betas = betas
         self.eps = eps
-        self._m = [np.zeros(p.data.shape) for p in self.params]
-        self._v = [np.zeros(p.data.shape) for p in self.params]
+        self._m, self._v = self._states
         self._t = 0
 
     def step(self) -> None:
@@ -863,7 +930,7 @@ class Adam(_Optimizer):
             b /= a
             p -= b
 
-        self._sweep(update, self._m, self._v)
+        self._sweep(update)
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,8 @@ class TestFeaturePersistence:
 class TestTrainCheckpoint:
     """``train_checkpoint`` needs a label on every feature row."""
 
+    CONFIG = bl.BaselineFeatureConfig(N=1, V=1, D=2, source_vocab=("s",))
+
     def _rows_and_dataset(self):
         rng = np.random.default_rng(4)
         questions, rows = [], []
@@ -285,14 +287,14 @@ class TestTrainCheckpoint:
                         "question_id": f"q{q}",
                         "answer_id": c.answer_id,
                         "label": int(c.reference_score >= 3),
-                        "features": rng.standard_normal(3).tolist(),
+                        "features": rng.standard_normal(bl.feature_dim(self.CONFIG)).tolist(),
                     }
                 )
         return rows, Dataset(split="train", questions=tuple(questions))
 
     def _train(self, rows, dataset, path):
         layout = bl.layout_meta(
-            bl.BaselineFeatureConfig(N=1, V=1, D=2, source_vocab=("s",)),
+            self.CONFIG,
             RetrievalConfig(N=1),
             ProviderConfig(kind="toy_hash", D=2),
             None,

@@ -1263,6 +1263,31 @@ class TestErrorHandling:
         assert f"{features}:3: non-finite" in payload["message"]
         assert not model.exists()
 
+    def test_layout_of_other_width_writes_no_checkpoint(self, pipeline_dir, capsys, tmp_path):
+        # The features were extracted at N = 3; a layout at N = 2 is narrower.
+        width = len(json.loads(
+            (pipeline_dir["dir"] / "features_train.jsonl").read_text().splitlines()[0]
+        )["features"])
+        layout = tmp_path / "layout.json"
+        payload = json.loads((pipeline_dir["dir"] / "layout.json").read_text())
+        assert payload["N"] == 3
+        layout.write_text(json.dumps({**payload, "N": 2}))
+        narrow = bl.feature_dim(bl.BaselineFeatureConfig.from_dict({**payload, "N": 2}))
+        assert narrow != width
+        model = tmp_path / "baseline.json"
+        capsys.readouterr()
+        code = main(
+            pipeline_dir["base"]
+            + ["train-baseline", "--features", str(pipeline_dir["dir"] / "features_train.jsonl"),
+               "--dataset", pipeline_dir["train"], "--layout", str(layout), "--out", str(model)]
+        )
+        assert code == 2
+        error = self._one_error_line(capsys)
+        assert error["error"] == "SchemaError"
+        assert error["message"].startswith(f"{layout}: ")
+        assert f"{narrow} wide" in error["message"] and f"{width} wide" in error["message"]
+        assert not model.exists()
+
     def _one_error_line(self, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1

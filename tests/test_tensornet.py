@@ -1007,8 +1007,9 @@ def reference_sgd(data, grads, lr):
     return data
 
 
-def reference_adam(data, grads, lr, betas, eps):
-    """The unblocked Adam formulas: oracle for the in-place sweep."""
+def reference_adam(data, grads, lr, betas, eps, moments=False):
+    """The unblocked Adam formulas: oracle for the in-place sweep. With
+    ``moments``, also the first and second moments."""
     data = [d.copy() for d in data]
     ms = [np.zeros_like(d) for d in data]
     vs = [np.zeros_like(d) for d in data]
@@ -1024,7 +1025,7 @@ def reference_adam(data, grads, lr, betas, eps):
             m_hat = m / (1.0 - b1**t)
             v_hat = v / (1.0 - b2**t)
             p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return data
+    return (data, ms, vs) if moments else data
 
 
 class TestInPlaceOptimizers:
@@ -1071,13 +1072,19 @@ class TestInPlaceOptimizers:
             np.testing.assert_array_equal(g, w)
 
     def test_zero_grad_reuses_buffer(self):
+        # From construction on the buffer is the optimizer's arena view; each
+        # zero_grad keeps it and writes nothing, and reading it zero-fills it.
         w = Tensor(np.ones((2, 3)))
         w.zero_grad()
+        optimizer = Adam([w])
         buffer = w.grad
-        buffer += 5.0
-        Adam([w]).zero_grad()
-        assert w.grad is buffer
-        np.testing.assert_array_equal(buffer, np.zeros((2, 3)))
+        assert np.shares_memory(buffer, optimizer._arena)
+        for _ in range(2):
+            buffer += 5.0
+            optimizer.zero_grad()
+            np.testing.assert_array_equal(buffer, np.full((2, 3), 5.0))
+            assert w.grad is buffer
+            np.testing.assert_array_equal(buffer, np.zeros((2, 3)))
 
     @pytest.mark.parametrize("optimizer_cls", [Adam, SGD])
     def test_step_allocates_no_weight_sized_temporary(self, optimizer_cls):
@@ -1117,8 +1124,9 @@ class TestPooledSweep:
         return data, grads
 
     def _run(self, monkeypatch, workers, optimizer_cls, data, grads, **kwargs):
-        """Parameters and state after the steps, with ``workers`` threads;
-        and the worker counts each pool was built with."""
+        """Parameters and state after the steps, with ``workers`` workers;
+        and the thread counts each pool was built with (the calling thread
+        is the other worker)."""
         monkeypatch.setattr(tensornet, "sweep_workers", lambda blocks: workers)
         pools = []
 
@@ -1145,7 +1153,7 @@ class TestPooledSweep:
         assert elements > 2 * SWEEP_MIN_BLOCKS * SWEEP_BLOCK
         pooled, pools = self._run(monkeypatch, workers, optimizer_cls, data, grads, lr=0.01)
         inline, no_pools = self._run(monkeypatch, 1, optimizer_cls, data, grads, lr=0.01)
-        assert pools == [workers] * self.STEPS and no_pools == []
+        assert pools == [workers - 1] * self.STEPS and no_pools == []
         assert pooled == inline
         assert pooled[2] == data[2].tobytes()
 
@@ -1156,6 +1164,22 @@ class TestPooledSweep:
         grads[0][-1][-1] = 1e200
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             self._run(monkeypatch, 3, Adam, data, grads[:1])
+
+    def test_caller_share_exception_joins_pool(self, monkeypatch):
+        # The calling thread runs the first share, which overflows here; the
+        # step raises only after the workers have finished and joined.
+        data, grads = self._problem(seed=1)
+        grads[0][0][0] = 1e200
+        monkeypatch.setattr(tensornet, "sweep_workers", lambda blocks: 3)
+        tensors = [Tensor(d.copy()) for d in data]
+        for tensor, g in zip(tensors, grads[0]):
+            tensor.grad = None if g is None else g.copy()
+        optimizer = Adam(tensors)
+        before = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            optimizer.step()
+        assert threading.active_count() == before
+        assert not np.array_equal(tensors[-1].data, data[-1])  # the last share ran
 
     def test_model_below_minimum_starts_no_thread(self, monkeypatch):
         # 2 * SWEEP_MIN_BLOCKS - 1 blocks' worth of elements, many of them in
@@ -1175,6 +1199,125 @@ class TestPooledSweep:
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         optimizer.step()
         assert threading.active_count() == before
+
+
+class TestArena:
+    """Parameters of fewer than ``SWEEP_BLOCK`` elements live in one arena
+    the optimizer owns; sweeping its runs gives the unblocked formulas'
+    bytes."""
+
+    STEPS = 3
+
+    def _problem(self, seed=0):
+        rng = np.random.default_rng(seed)
+        data = [
+            rng.standard_normal(SWEEP_BLOCK - 1),  # packed
+            rng.standard_normal(SWEEP_BLOCK),  # own storage
+            rng.standard_normal((3, 4)),
+            rng.standard_normal(5),  # no gradient after the first step: two runs
+            rng.standard_normal((2, 2, 3)),
+            rng.standard_normal(2 * SWEEP_BLOCK + 3),  # own storage, ragged tail
+            rng.standard_normal(1),
+        ]
+        grads = [[rng.standard_normal(d.shape) for d in data] for _ in range(self.STEPS)]
+        for step_grads in grads[1:]:
+            step_grads[3] = None
+        return data, grads
+
+    def _run(self, monkeypatch, workers, optimizer_cls, data, grads, **kwargs):
+        monkeypatch.setattr(tensornet, "sweep_workers", lambda blocks: workers)
+        tensors = [Tensor(d.copy()) for d in data]
+        optimizer = optimizer_cls(tensors, **kwargs)
+        for step_grads in grads:
+            for tensor, g in zip(tensors, step_grads):
+                tensor.grad = None if g is None else g.copy()
+            optimizer.step()
+        return tensors, optimizer
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_adam_matches_reference_bytes(self, monkeypatch, workers):
+        data, grads = self._problem()
+        tensors, optimizer = self._run(monkeypatch, workers, Adam, data, grads, lr=0.01)
+        want = reference_adam(data, grads, 0.01, (0.9, 0.999), 1e-8, moments=True)
+        got = [t.data for t in tensors], optimizer._m, optimizer._v
+        for got_arrays, want_arrays in zip(got, want):
+            assert [a.tobytes() for a in got_arrays] == [a.tobytes() for a in want_arrays]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_sgd_matches_reference_bytes(self, monkeypatch, workers):
+        data, grads = self._problem(seed=1)
+        tensors, _ = self._run(monkeypatch, workers, SGD, data, grads, lr=0.1)
+        want = reference_sgd(data, grads, 0.1)
+        assert [t.data.tobytes() for t in tensors] == [w.tobytes() for w in want]
+
+    def test_construction_keeps_values_and_gradients(self):
+        rng = np.random.default_rng(3)
+        fresh = Tensor(rng.standard_normal((3, 4)))
+        fresh.data = np.asfortranarray(fresh.data)  # rebinding before construction is fine
+        fresh_grad = rng.standard_normal((3, 4))
+        fresh.grad = fresh_grad.copy()
+        stale = Tensor(rng.standard_normal((2, 1, 3)))
+        stale.grad = np.ones((2, 1, 3))
+        stale.zero_grad()
+        bare = Tensor(rng.standard_normal(2))
+        edge = Tensor(rng.standard_normal(SWEEP_BLOCK - 1))
+        big = Tensor(rng.standard_normal(SWEEP_BLOCK))
+        edge.grad, big.grad = rng.standard_normal(SWEEP_BLOCK - 1), rng.standard_normal(SWEEP_BLOCK)
+        tensors = [fresh, stale, bare, edge, big]
+        values = [t.data.copy() for t in tensors]
+        big_data, big_grad = big.data, big.grad
+
+        optimizer = Adam(tensors)
+        for tensor, want in zip(tensors, values):
+            assert tensor.shape == want.shape and tensor.data.flags.c_contiguous
+            np.testing.assert_array_equal(tensor.data, want)
+            packed = tensor is not big
+            assert np.shares_memory(tensor.data, optimizer._arena) == packed
+            if tensor is not bare:
+                assert np.shares_memory(tensor._grad, optimizer._arena) == packed
+        np.testing.assert_array_equal(fresh.grad, fresh_grad)
+        assert stale._stale and np.shares_memory(stale._grad, optimizer._arena)
+        stale.add_grad(np.full((2, 1, 3), 2.0))  # written, not added to the old ones
+        np.testing.assert_array_equal(stale.grad, np.full((2, 1, 3), 2.0))
+        assert bare.grad is None
+        bare.zero_grad()
+        assert np.shares_memory(bare.grad, optimizer._arena)
+        assert big.data is big_data and big.grad is big_grad
+
+    def test_grad_assignment_copies_into_the_arena(self):
+        w = Tensor(np.zeros((2, 3)))
+        optimizer = SGD([w], lr=1.0)
+        value = np.arange(6.0).reshape(2, 3)
+        w.grad = value
+        assert w.grad is not value and np.shares_memory(w.grad, optimizer._arena)
+        value[...] = 0.0
+        optimizer.step()
+        np.testing.assert_array_equal(w.data, -np.arange(6.0).reshape(2, 3))
+        w.grad = None
+        optimizer.step()  # no gradient: skipped
+        np.testing.assert_array_equal(w.data, -np.arange(6.0).reshape(2, 3))
+
+    def test_older_optimizer_raises_after_takeover(self):
+        w = Tensor(np.ones(3), "w")
+        big = Tensor(np.ones(SWEEP_BLOCK), "big")
+        older = SGD([big, w], lr=0.5)
+        newer = Adam([w])
+        w.grad = np.ones(3)
+        big.grad = np.ones(SWEEP_BLOCK)
+        with pytest.raises(RuntimeError, match="'w'"):
+            older.step()
+        np.testing.assert_array_equal(big.data, np.ones(SWEEP_BLOCK))  # nothing updated
+        newer.step()
+        assert np.all(w.data < 1.0)
+
+    def test_rebound_data_raises(self):
+        w = Tensor(np.ones(3), "w")
+        optimizer = Adam([w])
+        w.data = np.zeros(3)
+        w.grad = np.ones(3)
+        with pytest.raises(RuntimeError, match="'w'"):
+            optimizer.step()
+        np.testing.assert_array_equal(w.data, np.zeros(3))
 
 
 @pytest.mark.parametrize(
