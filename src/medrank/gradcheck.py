@@ -143,6 +143,28 @@ def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[
         conv, lambda: _functional(conv.forward(cx), cr), conv_seed
     )
 
+    # stride 1 and padding 2 grow the maps, a 1x1 among them: fewer input
+    # cells than output cells, so the input-cell backward; the maps are a
+    # parameter too, so the input gradient is checked with the weights. Its
+    # own generator leaves the draws of the checks after it as they were.
+    padded_rng = np.random.default_rng([seed, 19])
+    padded = Conv2d(2, 3, (3, 3), (1, 1), (2, 2), padded_rng)
+    shapes = ((2, 3), (1, 1), (3, 1))
+    px = Maps.pack([padded_rng.standard_normal((2, h, w)) for h, w in shapes])
+    pr = Maps.pack([padded_rng.standard_normal((3, h + 2, w + 2)) for h, w in shapes])
+    maps_param = Tensor(px.data, "maps")
+
+    def padded_seed() -> None:
+        padded.forward(px)
+        maps_param.grad = padded.backward(pr).data
+
+    results["conv2d_padded"] = _check_module(
+        padded,
+        lambda: _functional(padded.forward(px), pr),
+        padded_seed,
+        params=[*padded.params(), maps_param],
+    )
+
     # batchnorm in train mode (batch statistics path): over a batch of rows,
     # and per map over three packed maps
     batchnorm_errors = []

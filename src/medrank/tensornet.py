@@ -8,7 +8,7 @@ inference so no caches accumulate.
 
 Included: linear, ReLU, batch normalization (1d over a batch, 2d over the
 spatial positions of each feature map), 2-D convolution (cross-correlation
-convention; im2col matmul forward, col2im gather backward), quadrant
+convention; im2col matmul forward, an input-cell or col2im backward), quadrant
 average pooling, the sigmoid function, binary cross-entropy on logits,
 SGD/Adam, and a JSON checkpoint manifest.
 
@@ -43,8 +43,10 @@ class Tensor:
     An optimizer packs a tensor of fewer than ``SWEEP_BLOCK`` elements into
     its arena: ``data`` and the gradient buffer become views of the arena.
     Update ``data`` in place and never rebind it; an optimizer whose arena
-    no longer holds ``data`` raises on ``step``. Setting ``grad`` copies into
-    the arena, and setting it to ``None`` leaves the tensor without one.
+    no longer holds ``data`` raises on ``step``. Setting ``grad`` copies a
+    value of the tensor's shape into the buffer (another shape raises), never
+    keeping the caller's array; setting it to ``None`` leaves the tensor
+    without one.
     """
 
     def __init__(self, data, name: str = ""):
@@ -68,21 +70,24 @@ class Tensor:
 
     @grad.setter
     def grad(self, value) -> None:
-        if value is None or self._slot is None:
-            self._grad = None if value is None else np.asarray(value, np.float64, order="C")
+        if value is None:
+            self._grad, self._stale = None, False
         else:
-            self._slot[...] = value
-            self._grad = self._slot
-        self._stale = False
+            self._write_not_add(np.shape(value), self.data.shape)
+            np.copyto(self._grad, value)
 
     def zero_grad(self) -> None:
-        """Mark the gradient buffer stale, without writing to it; allocate it
-        only when missing and not packed."""
-        if self._grad is None:
-            self._grad = self._slot
-        if self._grad is None or self._grad.shape != self.data.shape:
-            self._grad = np.empty_like(self.data)
+        """Mark the gradient buffer stale, without writing to it."""
+        self._allocate()
         self._stale = True
+
+    def _allocate(self) -> None:
+        """Give the tensor a stale gradient buffer unless it has one of its
+        shape: its arena view when packed, else a new array."""
+        if self._grad is None:
+            self._grad, self._stale = self._slot, True
+        if self._grad is None or self._grad.shape != self.data.shape:
+            self._grad, self._stale = np.empty(self.data.shape), True
 
     def _pack(self, data: np.ndarray, grad: np.ndarray) -> None:
         """Move into an optimizer's arena through ``data`` and ``grad``, views
@@ -97,14 +102,13 @@ class Tensor:
 
     def _write_not_add(self, shape: tuple[int, ...], want: tuple[int, ...]) -> bool:
         """Whether a contribution of ``shape`` (which must be ``want``) is
-        written, because the buffer is stale, rather than added; clears the
-        stale mark."""
+        written, because the buffer is stale or new, rather than added;
+        clears the stale mark."""
         if shape != want:
             raise DimensionError(
                 f"gradient of shape {shape} for tensor {self.name!r} of shape {self.data.shape}"
             )
-        if self._grad is None:
-            self.zero_grad()
+        self._allocate()
         stale, self._stale = self._stale, False
         return stale
 
@@ -507,11 +511,22 @@ class Conv2d(Module):
     all maps with one ``np.take``, through per-shape tap indices offset to
     each map's columns, with every padding tap reading one appended zero
     column. One matmul with the flattened weight then gives every map's
-    output as a forward of that map alone would. Backward gathers the
-    im2col matrix again, takes the weight gradient as one matmul, and does
-    col2im as one gather through the inverse tap indices followed by a sum
-    over the taps (Chellapilla et al. 2006). The per-shape indices are
-    cached for at most ``TAP_INDEX_CACHE`` shapes.
+    output as a forward of that map alone would.
+
+    Backward takes one of two forms, by geometry alone: whichever makes its
+    two matmuls run over fewer cells, at 2*O*C*kh*kw multiply-adds per cell.
+    - When the maps have fewer cells P than the output's L (padding that
+      grows the maps), the input-cell form gathers the output gradient
+      through the inverse tap indices into a (O*kh*kw, P) matrix: for each
+      input cell, the gradient reaching it through each tap. Two matmuls
+      with the P input cells give the weight and input gradients
+      (Vasudevan et al., ASAP 2017), so none is spent on padding.
+    - Otherwise (P >= L, as under a stride of 2) the output-cell form
+      gathers the im2col matrix again for the weight gradient, and does
+      col2im as one gather through the inverse tap indices followed by a
+      sum over the taps (Chellapilla et al. 2006).
+    The per-shape indices are cached for at most ``TAP_INDEX_CACHE``
+    shapes.
     """
 
     def __init__(
@@ -595,20 +610,33 @@ class Conv2d(Module):
         cells, taps, pieces, geometry = self._pop()
         if self.bias is not None:
             self.bias.add_grad(g.data.sum(axis=1))
-        n_taps, n_out = taps.shape
-        cols = np.take(cells, taps, axis=1).reshape(-1, n_out)
-        self.weight.add_matmul(g.data, cols.T)
-        # col2im as a gather: each input cell sums, tap by tap, the im2col
-        # gradient of the one output cell that read it through that tap, or
-        # of an appended zero output column where none did.
-        g_ext = np.zeros((self.out_channels, n_out + 1))
+        (n_taps, n_out), n_in = taps.shape, cells.shape[1] - 1
+        o, c = self.out_channels, self.in_channels
+        # The output gradient plus one zero column, which every input cell
+        # reads through a tap no output cell reads it through.
+        g_ext = np.zeros((o, n_out + 1))
         g_ext[:, :n_out] = g.data
-        dcols = self.weight.data.reshape(self.out_channels, -1).T @ g_ext
         reads = np.concatenate([piece.reads for piece in pieces], axis=1)
         reads += np.repeat(g.starts(), geometry.sizes)
         np.minimum(reads, n_out, out=reads)
+        if n_in < n_out:
+            # Input-cell form: dz holds, per output channel and tap, the
+            # gradient each input cell receives through that tap, so both
+            # products run over the P input cells, not the L output cells.
+            dz = np.take(g_ext, reads, axis=1).reshape(-1, n_in)
+            dw = (dz @ cells[:, :n_in].T).reshape(o, n_taps, c).transpose(0, 2, 1)
+            self.weight.add_grad(dw.reshape(self.weight.shape))
+            # The weight as (O*T, C); BLAS reads its transpose in place.
+            w_t = self.weight.data.reshape(o, c, n_taps).transpose(0, 2, 1).reshape(-1, c)
+            return geometry.like(w_t.T @ dz)
+        # Output-cell form: the im2col gradient, then col2im as a gather:
+        # each input cell sums, tap by tap, the im2col gradient of the one
+        # output cell that read it through that tap, or of the zero column.
+        cols = np.take(cells, taps, axis=1).reshape(-1, n_out)
+        self.weight.add_matmul(g.data, cols.T)
+        dcols = self.weight.data.reshape(o, -1).T @ g_ext
         reads += np.arange(n_taps)[:, None] * (n_out + 1)
-        dx = np.take(dcols.reshape(cells.shape[0], -1), reads, axis=1).sum(axis=1)
+        dx = np.take(dcols.reshape(c, -1), reads, axis=1).sum(axis=1)
         return geometry.like(dx)
 
 
@@ -784,10 +812,16 @@ class _Optimizer:
     process's CPU affinity and the number of elements alone, with no setting.
     Every element goes through the same operations in the same order as the
     unblocked formula, so results are bit-identical for any worker count.
+    A parameter listed twice raises: no sweep could update it correctly.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float, states: int = 0):
         self.params = list(params)
+        seen: set[int] = set()
+        for p in self.params:
+            if id(p) in seen:
+                raise ValueError(f"parameter {p.name!r} is listed twice")
+            seen.add(id(p))
         self.lr = lr
         width = sum(p.data.size for p in self.params if p.data.size < SWEEP_BLOCK)
         self._arena = np.zeros((2 + states, width))  # rows: values, gradients, each state

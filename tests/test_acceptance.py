@@ -93,6 +93,7 @@ class TestCriterion2GradientVerification:
         for name in (
             "linear_sigmoid_bce",
             "conv2d",
+            "conv2d_padded",
             "batchnorm",
             "conv_encoder",
             "filter_head",

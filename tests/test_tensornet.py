@@ -266,6 +266,58 @@ class TestConv2d:
                 np.testing.assert_allclose(layer.bias.grad, dbias, rtol=0, atol=1e-12)
         assert seen["cases"] >= 100 and min(seen.values()) >= 10, seen
 
+    @pytest.mark.parametrize(
+        "kernel, stride, padding, fewer_inputs",
+        [
+            ((1, 1), (1, 1), (1, 1), True),
+            ((3, 3), (1, 1), (2, 2), True),
+            ((2, 2), (1, 1), (1, 1), True),
+            ((3, 3), (1, 1), (1, 1), False),  # as many input cells as output
+            ((3, 3), (2, 2), (1, 1), False),
+            ((3, 3), (1, 1), (0, 0), False),
+        ],
+        ids=["1x1-pad1", "3x3-pad2", "2x2-pad1", "3x3-pad1", "3x3-stride2-pad1", "3x3-pad0"],
+    )
+    def test_both_backward_forms_match_windowed_oracle(
+        self, kernel, stride, padding, fewer_inputs
+    ):
+        # The encoder's geometries on either side of the input-cell rule
+        # (fewer input cells than output cells), over mixed packed shapes.
+        rng = np.random.default_rng(11)
+        layer = Conv2d(3, 4, kernel, stride, padding, rng)
+        shapes = [
+            (h, w)
+            for h, w in ((1, 1), (3, 2), (2, 3), (1, 3), (3, 3), (4, 5))
+            if h + 2 * padding[0] >= kernel[0] and w + 2 * padding[1] >= kernel[1]
+        ]
+        maps = [rng.standard_normal((3, h, w)) for h, w in shapes]
+        outputs = [
+            windowed_conv2d_forward(x, layer.weight.data, layer.bias.data, stride, padding)
+            for x in maps
+        ]
+        grads = [rng.standard_normal(y.shape) for y, _ in outputs]
+        n_in = sum(h * w for h, w in shapes)
+        n_out = sum(g[0].size for g in grads)
+        assert (n_in < n_out) == fewer_inputs and len(shapes) >= 2
+        layer.zero_grad()
+        for y, (want, _) in zip(layer.forward(Maps.pack(maps)).unpack(), outputs):
+            np.testing.assert_allclose(y, want, rtol=0, atol=1e-12)
+        # The form taken shows in the weight gradient's bytes.
+        product = _first_weight_product(layer, None, Maps.pack(grads))
+        dx = layer.backward(Maps.pack(grads)).unpack()
+        assert layer.weight.grad.tobytes() == product.tobytes()
+        dweight = np.zeros_like(layer.weight.data)
+        dbias = np.zeros(4)
+        for x, d, (_, padded), g in zip(maps, dx, outputs, grads):
+            want_dx, want_dw, want_db = windowed_conv2d_backward(
+                padded, x.shape, g, layer.weight.data, stride, padding
+            )
+            np.testing.assert_allclose(d, want_dx, rtol=0, atol=1e-12)
+            dweight += want_dw
+            dbias += want_db
+        np.testing.assert_allclose(layer.weight.grad, dweight, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(layer.bias.grad, dbias, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("cached_shapes", [64, 1])
     def test_stacked_maps_backward_in_reverse(self, monkeypatch, cached_shapes):
         # The tap-index cache is keyed by (h, w): two maps share h, two share
@@ -861,33 +913,53 @@ class TestSequentialComposite:
 
 
 def _weight_layers(rng):
-    """A Linear and a Conv2d with an input and an output gradient for each."""
+    """A Linear and two Conv2d layers, one per backward form, with an input
+    and an output gradient for each."""
     linear = Linear(4, 3, rng)
     conv = Conv2d(2, 3, (2, 3), stride=(1, 2), padding=(1, 1), rng=rng)
     maps = Maps.pack([rng.standard_normal((2, 4, 5)), rng.standard_normal((2, 3, 2))])
-    conv_out = conv.forward(maps)
-    conv.clear_cache()
+    # Stride 1 and padding that grows the maps: fewer input cells (7) than
+    # output cells (15), so the input-cell form.
+    padded_conv = Conv2d(2, 3, (3, 3), padding=(2, 1), rng=rng)
+    small_maps = Maps.pack([rng.standard_normal((2, 2, 3)), rng.standard_normal((2, 1, 1))])
 
     def linear_case():
         return rng.standard_normal((5, 4)), rng.standard_normal((5, 3))
 
-    def conv_case():
-        return (
+    def conv_case(layer, maps):
+        out = layer.forward(maps)
+        layer.clear_cache()
+        return lambda: (
             maps.like(rng.standard_normal(maps.data.shape)),
-            conv_out.like(rng.standard_normal(conv_out.data.shape)),
+            out.like(rng.standard_normal(out.data.shape)),
         )
 
-    return [(linear, linear_case), (conv, conv_case)]
+    return [
+        (linear, linear_case),
+        (conv, conv_case(conv, maps)),
+        (padded_conv, conv_case(padded_conv, small_maps)),
+    ]
 
 
 def _first_weight_product(layer, x, grad_out):
     """The product the layer's backward takes as its weight gradient:
-    ``grad_out.T @ x`` for a Linear, ``g @ cols.T`` for a Conv2d."""
+    ``grad_out.T @ x`` for a Linear; for a Conv2d, ``g @ cols.T`` over the
+    output cells or, when the input has fewer cells, ``dz @ X.T`` over the
+    input cells, taps moved behind the channels."""
     if isinstance(layer, Linear):
         return grad_out.T @ x
-    cells, taps = layer._ctx[-1][:2]
-    cols = np.take(cells, taps, axis=1).reshape(-1, taps.shape[1])
-    return (grad_out.data @ cols.T).reshape(layer.weight.shape)
+    cells, taps, pieces, geometry = layer._ctx[-1]
+    (n_taps, n_out), n_in = taps.shape, cells.shape[1] - 1
+    if n_in >= n_out:
+        cols = np.take(cells, taps, axis=1).reshape(-1, n_out)
+        return (grad_out.data @ cols.T).reshape(layer.weight.shape)
+    o, c = layer.out_channels, layer.in_channels
+    g_ext = np.pad(grad_out.data, ((0, 0), (0, 1)))
+    reads = np.concatenate([piece.reads for piece in pieces], axis=1)
+    reads = np.minimum(reads + np.repeat(grad_out.starts(), geometry.sizes), n_out)
+    dz = np.take(g_ext, reads, axis=1).reshape(-1, n_in)
+    dw = (dz @ cells[:, :n_in].T).reshape(o, n_taps, c).transpose(0, 2, 1)
+    return np.ascontiguousarray(dw).reshape(layer.weight.shape)
 
 
 class TestGradientContract:
@@ -1296,6 +1368,39 @@ class TestArena:
         w.grad = None
         optimizer.step()  # no gradient: skipped
         np.testing.assert_array_equal(w.data, -np.arange(6.0).reshape(2, 3))
+
+    def test_grad_assignment_copies_for_a_large_parameter(self):
+        # SWEEP_BLOCK elements: own storage, not the arena. A later backward
+        # writes into the gradient buffer, which must not be the caller's.
+        rng = np.random.default_rng(4)
+        layer = Linear(256, 128, rng, bias=False)
+        assert layer.weight.data.size >= SWEEP_BLOCK
+        optimizer = Adam(layer.params())
+        value = np.ones((128, 256))
+        layer.weight.grad = value
+        assert layer.weight.grad is not value
+        optimizer.step()
+        optimizer.zero_grad()
+        layer.forward(np.ones((2, 256)))
+        layer.backward(np.ones((2, 128)))
+        np.testing.assert_array_equal(value, np.ones((128, 256)))
+
+    def test_grad_assignment_of_another_shape_raises(self):
+        w, big = Tensor(np.zeros(3), "w"), Tensor(np.zeros(SWEEP_BLOCK), "big")
+        SGD([w, big], lr=0.1)  # w packed, big not
+        for tensor in (w, big):
+            with pytest.raises(DimensionError, match=repr(tensor.name)):
+                tensor.grad = np.zeros(tensor.data.size + 1)
+            assert tensor.grad is None
+
+    @pytest.mark.parametrize("optimizer_cls", [SGD, Adam])
+    def test_repeated_parameter_raises(self, optimizer_cls):
+        w, v = Tensor(np.ones(3), "w"), Tensor(np.ones(SWEEP_BLOCK), "v")
+        w_data = w.data
+        for params, name in (([w, w], "'w'"), ([w, v, w], "'w'"), ([v, v], "'v'")):
+            with pytest.raises(ValueError, match=name):
+                optimizer_cls(params, lr=0.1)
+        assert w.data is w_data  # raised before packing anything
 
     def test_older_optimizer_raises_after_takeover(self):
         w = Tensor(np.ones(3), "w")
