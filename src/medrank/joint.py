@@ -380,6 +380,9 @@ class TrainConfig:
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
 
     def __post_init__(self):
+        for key in ("alpha", "lr"):
+            if not math.isfinite(getattr(self, key)):
+                raise SchemaError(f"{key} must be finite, got {getattr(self, key)}")
         if self.alpha < 0:
             raise SchemaError("alpha must be >= 0")
         if self.epochs < 1:
@@ -891,7 +894,9 @@ def save_joint_model(
     provider_config: ProviderConfig,
     provider_tfidf: TfidfModel | None = None,
 ) -> None:
-    """Self-contained checkpoint: config, layouts, TF-IDF models, weights."""
+    """Self-contained checkpoint: config, layouts, TF-IDF models, weights.
+    A non-finite parameter or buffer raises ``MedrankError``, and nothing is
+    written."""
     encoder_cfg = model.encoder.config
     meta = {
         "kind": "joint",

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, SchemaError, read_json_object
+from .errors import DimensionError, MedrankError, SchemaError, read_json_object
 
 
 class Tensor:
@@ -40,13 +40,12 @@ class Tensor:
     rather than added, so no pass fills it with zeros first. Later
     contributions add.
 
-    An optimizer packs a tensor of fewer than ``SWEEP_BLOCK`` elements into
-    its arena: ``data`` and the gradient buffer become views of the arena.
-    Update ``data`` in place and never rebind it; an optimizer whose arena
-    no longer holds ``data`` raises on ``step``. Setting ``grad`` copies a
-    value of the tensor's shape into the buffer (another shape raises), never
-    keeping the caller's array; setting it to ``None`` leaves the tensor
-    without one.
+    An optimizer packs every tensor it is given into its arena: ``data`` and
+    the gradient buffer become views of the arena's flat arrays. Update
+    ``data`` in place and never rebind it; an optimizer whose arena no longer
+    holds ``data`` raises on ``step``. Setting ``grad`` copies a value of the
+    tensor's shape into the buffer (another shape raises), never keeping the
+    caller's array; setting it to ``None`` leaves the tensor without one.
     """
 
     def __init__(self, data, name: str = ""):
@@ -767,8 +766,7 @@ def logit_bce(logits, targets) -> tuple[float, np.ndarray]:
 # block's parameter, gradient, state and scratch slices stay in cache while
 # every operation of the update runs over them. The measured plateau is
 # 16K-32K elements with one worker and 32K-64K with two (4K-8K pays per-call
-# overhead, 1M spills to memory). A parameter with fewer elements than this
-# is packed into its optimizer's arena; a larger one keeps its own storage.
+# overhead, 1M spills to memory).
 SWEEP_BLOCK = 32768
 
 # Fewest blocks a sweep worker gets. A pooled step starts its threads afresh
@@ -793,17 +791,17 @@ def sweep_workers(blocks: int) -> int:
 class _Optimizer:
     """Parameter list, ``zero_grad`` and the blocked in-place update sweep.
 
-    The optimizer owns one flat arena whose rows hold the values, gradient
-    buffers and optimizer states of every parameter of fewer than
-    ``SWEEP_BLOCK`` elements, side by side in parameter order; each such
-    ``Tensor``'s ``data`` and gradient are views of it. So the many small
-    parameters are swept as a few contiguous runs (one when all of them have
-    a gradient), not one at a time. A larger parameter keeps its own storage:
-    copying it would cost construction time and memory for no gain.
+    The optimizer owns a flat arena: one values array, one gradient array and
+    one array per optimizer state, each holding every parameter side by side
+    in parameter order. Each ``Tensor``'s ``data`` and gradient are views of
+    the first two, and ``_ranges`` holds each parameter's range of all of
+    them. Construction copies the values in one parameter at a time, so each
+    old array can be freed as its tensor is rebound.
 
-    ``step`` cuts each run and each larger parameter that has a gradient into
-    flat blocks of at most ``SWEEP_BLOCK`` elements and updates the parameter
-    and its state in place through two scratch blocks per worker, so a step
+    ``step`` merges the ranges of the parameters that have a gradient into
+    contiguous runs (one when all of them have one), cuts the runs into flat
+    blocks of at most ``SWEEP_BLOCK`` elements and updates the parameters and
+    states in place through two scratch blocks per worker, so a step
     allocates nothing the size of a weight. The blocks are dealt in contiguous
     shares of about equal element counts to ``sweep_workers`` workers, one per
     usable core (numpy releases the interpreter lock inside each operation):
@@ -823,25 +821,17 @@ class _Optimizer:
                 raise ValueError(f"parameter {p.name!r} is listed twice")
             seen.add(id(p))
         self.lr = lr
-        width = sum(p.data.size for p in self.params if p.data.size < SWEEP_BLOCK)
-        self._arena = np.zeros((2 + states, width))  # rows: values, gradients, each state
-        self._columns: list[slice | None] = []  # each parameter's arena columns, if packed
-        self._states: list[list[np.ndarray]] = [[] for _ in range(states)]
+        self._ranges: list[slice] = []
         end = 0
         for p in self.params:
-            if p.data.size >= SWEEP_BLOCK:
-                self._columns.append(None)
-                for state in self._states:
-                    state.append(np.zeros(p.data.shape))
-                continue
-            columns = slice(end, end + p.data.size)
-            end = columns.stop
-            values, grad, *views = (row[columns].reshape(p.data.shape) for row in self._arena)
-            p._pack(values, grad)
-            self._columns.append(columns)
-            for state, view in zip(self._states, views):
-                state.append(view)
-        self._block = min(SWEEP_BLOCK, sum(p.data.size for p in self.params))
+            self._ranges.append(slice(end, end + p.data.size))
+            end += p.data.size
+        self._values, self._grads = np.empty(end), np.zeros(end)
+        for p, span in zip(self.params, self._ranges):
+            shape = p.data.shape
+            p._pack(self._values[span].reshape(shape), self._grads[span].reshape(shape))
+        self._states = [np.zeros(end) for _ in range(states)]
+        self._block = min(SWEEP_BLOCK, end)
         self._scratch: list[tuple[np.ndarray, np.ndarray]] = []
 
     def zero_grad(self) -> None:
@@ -850,50 +840,45 @@ class _Optimizer:
 
     def _sweep(self, update: Callable) -> None:
         """Call ``update(param, grad, states, a, b)`` on every flat block of
-        every arena run and larger parameter that has a gradient; ``a`` and
-        ``b`` are free scratch blocks. Only the caller's thread touches a
-        ``Tensor``: workers see flat arrays alone.
+        the parameters that have a gradient; ``a`` and ``b`` are free scratch
+        blocks. Only the caller's thread touches a ``Tensor``: workers see
+        flat arrays alone.
         """
-        segments = []  # (flat param, flat grad, flat states) of each larger parameter, then run
-        runs: list[list[int]] = []  # [start, stop) arena columns with a gradient
-        for p, columns, *p_states in zip(self.params, self._columns, *self._states):
+        runs: list[list[int]] = []  # [start, stop) ranges of parameters with a gradient
+        for p, span in zip(self.params, self._ranges):
             grad = p.grad
-            if columns is not None and p.data.base is not self._arena:
+            if p.data.base is not self._values:
                 raise RuntimeError(
                     f"parameter {p.name!r} has left this optimizer's arena (its data "
                     "was rebound, or a newer optimizer took it over)"
                 )
             if grad is None:
-                continue  # a packed one splits the run around it
-            if columns is None:
-                flat_states = [s.reshape(-1) for s in p_states]
-                segments.append((p.data.reshape(-1), grad.reshape(-1), flat_states))
-            elif runs and runs[-1][1] == columns.start:
-                runs[-1][1] = columns.stop
+                continue  # splits the run around it
+            if runs and runs[-1][1] == span.start:
+                runs[-1][1] = span.stop
             else:
-                runs.append([columns.start, columns.stop])
-        arena = self._arena
-        segments += [(arena[0, a:b], arena[1, a:b], list(arena[2:, a:b])) for a, b in runs]
-        total = sum(flats[0].size for flats in segments)
+                runs.append([span.start, span.stop])
+        total = sum(stop - start for start, stop in runs)
         workers = sweep_workers(-(-total // SWEEP_BLOCK))
         shares = [[] for _ in range(workers)]  # contiguous, about total / workers elements each
         done = 0
-        for flats in segments:
-            for start in range(0, flats[0].size, SWEEP_BLOCK):
-                shares[done * workers // total].append((flats, start))
-                done += min(SWEEP_BLOCK, flats[0].size - start)
+        for start, stop in runs:
+            for first in range(start, stop, SWEEP_BLOCK):
+                block = slice(first, min(first + SWEEP_BLOCK, stop))
+                shares[done * workers // total].append(block)
+                done += block.stop - first
         while len(self._scratch) < workers:
             self._scratch.append((np.empty(self._block), np.empty(self._block)))
+        values, grads, states = self._values, self._grads, self._states
         errors = np.geterr()  # a worker thread starts from numpy's defaults
 
         def run(share, scratch) -> None:
             scratch_a, scratch_b = scratch
             with np.errstate(**errors):
-                for (flat, flat_grad, flat_states), start in share:
-                    block = slice(start, start + SWEEP_BLOCK)
-                    pb = flat[block]
+                for block in share:
+                    pb = values[block]
                     a, b = scratch_a[: pb.size], scratch_b[: pb.size]
-                    update(pb, flat_grad[block], [s[block] for s in flat_states], a, b)
+                    update(pb, grads[block], [s[block] for s in states], a, b)
 
         if workers == 1:
             run(shares[0], self._scratch[0])
@@ -938,7 +923,6 @@ class Adam(_Optimizer):
         super().__init__(params, lr, states=2)
         self.betas = betas
         self.eps = eps
-        self._m, self._v = self._states
         self._t = 0
 
     def step(self) -> None:
@@ -973,7 +957,11 @@ class Adam(_Optimizer):
 
 
 def write_manifest(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Persist named arrays plus metadata as a single sorted-key JSON file."""
+    """Persist named arrays plus metadata as a single sorted-key JSON file.
+    A non-finite array raises ``MedrankError``, and nothing is written."""
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise MedrankError(f"non-finite {name}; no checkpoint written")
     payload = {
         "meta": meta,
         "arrays": {

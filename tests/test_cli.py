@@ -1130,6 +1130,27 @@ class TestErrorHandling:
         assert "in epoch 1" in payload["message"]
         assert not model.exists()
 
+    def test_non_finite_parameters_write_no_checkpoint(self, capsys, tmp_path):
+        # One question and one epoch: a single step, so no later loss shows
+        # the parameters that step drove to infinity; the save must.
+        base = ["--seed", "11", "--set", "synth.questions=1", "--set", "synth.val_questions=2"]
+        assert main(base + ["synth", "--out-dir", str(tmp_path)]) == 0
+        model = tmp_path / "joint.json"
+        capsys.readouterr()
+        with np.errstate(over="ignore"):  # the update overflows by design
+            code = main(
+                ["--scaled-down", "--seed", "11", "--set", "train.lr=1e308", "train-joint",
+                 "--dataset", str(tmp_path / "questions_train.jsonl"),
+                 "--corpus", str(tmp_path / "corpus.jsonl"), "--epochs", "1",
+                 "--out", str(model)]
+            )
+        assert code == 2
+        payload = _error_payload(capsys)
+        assert payload["error"] == "MedrankError"
+        assert payload["message"].startswith("non-finite param.")
+        assert payload["message"].endswith("; no checkpoint written")
+        assert not model.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -1137,6 +1158,8 @@ class TestErrorHandling:
             (["--epochs", "0"], "epochs must be >= 1"),
             (["--set", "train.lr=-1"], "lr must be > 0"),
             (["--set", "train.lr=0"], "lr must be > 0"),
+            (["--set", "train.lr=inf"], "lr must be finite"),
+            (["--set", "train.alpha=nan"], "alpha must be finite"),
         ],
     )
     def test_unusable_training_settings_write_no_checkpoint(

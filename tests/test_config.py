@@ -5,7 +5,8 @@ import dataclasses
 import pytest
 
 from medrank.config import RunConfig
-from medrank.errors import ConfigError
+from medrank.errors import ConfigError, SchemaError
+from medrank.joint import TrainConfig
 
 
 def _format(value) -> str:
@@ -68,6 +69,16 @@ class TestRunConfig:
             config.set_value("retrieval.N", "three")
         with pytest.raises(ConfigError):
             config.set_value("train.augmentation", "maybe")
+
+    @pytest.mark.parametrize("key", ["lr", "alpha"])
+    @pytest.mark.parametrize("raw", ["inf", "nan"])
+    def test_non_finite_train_rates_rejected(self, key, raw):
+        # The CLI builds its TrainConfig from the train section, so a --set
+        # value fails before any data is read.
+        config = RunConfig()
+        config.set_value(f"train.{key}", raw)
+        with pytest.raises(SchemaError, match=f"{key} must be finite, got {raw}"):
+            TrainConfig(**dataclasses.asdict(config.train))
 
     def test_text_roundtrip(self):
         config = RunConfig()

@@ -565,16 +565,31 @@ class TestNonFiniteGuard:
         trainer.prepare(train)
         trainer.run_epoch()
         params = [t.data.copy() for t in model.params()]
-        moments = [m.copy() for m in trainer.optimizer._m + trainer.optimizer._v]
+        moments = [state.copy() for state in trainer.optimizer._states]
         stub.armed = True
         first = re.escape(repr(trainer.prepared[0].question_id))
         with pytest.raises(MedrankError, match=f"question {first} in epoch 2"):
             trainer.run_epoch()
         for before, tensor in zip(params, model.params()):
             np.testing.assert_array_equal(tensor.data, before)
-        for before, after in zip(moments, trainer.optimizer._m + trainer.optimizer._v):
+        for before, after in zip(moments, trainer.optimizer._states):
             np.testing.assert_array_equal(after, before)
         assert trainer.optimizer._t == len(trainer.prepared)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"lr": math.inf}, "lr must be finite"),
+            ({"lr": -math.inf}, "lr must be finite"),
+            ({"lr": math.nan}, "lr must be finite"),
+            ({"alpha": math.inf}, "alpha must be finite"),
+            ({"alpha": math.nan}, "alpha must be finite"),
+            ({"alpha": -1.0}, "alpha must be >= 0"),
+        ],
+    )
+    def test_unusable_rates_rejected(self, settings, message):
+        with pytest.raises(SchemaError, match=message):
+            TrainConfig(**settings)
 
 
 class TestCheckpoint:
@@ -606,6 +621,18 @@ class TestCheckpoint:
         save_joint_model(model, tmp_path / "a.json", config, pc, provider.model)
         save_joint_model(model, tmp_path / "b.json", config, pc, provider.model)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["param", "buffer"])
+    def test_non_finite_state_writes_nothing(self, tmp_path, kind):
+        _, _, _, provider, _, model = small_world(questions=4, seed=8)
+        params = [(name, tensor.data) for name, tensor in model.named_params()]
+        name, values = (params if kind == "param" else model.named_buffers())[-1]
+        values.flat[-1] = math.inf if kind == "param" else math.nan
+        path = tmp_path / "joint.json"
+        pc = ProviderConfig(kind="tfidf_cosine", D=8, seed=0)
+        with pytest.raises(MedrankError, match=re.escape(f"non-finite {kind}.{name};")):
+            save_joint_model(model, path, TrainConfig(epochs=1, seed=8), pc, provider.model)
+        assert not path.exists()
 
 
 class TestHeads:
@@ -908,15 +935,13 @@ class TestTrainingExactness:
         assert trainers[0].optimizer._t == trainers[1].optimizer._t == 2 * len(questions)
         for (name, tensor), (_, ref) in zip(model.named_params(), twin.named_params()):
             assert tensor.data.tobytes() == ref.data.tobytes(), name
-        for optimizer in (trainers[0].optimizer, trainers[1].optimizer):
-            assert all(m.any() for m in optimizer._m)
-        for moment in ("_m", "_v"):
-            for (name, _), ours, ref in zip(
-                model.named_params(),
-                getattr(trainers[0].optimizer, moment),
-                getattr(trainers[1].optimizer, moment),
-            ):
-                assert ours.tobytes() == ref.tobytes(), f"{moment} {name}"
+        ours, ref = trainers[0].optimizer, trainers[1].optimizer
+        for optimizer in (ours, ref):
+            m = optimizer._states[0]
+            assert all(m[span].any() for span in optimizer._ranges)
+        for moment, our_state, ref_state in zip("mv", ours._states, ref._states):
+            for (name, _), span in zip(model.named_params(), ours._ranges):
+                assert our_state[span].tobytes() == ref_state[span].tobytes(), f"{moment} {name}"
         for (name, buffer), (_, ref) in zip(model.named_buffers(), twin.named_buffers()):
             assert buffer.tobytes() == ref.tobytes(), name
 

@@ -5,6 +5,7 @@ import math
 import os
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -1150,7 +1151,7 @@ class TestInPlaceOptimizers:
         w.zero_grad()
         optimizer = Adam([w])
         buffer = w.grad
-        assert np.shares_memory(buffer, optimizer._arena)
+        assert buffer.base is optimizer._grads
         for _ in range(2):
             buffer += 5.0
             optimizer.zero_grad()
@@ -1214,8 +1215,7 @@ class TestPooledSweep:
             for tensor, g in zip(tensors, step_grads):
                 tensor.grad = None if g is None else g.copy()
             optimizer.step()
-        state = getattr(optimizer, "_m", []) + getattr(optimizer, "_v", [])
-        return [a.tobytes() for a in [t.data for t in tensors] + state], pools
+        return [a.tobytes() for a in [t.data for t in tensors] + optimizer._states], pools
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("optimizer_cls", [Adam, SGD])
@@ -1274,8 +1274,8 @@ class TestPooledSweep:
 
 
 class TestArena:
-    """Parameters of fewer than ``SWEEP_BLOCK`` elements live in one arena
-    the optimizer owns; sweeping its runs gives the unblocked formulas'
+    """Every parameter, whatever its size, lives in the flat arrays the
+    optimizer owns; sweeping their runs gives the unblocked formulas'
     bytes."""
 
     STEPS = 3
@@ -1283,12 +1283,12 @@ class TestArena:
     def _problem(self, seed=0):
         rng = np.random.default_rng(seed)
         data = [
-            rng.standard_normal(SWEEP_BLOCK - 1),  # packed
-            rng.standard_normal(SWEEP_BLOCK),  # own storage
+            rng.standard_normal(SWEEP_BLOCK - 1),
+            rng.standard_normal(SWEEP_BLOCK),
             rng.standard_normal((3, 4)),
             rng.standard_normal(5),  # no gradient after the first step: two runs
             rng.standard_normal((2, 2, 3)),
-            rng.standard_normal(2 * SWEEP_BLOCK + 3),  # own storage, ragged tail
+            rng.standard_normal(2 * SWEEP_BLOCK + 3),  # ragged tail
             rng.standard_normal(1),
         ]
         grads = [[rng.standard_normal(d.shape) for d in data] for _ in range(self.STEPS)]
@@ -1311,7 +1311,8 @@ class TestArena:
         data, grads = self._problem()
         tensors, optimizer = self._run(monkeypatch, workers, Adam, data, grads, lr=0.01)
         want = reference_adam(data, grads, 0.01, (0.9, 0.999), 1e-8, moments=True)
-        got = [t.data for t in tensors], optimizer._m, optimizer._v
+        m, v = ([state[span] for span in optimizer._ranges] for state in optimizer._states)
+        got = [t.data for t in tensors], m, v
         for got_arrays, want_arrays in zip(got, want):
             assert [a.tobytes() for a in got_arrays] == [a.tobytes() for a in want_arrays]
 
@@ -1321,6 +1322,37 @@ class TestArena:
         tensors, _ = self._run(monkeypatch, workers, SGD, data, grads, lr=0.1)
         want = reference_sgd(data, grads, 0.1)
         assert [t.data.tobytes() for t in tensors] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("optimizer_cls, states", [(SGD, 0), (Adam, 2)])
+    def test_every_parameter_is_a_view_of_the_flat_arrays(self, optimizer_cls, states):
+        data, grads = self._problem()
+        tensors = [Tensor(d.copy()) for d in data]
+        for tensor, g in zip(tensors, grads[0]):
+            tensor.grad = g
+        optimizer = optimizer_cls(tensors, lr=0.1)
+        ends = np.cumsum([0] + [d.size for d in data])
+        assert optimizer._ranges == [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+        arrays = [optimizer._values, optimizer._grads, *optimizer._states]
+        assert len(arrays) == 2 + states
+        assert all(a.shape == (ends[-1],) and a.base is None for a in arrays)
+        for tensor, span, d, g in zip(tensors, optimizer._ranges, data, grads[0]):
+            assert tensor.data.base is optimizer._values and tensor.grad.base is optimizer._grads
+            assert np.shares_memory(tensor.data, optimizer._values[span])
+            assert np.shares_memory(tensor.grad, optimizer._grads[span])
+            assert optimizer._values[span].tobytes() == d.tobytes()
+            assert optimizer._grads[span].tobytes() == g.tobytes()
+
+    def test_construction_frees_the_original_arrays(self):
+        # No second copy of the values or gradients outlives construction:
+        # each tensor's old arrays are dropped as it moves into the arena.
+        rng = np.random.default_rng(5)
+        sizes = (SWEEP_BLOCK - 1, SWEEP_BLOCK, 2 * SWEEP_BLOCK + 3)
+        tensors = [Tensor(rng.standard_normal(n)) for n in sizes]
+        for tensor in tensors:
+            tensor.grad = rng.standard_normal(tensor.shape)
+        originals = [weakref.ref(a) for t in tensors for a in (t.data, t.grad)]
+        Adam(tensors)
+        assert [ref() for ref in originals] == [None] * len(originals)
 
     def test_construction_keeps_values_and_gradients(self):
         rng = np.random.default_rng(3)
@@ -1337,31 +1369,30 @@ class TestArena:
         edge.grad, big.grad = rng.standard_normal(SWEEP_BLOCK - 1), rng.standard_normal(SWEEP_BLOCK)
         tensors = [fresh, stale, bare, edge, big]
         values = [t.data.copy() for t in tensors]
-        big_data, big_grad = big.data, big.grad
+        big_grad = big.grad.copy()
 
         optimizer = Adam(tensors)
         for tensor, want in zip(tensors, values):
             assert tensor.shape == want.shape and tensor.data.flags.c_contiguous
             np.testing.assert_array_equal(tensor.data, want)
-            packed = tensor is not big
-            assert np.shares_memory(tensor.data, optimizer._arena) == packed
+            assert tensor.data.base is optimizer._values
             if tensor is not bare:
-                assert np.shares_memory(tensor._grad, optimizer._arena) == packed
+                assert tensor._grad.base is optimizer._grads
         np.testing.assert_array_equal(fresh.grad, fresh_grad)
-        assert stale._stale and np.shares_memory(stale._grad, optimizer._arena)
+        assert stale._stale and stale._grad.base is optimizer._grads
         stale.add_grad(np.full((2, 1, 3), 2.0))  # written, not added to the old ones
         np.testing.assert_array_equal(stale.grad, np.full((2, 1, 3), 2.0))
         assert bare.grad is None
         bare.zero_grad()
-        assert np.shares_memory(bare.grad, optimizer._arena)
-        assert big.data is big_data and big.grad is big_grad
+        assert bare.grad.base is optimizer._grads
+        np.testing.assert_array_equal(big.grad, big_grad)
 
     def test_grad_assignment_copies_into_the_arena(self):
         w = Tensor(np.zeros((2, 3)))
         optimizer = SGD([w], lr=1.0)
         value = np.arange(6.0).reshape(2, 3)
         w.grad = value
-        assert w.grad is not value and np.shares_memory(w.grad, optimizer._arena)
+        assert w.grad is not value and w.grad.base is optimizer._grads
         value[...] = 0.0
         optimizer.step()
         np.testing.assert_array_equal(w.data, -np.arange(6.0).reshape(2, 3))
@@ -1370,8 +1401,8 @@ class TestArena:
         np.testing.assert_array_equal(w.data, -np.arange(6.0).reshape(2, 3))
 
     def test_grad_assignment_copies_for_a_large_parameter(self):
-        # SWEEP_BLOCK elements: own storage, not the arena. A later backward
-        # writes into the gradient buffer, which must not be the caller's.
+        # A layer's weight: a later backward writes into the gradient buffer,
+        # which must not be the caller's.
         rng = np.random.default_rng(4)
         layer = Linear(256, 128, rng, bias=False)
         assert layer.weight.data.size >= SWEEP_BLOCK
@@ -1387,7 +1418,7 @@ class TestArena:
 
     def test_grad_assignment_of_another_shape_raises(self):
         w, big = Tensor(np.zeros(3), "w"), Tensor(np.zeros(SWEEP_BLOCK), "big")
-        SGD([w, big], lr=0.1)  # w packed, big not
+        SGD([w, big], lr=0.1)
         for tensor in (w, big):
             with pytest.raises(DimensionError, match=repr(tensor.name)):
                 tensor.grad = np.zeros(tensor.data.size + 1)
