@@ -25,8 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CandidateAnswer, Dataset, QAPair, QuestionRecord, derive_label
-from .errors import ConfigError, DimensionError, MedrankError, SchemaError
-from .evalkit import Prediction
+from .errors import ConfigError, DimensionError, MedrankError, SchemaError, read_jsonl
+from .evalkit import Prediction, prediction_from_scores
+from .evalkit import rank_by_scores  # noqa: F401  (still importable from here)
 from .preprocess import split_sentences
 from .providers import (
     Provider,
@@ -297,35 +298,30 @@ def save_features(rows: list[dict], path: str | Path) -> None:
 
 
 def load_features(path: str | Path) -> list[dict]:
+    """Rows written by ``save_features``: string ids, a label of 0 or 1 (or
+    none), and finite feature lists of one width."""
     rows = []
-    path = Path(path)
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            for key in ("question_id", "answer_id", "features"):
-                if key not in row:
-                    raise SchemaError(f"{path}:{lineno}: missing field {key!r}")
-            try:
-                features = np.asarray(row["features"], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{path}:{lineno}: features: {exc}") from exc
-            if features.ndim != 1:
-                raise SchemaError(f"{path}:{lineno}: features must be a list of numbers")
-            if not np.isfinite(features).all():
-                raise SchemaError(f"{path}:{lineno}: non-finite feature value")
-            if not rows:
-                width, first_line = features.size, lineno
-            elif features.size != width:
-                raise SchemaError(
-                    f"{path}:{lineno}: {features.size} features, but line "
-                    f"{first_line} has {width}"
-                )
-            rows.append(row)
+    for where, row in read_jsonl(path, ("question_id", "answer_id", "features")):
+        if not (isinstance(row["question_id"], str) and isinstance(row["answer_id"], str)):
+            raise SchemaError(f"{where}: question_id and answer_id must be strings")
+        label = row.get("label")
+        if label is not None and (type(label) is not int or label not in (0, 1)):
+            raise SchemaError(f"{where}: label must be 0 or 1, got {label!r}")
+        try:
+            features = np.asarray(row["features"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{where}: features: {exc}") from exc
+        if features.ndim != 1:
+            raise SchemaError(f"{where}: features must be a list of numbers")
+        if not np.isfinite(features).all():
+            raise SchemaError(f"{where}: non-finite feature value")
+        if not rows:
+            width, first_line = features.size, where.rpartition(":")[2]
+        elif features.size != width:
+            raise SchemaError(
+                f"{where}: {features.size} features, but line {first_line} has {width}"
+            )
+        rows.append(row)
     return rows
 
 
@@ -478,16 +474,6 @@ def hinge_score(model: HingeRankModel, features: np.ndarray) -> np.ndarray:
     return features @ model.weight
 
 
-def rank_by_scores(
-    answer_ids: list[str], scores: np.ndarray, system_ranks: list[int]
-) -> list[str]:
-    """Sort answer ids by score descending, ties by ascending system rank."""
-    order = sorted(
-        range(len(answer_ids)), key=lambda i: (-scores[i], system_ranks[i])
-    )
-    return [answer_ids[i] for i in order]
-
-
 # ---------------------------------------------------------------------------
 # Inference
 # ---------------------------------------------------------------------------
@@ -594,15 +580,5 @@ def predict_checkpoint(
         )
         probs = predict_logreg(logreg, features)
         scores = probs if ranker == "logreg" else hinge_score(hinge, features)
-        ids = [c.answer_id for c in question.candidates]
-        system_ranks = [c.system_rank for c in question.candidates]
-        ranking = rank_by_scores(ids, scores, system_ranks)
-        predictions.append(
-            Prediction(
-                question_id=question.question_id,
-                ranking=tuple(ranking),
-                relevant=tuple(a for a in ranking if probs[ids.index(a)] >= 0.5),
-                scores={a: float(scores[ids.index(a)]) for a in ids},
-            )
-        )
+        predictions.append(prediction_from_scores(question, scores, probs))
     return predictions

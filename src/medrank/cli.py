@@ -394,7 +394,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
-        return args.handler(config, args)
+        # An overflowing or invalid float surfaces through the non-finite
+        # checks on losses and parameters, as the one error line below;
+        # numpy's own warning would add lines to stderr.
+        with np.errstate(all="ignore"):
+            return args.handler(config, args)
     except (
         MedrankError, OSError, KeyError, ValueError, FloatingPointError, MemoryError
     ) as exc:

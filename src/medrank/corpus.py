@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .errors import SchemaError
+from .errors import SchemaError, read_jsonl
 
 SPLITS = ("train", "validation", "test")
 MAX_CANDIDATES = 10
@@ -149,8 +149,9 @@ _CANDIDATE_KEYS = {
     "reference_rank",
     "reference_score",
 }
-_QUESTION_KEYS = {"question_id", "text", "candidates"}
-_PAIR_KEYS = {"pair_id", "question_text", "answer_text", "source"}
+# Every question and pair field is required, checked in this order.
+_QUESTION_KEYS = ("question_id", "text", "candidates")
+_PAIR_KEYS = ("pair_id", "question_text", "answer_text", "source")
 
 
 def _require(record: dict, keys: Iterable[str], where: str) -> None:
@@ -159,8 +160,8 @@ def _require(record: dict, keys: Iterable[str], where: str) -> None:
             raise SchemaError(f"{where}: missing field {key!r}")
 
 
-def _reject_unknown(record: dict, allowed: set[str], where: str) -> None:
-    unknown = set(record) - allowed
+def _reject_unknown(record: dict, allowed: Iterable[str], where: str) -> None:
+    unknown = set(record).difference(allowed)
     if unknown:
         raise SchemaError(f"{where}: unknown field(s) {sorted(unknown)}")
 
@@ -194,31 +195,19 @@ def load_dataset(path: str | Path, split: str) -> Dataset:
         raise SchemaError(f"unknown split {split!r}; expected one of {SPLITS}")
     require_reference = split != "test"
     questions: list[QuestionRecord] = []
-    path = Path(path)
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise SchemaError(f"{where}: expected a JSON object")
-            _require(record, ("question_id", "text", "candidates"), where)
-            _reject_unknown(record, _QUESTION_KEYS, where)
-            qid = str(record["question_id"])
-            raw_candidates = record["candidates"]
-            if not isinstance(raw_candidates, list):
-                raise SchemaError(f"{where}: question {qid!r}: candidates must be a list")
-            candidates = tuple(
-                _parse_candidate(c, f"{where}: question {qid!r}", require_reference)
-                for c in raw_candidates
-            )
-            questions.append(
-                QuestionRecord(question_id=qid, text=str(record["text"]), candidates=candidates)
-            )
+    for where, record in read_jsonl(path, _QUESTION_KEYS):
+        _reject_unknown(record, _QUESTION_KEYS, where)
+        qid = str(record["question_id"])
+        raw_candidates = record["candidates"]
+        if not isinstance(raw_candidates, list):
+            raise SchemaError(f"{where}: question {qid!r}: candidates must be a list")
+        candidates = tuple(
+            _parse_candidate(c, f"{where}: question {qid!r}", require_reference)
+            for c in raw_candidates
+        )
+        questions.append(
+            QuestionRecord(question_id=qid, text=str(record["text"]), candidates=candidates)
+        )
     return Dataset(split=split, questions=tuple(questions))
 
 
@@ -230,30 +219,18 @@ def load_qa_corpus(path: str | Path) -> list[QAPair]:
     """
     pairs: list[QAPair] = []
     seen: set[str] = set()
-    path = Path(path)
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise SchemaError(f"{where}: expected a JSON object")
-            _require(record, _PAIR_KEYS, where)
-            _reject_unknown(record, _PAIR_KEYS, where)
-            pair = QAPair(
-                pair_id=str(record["pair_id"]),
-                question_text=str(record["question_text"]),
-                answer_text=str(record["answer_text"]),
-                source=str(record["source"]),
-            )
-            if pair.pair_id in seen:
-                raise SchemaError(f"{where}: duplicate pair_id {pair.pair_id!r}")
-            seen.add(pair.pair_id)
-            pairs.append(pair)
+    for where, record in read_jsonl(path, _PAIR_KEYS):
+        _reject_unknown(record, _PAIR_KEYS, where)
+        pair = QAPair(
+            pair_id=str(record["pair_id"]),
+            question_text=str(record["question_text"]),
+            answer_text=str(record["answer_text"]),
+            source=str(record["source"]),
+        )
+        if pair.pair_id in seen:
+            raise SchemaError(f"{where}: duplicate pair_id {pair.pair_id!r}")
+        seen.add(pair.pair_id)
+        pairs.append(pair)
     return pairs
 
 

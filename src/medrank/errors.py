@@ -1,7 +1,9 @@
-"""Shared exception types and the JSON-file reader whose errors name the file."""
+"""Shared exception types and the two file readers every JSON and JSONL input
+goes through, whose errors name the file (and, for JSONL, the line)."""
 
 import json
 from pathlib import Path
+from typing import Iterator
 
 
 class MedrankError(Exception):
@@ -30,3 +32,27 @@ def read_json_object(path: str | Path) -> dict:
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     return payload
+
+
+def read_jsonl(path: str | Path, required: tuple[str, ...]) -> Iterator[tuple[str, dict]]:
+    """``("path:line", record)`` for each non-blank line of the JSONL file
+    ``path``, in file order; blank lines are skipped but still counted. A line
+    that is not UTF-8, does not parse, is not a JSON object, or lacks a
+    ``required`` field raises a ``SchemaError`` naming ``path:line``."""
+    path = Path(path)
+    with path.open("rb") as handle:  # lines end at b"\n" only
+        for lineno, raw in enumerate(handle, start=1):
+            where = f"{path}:{lineno}"
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                record = json.loads(line)
+            except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+                raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise SchemaError(f"{where}: expected a JSON object, got {type(record).__name__}")
+            for key in required:
+                if key not in record:
+                    raise SchemaError(f"{where}: missing field {key!r}")
+            yield where, record

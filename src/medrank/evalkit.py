@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Dataset, QuestionRecord, derive_label
-from .errors import SchemaError
+from .errors import SchemaError, read_jsonl
 from .preprocess import split_sentences
 
 SENTENCE_BUCKETS = [(1, 10), (11, 20), (21, 30), (31, 40), (41, 50), (51, 60), (61, 70), (71, 80)]
@@ -32,6 +32,33 @@ class Prediction:
     ranking: tuple[str, ...]
     relevant: tuple[str, ...]
     scores: dict[str, float] | None = None
+
+
+def rank_by_scores(
+    answer_ids: list[str], scores: np.ndarray, system_ranks: list[int]
+) -> list[str]:
+    """Sort answer ids by score descending, ties by ascending system rank."""
+    order = sorted(
+        range(len(answer_ids)), key=lambda i: (-scores[i], system_ranks[i])
+    )
+    return [answer_ids[i] for i in order]
+
+
+def prediction_from_scores(
+    question: QuestionRecord, scores: np.ndarray, relevance: np.ndarray
+) -> Prediction:
+    """The prediction that ranks ``question``'s candidates by ``scores`` (see
+    ``rank_by_scores``) and marks relevant those whose ``relevance`` is >= 0.5;
+    both arrays follow the candidates' order."""
+    ids = [c.answer_id for c in question.candidates]
+    ranking = rank_by_scores(ids, scores, [c.system_rank for c in question.candidates])
+    relevant = {a for a, r in zip(ids, relevance) if r >= 0.5}
+    return Prediction(
+        question_id=question.question_id,
+        ranking=tuple(ranking),
+        relevant=tuple(a for a in ranking if a in relevant),
+        scores={a: float(s) for a, s in zip(ids, scores)},
+    )
 
 
 @dataclass(frozen=True)
@@ -327,26 +354,21 @@ def save_predictions(predictions: list[Prediction], path: str | Path) -> None:
 
 def load_predictions(path: str | Path) -> list[Prediction]:
     predictions = []
-    path = Path(path)
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            for key in ("question_id", "ranking", "relevant"):
-                if key not in record:
-                    raise SchemaError(f"{path}:{lineno}: missing field {key!r}")
-            predictions.append(
-                Prediction(
-                    question_id=record["question_id"],
-                    ranking=tuple(record["ranking"]),
-                    relevant=tuple(record["relevant"]),
-                    scores=record.get("scores") or None,
-                )
+    for where, record in read_jsonl(path, ("question_id", "ranking", "relevant")):
+        if not isinstance(record["question_id"], str):
+            raise SchemaError(f"{where}: question_id must be a string")
+        for key in ("ranking", "relevant"):
+            ids = record[key]
+            if not (isinstance(ids, list) and all(isinstance(a, str) for a in ids)):
+                raise SchemaError(f"{where}: {key} must be a list of strings")
+        predictions.append(
+            Prediction(
+                question_id=record["question_id"],
+                ranking=tuple(record["ranking"]),
+                relevant=tuple(record["relevant"]),
+                scores=record.get("scores") or None,
             )
+        )
     return predictions
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .corpus import CandidateAnswer, Dataset, QAPair, QuestionRecord, derive_label
 from .errors import DimensionError, MedrankError, SchemaError
-from .evalkit import Prediction
+from .evalkit import Prediction, prediction_from_scores
 from .preprocess import split_sentences
 from .providers import (
     Provider,
@@ -831,8 +831,7 @@ def infer(
         module.training = module.grad_enabled = False
         module._ctx.clear()
     try:
-        candidates = list(question.candidates)
-        n = len(candidates)
+        n = len(question.candidates)
         preps = _prepare_retrieved(model, question, index, nli_provider, retrieval_config)
         rows = _joint_rows(model, preps)
         first, second = _ordered_pairs(n)
@@ -850,19 +849,7 @@ def infer(
                 )
         mean_filter = filter_sum / len(preps)
         scores = pair_sum.sum(axis=1)
-        order = sorted(
-            range(n), key=lambda i: (-scores[i], candidates[i].system_rank)
-        )
-        ranking = tuple(candidates[i].answer_id for i in order)
-        relevant = tuple(
-            candidates[i].answer_id for i in order if mean_filter[i] >= 0.5
-        )
-        return Prediction(
-            question_id=question.question_id,
-            ranking=ranking,
-            relevant=relevant,
-            scores={candidates[i].answer_id: float(scores[i]) for i in range(n)},
-        )
+        return prediction_from_scores(question, scores, mean_filter)
     finally:
         for module, (training, grad_enabled) in zip(modules, flags):
             module.training = training

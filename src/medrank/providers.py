@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, MedrankError, SchemaError, read_json_object
+from .errors import DimensionError, MedrankError, SchemaError, read_json_object, read_jsonl
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -362,21 +362,12 @@ def load_precomputed(path: str | Path) -> dict[str, dict]:
     """Load precomputed records {key, score, probs?, embedding} from JSONL;
     ``PrecomputedProvider`` validates their values."""
     records: dict[str, dict] = {}
-    path = Path(path)
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            for key in ("key", "score", "embedding"):
-                if key not in record:
-                    raise SchemaError(f"{path}:{lineno}: missing field {key!r}")
-            if record["key"] in records:
-                raise SchemaError(f"{path}:{lineno}: duplicate key {record['key']!r}")
-            records[record["key"]] = record
+    for where, record in read_jsonl(path, ("key", "score", "embedding")):
+        if not isinstance(record["key"], str):
+            raise SchemaError(f"{where}: key must be a string")
+        if record["key"] in records:
+            raise SchemaError(f"{where}: duplicate key {record['key']!r}")
+        records[record["key"]] = record
     return records
 
 

@@ -1,6 +1,7 @@
 """Command-line pipeline wiring: exit codes, outputs, determinism, errors."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1137,7 +1138,8 @@ class TestErrorHandling:
         assert main(base + ["synth", "--out-dir", str(tmp_path)]) == 0
         model = tmp_path / "joint.json"
         capsys.readouterr()
-        with np.errstate(over="ignore"):  # the update overflows by design
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflowing update must not warn
             code = main(
                 ["--scaled-down", "--seed", "11", "--set", "train.lr=1e308", "train-joint",
                  "--dataset", str(tmp_path / "questions_train.jsonl"),
@@ -1508,6 +1510,89 @@ def test_unreadable_json_input_names_the_file(pipeline_dir, capsys, tmp_path, ca
     payload = _error_payload(capsys)
     assert payload["error"] == "SchemaError"
     assert payload["message"].startswith(str(bad))
+    assert not out.exists()
+
+
+def _first_line(path):
+    return Path(path).read_text(encoding="utf-8").splitlines()[0]
+
+
+# input: (a valid line of it, a field it requires)
+JSONL_INPUTS = {
+    "dataset": (lambda p: _first_line(p["val"]), "question_id"),
+    "corpus": (lambda p: _first_line(p["corpus"]), "pair_id"),
+    "features": (lambda p: _first_line(f"{p['dir']}/features_train.jsonl"), "features"),
+    "predictions": (
+        lambda p: json.dumps({"question_id": "q", "ranking": ["a"], "relevant": ["a"]}),
+        "ranking",
+    ),
+    "provider-path": (
+        lambda p: json.dumps({"key": "k", "score": 0.5, "embedding": [0.0] * 8}),
+        "embedding",
+    ),
+}
+
+
+def _bad_lines(field):
+    """Bad lines made from an input's valid line; a lone surrogate stands for
+    a byte that is not UTF-8 (the file is written with surrogateescape)."""
+    return {
+        "invalid-json": lambda line: line[:-1],
+        "not-an-object": lambda line: "5",
+        "not-utf8": lambda line: '{"text": "\udcff"}',
+        "missing-field": lambda line: json.dumps(
+            {k: v for k, v in json.loads(line).items() if k != field}
+        ),
+    }
+
+
+# case: (the input, its bad line made from a valid one)
+UNREADABLE_JSONL = {
+    f"{name}-{kind}": (name, rewrite)
+    for name, (_, field) in JSONL_INPUTS.items()
+    for kind, rewrite in _bad_lines(field).items()
+}
+UNREADABLE_JSONL.update(
+    {
+        "predictions-int-ranking": ("predictions", _with(ranking=5)),
+        "predictions-int-question-id": ("predictions", _with(question_id=5)),
+        "predictions-int-relevant-id": ("predictions", _with(relevant=[1])),
+        "features-list-question-id": ("features", _with(question_id=[1])),
+        "features-text-label": ("features", _with(label="yes")),
+        "features-label-two": ("features", _with(label=2)),
+        "provider-path-list-key": ("provider-path", _with(key=[1])),
+    }
+)
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_JSONL))
+def test_unreadable_jsonl_input_names_the_line(pipeline_dir, capsys, tmp_path, case):
+    name, rewrite = UNREADABLE_JSONL[case]
+    line = JSONL_INPUTS[name][0](pipeline_dir)
+    bad = tmp_path / "bad.jsonl"
+    text = f"{line}\n\n{rewrite(line)}\n"  # the bad line is line 3
+    bad.write_bytes(text.encode("utf-8", "surrogateescape"))
+    out = tmp_path / "out"
+    p = pipeline_dir
+    model = f"{p['dir']}/joint.json"
+    sets, args = {
+        "dataset": ([], ["predict", "--model", model, "--dataset", str(bad),
+                         "--corpus", p["corpus"]]),
+        "corpus": ([], ["predict", "--model", model, "--dataset", p["val"],
+                        "--corpus", str(bad)]),
+        "features": ([], ["train-baseline", "--features", str(bad), "--dataset", p["train"],
+                          "--layout", f"{p['dir']}/layout.json"]),
+        "predictions": ([], ["evaluate", "--predictions", str(bad), "--dataset", p["val"]]),
+        "provider-path": (
+            ["--set", "provider.kind=precomputed", "--set", f"provider.path={bad}"],
+            ["train-joint", "--dataset", p["train"], "--corpus", p["corpus"], "--epochs", "1"],
+        ),
+    }[name]
+    capsys.readouterr()
+    assert main(p["base"] + sets + args + ["--out", str(out)]) == 2
+    payload = _error_payload(capsys)  # one line: no traceback
+    assert payload["error"] == "SchemaError"
+    assert payload["message"].startswith(f"{bad}:3: ")
     assert not out.exists()
 
 

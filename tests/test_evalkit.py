@@ -19,6 +19,7 @@ from medrank.evalkit import (
     save_bucket_csvs,
     save_predictions,
     save_report,
+    prediction_from_scores,
     spearman_per_question,
     spearman_rho,
 )
@@ -257,6 +258,24 @@ class TestAnalyze:
         ]
         header = written[0].read_text().splitlines()[0]
         assert "count" in header
+
+
+class TestPredictionFromScores:
+    def test_ranks_by_score_then_system_rank(self):
+        question = make_question(
+            candidates=[
+                make_candidate("a", system_rank=2, reference_rank=1),
+                make_candidate("b", system_rank=3, reference_rank=2),
+                make_candidate("c", system_rank=1, reference_rank=3),
+            ]
+        )
+        prediction = prediction_from_scores(
+            question, np.array([0.5, 0.9, 0.5]), np.array([0.5, 0.49, 0.7])
+        )
+        assert prediction == Prediction(
+            "q1", ("b", "c", "a"), ("c", "a"), {"a": 0.5, "b": 0.9, "c": 0.5}
+        )
+        assert all(type(v) is float for v in prediction.scores.values())
 
 
 class TestPersistence:
