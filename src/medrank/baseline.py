@@ -496,11 +496,14 @@ def train_checkpoint(
     hinge_lr: float,
     hinge_steps: int,
     where: str = "<layout>",
+    features_where: str = "<features>",
 ) -> None:
     """``train-baseline``: fit the logistic filter on every feature row and the
     hinge ranker on every question with two or more rows, then write both with
     ``layout`` as the checkpoint's ``feature_config``. The keyword settings are
-    the ``baseline.*`` config keys; ``where`` names the layout file in errors."""
+    the ``baseline.*`` config keys; ``where`` and ``features_where`` name the
+    layout and the features file in errors. Every row must name a candidate of
+    a question in ``dataset``."""
     if ranker not in RANKERS:
         raise ConfigError(f"baseline.ranker: expected one of {RANKERS}, got {ranker!r}")
     config = layout_settings(layout, where)[0]  # what predict will read back must load
@@ -512,6 +515,13 @@ def train_checkpoint(
             f"question_id {first['question_id']!r}, answer_id {first['answer_id']!r}); "
             "training needs a label on every row"
         )
+    answers = {q.question_id: {c.answer_id for c in q.candidates} for q in dataset.questions}
+    for row in rows:
+        if row["answer_id"] not in answers.get(row["question_id"], ()):
+            raise SchemaError(
+                f"{features_where}: feature row (question_id {row['question_id']!r}, "
+                f"answer_id {row['answer_id']!r}) is not a candidate in the dataset"
+            )
     features = np.asarray([row["features"] for row in rows], dtype=np.float64)
     width = feature_dim(config)
     if rows and features.shape[1] != width:

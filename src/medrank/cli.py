@@ -119,6 +119,7 @@ def cmd_extract_features(config: RunConfig, args) -> int:
     dataset = load_dataset(args.dataset, args.split)
     pairs = load_qa_corpus(args.corpus)
     layout_path = Path(args.layout)
+    new_layout = None  # written only once every feature row is extracted
     if layout_path.exists():
         # Retrieve and score as the layout was fit, whatever the run's
         # retrieval.* and provider.* say; a --tfidf must be the stored one.
@@ -143,14 +144,15 @@ def cmd_extract_features(config: RunConfig, args) -> int:
             source_vocab=bl.fit_source_vocab(list(dataset.questions)),
             T=retrieval_config.T,
         )
-        layout = bl.layout_meta(
+        new_layout = bl.layout_meta(
             feature_config, retrieval_config, provider_config, provider_tfidf, tfidf
         )
-        layout_path.write_text(json.dumps(layout, sort_keys=True), encoding="utf-8")
     index = EntailmentIndex(pairs, provider)
     rows = bl.extract_feature_rows(
         dataset, index, tfidf, feature_config, retrieval_config, provider
     )
+    if new_layout is not None:
+        layout_path.write_text(json.dumps(new_layout, sort_keys=True), encoding="utf-8")
     bl.save_features(rows, args.out)
     print(f"extracted {len(rows)} feature rows -> {args.out}")
     return 0
@@ -165,21 +167,17 @@ def cmd_train_baseline(config: RunConfig, args) -> int:
         args.out,
         **dataclasses.asdict(config.baseline),
         where=args.layout,
+        features_where=args.features,
     )
     print(f"trained baseline on {len(rows)} rows -> {args.out}")
     return 0
 
 
 def cmd_train_joint(config: RunConfig, args) -> int:
-    train_config = TrainConfig(
-        alpha=config.train.alpha,
-        epochs=config.train.epochs if args.epochs is None else args.epochs,
-        lr=config.train.lr,
-        optimizer=config.train.optimizer,
-        seed=config.train.seed,
-        augmentation=config.train.augmentation,
-        retrieval=config.retrieval_config(),
-    )
+    train = config.train
+    if args.epochs is not None:
+        train = dataclasses.replace(train, epochs=args.epochs)
+    train_config = TrainConfig(**dataclasses.asdict(train), retrieval=config.retrieval_config())
     dataset = load_dataset(args.dataset, "train")
     pairs = load_qa_corpus(args.corpus)
     provider, provider_tfidf = fit_provider(config.provider_config(), pairs)

@@ -12,7 +12,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_lines
 from .providers import ProviderConfig
 from .retrieval import RetrievalConfig
 from .synth import SynthConfig
@@ -162,21 +162,28 @@ class RunConfig:
         self._explicit.add(dotted)
 
     @classmethod
-    def from_text(cls, text: str, where: str = "<config>") -> "RunConfig":
+    def _from_lines(cls, lines: typing.Iterable[tuple[str, str]]) -> "RunConfig":
+        """The config of ``(where, "key=value")`` lines; ``#`` starts a comment."""
         config = cls()
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for where, line in lines:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{where}:{lineno}: expected key=value")
+                raise ConfigError(f"{where}: expected key=value")
             dotted, raw = line.split("=", 1)
             config.set_value(dotted.strip(), raw.strip())
         return config
 
     @classmethod
+    def from_text(cls, text: str, where: str = "<config>") -> "RunConfig":
+        return cls._from_lines(
+            (f"{where}:{lineno}", line) for lineno, line in enumerate(text.splitlines(), 1)
+        )
+
+    @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"), where=str(path))
+        return cls._from_lines(read_lines(path))
 
 
 def _coerce(raw: str, hint, dotted: str):

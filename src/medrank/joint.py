@@ -623,26 +623,6 @@ def _prepare_retrieved(
     ]
 
 
-def _joint_rows(model: JointModel, instances: list[_PreparedInstance]) -> np.ndarray:
-    """(n, joint_dim) rows [encoded NLI map; RQE embedding; metadata], one per
-    candidate of each instance in order; every map goes through one encoder
-    call."""
-    nli = model.encoder.forward([tensor for inst in instances for tensor in inst.tensors])
-    side = np.stack(
-        [
-            np.concatenate([inst.rqe_embedding, meta])
-            for inst in instances
-            for meta in inst.metas
-        ]
-    )
-    return np.concatenate([nli, side], axis=1)
-
-
-def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(first, second) row indices of every ordered pair i != j, i-major."""
-    return np.nonzero(~np.eye(n, dtype=bool))
-
-
 def _head_forward(head: Sequential, matrix: np.ndarray) -> np.ndarray:
     """Head logit per row; in train mode a batch of one falls back to running
     stats, and the head is left in the mode it was found in."""
@@ -653,6 +633,47 @@ def _head_forward(head: Sequential, matrix: np.ndarray) -> np.ndarray:
         return head.forward(matrix)[:, 0]
     finally:
         head.train(True)
+
+
+def _question_forward(
+    model: JointModel, instances: list[_PreparedInstance]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One question's forward, shared by ``question_loss`` and ``infer``.
+
+    Returns ``(rows, cand, first, second, filter_logits, pair_logits)``: the
+    (n, joint_dim) rows [encoded NLI map; RQE embedding; metadata], one per
+    candidate of each instance, from one encoder call; each row's candidate
+    index; the rows of every ordered pair; one filter logit per row; and one
+    pair logit per pair (the pair head is not called when there are none).
+    """
+    nli = model.encoder.forward([tensor for inst in instances for tensor in inst.tensors])
+    side = np.stack(
+        [
+            np.concatenate([inst.rqe_embedding, meta])
+            for inst in instances
+            for meta in inst.metas
+        ]
+    )
+    rows = np.concatenate([nli, side], axis=1)
+    cand = np.concatenate([inst.cand_idx for inst in instances])
+    filter_logits = _head_forward(model.filter_head, rows)
+    # Pairs never cross instances: each instance's pairs i != j, i-major,
+    # shifted to its rows.
+    sizes = [len(inst.cand_idx) for inst in instances]
+    starts = np.cumsum([0] + sizes[:-1])
+    first, second = np.concatenate(
+        [
+            np.add(np.nonzero(~np.eye(size, dtype=bool)), start)
+            for size, start in zip(sizes, starts)
+        ],
+        axis=1,
+    )
+    pair_logits = (
+        _head_forward(model.pair_head, np.concatenate([rows[first], rows[second]], axis=1))
+        if len(first)
+        else np.zeros(0)
+    )
+    return rows, cand, first, second, filter_logits, pair_logits
 
 
 def question_loss(
@@ -667,29 +688,14 @@ def question_loss(
     times the summed pairwise BCE over all ordered candidate pairs, each
     taken on the head's logits.
     """
-    joint_matrix = _joint_rows(model, prepared.instances)
-    cand = np.concatenate([inst.cand_idx for inst in prepared.instances])
-    total, d_filter = logit_bce(
-        _head_forward(model.filter_head, joint_matrix), prepared.labels[cand]
+    joint_matrix, cand, first, second, filter_logits, pair_logits = _question_forward(
+        model, prepared.instances
     )
-
-    # Pairs never cross instances: each instance's pairs, shifted to its rows.
-    sizes = [len(inst.cand_idx) for inst in prepared.instances]
-    starts = np.cumsum([0] + sizes[:-1])
-    first, second = np.concatenate(
-        [np.add(_ordered_pairs(size), start) for size, start in zip(sizes, starts)],
-        axis=1,
-    )
+    total, d_filter = logit_bce(filter_logits, prepared.labels[cand])
     if len(first):
         row_ranks = np.asarray(prepared.ranks)[cand]
         pair_targets = (row_ranks[first] < row_ranks[second]).astype(np.float64)
-        pair_loss, d_pair = logit_bce(
-            _head_forward(
-                model.pair_head,
-                np.concatenate([joint_matrix[first], joint_matrix[second]], axis=1),
-            ),
-            pair_targets,
-        )
+        pair_loss, d_pair = logit_bce(pair_logits, pair_targets)
         total += alpha * pair_loss
 
     if not compute_grads:
@@ -833,20 +839,11 @@ def infer(
     try:
         n = len(question.candidates)
         preps = _prepare_retrieved(model, question, index, nli_provider, retrieval_config)
-        rows = _joint_rows(model, preps)
-        first, second = _ordered_pairs(n)
-        filter_sum = np.zeros(n)
+        _, cand, first, second, filter_logits, pair_logits = _question_forward(model, preps)
+        # Both sums add hit by hit in retrieval order.
+        filter_sum = np.bincount(cand, weights=sigmoid(filter_logits), minlength=n)
         pair_sum = np.zeros((n, n))
-        for start in range(0, len(rows), n):
-            joints = rows[start : start + n]
-            filter_sum += sigmoid(_head_forward(model.filter_head, joints))
-            if n > 1:
-                pair_sum[first, second] += sigmoid(
-                    _head_forward(
-                        model.pair_head,
-                        np.concatenate([joints[first], joints[second]], axis=1),
-                    )
-                )
+        np.add.at(pair_sum, (cand[first], cand[second]), sigmoid(pair_logits))
         mean_filter = filter_sum / len(preps)
         scores = pair_sum.sum(axis=1)
         return prediction_from_scores(question, scores, mean_filter)

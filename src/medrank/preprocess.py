@@ -10,7 +10,7 @@ import re
 from pathlib import Path
 from typing import Mapping
 
-from .errors import SchemaError
+from .errors import SchemaError, read_lines
 
 # Abbreviations that end with '.' but do not terminate a sentence.
 DEFAULT_GUARDS = frozenset(
@@ -41,12 +41,7 @@ _OPENERS = "([{\"'"
 
 def load_guard_list(path: str | Path) -> frozenset[str]:
     """Read a splitter guard list: one abbreviation per line, blanks ignored."""
-    guards = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            guards.add(line)
-    return frozenset(guards)
+    return frozenset(line.strip() for _, line in read_lines(path))
 
 
 def split_sentences(text: str, guards: frozenset[str] = DEFAULT_GUARDS) -> list[str]:
@@ -129,19 +124,13 @@ class AbbreviationDict:
     def from_tsv(cls, path: str | Path) -> "AbbreviationDict":
         """Load a two-column TSV file: abbreviation TAB expansion."""
         entries: dict[str, str] = {}
-        for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            if not line.strip():
-                continue
+        for where, line in read_lines(path):
             parts = line.split("\t")
             if len(parts) != 2:
-                raise SchemaError(
-                    f"{path}:{lineno}: expected two tab-separated columns"
-                )
+                raise SchemaError(f"{where}: expected two tab-separated columns")
             abbrev, expansion = parts[0].strip(), parts[1].strip()
             if not abbrev:
-                raise SchemaError(f"{path}:{lineno}: empty abbreviation")
+                raise SchemaError(f"{where}: empty abbreviation")
             entries[abbrev] = expansion
         return cls(entries)
 

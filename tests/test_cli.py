@@ -1359,6 +1359,28 @@ class TestErrorHandling:
         )
         assert not model.exists()
 
+    @pytest.mark.parametrize("field", ["answer_id", "question_id"])
+    def test_row_outside_the_dataset_writes_no_checkpoint(
+        self, pipeline_dir, capsys, tmp_path, field
+    ):
+        rows = [
+            json.loads(line)
+            for line in (pipeline_dir["dir"] / "features_train.jsonl").read_text().splitlines()
+        ]
+        rows[3][field] = "zzz"
+        features = tmp_path / "features.jsonl"
+        features.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        model = tmp_path / "baseline.json"
+        capsys.readouterr()
+        assert self._train_baseline(pipeline_dir, features, model) == 2
+        payload = self._one_error_line(capsys)
+        assert payload["error"] == "SchemaError"
+        assert payload["message"].startswith(
+            f"{features}: feature row (question_id {rows[3]['question_id']!r}, "
+            f"answer_id {rows[3]['answer_id']!r}) is not a candidate in the dataset"
+        )
+        assert not model.exists()
+
     def test_non_finite_weights_write_no_checkpoint(
         self, pipeline_dir, capsys, tmp_path, monkeypatch
     ):
@@ -1626,3 +1648,61 @@ class TestConfigFile:
         assert code == 0
         dataset = load_dataset(out / "questions_train.jsonl", "train")
         assert len(dataset) == 7
+
+
+def test_failed_extraction_writes_no_layout(pipeline_dir, tmp_path, capsys):
+    """A new layout is written once every feature row is extracted, so a failed
+    run leaves none behind for a rerun to reuse with the failed run's settings."""
+    p = pipeline_dir
+    records = tmp_path / "records.jsonl"  # holds no pair the corpus scores
+    records.write_text(
+        json.dumps({"key": "none", "score": 0.5, "embedding": [0.0] * 8}) + "\n"
+    )
+    layout = tmp_path / "layout.json"
+    out = tmp_path / "features.jsonl"
+    args = ["extract-features", "--dataset", p["train"], "--split", "train",
+            "--corpus", p["corpus"], "--tfidf", f"{p['dir']}/tfidf.json",
+            "--layout", str(layout), "--out", str(out)]
+    precomputed = ["--set", "provider.kind=precomputed", "--set", f"provider.path={records}"]
+    capsys.readouterr()
+    assert main(p["base"] + precomputed + args) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not layout.exists()
+    assert not out.exists()
+    # the rerun fits its own layout, the one the pipeline fit with these settings
+    assert main(p["base"] + args) == 0
+    assert layout.read_bytes() == (p["dir"] / "layout.json").read_bytes()
+    assert out.read_bytes() == (p["dir"] / "features_train.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["config", "guard", "abbrev"])
+def test_undecodable_text_input_names_the_line(tmp_path, capsys, name):
+    valid = {"config": "synth.questions=4", "guard": "Conf.", "abbrev": "MI\tmyocardial"}
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(f"{valid[name]}\n\n".encode() + b"\xff\n")  # the bad line is line 3
+    dataset = tmp_path / "raw.jsonl"
+    dataset.write_text(
+        json.dumps(
+            {
+                "question_id": "q",
+                "text": "MI symptoms",
+                "candidates": [
+                    {"answer_id": "a", "text": "MI here.", "source": "web", "system_rank": 1}
+                ],
+            }
+        )
+        + "\n"
+    )
+    out = tmp_path / "clean.jsonl"
+    ingest = ["ingest", "--dataset", str(dataset), "--split", "test", "--out", str(out)]
+    args = {
+        "config": ["--config", str(bad)] + ingest,
+        "guard": ingest + ["--guard", str(bad)],
+        "abbrev": ingest + ["--abbrev", str(bad)],
+    }[name]
+    capsys.readouterr()
+    assert main(args) == 2
+    payload = _error_payload(capsys)  # one line: no traceback
+    assert payload["error"] == "SchemaError"
+    assert payload["message"].startswith(f"{bad}:3: not UTF-8: ")
+    assert not out.exists()

@@ -1,8 +1,8 @@
-"""The shared JSON and JSONL readers."""
+"""The shared JSONL and text-line readers."""
 
 import pytest
 
-from medrank.errors import SchemaError, read_jsonl
+from medrank.errors import SchemaError, read_jsonl, read_lines
 
 
 def _write(tmp_path, data: bytes):
@@ -45,3 +45,23 @@ class TestReadJsonl:
         path = _write(tmp_path, b"{}\n")
         with pytest.raises(SchemaError, match="missing field 'b'$"):
             list(read_jsonl(path, ("b", "a")))
+
+
+class TestReadLines:
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = _write(tmp_path, b"a\n\n  \nb c\r\nd")
+        assert list(read_lines(path)) == [
+            (f"{path}:1", "a\n"),
+            (f"{path}:4", "b c\r\n"),
+            (f"{path}:5", "d"),
+        ]
+
+    @pytest.mark.parametrize("undecodable", [None, "invalid entry"])
+    def test_undecodable_line_names_path_and_line(self, tmp_path, undecodable):
+        path = _write(tmp_path, b"a\n\n\xff b\n")
+        lines = read_lines(path) if undecodable is None else read_lines(path, undecodable)
+        assert next(lines) == (f"{path}:1", "a\n")
+        with pytest.raises(SchemaError) as info:
+            next(lines)
+        label = undecodable or "not UTF-8"
+        assert str(info.value).startswith(f"{path}:3: {label}: 'utf-8' codec can't decode")

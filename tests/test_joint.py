@@ -888,6 +888,26 @@ class TestSharedForwardOracle:
             assert prediction.ranking == ranking
             assert prediction.relevant == relevant
 
+    def test_multi_hit_infer_matches_oracle(self, oracle_world):
+        # T = 0 keeps every corpus pair, so each question ensembles 3 hits and
+        # the pair head runs once over all of them instead of once per hit.
+        train, provider, index, model, _, _ = oracle_world
+        config = RetrievalConfig(N=3, T=0.0)
+        model.eval()
+        model.enable_grad(False)
+        for question in train.questions[:3]:
+            assert len(retrieve(index, question.text, config)) == 3
+            scores, ranking, relevant = oracle_infer(model, question, index, provider, config)
+            prediction = infer(model, question, index, provider, config)
+            np.testing.assert_allclose(
+                [prediction.scores[c.answer_id] for c in question.candidates],
+                scores,
+                rtol=1e-12,
+                atol=0,
+            )
+            assert prediction.ranking == ranking
+            assert prediction.relevant == relevant
+
 
 def _zero_fill_and_add(model):
     """Give every parameter of ``model`` the gradient contract of an
