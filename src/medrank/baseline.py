@@ -18,6 +18,7 @@ step costs n * min(n, F) instead of n * F; w = X^T a is formed once at the end.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CandidateAnswer, Dataset, QAPair, QuestionRecord, derive_label
-from .errors import ConfigError, DimensionError, MedrankError, SchemaError, read_jsonl
+from .errors import (
+    ConfigError,
+    DimensionError,
+    MedrankError,
+    SchemaError,
+    read_jsonl,
+    read_record,
+)
 from .evalkit import Prediction, prediction_from_scores
 from .evalkit import rank_by_scores  # noqa: F401  (still importable from here)
 from .preprocess import split_sentences
@@ -38,7 +46,7 @@ from .providers import (
     tfidf_transform,
 )
 from .retrieval import EntailedCandidate, EntailmentIndex, RetrievalConfig, retrieve
-from .tensornet import sigmoid, write_manifest
+from .tensornet import sigmoid, stored_array, write_manifest
 
 
 def anli(
@@ -77,37 +85,6 @@ class BaselineFeatureConfig:
     def __post_init__(self):
         if self.N < 1 or self.V < 1 or self.D < 1:
             raise SchemaError("N, V, and D must all be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "V": self.V,
-            "D": self.D,
-            "T": self.T,
-            "source_vocab": list(self.source_vocab),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict, where: str = "<layout>") -> "BaselineFeatureConfig":
-        """The config a ``to_dict`` payload records; a missing or non-numeric
-        field raises a ``SchemaError`` naming ``where`` and the field."""
-        fields = {}
-        for key, kind in (("N", int), ("V", int), ("D", int), ("T", float)):
-            if key not in payload:
-                raise SchemaError(f"{where}: layout missing field {key!r}")
-            value = payload[key]
-            if isinstance(value, bool) or not isinstance(value, (int, kind)):
-                raise SchemaError(
-                    f"{where}: layout field {key!r} must be {kind.__name__}, got {value!r}"
-                )
-            fields[key] = kind(value)
-        vocab = payload.get("source_vocab")
-        if not isinstance(vocab, list) or not all(isinstance(s, str) for s in vocab):
-            raise SchemaError(f"{where}: layout field 'source_vocab' must be a list of strings")
-        try:
-            return cls(source_vocab=tuple(vocab), **fields)
-        except SchemaError as exc:  # a dimension below 1
-            raise SchemaError(f"{where}: {exc}") from exc
 
 
 def feature_layout(config: BaselineFeatureConfig) -> list[dict]:
@@ -263,7 +240,7 @@ def layout_meta(
     feature dimensions, slots, retrieval direction, the provider and the
     metadata TF-IDF the features were extracted with."""
     return {
-        **config.to_dict(),
+        **dataclasses.asdict(config),
         "swap_direction": retrieval_config.swap_direction,
         "slots": feature_layout(config),
         "tfidf": tfidf.to_dict(),
@@ -276,17 +253,12 @@ def layout_settings(
 ) -> tuple[BaselineFeatureConfig, RetrievalConfig, Provider, TfidfModel]:
     """Feature config, retrieval config, provider and metadata TF-IDF a
     ``layout_meta`` records; ``where`` names the file in errors."""
-    config = BaselineFeatureConfig.from_dict(spec, where)
-    try:
-        retrieval_config = RetrievalConfig(
-            N=config.N, T=config.T, swap_direction=bool(spec.get("swap_direction", False))
-        )
-    except SchemaError as exc:  # T outside [0, 1]
-        raise SchemaError(f"{where}: {exc}") from exc
+    config = read_record(BaselineFeatureConfig, spec, where)
+    retrieval_config = read_record(RetrievalConfig, spec, where, ("swap_direction",))
     provider = provider_from_meta(spec, where)
     if spec.get("tfidf") is None:
         raise MedrankError(f"{where}: no stored metadata TF-IDF")
-    tfidf = TfidfModel.from_dict(spec["tfidf"], where)
+    tfidf = read_record(TfidfModel, spec["tfidf"], where, key="tfidf")
     return config, retrieval_config, provider, tfidf
 
 
@@ -576,10 +548,12 @@ def predict_checkpoint(
         raise SchemaError(f"{where}: baseline checkpoint has no 'feature_config' object")
     config, retrieval_config, provider, tfidf = layout_settings(spec, where)
     index = EntailmentIndex(corpus_pairs, provider)
+    width = (feature_dim(config),)
     logreg = LogregModel(
-        weight=arrays["logreg.weight"], bias=float(arrays["logreg.bias"][0])
+        weight=stored_array(arrays, "logreg.weight", width, where),
+        bias=stored_array(arrays, "logreg.bias", (1,), where).item(),
     )
-    hinge = HingeRankModel(weight=arrays["hinge.weight"])
+    hinge = HingeRankModel(weight=stored_array(arrays, "hinge.weight", width, where))
     ranker = ranker or meta.get("ranker", "logreg")
     if ranker not in RANKERS:
         raise MedrankError(f"{where}: unknown ranker {ranker!r}; expected one of {RANKERS}")

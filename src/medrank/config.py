@@ -7,6 +7,7 @@ optional paths.
 
 from __future__ import annotations
 
+import dataclasses
 import types
 import typing
 from dataclasses import dataclass, field
@@ -103,31 +104,14 @@ class RunConfig:
         return scaled
 
     def provider_config(self) -> ProviderConfig:
-        return ProviderConfig(
-            kind=self.provider.kind,
-            D=self._sized("provider.D", self.provider.D, 8),
-            seed=self.provider.seed,
-            vocab_size=self.provider.vocab_size,
-            path=self.provider.path,
-            fallback_zero=self.provider.fallback_zero,
-            cache=self.provider.cache,
-        )
+        D = self._sized("provider.D", self.provider.D, 8)
+        return ProviderConfig(**{**dataclasses.asdict(self.provider), "D": D})
 
     def retrieval_config(self) -> RetrievalConfig:
-        return RetrievalConfig(
-            N=self.retrieval.N,
-            T=self.retrieval.T,
-            swap_direction=self.retrieval.swap_direction,
-        )
+        return RetrievalConfig(**dataclasses.asdict(self.retrieval))
 
     def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            questions=self.synth.questions,
-            val_questions=self.synth.val_questions,
-            topics=self.synth.topics,
-            candidates=self.synth.candidates,
-            seed=self.synth.seed,
-        )
+        return SynthConfig(**dataclasses.asdict(self.synth))
 
     def metadata_vocab_size(self) -> int:
         return self._sized("tfidf.V", self.tfidf.V, 16)
@@ -135,15 +119,7 @@ class RunConfig:
     # -- dotted-key plumbing ---------------------------------------------
 
     def _sections(self) -> dict[str, object]:
-        return {
-            "provider": self.provider,
-            "retrieval": self.retrieval,
-            "train": self.train,
-            "baseline": self.baseline,
-            "synth": self.synth,
-            "tfidf": self.tfidf,
-            "paths": self.paths,
-        }
+        return {k: v for k, v in vars(self).items() if dataclasses.is_dataclass(v)}
 
     def set_value(self, dotted: str, raw: str) -> None:
         if dotted == "scaled_down":
@@ -172,7 +148,10 @@ class RunConfig:
             if "=" not in line:
                 raise ConfigError(f"{where}: expected key=value")
             dotted, raw = line.split("=", 1)
-            config.set_value(dotted.strip(), raw.strip())
+            try:
+                config.set_value(dotted.strip(), raw.strip())
+            except ConfigError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
         return config
 
     @classmethod

@@ -1,10 +1,18 @@
-"""Shared exception types and the three file readers every input goes through:
-JSON, JSONL and plain text. Their errors name the file (and, for JSONL and
-text, the line)."""
+"""Shared exception types, the three file readers every input goes through
+(JSON, JSONL and plain text) and the one reader of stored settings. Their
+errors name the file (and, for JSONL and text, the line; for settings, the
+key)."""
 
+import dataclasses
+import functools
 import json
+import sys
+import types
+import typing
 from pathlib import Path
 from typing import Iterator
+
+import numpy as np
 
 
 class MedrankError(Exception):
@@ -70,3 +78,74 @@ def read_jsonl(path: str | Path, required: tuple[str, ...]) -> Iterator[tuple[st
             if key not in record:
                 raise SchemaError(f"{where}: missing field {key!r}")
         yield where, record
+
+
+def read_record(
+    cls: type, payload, where: str, optional: tuple[str, ...] = (), key: str = "", prefix: str = ""
+):
+    """The settings dataclass ``cls`` stored as the JSON object ``payload``, found
+    at dotted ``key`` ("" for the top level) of the file ``where``. Field f is
+    stored as ``prefix + f`` and must match its type: ``int`` an integer (not a
+    bool), ``float`` a finite number, ``bool`` true or false, ``str`` a string,
+    ``X | None`` also null, ``tuple[T, ...]``, ``list[T]`` and ``np.ndarray`` (of
+    floats) a list, ``tuple[T, U]`` a list of two, a dataclass an object read the
+    same way. A missing field fails unless ``optional`` names it (its default
+    applies); undeclared keys are ignored. Every failure, and a ``SchemaError`` or
+    ``DimensionError`` from ``cls``, raises a ``SchemaError`` "where: key: ..."."""
+    if not isinstance(payload, dict):
+        _mismatch("an object", payload, where, key)
+    hints = _type_hints(cls)
+    values = {}
+    for f in dataclasses.fields(cls):
+        if not f.init:
+            continue
+        name = prefix + f.name
+        if name in payload:
+            values[f.name] = _read_value(hints[f.name], payload[name], where, _join(key, name))
+        elif f.name not in optional:
+            raise SchemaError(f"{where}: missing field {_join(key, name)!r}")
+    try:
+        return cls(**values)
+    except (SchemaError, DimensionError) as exc:
+        raise SchemaError(f"{_join(where, key, ': ')}: {exc}") from exc
+
+
+def _join(head: str, tail: str, sep: str = ".") -> str:
+    return f"{head}{sep}{tail}" if head and tail else head or tail
+
+
+def _mismatch(expected: str, value, where: str, key: str) -> typing.NoReturn:
+    got = {dict: "an object", list: "a list"}.get(type(value)) or json.dumps(value)
+    raise SchemaError(f"{_join(where, key, ': ')}: expected {expected}, got {got}")
+
+
+_EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+_type_hints = functools.cache(typing.get_type_hints)  # a dataclass's resolved field types
+
+
+def _read_value(hint, value, where: str, key: str):
+    """``value`` read as the type ``hint`` (see ``read_record``)."""
+    if hint in _EXPECTED:
+        kind = type(value)
+        if hint is float and kind in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+        if hint is not float and kind is hint:
+            return value
+        _mismatch(_EXPECTED[hint], value, where, key)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        return _read_value(hint, value, where, key)
+    if dataclasses.is_dataclass(hint):
+        return read_record(hint, value, where, key=key)
+    if not isinstance(value, (list, tuple)):  # a tuple is what json writes as a list
+        _mismatch("a list", value, where, key)
+    if origin is tuple and args[-1] is not ...:
+        if len(value) != len(args):
+            _mismatch(f"a list of {len(args)}", value, where, key)
+    else:  # tuple[T, ...], list[T] or np.ndarray
+        args = (float if hint is np.ndarray else args[0],) * len(value)
+    items = [_read_value(a, v, where, f"{key}[{i}]") for i, (a, v) in enumerate(zip(args, value))]
+    return np.array(items, dtype=np.float64) if hint is np.ndarray else origin(items)

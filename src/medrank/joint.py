@@ -18,6 +18,7 @@ threshold 0.5, ranking by summed pairwise win probabilities.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CandidateAnswer, Dataset, QAPair, QuestionRecord, derive_label
-from .errors import DimensionError, MedrankError, SchemaError
+from .errors import DimensionError, MedrankError, SchemaError, read_record
 from .evalkit import Prediction, prediction_from_scores
 from .preprocess import split_sentences
 from .providers import (
@@ -57,6 +58,7 @@ from .tensornet import (
     logit_bce,
     read_manifest,
     sigmoid,
+    stored_array,
     write_manifest,
 )
 
@@ -76,6 +78,10 @@ class ConvLayerSpec:
     padding: tuple[int, int]
     batchnorm: bool
 
+    def __post_init__(self):
+        if min(self.channels, *self.kernel, *self.stride) < 1 or min(self.padding) < 0:
+            raise DimensionError("conv channels, kernel and stride must be >= 1, padding >= 0")
+
 
 @dataclass(frozen=True)
 class ConvEncoderConfig:
@@ -90,6 +96,10 @@ class ConvEncoderConfig:
 
     in_channels: int
     layers: tuple[ConvLayerSpec, ...]
+
+    def __post_init__(self):
+        if self.in_channels < 1 or not self.layers:
+            raise DimensionError("the encoder needs in_channels >= 1 and a layer")
 
     @property
     def out_dim(self) -> int:
@@ -239,23 +249,6 @@ class MetadataLayout:
     @property
     def used_width(self) -> int:
         return len(self.candidate_sources) + len(self.entailed_sources) + 3 + self.V
-
-    def to_dict(self) -> dict:
-        return {
-            "candidate_sources": list(self.candidate_sources),
-            "entailed_sources": list(self.entailed_sources),
-            "V": self.V,
-            "M": self.M,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MetadataLayout":
-        return cls(
-            candidate_sources=tuple(payload["candidate_sources"]),
-            entailed_sources=tuple(payload["entailed_sources"]),
-            V=int(payload["V"]),
-            M=int(payload["M"]),
-        )
 
 
 def fit_metadata_layout(
@@ -881,37 +874,17 @@ def save_joint_model(
     """Self-contained checkpoint: config, layouts, TF-IDF models, weights.
     A non-finite parameter or buffer raises ``MedrankError``, and nothing is
     written."""
-    encoder_cfg = model.encoder.config
     meta = {
         "kind": "joint",
-        "encoder": {
-            "in_channels": encoder_cfg.in_channels,
-            "layers": [
-                {
-                    "channels": s.channels,
-                    "kernel": list(s.kernel),
-                    "stride": list(s.stride),
-                    "padding": list(s.padding),
-                    "batchnorm": s.batchnorm,
-                }
-                for s in encoder_cfg.layers
-            ],
-        },
+        "encoder": dataclasses.asdict(model.encoder.config),
         "filter_widths": list(model.filter_config.widths),
         "pair_widths": list(model.pair_config.widths),
-        "layout": model.layout.to_dict(),
+        "layout": dataclasses.asdict(model.layout),
         "tfidf": model.tfidf.to_dict(),
         "rqe_dim": model.rqe_dim,
         "train": {
-            "alpha": train_config.alpha,
-            "epochs": train_config.epochs,
-            "lr": train_config.lr,
-            "optimizer": train_config.optimizer,
-            "seed": train_config.seed,
-            "augmentation": train_config.augmentation,
-            "retrieval_N": train_config.retrieval.N,
-            "retrieval_T": train_config.retrieval.T,
-            "retrieval_swap_direction": train_config.retrieval.swap_direction,
+            **{k: v for k, v in dataclasses.asdict(train_config).items() if k != "retrieval"},
+            **{f"retrieval_{k}": v for k, v in dataclasses.asdict(train_config.retrieval).items()},
         },
         **provider_meta(provider_config, provider_tfidf),
     }
@@ -925,44 +898,47 @@ def load_joint_model(path: str | Path) -> tuple[JointModel, dict]:
     return joint_model_from_manifest(meta, arrays, str(path)), meta
 
 
+@dataclass(frozen=True)
+class _StoredSeed:
+    seed: int
+
+
+@dataclass(frozen=True)
+class _StoredModel:
+    """The fields of a joint checkpoint's ``meta`` that rebuild its model."""
+
+    encoder: ConvEncoderConfig
+    filter_widths: tuple[int, ...]
+    pair_widths: tuple[int, ...]
+    layout: MetadataLayout
+    tfidf: TfidfModel
+    rqe_dim: int
+    train: _StoredSeed
+
+
 def joint_model_from_manifest(
     meta: dict, arrays: dict[str, np.ndarray], where: str = "<checkpoint>"
 ) -> JointModel:
     """The model a ``save_joint_model`` manifest describes, in eval mode."""
     if meta.get("kind") != "joint":
         raise SchemaError(f"{where}: not a joint-model checkpoint")
-    encoder_cfg = ConvEncoderConfig(
-        in_channels=meta["encoder"]["in_channels"],
-        layers=tuple(
-            ConvLayerSpec(
-                channels=s["channels"],
-                kernel=tuple(s["kernel"]),
-                stride=tuple(s["stride"]),
-                padding=tuple(s["padding"]),
-                batchnorm=s["batchnorm"],
-            )
-            for s in meta["encoder"]["layers"]
-        ),
-    )
-    model = build_joint_model(
-        MetadataLayout.from_dict(meta["layout"]),
-        TfidfModel.from_dict(meta["tfidf"], where),
-        encoder_cfg,
-        rqe_dim=int(meta["rqe_dim"]),
-        seed=int(meta["train"]["seed"]),
-        filter_config=HeadConfig(tuple(meta["filter_widths"])),
-        pair_config=HeadConfig(tuple(meta["pair_widths"])),
-    )
+    stored = read_record(_StoredModel, meta, where)
+    try:
+        model = build_joint_model(
+            stored.layout,
+            stored.tfidf,
+            stored.encoder,
+            stored.rqe_dim,
+            stored.train.seed,
+            filter_config=HeadConfig(stored.filter_widths),
+            pair_config=HeadConfig(stored.pair_widths),
+        )
+    except DimensionError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
     for name, tensor in model.named_params():
-        stored = arrays.get(f"param.{name}")
-        if stored is None or stored.shape != tensor.data.shape:
-            raise SchemaError(f"{where}: checkpoint missing or misshaped {name!r}")
-        tensor.data[...] = stored
+        tensor.data[...] = stored_array(arrays, f"param.{name}", tensor.data.shape, where)
     for name, buffer in model.named_buffers():
-        stored = arrays.get(f"buffer.{name}")
-        if stored is None or stored.shape != buffer.shape:
-            raise SchemaError(f"{where}: checkpoint missing or misshaped buffer {name!r}")
-        buffer[...] = stored
+        buffer[...] = stored_array(arrays, f"buffer.{name}", buffer.shape, where)
     model.eval()
     return model
 
@@ -975,16 +951,11 @@ def predict_checkpoint(
     where: str = "<checkpoint>",
 ) -> list[Prediction]:
     """``predict`` for a joint checkpoint: its model, provider and retrieval."""
-    try:
-        model = joint_model_from_manifest(meta, arrays, where)
-        provider = provider_from_meta(meta, where)
-        train = meta["train"]
-        retrieval_config = RetrievalConfig(
-            N=int(train["retrieval_N"]),
-            T=float(train["retrieval_T"]),
-            swap_direction=bool(train.get("retrieval_swap_direction", False)),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"{where}: joint checkpoint lacks field {exc}") from exc
+    model = joint_model_from_manifest(meta, arrays, where)
+    provider = provider_from_meta(meta, where)
+    retrieval_config = read_record(
+        RetrievalConfig, meta.get("train"), where, ("swap_direction",),
+        key="train", prefix="retrieval_",
+    )
     index = EntailmentIndex(corpus_pairs, provider)
     return predict_dataset(model, dataset, index, provider, retrieval_config)

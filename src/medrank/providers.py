@@ -30,6 +30,7 @@ lexicographic tie-breaks, and idf(t) = ln((1+N)/(1+df(t))) + 1.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -41,7 +42,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, MedrankError, SchemaError, read_json_object, read_jsonl
+from .errors import (
+    DimensionError,
+    MedrankError,
+    SchemaError,
+    read_json_object,
+    read_jsonl,
+    read_record,
+)
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -77,20 +85,6 @@ class TfidfModel:
 
     def to_dict(self) -> dict:
         return {"vocabulary": list(self.vocabulary), "idf": self.idf.tolist(), "V": self.V}
-
-    @classmethod
-    def from_dict(cls, payload: dict, where: str = "<tfidf>") -> "TfidfModel":
-        for key in ("vocabulary", "idf", "V"):
-            if key not in payload:
-                raise SchemaError(f"{where}: TF-IDF model missing field {key!r}")
-        try:
-            return cls(
-                vocabulary=list(payload["vocabulary"]),
-                idf=np.asarray(payload["idf"], dtype=np.float64),
-                V=int(payload["V"]),
-            )
-        except (DimensionError, SchemaError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{where}: unreadable TF-IDF model: {exc}") from exc
 
 
 def fit_tfidf(corpus: list[str], V: int = 2000) -> TfidfModel:
@@ -133,7 +127,7 @@ def save_tfidf(model: TfidfModel, path: str | Path) -> None:
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:
-    return TfidfModel.from_dict(read_json_object(path), where=str(path))
+    return read_record(TfidfModel, read_json_object(path), str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +155,8 @@ class ProviderConfig:
     def __post_init__(self):
         if self.D < 1:
             raise SchemaError("embedding dimension D must be >= 1")
+        if not 0 <= self.seed < 2**63:
+            raise SchemaError(f"provider seed must be in [0, 2**63), got {self.seed}")
         if self.kind not in ("toy_hash", "tfidf_cosine", "precomputed"):
             raise SchemaError(f"unknown provider kind {self.kind!r}")
 
@@ -412,8 +408,9 @@ class PrecomputedProvider(_Provider):
     Every record is validated and parsed here, once. ``rqe_scores`` reads a
     record's score; ``nli_scores`` reads ``probs[0]`` instead when the record
     has probs. ``nli`` and ``rqe`` read its embedding. A pair with no record
-    raises ``KeyError``, or scores 0 with a zero embedding under
-    ``fallback_zero``.
+    raises a ``SchemaError`` naming ``config.path`` (``precomputed`` for
+    records passed in) and both texts, or scores 0 with a zero embedding
+    under ``fallback_zero``.
     """
 
     def __init__(self, config: ProviderConfig, records: dict[str, dict] | None = None):
@@ -424,6 +421,7 @@ class PrecomputedProvider(_Provider):
                 raise SchemaError("precomputed provider needs a path or records")
             records = load_precomputed(config.path)
             where = config.path
+        self._where = where
         self._records = {
             key: _parse_record(record, config.D, f"{where}: record {key!r}")
             for key, record in records.items()
@@ -431,11 +429,10 @@ class PrecomputedProvider(_Provider):
         self._missing = _Record(0.0, 0.0, _frozen(np.zeros(config.D)))
 
     def _record(self, text_a: str, text_b: str) -> _Record:
-        key = pair_key(text_a, text_b)
-        record = self._records.get(key)
+        record = self._records.get(pair_key(text_a, text_b))
         if record is None:
             if not self.config.fallback_zero:
-                raise KeyError(f"no precomputed entry for pair key {key}")
+                raise SchemaError(f"{self._where}: no record for the pair {text_a!r}, {text_b!r}")
             return self._missing
         return record
 
@@ -488,14 +485,7 @@ def provider_meta(config: ProviderConfig, tfidf: TfidfModel | None) -> dict:
     """The provider as checkpoint metadata; ``provider_from_meta`` rebuilds it
     exactly. ``cache`` is a runtime knob and is not stored."""
     return {
-        "provider": {
-            "kind": config.kind,
-            "D": config.D,
-            "seed": config.seed,
-            "vocab_size": config.vocab_size,
-            "path": config.path,
-            "fallback_zero": config.fallback_zero,
-        },
+        "provider": {k: v for k, v in dataclasses.asdict(config).items() if k != "cache"},
         "provider_tfidf": None if tfidf is None else tfidf.to_dict(),
     }
 
@@ -505,22 +495,13 @@ def provider_from_meta(meta: dict, where: str = "<checkpoint>") -> Provider:
     spec = meta.get("provider")
     if spec is None:
         raise MedrankError(f"{where}: no stored provider spec")
-    try:
-        config = ProviderConfig(
-            kind=spec["kind"],
-            D=int(spec["D"]),
-            seed=int(spec["seed"]),
-            vocab_size=int(spec["vocab_size"]),
-            path=spec.get("path"),
-            fallback_zero=bool(spec.get("fallback_zero", False)),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"{where}: provider spec missing field {exc}") from exc
-    except (OverflowError, SchemaError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: provider spec: {exc}") from exc
+    config = read_record(
+        ProviderConfig, spec, where, ("path", "fallback_zero", "cache"), key="provider"
+    )
     stored = meta.get("provider_tfidf")
     if stored is None and config.kind == "tfidf_cosine":
         raise MedrankError(f"{where}: no stored TF-IDF for the tfidf_cosine provider")
     return build_provider(
-        config, None if stored is None else TfidfModel.from_dict(stored, where)
+        config,
+        None if stored is None else read_record(TfidfModel, stored, where, key="provider_tfidf"),
     )

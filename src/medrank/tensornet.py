@@ -973,17 +973,32 @@ def write_manifest(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) 
 
 
 def read_manifest(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """The ``meta`` object and named arrays of a ``write_manifest`` file;
-    anything else raises a ``SchemaError`` naming the file."""
+    """The ``meta`` object and named float64 arrays of a ``write_manifest``
+    file; anything else, or an array value that is not a finite number, raises
+    a ``SchemaError`` naming the file."""
     payload = read_json_object(path)
     meta, entries = payload.get("meta"), payload.get("arrays")
     if not isinstance(meta, dict) or not isinstance(entries, dict):
         raise SchemaError(f"{path}: not a checkpoint manifest")
     try:
         arrays = {
-            name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            name: np.asarray(entry["data"]).reshape(entry["shape"])
             for name, entry in entries.items()
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: unreadable array: {exc!r}") from exc
+    for name, a in arrays.items():
+        if a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+            raise SchemaError(f"{path}: array {name!r} holds a value that is not a finite number")
+        arrays[name] = a.astype(np.float64, copy=False)
     return meta, arrays
+
+
+def stored_array(arrays: dict, name: str, shape: tuple, where: str) -> np.ndarray:
+    """``arrays[name]``, checked to have ``shape``; a missing or misshaped one
+    raises a ``SchemaError`` naming the file ``where`` and the array."""
+    stored = arrays.get(name)
+    if stored is None or stored.shape != shape:
+        got = "missing" if stored is None else f"of shape {stored.shape}"
+        raise SchemaError(f"{where}: array {name!r} is {got}, expected shape {shape}")
+    return stored

@@ -11,6 +11,7 @@ from medrank import baseline as bl
 from medrank import cli
 from medrank.cli import main
 from medrank.corpus import load_dataset
+from medrank.errors import read_record
 from medrank.evalkit import load_predictions
 from medrank.providers import load_tfidf, tokenize
 from medrank.retrieval import EntailmentIndex
@@ -1297,7 +1298,7 @@ class TestErrorHandling:
         payload = json.loads((pipeline_dir["dir"] / "layout.json").read_text())
         assert payload["N"] == 3
         layout.write_text(json.dumps({**payload, "N": 2}))
-        narrow = bl.feature_dim(bl.BaselineFeatureConfig.from_dict({**payload, "N": 2}))
+        narrow = bl.feature_dim(read_record(bl.BaselineFeatureConfig, {**payload, "N": 2}, ""))
         assert narrow != width
         model = tmp_path / "baseline.json"
         capsys.readouterr()
@@ -1450,42 +1451,43 @@ def _truncated(text):
     return text[: len(text) // 2]
 
 
-def _without_encoder(text):
-    payload = json.loads(text)
-    del payload["meta"]["encoder"]
-    return json.dumps(payload)
-
-
-def _without_feature_config(text):
-    payload = json.loads(text)
-    del payload["meta"]["feature_config"]
-    return json.dumps(payload)
-
-
-def _without_provider_kind(text):
-    payload = json.loads(text)
-    del payload["provider"]["kind"]
-    return json.dumps(payload)
-
-
-def _nan_idf(text):
-    payload = json.loads(text)
-    payload["idf"][0] = float("nan")  # json writes NaN, which json reads back
-    return json.dumps(payload)
-
-
 def _with(**fields):
     """A rewrite that sets top-level ``fields`` of a JSON object."""
     return lambda text: json.dumps({**json.loads(text), **fields})
 
+
+_DROP = object()
+
+
+def _set(*path, value):
+    """A rewrite that sets the value at ``path`` (a key or list index per
+    level), or deletes it when ``value`` is ``_DROP``; json writes a NaN
+    ``value`` as NaN, which json reads back."""
+
+    def rewrite(text):
+        payload = json.loads(text)
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        return json.dumps(payload)
+
+    return rewrite
+
+
+_BN1_MEAN = "buffer.encoder.stack.bn1.running_mean"
 
 # case: (pipeline file rewritten, its rewrite, the command that reads it)
 UNREADABLE_JSON = {
     "checkpoint-truncated": ("joint.json", _truncated, "predict"),
     "checkpoint-string": ("joint.json", lambda text: '"meta arrays"', "predict"),
     "checkpoint-meta-list": ("joint.json", lambda text: '{"meta": [], "arrays": {}}', "predict"),
-    "checkpoint-no-encoder": ("joint.json", _without_encoder, "predict"),
-    "baseline-no-feature-config": ("baseline.json", _without_feature_config, "predict"),
+    "checkpoint-no-encoder": ("joint.json", _set("meta", "encoder", value=_DROP), "predict"),
+    "baseline-no-feature-config": ("baseline.json", _set("meta", "feature_config", value=_DROP),
+                                   "predict"),
     "layout-truncated": ("layout.json", _truncated, "extract-features"),
     "layout-list": ("layout.json", lambda text: "[1]", "extract-features"),
     "layout-text-N": ("layout.json", _with(N="3"), "extract-features"),
@@ -1495,11 +1497,51 @@ UNREADABLE_JSON = {
     "train-layout-text-T": ("layout.json", _with(T="high"), "train-baseline"),
     "train-layout-zero-N": ("layout.json", _with(N=0), "train-baseline"),
     "train-layout-T-above-one": ("layout.json", _with(T=2.0), "train-baseline"),
-    "train-layout-provider-no-kind": ("layout.json", _without_provider_kind, "train-baseline"),
+    "train-layout-provider-no-kind": ("layout.json", _set("provider", "kind", value=_DROP),
+                                      "train-baseline"),
     "tfidf-truncated": ("tfidf.json", _truncated, "extract-features"),
     "tfidf-idf-text": ("tfidf.json", _with(idf=["x"]), "extract-features"),
     "tfidf-idf-short": ("tfidf.json", _with(idf=[1.0]), "extract-features"),
-    "tfidf-idf-nan": ("tfidf.json", _nan_idf, "extract-features"),
+    "tfidf-idf-nan": ("tfidf.json", _set("idf", 0, value=float("nan")), "extract-features"),
+    "checkpoint-kernel-int": ("joint.json", _set("meta", "encoder", "layers", 0, "kernel",
+                                                 value=3), "predict"),
+    "checkpoint-layers-null": ("joint.json", _set("meta", "encoder", "layers", value=None),
+                               "predict"),
+    "checkpoint-batchnorm-text": ("joint.json", _set("meta", "encoder", "layers", 2,
+                                                     "batchnorm", value="no"), "predict"),
+    "checkpoint-filter-widths-text": ("joint.json", _set("meta", "filter_widths", value="abc"),
+                                      "predict"),
+    "checkpoint-candidate-sources-int": ("joint.json", _set("meta", "layout",
+                                                            "candidate_sources", value=5),
+                                         "predict"),
+    "checkpoint-layout-M-text": ("joint.json", _set("meta", "layout", "M", value="x"),
+                                 "predict"),
+    "checkpoint-rqe-dim-list": ("joint.json", _set("meta", "rqe_dim", value=[1]), "predict"),
+    "checkpoint-seed-null": ("joint.json", _set("meta", "train", "seed", value=None),
+                             "predict"),
+    "checkpoint-retrieval-N-text": ("joint.json", _set("meta", "train", "retrieval_N",
+                                                       value="a"), "predict"),
+    "checkpoint-retrieval-T-two": ("joint.json", _set("meta", "train", "retrieval_T", value=2),
+                                   "predict"),
+    "checkpoint-nan-buffer": ("joint.json", _set("arrays", _BN1_MEAN, "data", 0,
+                                                 value=float("nan")), "predict"),
+    "checkpoint-text-buffer": ("joint.json", _set("arrays", _BN1_MEAN, "data", 0, value="0.5"),
+                               "predict"),
+    "baseline-no-bias": ("baseline.json", _set("arrays", "logreg.bias", value=_DROP), "predict"),
+    "baseline-short-weight": ("baseline.json", _set("arrays", "logreg.weight",
+                                                    value={"shape": [2], "data": [0.0, 0.0]}),
+                              "predict"),
+    "baseline-short-hinge": ("baseline.json", _set("arrays", "hinge.weight",
+                                                   value={"shape": [2], "data": [0.0, 0.0]}),
+                             "predict"),
+    "layout-fallback-zero-text": ("layout.json", _set("provider", "fallback_zero", value="no"),
+                                  "extract-features"),
+    "layout-swap-direction-text": ("layout.json", _with(swap_direction="no"),
+                                   "extract-features"),
+    "layout-provider-path-int": ("layout.json", _set("provider", "path", value=5),
+                                 "extract-features"),
+    "layout-tfidf-vocabulary-int": ("layout.json", _set("tfidf", "vocabulary", 0, value=5),
+                                    "extract-features"),
 }
 
 
@@ -1533,6 +1575,88 @@ def test_unreadable_json_input_names_the_file(pipeline_dir, capsys, tmp_path, ca
     assert payload["error"] == "SchemaError"
     assert payload["message"].startswith(str(bad))
     assert not out.exists()
+
+
+def _json_paths(node, path=()):
+    """The key path of every value under ``node``, parents first; a list is
+    visited through its first item only, since its items share one type."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))[:1]
+    else:
+        items = []
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _other_type(value):
+    """A JSON value of another type than ``value``."""
+    for kinds, other in ((bool, "no"), ((int, float), "x"), (str, 5), (list, 3), (dict, [1])):
+        if isinstance(value, kinds):
+            return other
+    return 5  # null
+
+
+@pytest.mark.parametrize("name", ["joint.json", "layout.json", "tfidf.json"])
+def test_wrong_type_sweep(pipeline_dir, capsys, tmp_path, name):
+    """Every stored setting, given a value of another JSON type, either fails
+    with one JSON error line naming the file, or is never read and leaves the
+    output byte for byte as it was: ``predict`` for the checkpoint's meta,
+    ``extract-features`` against the layout, and fitting a new layout for
+    the TF-IDF. Two questions of each split keep the runs short."""
+    p = pipeline_dir
+    datasets = {}
+    for split in ("train", "val"):
+        datasets[split] = tmp_path / f"{split}.jsonl"
+        lines = Path(p[split]).read_text(encoding="utf-8").splitlines(keepends=True)
+        datasets[split].write_text("".join(lines[:2]), encoding="utf-8")
+    out, new_layout = tmp_path / "out", tmp_path / "new_layout.json"
+    args = {
+        "joint.json": ["predict", "--dataset", str(datasets["val"]), "--corpus", p["corpus"],
+                       "--model"],
+        "layout.json": ["extract-features", "--dataset", str(datasets["train"]), "--corpus",
+                        p["corpus"], "--layout"],
+        "tfidf.json": ["extract-features", "--dataset", str(datasets["train"]), "--corpus",
+                       p["corpus"], "--layout", str(new_layout), "--tfidf"],
+    }[name]
+
+    def run(path):
+        for written in (out, new_layout):
+            written.unlink(missing_ok=True)
+        capsys.readouterr()
+        code = main(p["base"] + args + [str(path), "--out", str(out)])
+        outputs = [f.read_bytes() for f in (out, new_layout) if f.exists()]
+        return code, capsys.readouterr().err, outputs
+
+    source = p["dir"] / name
+    code, err, expected = run(source)
+    assert (code, err) == (0, "")
+    stored = json.loads(source.read_text(encoding="utf-8"))
+    root = ("meta",) if name == "joint.json" else ()
+    node = stored
+    for key in root:
+        node = node[key]
+    bad, failures, cases = tmp_path / name, [], 0
+    for path in _json_paths(node, root):
+        value = stored
+        for key in path:
+            value = value[key]
+        rewrite = _set(*path, value=_other_type(value))
+        bad.write_text(rewrite(json.dumps(stored)), encoding="utf-8")
+        code, err, outputs = run(bad)
+        lines = err.splitlines()
+        named = (
+            code == 2
+            and len(lines) == 1
+            and json.loads(lines[0])["message"].startswith(f"{bad}: ")
+        )
+        if not (named or (code == 0 and err == "" and outputs == expected)):
+            failures.append((path, code, err))
+        cases += 1
+    assert cases >= 5  # tfidf.json has the fewest: vocabulary, idf, their first items, V
+    assert failures == []
 
 
 def _first_line(path):

@@ -1,6 +1,7 @@
 """Dotted-key run configuration parsing and round-trips."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -101,10 +102,14 @@ class TestRunConfig:
         assert config.retrieval.N == 4
         assert config.train.epochs == 7
 
-    def test_malformed_line_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line", ["just words", "train.epochz=3", "synth.questions=four"],
+        ids=["no-equals", "unknown-key", "bad-value"],
+    )
+    def test_malformed_line_rejected(self, tmp_path, line):
         path = tmp_path / "run.conf"
-        path.write_text("just words\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match=":1"):
+        path.write_text(f"{line}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:1: "):
             RunConfig.from_file(path)
 
     def test_scaled_down_views(self):

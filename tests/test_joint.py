@@ -1,5 +1,6 @@
 """Pair tensors, conv encoding, metadata, joint training, ensemble inference."""
 
+import dataclasses
 import math
 import re
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from medrank.corpus import QAPair
-from medrank.errors import DimensionError, MedrankError, SchemaError
+from medrank.errors import DimensionError, MedrankError, SchemaError, read_record
 from medrank.joint import (
     ConvEncoderConfig,
     EntailedInstance,
@@ -217,7 +218,7 @@ class TestMetadata:
 
     def test_roundtrip_dict(self):
         layout = self._layout()
-        assert MetadataLayout.from_dict(layout.to_dict()) == layout
+        assert read_record(MetadataLayout, dataclasses.asdict(layout), "layout") == layout
 
 
 class TestDimensionAudit:

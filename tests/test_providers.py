@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 from medrank import providers
 from medrank.corpus import QAPair
-from medrank.errors import DimensionError, MedrankError, SchemaError
+from medrank.errors import DimensionError, MedrankError, SchemaError, read_record
 from medrank.providers import (
     PrecomputedProvider,
     ProviderConfig,
@@ -219,7 +220,7 @@ class TestPrecomputedProvider:
         provider = PrecomputedProvider(
             ProviderConfig(kind="precomputed", D=3, path="unused"), self._records()
         )
-        with pytest.raises(KeyError):
+        with pytest.raises(SchemaError, match="^precomputed: no record for the pair 'other'"):
             provider.nli("other", "pair")
 
     def test_fallback_zero_fill(self):
@@ -414,9 +415,9 @@ class TestScoreOnly:
             ProviderConfig(kind="precomputed", D=3, path="unused"),
             _precomputed_records(),
         )
-        with pytest.raises(KeyError):
+        with pytest.raises(SchemaError, match="^precomputed: no record for the pair 'other'"):
             provider.rqe_scores("other", ["pair"])
-        with pytest.raises(KeyError):
+        with pytest.raises(SchemaError, match="^precomputed: no record for the pair 'other'"):
             provider.nli_scores("other", ["pair"])
 
     @pytest.mark.parametrize("kind", ["tfidf_cosine", "toy_hash", "precomputed"])
@@ -570,14 +571,14 @@ class TestProviderMeta:
                 nli_oracle = _oracle(original, a, b, nli=True)
                 assert _bits(_nli_only(provider, a, b)) == _bits(nli_oracle)
         if strict:
-            with pytest.raises(KeyError):
+            with pytest.raises(SchemaError, match=f"^{re.escape(config.path)}: no record"):
                 reloaded.rqe(*SCORE_PAIRS[-1])
 
     def test_tfidf_is_stored_not_refit(self, tmp_path):
         config = _spec_config("tfidf_cosine", tmp_path)
         _, tfidf = fit_provider(config, SPEC_CORPUS)
         meta = json.loads(json.dumps(provider_meta(config, tfidf)))
-        stored = TfidfModel.from_dict(meta["provider_tfidf"])
+        stored = read_record(TfidfModel, meta["provider_tfidf"], "model.json")
         assert stored.vocabulary == tfidf.vocabulary
         assert np.array_equal(stored.idf, tfidf.idf)
         assert stored.V == tfidf.V == 5
