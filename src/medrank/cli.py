@@ -20,7 +20,7 @@ from . import baseline as bl
 from . import evalkit
 from .config import RunConfig
 from .corpus import Dataset, load_dataset, load_qa_corpus, save_dataset
-from .errors import ConfigError, MedrankError, read_json_object
+from .errors import ConfigError, MedrankError, SchemaError, read_json_object
 from .gradcheck import gradient_check_battery
 from .joint import (
     DEFAULT_METADATA_WIDTH,
@@ -179,6 +179,8 @@ def cmd_train_joint(config: RunConfig, args) -> int:
         train = dataclasses.replace(train, epochs=args.epochs)
     train_config = TrainConfig(**dataclasses.asdict(train), retrieval=config.retrieval_config())
     dataset = load_dataset(args.dataset, "train")
+    if not dataset.questions:
+        raise SchemaError(f"{args.dataset}: no questions to train on")
     pairs = load_qa_corpus(args.corpus)
     provider, provider_tfidf = fit_provider(config.provider_config(), pairs)
     index = EntailmentIndex(pairs, provider)

@@ -214,8 +214,8 @@ def load_dataset(path: str | Path, split: str) -> Dataset:
 def load_qa_corpus(path: str | Path) -> list[QAPair]:
     """Load the supporting QA corpus, preserving file order.
 
-    File order is the retrieval tie-break key. Duplicate pair ids are
-    rejected.
+    File order is the retrieval tie-break key. Duplicate pair ids and a file
+    without pairs are rejected.
     """
     pairs: list[QAPair] = []
     seen: set[str] = set()
@@ -231,6 +231,8 @@ def load_qa_corpus(path: str | Path) -> list[QAPair]:
             raise SchemaError(f"{where}: duplicate pair_id {pair.pair_id!r}")
         seen.add(pair.pair_id)
         pairs.append(pair)
+    if not pairs:
+        raise SchemaError(f"{path}: the corpus holds no QA pairs")
     return pairs
 
 

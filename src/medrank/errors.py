@@ -31,11 +31,26 @@ class ConfigError(MedrankError):
     """A run configuration is missing keys or contains invalid values."""
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's key-value pairs as a dict; a key given twice raises
+    ``ValueError`` naming it, so neither value is silently dropped."""
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return record
+
+
 def read_json_object(path: str | Path) -> dict:
-    """The JSON object in ``path``; a file that does not parse, or whose top
-    level is not an object, raises a ``SchemaError`` naming the file."""
+    """The JSON object in ``path``; a file that does not parse, repeats a key
+    in an object, or whose top level is not an object, raises a
+    ``SchemaError`` naming the file."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -65,11 +80,11 @@ def read_lines(
 def read_jsonl(path: str | Path, required: tuple[str, ...]) -> Iterator[tuple[str, dict]]:
     """``("path:line", record)`` for each non-blank line of the JSONL file
     ``path``, read by ``read_lines``. A line that is not UTF-8, does not parse,
-    is not a JSON object, or lacks a ``required`` field raises a
-    ``SchemaError`` naming ``path:line``."""
+    repeats a key in an object, is not a JSON object, or lacks a ``required``
+    field raises a ``SchemaError`` naming ``path:line``."""
     for where, line in read_lines(path, undecodable="invalid JSON"):
         try:
-            record = json.loads(line)
+            record = json.loads(line, object_pairs_hook=_unique_keys)
         except ValueError as exc:
             raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
         if not isinstance(record, dict):

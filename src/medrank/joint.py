@@ -60,6 +60,7 @@ from .tensornet import (
     sigmoid,
     stored_array,
     write_manifest,
+    _Optimizer,
 )
 
 DEFAULT_METADATA_WIDTH = 2032
@@ -423,6 +424,11 @@ class JointModel(Module):
         return self.encoder.out_dim + self.rqe_dim + self.layout.M
 
     def audit_dimensions(self) -> None:
+        if len(self.tfidf.vocabulary) != self.layout.V:
+            raise DimensionError(
+                f"metadata TF-IDF vocabulary size {len(self.tfidf.vocabulary)} != "
+                f"layout V={self.layout.V}"
+            )
         if self.filter_config.widths[0] != self.joint_dim:
             raise DimensionError(
                 f"joint embedding width {self.joint_dim} != filtering head "
@@ -669,17 +675,31 @@ def _question_forward(
     return rows, cand, first, second, filter_logits, pair_logits
 
 
+class NonFiniteLoss(MedrankError):
+    """A question's loss is NaN or infinite; raised before its backward."""
+
+
 def question_loss(
     model: JointModel,
     prepared: _PreparedQuestion,
     alpha: float,
     compute_grads: bool = True,
+    optimizer: _Optimizer | None = None,
 ) -> float:
     """Forward (and optionally backward) for one question batch.
 
     Returns L_total = sum over instances of the summed filter BCE plus alpha
     times the summed pairwise BCE over all ordered candidate pairs, each
-    taken on the head's logits.
+    taken on the head's logits. With ``compute_grads``, a non-finite loss
+    raises ``NonFiniteLoss`` before backward, so no gradient takes a NaN.
+
+    Each head and the encoder run backward once, so a head's gradients are
+    final when its backward returns. With an ``optimizer``, the filter
+    head's parameters are handed off to it then, and the pair head's after
+    theirs, so their updates overlap the rest of backward (see
+    ``_Optimizer.hand_off``); the caller's ``optimizer.step()`` does the
+    rest. No later layer reads a handed-off parameter. A backward that
+    fails after a hand-off joins the optimizer's workers before it raises.
     """
     joint_matrix, cand, first, second, filter_logits, pair_logits = _question_forward(
         model, prepared.instances
@@ -694,21 +714,36 @@ def question_loss(
     if not compute_grads:
         model.clear_cache()
         return total
+    if not math.isfinite(total):
+        model.clear_cache()
+        raise NonFiniteLoss(f"non-finite loss {total} on question {prepared.question_id!r}")
 
-    d_joint = np.zeros_like(joint_matrix)
-    if len(first):
-        d_pair_matrix = model.pair_head.backward(alpha * d_pair[:, None])
-        width = joint_matrix.shape[1]
-        # Row r of d_pair_matrix is [d first | d second]; the interleaved index
-        # adds the halves in pair order, as a loop over the pairs would.
-        np.add.at(
-            d_joint,
-            np.stack([first, second], axis=1).ravel(),
-            d_pair_matrix.reshape(-1, width),
-        )
-    d_joint += model.filter_head.backward(d_filter[:, None])
-
-    model.encoder.backward(d_joint[:, : model.encoder.out_dim])
+    try:
+        # The filter head's backward runs first, so its update overlaps the
+        # pair head's backward too; its rows join d_joint after the pairs',
+        # in the order the sums always took.
+        d_filter_rows = model.filter_head.backward(d_filter[:, None])
+        if optimizer is not None:
+            optimizer.hand_off(model.filter_head)
+        d_joint = np.zeros_like(joint_matrix)
+        if len(first):
+            d_pair_matrix = model.pair_head.backward(alpha * d_pair[:, None])
+            width = joint_matrix.shape[1]
+            # Row r of d_pair_matrix is [d first | d second]; the interleaved
+            # index adds the halves in pair order, as a loop over the pairs would.
+            np.add.at(
+                d_joint,
+                np.stack([first, second], axis=1).ravel(),
+                d_pair_matrix.reshape(-1, width),
+            )
+        if optimizer is not None:
+            optimizer.hand_off(model.pair_head)
+        d_joint += d_filter_rows
+        model.encoder.backward(d_joint[:, : model.encoder.out_dim])
+    except BaseException:
+        if optimizer is not None:
+            optimizer.join()
+        raise
     return total
 
 
@@ -767,8 +802,9 @@ class JointTrainer:
     def run_epoch(self) -> list[float]:
         """One optimizer step per question; returns per-question losses.
 
-        A non-finite loss raises ``MedrankError`` before its step, so the
-        in-place optimizer state never takes a NaN.
+        The heads' updates start during backward (see ``question_loss``). A
+        non-finite loss raises ``MedrankError`` before its backward, so no
+        update starts and the in-place optimizer state never takes a NaN.
         """
         if not self.prepared:
             raise SchemaError("trainer not prepared; call prepare(dataset) first")
@@ -777,12 +813,14 @@ class JointTrainer:
         losses = []
         for prepared in self.prepared:
             self.optimizer.zero_grad()
-            loss = question_loss(self.model, prepared, self.config.alpha)
-            if not math.isfinite(loss):
-                raise MedrankError(
-                    f"non-finite loss {loss} on question {prepared.question_id!r} "
-                    f"in epoch {epoch}; training stopped before the optimizer step"
+            try:
+                loss = question_loss(
+                    self.model, prepared, self.config.alpha, optimizer=self.optimizer
                 )
+            except NonFiniteLoss as exc:
+                raise MedrankError(
+                    f"{exc} in epoch {epoch}; training stopped before its backward"
+                ) from None
             self.optimizer.step()
             losses.append(loss)
         self.epochs_run = epoch
@@ -953,6 +991,12 @@ def predict_checkpoint(
     """``predict`` for a joint checkpoint: its model, provider and retrieval."""
     model = joint_model_from_manifest(meta, arrays, where)
     provider = provider_from_meta(meta, where)
+    D, encoder = provider.config.D, model.encoder.config
+    if D != encoder.in_channels or D != model.rqe_dim:
+        raise SchemaError(
+            f"{where}: provider D={D} must equal the encoder's in_channels "
+            f"({encoder.in_channels}) and rqe_dim ({model.rqe_dim})"
+        )
     retrieval_config = read_record(
         RetrievalConfig, meta.get("train"), where, ("swap_direction",),
         key="train", prefix="retrieval_",

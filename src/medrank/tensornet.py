@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -770,7 +771,7 @@ def logit_bce(logits, targets) -> tuple[float, np.ndarray]:
 SWEEP_BLOCK = 32768
 
 # Fewest blocks a sweep worker gets. A pooled step starts its threads afresh
-# (the calling thread runs one share itself), and the break-even moves with
+# (the calling thread drains beside them), and the break-even moves with
 # the load on the other core: on a 2-core Xeon VM, Adam over 16 blocks took
 # 3.5-4.0 ms inline and 2.9-3.1 ms on two workers in quiet runs, but 4.2-4.9
 # ms and 4.6-5.5 ms in busy ones, where two workers lost from 4 blocks up.
@@ -798,28 +799,38 @@ class _Optimizer:
     them. Construction copies the values in one parameter at a time, so each
     old array can be freed as its tensor is rebound.
 
-    ``step`` merges the ranges of the parameters that have a gradient into
-    contiguous runs (one when all of them have one), cuts the runs into flat
-    blocks of at most ``SWEEP_BLOCK`` elements and updates the parameters and
-    states in place through two scratch blocks per worker, so a step
-    allocates nothing the size of a weight. The blocks are dealt in contiguous
-    shares of about equal element counts to ``sweep_workers`` workers, one per
-    usable core (numpy releases the interpreter lock inside each operation):
-    the calling thread runs the first share and a thread pool the rest, and a
-    sweep too small to share runs inline. The worker count follows the
-    process's CPU affinity and the number of elements alone, with no setting.
-    Every element goes through the same operations in the same order as the
-    unblocked formula, so results are bit-identical for any worker count.
-    A parameter listed twice raises: no sweep could update it correctly.
+    A step merges the ranges of the parameters that have a gradient into
+    contiguous runs, cuts the runs into flat blocks of at most
+    ``SWEEP_BLOCK`` elements and updates the parameters and states in place
+    through two scratch blocks per worker, so a step allocates nothing the
+    size of a weight. The blocks go on one list per step, and every worker
+    drains that list: it takes the next untaken block until none is left.
+
+    ``hand_off(module)`` opens the step during backward. It lists the blocks
+    of a module whose gradients are already final and starts a pooled
+    worker on them, so their update runs on a second core while the caller
+    goes on with the rest of backward. ``step`` lists the blocks of every
+    parameter not handed off; the calling thread, the workers still
+    draining and any new ones drain the list together, and ``step`` returns
+    once every worker has joined. ``sweep_workers`` decides every count
+    (numpy releases the interpreter lock inside each operation): a worker
+    per usable core, one of them the caller. So a sweep too small to share
+    runs inline on the caller, and a hand-off too small for a worker of its
+    own is only a size check, its parameters waiting for ``step``. The count
+    follows the process's CPU affinity and the number of elements alone,
+    with no setting. Every element goes through the same operations in the
+    same order as the unblocked formula, so results are bit-identical
+    whatever the worker count and the hand-offs. A parameter listed twice
+    raises: no sweep could update it correctly.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float, states: int = 0):
         self.params = list(params)
-        seen: set[int] = set()
-        for p in self.params:
-            if id(p) in seen:
+        self._index: dict[int, int] = {}  # id(param) -> its position in params
+        for i, p in enumerate(self.params):
+            if id(p) in self._index:
                 raise ValueError(f"parameter {p.name!r} is listed twice")
-            seen.add(id(p))
+            self._index[id(p)] = i
         self.lr = lr
         self._ranges: list[slice] = []
         end = 0
@@ -832,77 +843,148 @@ class _Optimizer:
             p._pack(self._values[span].reshape(shape), self._grads[span].reshape(shape))
         self._states = [np.zeros(end) for _ in range(states)]
         self._block = min(SWEEP_BLOCK, end)
-        self._scratch: list[tuple[np.ndarray, np.ndarray]] = []
+        self._spare: list[tuple[np.ndarray, np.ndarray]] = []  # scratch pairs no worker holds
+        self._lock = threading.Lock()
+        self._end_step()
+
+    def _end_step(self) -> None:
+        """Forget the open step: its update, hand-offs, blocks and workers."""
+        self._update: Callable | None = None
+        self._handed = [False] * len(self.params)
+        self._blocks: list[slice] = []
+        self._taken = 0  # blocks some worker has taken; with _draining, under _lock
+        self._draining = 0  # pooled workers that have not yet found the list empty
+        self._pools: list = []  # (pool, futures) per start of pooled workers
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
 
-    def _sweep(self, update: Callable) -> None:
-        """Call ``update(param, grad, states, a, b)`` on every flat block of
-        the parameters that have a gradient; ``a`` and ``b`` are free scratch
-        blocks. Only the caller's thread touches a ``Tensor``: workers see
-        flat arrays alone.
-        """
+    def _next_update(self) -> Callable:
+        """``update(param, grad, states, a, b)`` for one flat block of the step
+        that opens now; ``a`` and ``b`` are free scratch blocks."""
+        raise NotImplementedError
+
+    def hand_off(self, module: Module) -> None:
+        """Start updating the parameters of ``module``, whose gradients are
+        final for this step, on a pooled worker, and return at once. Until
+        ``step`` (or ``join``) returns, nothing may read or write their values
+        or gradients. With one usable core, or a model too small to share,
+        the hand-off reads no parameter list at all."""
+        if sweep_workers(-(-self._values.size // SWEEP_BLOCK)) < 2:
+            return
+        indices = []
+        for p in module.params():
+            if id(p) not in self._index:
+                raise ValueError(f"parameter {p.name!r} is not in this optimizer")
+            indices.append(self._index[id(p)])
+        elements = sum(self.params[i].data.size for i in indices)
+        if sweep_workers(-(-elements // SWEEP_BLOCK)) > 1:
+            self._share(indices)
+
+    def step(self) -> None:
+        """Update every parameter that has a gradient, handed off or not, and
+        return once every worker has joined."""
+        try:
+            self._share([i for i, handed in enumerate(self._handed) if not handed])
+            self._drain(self._update)
+        finally:
+            self.join()
+
+    def join(self) -> None:
+        """Wait for the open step's workers, then close the step; re-raises a
+        worker's exception. Called alone, after a backward that failed past a
+        hand-off, it leaves the handed-off parameters updated and the rest
+        as they were."""
+        for pool, _ in self._pools:
+            pool.shutdown()
+        futures = [future for _, started in self._pools for future in started]
+        self._end_step()
+        for future in futures:
+            future.result()
+
+    def _share(self, indices: list[int]) -> None:
+        """List the blocks of the parameters ``indices`` that have a gradient,
+        and start pooled workers up to the ``sweep_workers`` count for their
+        elements, counting the caller and the workers still draining. Only
+        the caller's thread touches a ``Tensor``: workers see flat arrays
+        alone."""
+        if self._update is None:
+            self._update = self._next_update()
         runs: list[list[int]] = []  # [start, stop) ranges of parameters with a gradient
-        for p, span in zip(self.params, self._ranges):
-            grad = p.grad
+        for i in indices:
+            p, span = self.params[i], self._ranges[i]
+            if self._handed[i]:
+                raise ValueError(f"parameter {p.name!r} is handed off twice in one step")
+            self._handed[i] = True
             if p.data.base is not self._values:
                 raise RuntimeError(
                     f"parameter {p.name!r} has left this optimizer's arena (its data "
                     "was rebound, or a newer optimizer took it over)"
                 )
-            if grad is None:
+            if p.grad is None:
                 continue  # splits the run around it
             if runs and runs[-1][1] == span.start:
                 runs[-1][1] = span.stop
             else:
                 runs.append([span.start, span.stop])
-        total = sum(stop - start for start, stop in runs)
-        workers = sweep_workers(-(-total // SWEEP_BLOCK))
-        shares = [[] for _ in range(workers)]  # contiguous, about total / workers elements each
-        done = 0
-        for start, stop in runs:
-            for first in range(start, stop, SWEEP_BLOCK):
-                block = slice(first, min(first + SWEEP_BLOCK, stop))
-                shares[done * workers // total].append(block)
-                done += block.stop - first
-        while len(self._scratch) < workers:
-            self._scratch.append((np.empty(self._block), np.empty(self._block)))
+        blocks = [
+            slice(first, min(first + SWEEP_BLOCK, stop))
+            for start, stop in runs
+            for first in range(start, stop, SWEEP_BLOCK)
+        ]
+        workers = sweep_workers(-(-sum(stop - start for start, stop in runs) // SWEEP_BLOCK))
+        with self._lock:
+            self._blocks.extend(blocks)
+            starts = workers - 1 - self._draining
+            self._draining += max(0, starts)
+        if starts > 0:
+            from concurrent.futures import ThreadPoolExecutor
+
+            errors = np.geterr()  # a worker thread starts from numpy's defaults
+            pool = ThreadPoolExecutor(starts)
+            started = [pool.submit(self._drain, self._update, errors) for _ in range(starts)]
+            self._pools.append((pool, started))
+
+    def _drain(self, update: Callable, errors: dict | None = None) -> None:
+        """Update the open step's next untaken block until none is left. A
+        pooled worker gets the caller's numpy error state as ``errors``, and
+        leaves the draining count in the same locked act that finds the list
+        empty, so a block listed while it drains is never missed."""
+        with self._lock:
+            scratch = self._spare.pop() if self._spare else None
+        if scratch is None:
+            scratch = (np.empty(self._block), np.empty(self._block))
         values, grads, states = self._values, self._grads, self._states
-        errors = np.geterr()  # a worker thread starts from numpy's defaults
-
-        def run(share, scratch) -> None:
-            scratch_a, scratch_b = scratch
-            with np.errstate(**errors):
-                for block in share:
+        try:
+            with np.errstate(**(errors or np.geterr())):
+                while True:
+                    with self._lock:
+                        if self._taken == len(self._blocks):
+                            if errors is not None:
+                                self._draining -= 1
+                            return
+                        block = self._blocks[self._taken]
+                        self._taken += 1
                     pb = values[block]
-                    a, b = scratch_a[: pb.size], scratch_b[: pb.size]
+                    a, b = scratch[0][: pb.size], scratch[1][: pb.size]
                     update(pb, grads[block], [s[block] for s in states], a, b)
-
-        if workers == 1:
-            run(shares[0], self._scratch[0])
-            return
-        from concurrent.futures import ThreadPoolExecutor
-
-        # Leaving the block joins the pool, also when the caller's share raises.
-        with ThreadPoolExecutor(workers - 1) as pool:
-            pending = pool.map(run, shares[1:], self._scratch[1:])
-            run(shares[0], self._scratch[0])
-            list(pending)  # re-raises a worker's exception
+        finally:
+            with self._lock:
+                self._spare.append(scratch)
 
 
 class SGD(_Optimizer):
     """Plain gradient descent: p -= lr g."""
 
-    def step(self) -> None:
+    def _next_update(self) -> Callable:
         lr = self.lr
 
         def update(p, g, states, a, b):
             np.multiply(g, lr, out=b)
             p -= b
 
-        self._sweep(update)
+        return update
 
 
 class Adam(_Optimizer):
@@ -910,7 +992,8 @@ class Adam(_Optimizer):
 
     Per element: m = b1 m + (1-b1) g, v = b2 v + (1-b2) g^2, then
     p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps) (Kingma & Ba,
-    arXiv:1412.6980, Alg. 1).
+    arXiv:1412.6980, Alg. 1). ``_t`` counts the steps opened, by ``step``
+    or an earlier ``hand_off``.
     """
 
     def __init__(
@@ -925,7 +1008,7 @@ class Adam(_Optimizer):
         self.eps = eps
         self._t = 0
 
-    def step(self) -> None:
+    def _next_update(self) -> Callable:
         self._t += 1
         lr, eps = self.lr, self.eps
         b1, b2 = self.betas
@@ -948,7 +1031,7 @@ class Adam(_Optimizer):
             b /= a
             p -= b
 
-        self._sweep(update)
+        return update
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Shared fixtures: tiny datasets, corpora, and stub providers."""
 
+import concurrent.futures
 import hashlib
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,6 +28,19 @@ def make_candidate(
         reference_rank=reference_rank,
         reference_score=reference_score,
     )
+
+
+def count_pools(monkeypatch) -> list:
+    """The worker count of every thread pool started from now on."""
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    return pools
 
 
 def pending(module):

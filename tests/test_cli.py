@@ -1096,6 +1096,40 @@ class TestErrorHandling:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "SchemaError"
 
+    @pytest.mark.parametrize("command", ["train-joint", "predict"])
+    def test_empty_corpus_names_the_file(self, pipeline_dir, capsys, tmp_path, command):
+        empty = tmp_path / "corpus.jsonl"
+        empty.write_text("\n", encoding="utf-8")
+        p = pipeline_dir
+        args = {
+            "train-joint": ["--dataset", p["train"], "--epochs", "1"],
+            "predict": ["--model", f"{p['dir']}/joint.json", "--dataset", p["val"]],
+        }[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = main(p["base"] + [command, *args, "--corpus", str(empty), "--out", str(out)])
+        assert code == 2
+        payload = _error_payload(capsys)
+        assert payload["error"] == "SchemaError"
+        assert payload["message"] == f"{empty}: the corpus holds no QA pairs"
+        assert not out.exists()
+
+    def test_empty_training_dataset_names_the_file(self, pipeline_dir, capsys, tmp_path):
+        empty = tmp_path / "train.jsonl"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "joint.json"
+        capsys.readouterr()
+        code = main(
+            pipeline_dir["base"]
+            + ["train-joint", "--dataset", str(empty), "--corpus", pipeline_dir["corpus"],
+               "--epochs", "1", "--out", str(out)]
+        )
+        assert code == 2
+        payload = _error_payload(capsys)
+        assert payload["error"] == "SchemaError"
+        assert payload["message"] == f"{empty}: no questions to train on"
+        assert not out.exists()
+
     def test_non_finite_loss_writes_no_checkpoint(
         self, pipeline_dir, capsys, tmp_path, monkeypatch
     ):
@@ -1478,6 +1512,19 @@ def _set(*path, value):
     return rewrite
 
 
+def _shift(*path, by):
+    """A rewrite that adds ``by`` to the number at ``path``."""
+
+    def rewrite(text):
+        node = payload = json.loads(text)
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] += by
+        return json.dumps(payload)
+
+    return rewrite
+
+
 _BN1_MEAN = "buffer.encoder.stack.bn1.running_mean"
 
 # case: (pipeline file rewritten, its rewrite, the command that reads it)
@@ -1517,6 +1564,15 @@ UNREADABLE_JSON = {
     "checkpoint-layout-M-text": ("joint.json", _set("meta", "layout", "M", value="x"),
                                  "predict"),
     "checkpoint-rqe-dim-list": ("joint.json", _set("meta", "rqe_dim", value=[1]), "predict"),
+    "checkpoint-rqe-dim-twice": (
+        "joint.json",
+        lambda text: text.replace('"meta": {', '"meta": {"rqe_dim": 999, ', 1),
+        "predict",
+    ),
+    "checkpoint-layout-V-not-tfidf": ("joint.json", _shift("meta", "layout", "V", by=-1),
+                                      "predict"),
+    "checkpoint-provider-D-not-encoder": ("joint.json", _shift("meta", "provider", "D", by=1),
+                                          "predict"),
     "checkpoint-seed-null": ("joint.json", _set("meta", "train", "seed", value=None),
                              "predict"),
     "checkpoint-retrieval-N-text": ("joint.json", _set("meta", "train", "retrieval_N",
@@ -1689,6 +1745,7 @@ def _bad_lines(field):
         "missing-field": lambda line: json.dumps(
             {k: v for k, v in json.loads(line).items() if k != field}
         ),
+        "duplicate-key": lambda line: f'{{"{field}": 0, {line.lstrip()[1:]}',
     }
 
 

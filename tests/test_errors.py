@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from medrank.errors import SchemaError, read_jsonl, read_lines, read_record
+from medrank.errors import SchemaError, read_json_object, read_jsonl, read_lines, read_record
 
 
 def _write(tmp_path, data: bytes):
@@ -34,6 +34,8 @@ class TestReadJsonl:
             (b"5", "expected a JSON object, got int"),
             (b'["a"]', "expected a JSON object, got list"),
             (b'{"b": 1}', "missing field 'a'"),
+            (b'{"a": 1, "a": 2}', "invalid JSON: duplicate key 'a'"),
+            (b'{"a": {"b": 1, "c": 2, "b": 3}}', "invalid JSON: duplicate key 'b'"),
         ],
     )
     def test_bad_line_names_path_and_line(self, tmp_path, line, message):
@@ -48,6 +50,27 @@ class TestReadJsonl:
         path = _write(tmp_path, b"{}\n")
         with pytest.raises(SchemaError, match="missing field 'b'$"):
             list(read_jsonl(path, ("b", "a")))
+
+
+class TestReadJsonObject:
+    def test_reads_nested_objects(self, tmp_path):
+        path = tmp_path / "meta.json"
+        path.write_text('{"meta": {"a": 1, "b": {"a": 2}}, "a": 3}', encoding="utf-8")
+        assert read_json_object(path) == {"meta": {"a": 1, "b": {"a": 2}}, "a": 3}
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"a": 1, "a": 1}', "a"),
+            ('{"meta": {"rqe_dim": 999, "V": 2, "rqe_dim": 8}}', "rqe_dim"),
+        ],
+    )
+    def test_duplicate_key_names_path_and_key(self, tmp_path, text, key):
+        path = tmp_path / "meta.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            read_json_object(path)
+        assert str(info.value) == f"{path}: invalid JSON: duplicate key {key!r}"
 
 
 class TestReadLines:

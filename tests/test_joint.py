@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -38,9 +39,10 @@ from medrank.joint import ConvEncoder
 from medrank.providers import ProviderConfig, TfidfCosineProvider, fit_tfidf, tfidf_transform
 from medrank.retrieval import EntailmentIndex, RetrievalConfig, retrieve
 from medrank.synth import SynthConfig, generate
-from medrank.tensornet import Linear, Module, conv_out_dim, logit_bce, sigmoid
+from medrank import tensornet
+from medrank.tensornet import Linear, Module, Tensor, conv_out_dim, logit_bce, sigmoid
 
-from conftest import StubProvider, make_candidate, make_question, pending
+from conftest import StubProvider, count_pools, make_candidate, make_question, pending
 
 
 def spatial_trace(config, a, c):
@@ -556,6 +558,17 @@ class NanLayer(Module):
 
 class TestNonFiniteGuard:
     def test_nan_loss_stops_before_the_step(self):
+        self._nan_loss_in_second_epoch()
+
+    def test_nan_loss_stops_before_any_hand_off(self, monkeypatch):
+        # With every hand-off given a worker, the first epoch hands off both
+        # heads each step; the NaN step must hand off nothing.
+        self._nan_loss_in_second_epoch(_force_overlap(monkeypatch))
+
+    def _nan_loss_in_second_epoch(self, shares=None):
+        """Train an epoch, then make the next loss NaN: the second epoch
+        stops at its first question, leaving parameters, moments and the
+        step count as the first epoch left them."""
         train, _, _, provider, index, model = small_world(questions=4, seed=2)
         stub = NanLayer()
         model.filter_head.layers.insert(-1, stub)
@@ -565,6 +578,8 @@ class TestNonFiniteGuard:
         )
         trainer.prepare(train)
         trainer.run_epoch()
+        started = None if shares is None else len(shares)
+        assert started is None or started == 3 * len(trainer.prepared)
         params = [t.data.copy() for t in model.params()]
         moments = [state.copy() for state in trainer.optimizer._states]
         stub.armed = True
@@ -576,6 +591,8 @@ class TestNonFiniteGuard:
         for before, after in zip(moments, trainer.optimizer._states):
             np.testing.assert_array_equal(after, before)
         assert trainer.optimizer._t == len(trainer.prepared)
+        assert started is None or len(shares) == started
+        assert pending(model) == 0
 
     @pytest.mark.parametrize(
         "settings, message",
@@ -965,6 +982,164 @@ class TestTrainingExactness:
                 assert our_state[span].tobytes() == ref_state[span].tobytes(), f"{moment} {name}"
         for (name, buffer), (_, ref) in zip(model.named_buffers(), twin.named_buffers()):
             assert buffer.tobytes() == ref.tobytes(), name
+
+
+class Unused(Module):
+    """Identity layer whose parameter backward leaves without a gradient."""
+
+    def __init__(self):
+        super().__init__()
+        self.weight = Tensor(np.ones(3), "weight")
+
+    def _local_params(self):
+        return [("weight", self.weight)]
+
+    def forward(self, x):
+        return x
+
+    def backward(self, grad_out):
+        self.weight.grad = None
+        return grad_out
+
+
+class FailingBackward(Module):
+    """Identity forward; backward raises."""
+
+    def forward(self, x):
+        return x
+
+    def backward(self, grad_out):
+        raise RuntimeError("backward failed")
+
+
+def _no_pairs_prepared(model, provider):
+    """The solo question retrieved twice: two rows and no pairs."""
+    solo = _solo_prepared(model, provider)
+    return dataclasses.replace(solo, instances=solo.instances * 2)
+
+
+def _force_overlap(monkeypatch, workers=2) -> list:
+    """Give every hand-off and step of a scaled-down model ``workers``
+    workers, over 64-element blocks, whatever the cores. Returns the length
+    of each parameter list the optimizer then shares out: one per hand-off
+    that lists blocks, and one per step."""
+    monkeypatch.setattr(tensornet, "SWEEP_BLOCK", 64)
+    monkeypatch.setattr(tensornet, "sweep_workers", lambda blocks: workers)
+    shares = []
+    share = tensornet._Optimizer._share
+
+    def counted(self, indices):
+        shares.append(len(indices))
+        share(self, indices)
+
+    monkeypatch.setattr(tensornet._Optimizer, "_share", counted)
+    return shares
+
+
+class TestHandOffTraining:
+    """Training with each head's update handed off during backward gives
+    the bytes of the inline step."""
+
+    def _train(self, monkeypatch, workers, optimizer):
+        shares = _force_overlap(monkeypatch, workers)
+        pools = count_pools(monkeypatch)
+        train, _, _, provider, index, model = small_world(questions=3, seed=9)
+        model.pair_head.layers.insert(3, Unused())
+        model.pair_head.names.insert(3, "unused")
+        trainer = JointTrainer(
+            model, provider, index, TrainConfig(seed=9, lr=0.01, optimizer=optimizer)
+        )
+        trainer.prepare(train)
+        prepared = trainer.prepared
+        trainer.prepared = [
+            prepared[0],
+            _solo_prepared(model, provider),
+            *prepared[1:],
+            _no_pairs_prepared(model, provider),
+        ]
+        for _ in range(2):
+            trainer.run_epoch()
+        steps = 2 * len(trainer.prepared)
+        state = [t.data.tobytes() for t in model.params()]
+        state += [s.tobytes() for s in trainer.optimizer._states]
+        state += [b.tobytes() for _, b in model.named_buffers()]
+        return state, getattr(trainer.optimizer, "_t", None), steps, shares, pools
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_forced_overlap_matches_inline_bytes(self, monkeypatch, optimizer):
+        with monkeypatch.context() as patch:
+            inline, inline_t, steps, inline_shares, no_pools = self._train(patch, 1, optimizer)
+        with monkeypatch.context() as patch:
+            overlap, overlap_t, _, shares, pools = self._train(patch, 2, optimizer)
+        # Inline, each step shares every parameter; with workers, both heads
+        # are handed off first and the step shares the encoder's.
+        assert no_pools == [] and len(inline_shares) == steps
+        assert len(shares) == 3 * steps and len(pools) >= steps
+        assert overlap == inline
+        assert overlap_t == inline_t == (steps if optimizer == "adam" else None)
+
+    def test_no_layer_reads_a_handed_off_parameter(self):
+        # A synchronous double poisons every handed-off value and gradient
+        # with NaN at the hand-off. The rest of backward must give the
+        # other gradients of a run without hand-offs, and write nothing more
+        # into the handed-off buffers.
+        train, _, _, provider, index, model = small_world(questions=3, seed=9)
+        twin = small_world(questions=3, seed=9)[-1]
+        trainer = JointTrainer(model, provider, index, TrainConfig(seed=9))
+        trainer.prepare(train)
+
+        class Poison:
+            def __init__(self):
+                self.handed = []
+
+            def hand_off(self, module):
+                params = module.params()
+                for p in params:
+                    p.data[...] = np.nan
+                    p.grad[...] = np.nan
+                self.handed.extend(params)
+
+            def join(self):
+                raise AssertionError("backward failed")
+
+        for question in [trainer.prepared[0], _solo_prepared(model, provider)]:
+            values = [t.data.copy() for t in model.params()]
+            for net in (model, twin):
+                net.train()
+                net.zero_grad()
+            poison = Poison()
+            loss = question_loss(model, question, alpha=2.0, optimizer=poison)
+            assert loss == question_loss(twin, question, alpha=2.0)
+            handed = {id(p) for p in poison.handed}
+            assert handed == {id(p) for p in model.pair_head.params() + model.filter_head.params()}
+            for (name, tensor), (_, ref) in zip(model.named_params(), twin.named_params()):
+                if id(tensor) in handed:
+                    assert np.isnan(tensor.data).all() and np.isnan(tensor.grad).all(), name
+                else:
+                    assert tensor.grad.tobytes() == ref.grad.tobytes(), name
+            for tensor, value in zip(model.params(), values):
+                tensor.data[...] = value
+
+    def test_backward_failure_after_hand_off_joins_the_workers(self, monkeypatch):
+        shares = _force_overlap(monkeypatch)
+        pools = count_pools(monkeypatch)
+        train, _, _, provider, index, model = small_world(questions=3, seed=9)
+        stack = model.encoder.stack
+        stack.layers.append(FailingBackward())
+        stack.names.append("failing")
+        trainer = JointTrainer(model, provider, index, TrainConfig(seed=9))
+        trainer.prepare(train)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="backward failed"):
+            trainer.run_epoch()
+        assert len(shares) == 2 and pools  # both heads were handed off to workers
+        assert threading.active_count() == before
+        optimizer = trainer.optimizer
+        assert optimizer._pools == [] and optimizer._update is None  # the step is closed
+        stack.layers.pop()
+        stack.names.pop()
+        model.clear_cache()
+        trainer.run_epoch()  # the next step opens afresh
 
 
 class TestHeadForward:

@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import os
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -21,6 +22,7 @@ from medrank.tensornet import (
     Conv2d,
     Linear,
     Maps,
+    Module,
     QuadrantPool,
     ReLU,
     SGD,
@@ -37,7 +39,7 @@ from medrank.tensornet import (
     write_manifest,
 )
 
-from conftest import pending
+from conftest import count_pools, pending
 
 
 def naive_conv2d(x, weight, bias, stride, padding):
@@ -1271,6 +1273,146 @@ class TestPooledSweep:
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         optimizer.step()
         assert threading.active_count() == before
+
+
+class Holder(Module):
+    """A module whose parameters are the given tensors."""
+
+    def __init__(self, tensors):
+        super().__init__()
+        self.tensors = list(tensors)
+
+    def _local_params(self):
+        return [(str(i), t) for i, t in enumerate(self.tensors)]
+
+
+class TestHandOff:
+    """Parameters handed off mid-backward, drained by workers while the
+    caller goes on, end the step with the bytes of one inline sweep."""
+
+    STEPS = 4
+    HAND_OFFS = [[5, 6], [0, 3], [2]]  # each group's gradients final in turn
+
+    def _problem(self, seed=0):
+        rng = np.random.default_rng(seed)
+        data = [rng.standard_normal(n) for n in (700, 64, (5, 3), 333, 1, 900, 129)]
+        grads = [[rng.standard_normal(d.shape) for d in data] for _ in range(self.STEPS)]
+        for step_grads in grads[1:]:
+            step_grads[3] = None  # a handed-off parameter with no gradient
+        return data, grads
+
+    def _run(self, monkeypatch, workers, optimizer_cls, hand_offs, seed=0):
+        """Parameter and state bytes, and the step count, after the steps;
+        16-element blocks give every worker many blocks to take."""
+        monkeypatch.setattr(tensornet, "SWEEP_BLOCK", 16)
+        monkeypatch.setattr(tensornet, "sweep_workers", lambda blocks: workers)
+        data, grads = self._problem(seed)
+        tensors = [Tensor(d.copy()) for d in data]
+        optimizer = optimizer_cls(tensors, lr=0.01)
+        for step_grads in grads:
+            for tensor, g in zip(tensors, step_grads):
+                tensor.grad = None if g is None else g.copy()
+            for group in hand_offs:
+                optimizer.hand_off(Holder(tensors[i] for i in group))
+            optimizer.step()
+        state = [a.tobytes() for a in [t.data for t in tensors] + optimizer._states]
+        return state, getattr(optimizer, "_t", None)
+
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    @pytest.mark.parametrize("optimizer_cls", [Adam, SGD])
+    def test_hand_offs_match_inline_bytes(self, monkeypatch, optimizer_cls, workers):
+        # More workers than cores and a thread switch every microsecond: a
+        # block taken twice, or never, changes the bytes.
+        inline = self._run(monkeypatch, 1, optimizer_cls, [])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(5):  # repeated: thread interleavings differ run to run
+                assert self._run(monkeypatch, workers, optimizer_cls, self.HAND_OFFS) == inline
+        finally:
+            sys.setswitchinterval(interval)
+        if optimizer_cls is Adam:
+            assert inline[1] == self.STEPS
+
+    def test_blocks_listed_while_a_worker_drains_are_taken(self, monkeypatch):
+        # The first hand-off's worker holds its first block until the second
+        # hand-off is listed; with two workers allowed, that worker and then
+        # the caller drain both, and no second worker starts.
+        monkeypatch.setattr(tensornet, "SWEEP_BLOCK", 16)
+        monkeypatch.setattr(tensornet, "sweep_workers", lambda blocks: 2)
+        pools = count_pools(monkeypatch)
+        gate = threading.Event()
+
+        class GatedSGD(SGD):
+            def _next_update(self):
+                update = super()._next_update()
+
+                def gated(*args):
+                    assert gate.wait(10)
+                    update(*args)
+
+                return gated
+
+        data, grads = self._problem()
+        tensors = [Tensor(d.copy()) for d in data]
+        for tensor, g in zip(tensors, grads[0]):
+            tensor.grad = g
+        optimizer = GatedSGD(tensors, lr=0.1)
+        optimizer.hand_off(Holder(tensors[:3]))
+        optimizer.hand_off(Holder(tensors[3:5]))
+        gate.set()
+        optimizer.step()
+        assert pools == [1]
+        want = reference_sgd(data, grads[:1], 0.1)
+        assert [t.data.tobytes() for t in tensors] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("model_blocks", [SWEEP_MIN_BLOCKS, 2 * SWEEP_MIN_BLOCKS])
+    def test_small_hand_off_is_only_a_size_check(self, monkeypatch, model_blocks):
+        # Below the worker threshold, for the model or for the handed-off
+        # module, a hand-off starts nothing and lists nothing: the step
+        # sweeps every parameter inline, as without it.
+        rng = np.random.default_rng(3)
+        data = [rng.standard_normal(n) for n in (model_blocks * SWEEP_BLOCK, 40, 7)]
+        grads = [[rng.standard_normal(d.shape) for d in data]]
+        tensors = [Tensor(d.copy()) for d in data]
+        for tensor, g in zip(tensors, grads[0]):
+            tensor.grad = g
+        optimizer = SGD(tensors, lr=0.1)
+
+        def no_thread(self):
+            raise AssertionError("the hand-off started a thread")
+
+        class Unread(Module):
+            def params(self):
+                raise AssertionError("a model too small to share read the module")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start", no_thread)
+            if model_blocks < 2 * SWEEP_MIN_BLOCKS:
+                optimizer.hand_off(Unread())
+            optimizer.hand_off(Holder(tensors[1:]))
+        assert not any(optimizer._handed)
+        optimizer.step()  # the larger model's step may share its sweep
+        want = reference_sgd(data, grads, 0.1)
+        assert [t.data.tobytes() for t in tensors] == [w.tobytes() for w in want]
+
+    def test_foreign_or_repeated_hand_off_raises(self, monkeypatch):
+        monkeypatch.setattr(tensornet, "sweep_workers", lambda blocks: 2)
+        tensors = [Tensor(np.ones(4)), Tensor(np.ones(3))]
+        for tensor in tensors:
+            tensor.grad = np.ones(tensor.shape)
+        optimizer = SGD(tensors, lr=0.1)
+        with pytest.raises(ValueError, match="not in this optimizer"):
+            optimizer.hand_off(Holder([Tensor(np.ones(2), "stranger")]))
+        optimizer.hand_off(Holder(tensors[:1]))
+        with pytest.raises(ValueError, match="handed off twice"):
+            optimizer.hand_off(Holder(tensors[:1]))
+        optimizer.join()
+        np.testing.assert_array_equal(tensors[0].data, np.full(4, 1.0 - 0.1))
+        np.testing.assert_array_equal(tensors[1].data, np.ones(3))  # the step ended
+        optimizer.step()  # a fresh step: nothing is handed off any more
+        np.testing.assert_array_equal(tensors[0].data, np.full(4, 1.0 - 0.1 - 0.1))
+        np.testing.assert_array_equal(tensors[1].data, np.full(3, 1.0 - 0.1))
 
 
 class TestArena:
