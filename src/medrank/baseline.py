@@ -22,6 +22,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -539,14 +540,18 @@ def predict_checkpoint(
     corpus_pairs: list[QAPair],
     ranker: str | None = None,
     where: str = "<checkpoint>",
+    check: Callable[[RetrievalConfig, ProviderConfig, str], None] | None = None,
 ) -> list[Prediction]:
     """``predict`` for a baseline checkpoint, with the retrieval settings,
     provider and metadata TF-IDF its ``feature_config`` stores; nothing is
-    refit on the corpus. Relevant means a filter probability >= 0.5."""
+    refit on the corpus. Relevant means a filter probability >= 0.5.
+    ``check`` gets the stored retrieval and provider settings first."""
     spec = meta.get("feature_config")
     if not isinstance(spec, dict):
         raise SchemaError(f"{where}: baseline checkpoint has no 'feature_config' object")
     config, retrieval_config, provider, tfidf = layout_settings(spec, where)
+    if check is not None:
+        check(retrieval_config, provider.config, where)
     index = EntailmentIndex(corpus_pairs, provider)
     width = (feature_dim(config),)
     logreg = LogregModel(

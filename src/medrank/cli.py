@@ -121,11 +121,12 @@ def cmd_extract_features(config: RunConfig, args) -> int:
     layout_path = Path(args.layout)
     new_layout = None  # written only once every feature row is extracted
     if layout_path.exists():
-        # Retrieve and score as the layout was fit, whatever the run's
-        # retrieval.* and provider.* say; a --tfidf must be the stored one.
+        # Retrieve and score as the layout was fit: retrieval.* and
+        # provider.* may only repeat it, and a --tfidf must be the stored one.
         feature_config, retrieval_config, provider, tfidf = bl.layout_settings(
             read_json_object(layout_path), str(layout_path)
         )
+        config.check_stored(retrieval_config, provider.config, str(layout_path))
         if args.tfidf is not None and load_tfidf(args.tfidf).to_dict() != tfidf.to_dict():
             raise MedrankError(
                 f"{args.tfidf}: differs from the metadata TF-IDF stored in {layout_path}"
@@ -235,10 +236,12 @@ def cmd_predict(config: RunConfig, args) -> int:
     if meta.get("kind") == "joint":
         if args.ranker is not None:
             raise MedrankError(f"{args.model}: --ranker applies to baseline checkpoints only")
-        predictions = predict_joint_checkpoint(meta, arrays, dataset, pairs, args.model)
+        predictions = predict_joint_checkpoint(
+            meta, arrays, dataset, pairs, args.model, config.check_stored
+        )
     elif meta.get("kind") == "baseline":
         predictions = bl.predict_checkpoint(
-            meta, arrays, dataset, pairs, args.ranker, args.model
+            meta, arrays, dataset, pairs, args.ranker, args.model, config.check_stored
         )
     else:
         raise MedrankError(f"{args.model}: unknown model kind {meta.get('kind')!r}")

@@ -13,7 +13,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, read_lines
+from .errors import ConfigError, SchemaError, read_lines
 from .providers import ProviderConfig
 from .retrieval import RetrievalConfig
 from .synth import SynthConfig
@@ -109,6 +109,16 @@ class RunConfig:
 
     def retrieval_config(self) -> RetrievalConfig:
         return RetrievalConfig(**dataclasses.asdict(self.retrieval))
+
+    def check_stored(self, retrieval: RetrievalConfig, provider: ProviderConfig, where: str):
+        """Fail when a file or ``--set`` gives a ``retrieval.*`` or
+        ``provider.*`` key a value other than the one the checkpoint or
+        layout ``where`` stores (``provider.cache`` is not stored)."""
+        for section, stored in (("retrieval", retrieval), ("provider", provider)):
+            for key, value in dataclasses.asdict(stored).items():
+                dotted, given = f"{section}.{key}", getattr(getattr(self, section), key)
+                if dotted in self._explicit and dotted != "provider.cache" and given != value:
+                    raise SchemaError(f"{where}: {dotted}={given!r} contradicts stored {value!r}")
 
     def synth_config(self) -> SynthConfig:
         return SynthConfig(**dataclasses.asdict(self.synth))

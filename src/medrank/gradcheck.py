@@ -35,6 +35,7 @@ from .tensornet import (
     Linear,
     Maps,
     Module,
+    ParamStore,
     Tensor,
     _BatchNormBase,
     logit_bce,
@@ -120,7 +121,7 @@ def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[
     # linear + binary cross-entropy on the sigmoid of its logits
     x = rng.standard_normal((5, 4))
     t = rng.integers(0, 2, size=5).astype(np.float64)
-    head = Linear(4, 1, rng)
+    head = Linear(4, 1, rng).materialize()
 
     def linear_loss() -> float:
         return logit_bce(head.forward(x)[:, 0], t)[0]
@@ -131,7 +132,7 @@ def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[
     results["linear_sigmoid_bce"] = _check_module(head, linear_loss, linear_seed)
 
     # conv2d on three packed maps under a fixed random linear functional
-    conv = Conv2d(2, 3, (3, 3), (2, 2), (1, 1), rng)
+    conv = Conv2d(2, 3, (3, 3), (2, 2), (1, 1), rng).materialize()
     cx = Maps.pack(list(rng.standard_normal((3, 2, 5, 5))))
     cr = Maps.pack(list(rng.standard_normal((3, 3, 3, 3))))
 
@@ -148,11 +149,13 @@ def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[
     # parameter too, so the input gradient is checked with the weights. Its
     # own generator leaves the draws of the checks after it as they were.
     padded_rng = np.random.default_rng([seed, 19])
-    padded = Conv2d(2, 3, (3, 3), (1, 1), (2, 2), padded_rng)
+    padded = Conv2d(2, 3, (3, 3), (1, 1), (2, 2), padded_rng).materialize()
     shapes = ((2, 3), (1, 1), (3, 1))
     px = Maps.pack([padded_rng.standard_normal((2, h, w)) for h, w in shapes])
     pr = Maps.pack([padded_rng.standard_normal((3, h + 2, w + 2)) for h, w in shapes])
     maps_param = Tensor(px.data, "maps")
+    ParamStore([maps_param])
+    px = px.like(maps_param.data)  # the forward reads the parameter's values
 
     def padded_seed() -> None:
         padded.forward(px)
@@ -169,6 +172,7 @@ def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[
     # and per map over three packed maps
     batchnorm_errors = []
     for bn, shape in ((BatchNorm1d(4), (6, 4)), (BatchNorm2d(4), (3, 4, 2, 3))):
+        bn.materialize()
         bn.gamma.data[...] = rng.uniform(0.5, 1.5, size=4)
         bn.beta.data[...] = rng.standard_normal(4)
         bx, br = rng.standard_normal(shape), rng.standard_normal(shape)
@@ -186,7 +190,7 @@ def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[
     results["batchnorm"] = max(batchnorm_errors)
 
     # full conv encoder composite over maps of mixed shapes, one repeated
-    encoder = ConvEncoder(ConvEncoderConfig.scaled_down(), rng)
+    encoder = ConvEncoder(ConvEncoderConfig.scaled_down(), rng).materialize()
     ex = [rng.standard_normal((8, a, c)) for a, c in ((3, 4), (1, 3), (3, 4), (2, 1))]
     er = rng.standard_normal((len(ex), encoder.out_dim))
 
@@ -203,7 +207,7 @@ def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[
         ("filter_head", HeadConfig.scaled_filter(48), 48),
         ("pair_head", HeadConfig.scaled_pair(96), 96),
     ):
-        net = build_head(config, rng)
+        net = build_head(config, rng).materialize()
         hx = rng.standard_normal((4, width))
         ht = rng.integers(0, 2, size=4).astype(np.float64)
 

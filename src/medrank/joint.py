@@ -22,6 +22,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -449,7 +450,10 @@ def build_joint_model(
     seed: int = 0,
     filter_config: HeadConfig | None = None,
     pair_config: HeadConfig | None = None,
+    init: bool = True,
 ) -> JointModel:
+    """The joint model, every parameter born in its one store (``model.store``)
+    and He weights drawn from ``default_rng(seed)``; ``init=False`` draws none."""
     joint_dim = encoder_config.out_dim + rqe_dim + layout.M
     if filter_config is None:
         filter_config = HeadConfig.default_filter(joint_dim)
@@ -468,7 +472,7 @@ def build_joint_model(
         rqe_dim,
         filter_config,
         pair_config,
-    )
+    ).materialize(init)
 
 
 # ---------------------------------------------------------------------------
@@ -763,11 +767,10 @@ class JointTrainer:
         self.config = config
         self.prepared: list[_PreparedQuestion] = []
         self.epochs_run = 0
-        params = model.params()
         if config.optimizer == "adam":
-            self.optimizer = Adam(params, lr=config.lr)
+            self.optimizer = Adam(model.store, lr=config.lr)
         else:
-            self.optimizer = SGD(params, lr=config.lr)
+            self.optimizer = SGD(model.store, lr=config.lr)
 
     def prepare(self, dataset: Dataset) -> None:
         """Retrieve, augment, and embed every question once; order-stable."""
@@ -970,6 +973,7 @@ def joint_model_from_manifest(
             stored.train.seed,
             filter_config=HeadConfig(stored.filter_widths),
             pair_config=HeadConfig(stored.pair_widths),
+            init=False,
         )
     except DimensionError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
@@ -987,8 +991,10 @@ def predict_checkpoint(
     dataset: Dataset,
     corpus_pairs: list[QAPair],
     where: str = "<checkpoint>",
+    check: Callable[[RetrievalConfig, ProviderConfig, str], None] | None = None,
 ) -> list[Prediction]:
-    """``predict`` for a joint checkpoint: its model, provider and retrieval."""
+    """``predict`` for a joint checkpoint: its model, provider and retrieval.
+    ``check`` gets the stored retrieval and provider settings first."""
     model = joint_model_from_manifest(meta, arrays, where)
     provider = provider_from_meta(meta, where)
     D, encoder = provider.config.D, model.encoder.config
@@ -1001,5 +1007,7 @@ def predict_checkpoint(
         RetrievalConfig, meta.get("train"), where, ("swap_direction",),
         key="train", prefix="retrieval_",
     )
+    if check is not None:
+        check(retrieval_config, provider.config, where)
     index = EntailmentIndex(corpus_pairs, provider)
     return predict_dataset(model, dataset, index, provider, retrieval_config)

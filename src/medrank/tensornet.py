@@ -9,8 +9,9 @@ inference so no caches accumulate.
 Included: linear, ReLU, batch normalization (1d over a batch, 2d over the
 spatial positions of each feature map), 2-D convolution (cross-correlation
 convention; im2col matmul forward, an input-cell or col2im backward), quadrant
-average pooling, the sigmoid function, binary cross-entropy on logits,
-SGD/Adam, and a JSON checkpoint manifest.
+average pooling, the sigmoid function, binary cross-entropy on logits, one
+flat store for every parameter, SGD/Adam over it, and a JSON checkpoint
+manifest.
 
 The convolutional layers (``Conv2d``, ``BatchNorm2d``, ``ReLU``,
 ``QuadrantPool``) take ``Maps``: any number of maps of any sizes packed side
@@ -20,6 +21,7 @@ serves every map whatever its shape.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -33,32 +35,33 @@ from .errors import DimensionError, MedrankError, SchemaError, read_json_object
 
 
 class Tensor:
-    """A dense value with an optional same-shape gradient buffer.
+    """A parameter: a value and a same-shape gradient buffer, both views of
+    the flat arrays of the ``ParamStore`` that bears it (``data`` is None
+    until then). ``init`` is the initial value the store writes into
+    ``data``: an array, a number broadcast over ``shape``, or a function
+    that fills a C-ordered float64 array in place. Update ``data`` in place
+    and never rebind it: an optimizer raises on ``step`` for a parameter
+    whose ``data`` has left its store.
 
-    ``data`` and the gradient are C-ordered float64, so the optimizers can
-    update them through flat views. After ``zero_grad`` the buffer is stale:
-    it reads as zeros, and the first gradient contribution is written into it
-    rather than added, so no pass fills it with zeros first. Later
-    contributions add.
-
-    An optimizer packs every tensor it is given into its arena: ``data`` and
-    the gradient buffer become views of the arena's flat arrays. Update
-    ``data`` in place and never rebind it; an optimizer whose arena no longer
-    holds ``data`` raises on ``step``. Setting ``grad`` copies a value of the
+    A new tensor has no gradient (``grad`` is None). After ``zero_grad`` the
+    buffer is stale: it reads as zeros, and the first gradient contribution
+    is written into it rather than added, so no pass fills it with zeros
+    first. Later contributions add. Setting ``grad`` copies a value of the
     tensor's shape into the buffer (another shape raises), never keeping the
-    caller's array; setting it to ``None`` leaves the tensor without one.
+    caller's array; ``None`` leaves the tensor without one.
     """
 
-    def __init__(self, data, name: str = ""):
-        self.data = np.asarray(data, dtype=np.float64, order="C")
-        self._grad: np.ndarray | None = None
-        self._stale = False
-        self._slot: np.ndarray | None = None  # gradient view in an optimizer's arena
+    def __init__(self, init, name: str = "", shape: tuple[int, ...] | None = None):
+        if not callable(init):
+            value = np.asarray(init, dtype=np.float64)
+            shape = value.shape if shape is None else shape
+            init = functools.partial(np.copyto, src=value)
+        self._init: Callable[[np.ndarray], object] | None = init
+        self.shape = tuple(shape)
+        self.data: np.ndarray | None = None
+        self._grad: np.ndarray | None = None  # the store's view, from birth on
+        self._stale: bool | None = None  # None: no gradient; True: stale
         self.name = name
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
 
     @property
     def grad(self) -> np.ndarray | None:
@@ -66,55 +69,34 @@ class Tensor:
         if self._stale:
             self._grad.fill(0.0)
             self._stale = False
-        return self._grad
+        return None if self._stale is None else self._grad
 
     @grad.setter
     def grad(self, value) -> None:
         if value is None:
-            self._grad, self._stale = None, False
+            self._stale = None
         else:
-            self._write_not_add(np.shape(value), self.data.shape)
+            self._write_not_add(np.shape(value), self.shape)
             np.copyto(self._grad, value)
 
     def zero_grad(self) -> None:
         """Mark the gradient buffer stale, without writing to it."""
-        self._allocate()
         self._stale = True
-
-    def _allocate(self) -> None:
-        """Give the tensor a stale gradient buffer unless it has one of its
-        shape: its arena view when packed, else a new array."""
-        if self._grad is None:
-            self._grad, self._stale = self._slot, True
-        if self._grad is None or self._grad.shape != self.data.shape:
-            self._grad, self._stale = np.empty(self.data.shape), True
-
-    def _pack(self, data: np.ndarray, grad: np.ndarray) -> None:
-        """Move into an optimizer's arena through ``data`` and ``grad``, views
-        shaped like this tensor: copy the values and a fresh gradient over. A
-        stale gradient stays stale, and a missing one stays missing."""
-        data[...] = self.data
-        if self._grad is not None:
-            if not self._stale:
-                grad[...] = self._grad
-            self._grad = grad
-        self.data, self._slot = data, grad
 
     def _write_not_add(self, shape: tuple[int, ...], want: tuple[int, ...]) -> bool:
         """Whether a contribution of ``shape`` (which must be ``want``) is
-        written, because the buffer is stale or new, rather than added;
-        clears the stale mark."""
+        written, because the buffer is stale or holds no gradient, rather
+        than added; leaves the gradient live."""
         if shape != want:
             raise DimensionError(
-                f"gradient of shape {shape} for tensor {self.name!r} of shape {self.data.shape}"
+                f"gradient of shape {shape} for tensor {self.name!r} of shape {self.shape}"
             )
-        self._allocate()
-        stale, self._stale = self._stale, False
+        stale, self._stale = self._stale is not False, False
         return stale
 
     def add_grad(self, grad) -> None:
         """Add ``grad``, of exactly this tensor's shape, to the gradient."""
-        if self._write_not_add(np.shape(grad), self.data.shape):
+        if self._write_not_add(np.shape(grad), self.shape):
             np.copyto(self._grad, grad)
         else:
             self._grad += grad
@@ -123,20 +105,60 @@ class Tensor:
         """Add ``a @ b``, the gradient flattened to (shape[0], rest), to the
         gradient. A stale buffer takes the product straight from the matmul,
         so the first contribution makes no product-sized temporary."""
-        rows, cols = self.data.shape[0], math.prod(self.data.shape[1:])
+        rows, cols = self.shape[0], math.prod(self.shape[1:])
         if self._write_not_add((a.shape[0], b.shape[1]), (rows, cols)):
             np.matmul(a, b, out=self._grad.reshape(rows, cols))
         else:
-            self._grad += (a @ b).reshape(self.data.shape)
+            self._grad += (a @ b).reshape(self.shape)
 
     def __repr__(self) -> str:
         return f"Tensor(name={self.name!r}, shape={self.shape})"
 
 
-def he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    """He-style uniform init with bound sqrt(6 / fan_in)."""
+class ParamStore:
+    """Every parameter of a model side by side, in parameter order, in one
+    flat values array and one flat gradient array.
+
+    Building the store bears each tensor: its ``data`` and gradient buffer
+    become views of the two arrays, and its initial value is written in, in
+    parameter order; with ``init`` false nothing is drawn, and the values
+    wait for a checkpoint to fill them. ``ranges`` holds each parameter's
+    slice, which an optimizer's states share, and ``index`` its position by
+    ``id``. A tensor listed twice, or already born, raises before any is
+    laid out.
+    """
+
+    def __init__(self, params: Sequence[Tensor], init: bool = True):
+        self.params = list(params)
+        self.index: dict[int, int] = {}
+        for i, p in enumerate(self.params):
+            if id(p) in self.index:
+                raise ValueError(f"parameter {p.name!r} is listed twice")
+            if p.data is not None:
+                raise ValueError(f"parameter {p.name!r} is already in a store")
+            self.index[id(p)] = i
+        ends = np.cumsum([0] + [math.prod(p.shape) for p in self.params]).tolist()
+        self.ranges = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+        self.values, self.grads = np.empty(ends[-1]), np.zeros(ends[-1])
+        for p, span in zip(self.params, self.ranges):
+            p.data = self.values[span].reshape(p.shape)
+            p._grad = self.grads[span].reshape(p.shape)
+            if init:
+                p._init(p.data)
+            p._init = None
+
+
+def he_fill(rng: np.random.Generator, fan_in: int) -> Callable[[np.ndarray], None]:
+    """He-style uniform init with bound sqrt(6 / fan_in), drawn in place: the
+    bytes and generator state ``rng.uniform(-bound, bound, shape)`` leaves."""
     bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+
+    def fill(data: np.ndarray) -> None:
+        rng.random(out=data)
+        data *= 2.0 * bound
+        data -= bound
+
+    return fill
 
 
 def conv_out_dim(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -251,7 +273,8 @@ class Module:
         return self
 
     def _local_params(self) -> list[tuple[str, Tensor]]:
-        return []
+        """The module's own parameters: its ``Tensor`` attributes, in order."""
+        return [(k, v) for k, v in vars(self).items() if isinstance(v, Tensor)]
 
     def _local_buffers(self) -> list[str]:
         return []
@@ -274,6 +297,12 @@ class Module:
     def zero_grad(self) -> None:
         for tensor in self.params():
             tensor.zero_grad()
+
+    def materialize(self, init: bool = True) -> "Module":
+        """Bear every parameter in one new ``ParamStore``, kept as
+        ``self.store``; returns the module."""
+        self.store = ParamStore(self.params(), init)
+        return self
 
     def _push(self, ctx) -> None:
         if self.grad_enabled:
@@ -305,14 +334,8 @@ class Linear(Module):
         super().__init__()
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.weight = Tensor(he_uniform(rng, (out_dim, in_dim), in_dim), "weight")
-        self.bias = Tensor(np.zeros(out_dim), "bias") if bias else None
-
-    def _local_params(self):
-        params = [("weight", self.weight)]
-        if self.bias is not None:
-            params.append(("bias", self.bias))
-        return params
+        self.weight = Tensor(he_fill(rng, in_dim), "weight", (out_dim, in_dim))
+        self.bias = Tensor(0.0, "bias", (out_dim,)) if bias else None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_dim:
@@ -358,13 +381,10 @@ class _BatchNormBase(Module):
         self.channels = channels
         self.eps = eps
         self.momentum = momentum
-        self.gamma = Tensor(np.ones(channels), "gamma")
-        self.beta = Tensor(np.zeros(channels), "beta")
+        self.gamma = Tensor(1.0, "gamma", (channels,))
+        self.beta = Tensor(0.0, "beta", (channels,))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-
-    def _local_params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
 
     def _local_buffers(self):
         return ["running_mean", "running_var"]
@@ -534,9 +554,9 @@ class Conv2d(Module):
         in_channels: int,
         out_channels: int,
         kernel: tuple[int, int],
-        stride: tuple[int, int] = (1, 1),
-        padding: tuple[int, int] = (0, 0),
-        rng: np.random.Generator | None = None,
+        stride: tuple[int, int],
+        padding: tuple[int, int],
+        rng: np.random.Generator,
         bias: bool = True,
     ):
         super().__init__()
@@ -547,20 +567,13 @@ class Conv2d(Module):
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
-        rng = rng if rng is not None else np.random.default_rng(0)
-        fan_in = in_channels * kernel[0] * kernel[1]
         self.weight = Tensor(
-            he_uniform(rng, (out_channels, in_channels, kernel[0], kernel[1]), fan_in),
+            he_fill(rng, in_channels * kernel[0] * kernel[1]),
             "weight",
+            (out_channels, in_channels, kernel[0], kernel[1]),
         )
-        self.bias = Tensor(np.zeros(out_channels), "bias") if bias else None
+        self.bias = Tensor(0.0, "bias", (out_channels,)) if bias else None
         self._tap_indices: dict[tuple[int, int], _ConvPiece] = {}
-
-    def _local_params(self):
-        params = [("weight", self.weight)]
-        if self.bias is not None:
-            params.append(("bias", self.bias))
-        return params
 
     def out_shape(self, h: int, w: int) -> tuple[int, int]:
         return (
@@ -790,14 +803,11 @@ def sweep_workers(blocks: int) -> int:
 
 
 class _Optimizer:
-    """Parameter list, ``zero_grad`` and the blocked in-place update sweep.
+    """``zero_grad`` and the blocked in-place update sweep over a ``ParamStore``.
 
-    The optimizer owns a flat arena: one values array, one gradient array and
-    one array per optimizer state, each holding every parameter side by side
-    in parameter order. Each ``Tensor``'s ``data`` and gradient are views of
-    the first two, and ``_ranges`` holds each parameter's range of all of
-    them. Construction copies the values in one parameter at a time, so each
-    old array can be freed as its tensor is rebound.
+    The optimizer allocates only its states: one flat array per state, laid
+    out like the store's values and gradients, so each parameter's range in
+    ``store.ranges`` is its range of all of them.
 
     A step merges the ranges of the parameters that have a gradient into
     contiguous runs, cuts the runs into flat blocks of at most
@@ -820,29 +830,14 @@ class _Optimizer:
     follows the process's CPU affinity and the number of elements alone,
     with no setting. Every element goes through the same operations in the
     same order as the unblocked formula, so results are bit-identical
-    whatever the worker count and the hand-offs. A parameter listed twice
-    raises: no sweep could update it correctly.
+    whatever the worker count and the hand-offs.
     """
 
-    def __init__(self, params: Sequence[Tensor], lr: float, states: int = 0):
-        self.params = list(params)
-        self._index: dict[int, int] = {}  # id(param) -> its position in params
-        for i, p in enumerate(self.params):
-            if id(p) in self._index:
-                raise ValueError(f"parameter {p.name!r} is listed twice")
-            self._index[id(p)] = i
+    def __init__(self, store: ParamStore, lr: float, states: int = 0):
+        self.store = store
         self.lr = lr
-        self._ranges: list[slice] = []
-        end = 0
-        for p in self.params:
-            self._ranges.append(slice(end, end + p.data.size))
-            end += p.data.size
-        self._values, self._grads = np.empty(end), np.zeros(end)
-        for p, span in zip(self.params, self._ranges):
-            shape = p.data.shape
-            p._pack(self._values[span].reshape(shape), self._grads[span].reshape(shape))
-        self._states = [np.zeros(end) for _ in range(states)]
-        self._block = min(SWEEP_BLOCK, end)
+        self._states = [np.zeros(store.values.size) for _ in range(states)]
+        self._block = min(SWEEP_BLOCK, store.values.size)
         self._spare: list[tuple[np.ndarray, np.ndarray]] = []  # scratch pairs no worker holds
         self._lock = threading.Lock()
         self._end_step()
@@ -850,14 +845,14 @@ class _Optimizer:
     def _end_step(self) -> None:
         """Forget the open step: its update, hand-offs, blocks and workers."""
         self._update: Callable | None = None
-        self._handed = [False] * len(self.params)
+        self._handed = [False] * len(self.store.params)
         self._blocks: list[slice] = []
         self._taken = 0  # blocks some worker has taken; with _draining, under _lock
         self._draining = 0  # pooled workers that have not yet found the list empty
         self._pools: list = []  # (pool, futures) per start of pooled workers
 
     def zero_grad(self) -> None:
-        for p in self.params:
+        for p in self.store.params:
             p.zero_grad()
 
     def _next_update(self) -> Callable:
@@ -871,14 +866,14 @@ class _Optimizer:
         ``step`` (or ``join``) returns, nothing may read or write their values
         or gradients. With one usable core, or a model too small to share,
         the hand-off reads no parameter list at all."""
-        if sweep_workers(-(-self._values.size // SWEEP_BLOCK)) < 2:
+        if sweep_workers(-(-self.store.values.size // SWEEP_BLOCK)) < 2:
             return
         indices = []
         for p in module.params():
-            if id(p) not in self._index:
+            if id(p) not in self.store.index:
                 raise ValueError(f"parameter {p.name!r} is not in this optimizer")
-            indices.append(self._index[id(p)])
-        elements = sum(self.params[i].data.size for i in indices)
+            indices.append(self.store.index[id(p)])
+        elements = sum(self.store.params[i].data.size for i in indices)
         if sweep_workers(-(-elements // SWEEP_BLOCK)) > 1:
             self._share(indices)
 
@@ -913,15 +908,12 @@ class _Optimizer:
             self._update = self._next_update()
         runs: list[list[int]] = []  # [start, stop) ranges of parameters with a gradient
         for i in indices:
-            p, span = self.params[i], self._ranges[i]
+            p, span = self.store.params[i], self.store.ranges[i]
             if self._handed[i]:
                 raise ValueError(f"parameter {p.name!r} is handed off twice in one step")
             self._handed[i] = True
-            if p.data.base is not self._values:
-                raise RuntimeError(
-                    f"parameter {p.name!r} has left this optimizer's arena (its data "
-                    "was rebound, or a newer optimizer took it over)"
-                )
+            if p.data.base is not self.store.values:
+                raise RuntimeError(f"parameter {p.name!r} has left its store (data rebound)")
             if p.grad is None:
                 continue  # splits the run around it
             if runs and runs[-1][1] == span.start:
@@ -955,7 +947,7 @@ class _Optimizer:
             scratch = self._spare.pop() if self._spare else None
         if scratch is None:
             scratch = (np.empty(self._block), np.empty(self._block))
-        values, grads, states = self._values, self._grads, self._states
+        values, grads, states = self.store.values, self.store.grads, self._states
         try:
             with np.errstate(**(errors or np.geterr())):
                 while True:
@@ -998,12 +990,12 @@ class Adam(_Optimizer):
 
     def __init__(
         self,
-        params: Sequence[Tensor],
+        store: ParamStore,
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ):
-        super().__init__(params, lr, states=2)
+        super().__init__(store, lr, states=2)
         self.betas = betas
         self.eps = eps
         self._t = 0

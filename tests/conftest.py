@@ -3,6 +3,7 @@
 import concurrent.futures
 import hashlib
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -41,6 +42,13 @@ def count_pools(monkeypatch) -> list:
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     return pools
+
+
+def he_uniform(rng, shape, fan_in):
+    """He-style uniform init with bound sqrt(6 / fan_in), one ``rng.uniform``
+    call per tensor: the oracle for the parameter store's in-place draws."""
+    bound = math.sqrt(6.0 / fan_in)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def pending(module):

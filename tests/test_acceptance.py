@@ -71,7 +71,9 @@ class TestCriterion1DimensionAudit:
 
         # encoder output stays fixed for every input shape in [1, 50]^2,
         # swept with real forward passes at scaled-down channel counts
-        encoder = ConvEncoder(ConvEncoderConfig.scaled_down(), np.random.default_rng(0))
+        encoder = ConvEncoder(
+            ConvEncoderConfig.scaled_down(), np.random.default_rng(0)
+        ).materialize()
         encoder.eval()
         encoder.enable_grad(False)
         for a in range(1, 51):
@@ -79,7 +81,7 @@ class TestCriterion1DimensionAudit:
                 assert encoder.forward([np.zeros((8, a, c))]).shape == (1, 16)
 
         # one full-width pass confirms the 1024-wide embedding
-        full = ConvEncoder(ConvEncoderConfig.default(), np.random.default_rng(0))
+        full = ConvEncoder(ConvEncoderConfig.default(), np.random.default_rng(0)).materialize()
         full.eval()
         full.enable_grad(False)
         out = full.forward([np.random.default_rng(1).standard_normal((768, 3, 4))])
@@ -120,7 +122,7 @@ class TestCriterion3OracleEquivalence:
             padding = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
             if (h + 2 * padding[0] - kh) < 0 or (w + 2 * padding[1] - kw) < 0:
                 continue
-            layer = Conv2d(c_in, c_out, (kh, kw), stride, padding, rng)
+            layer = Conv2d(c_in, c_out, (kh, kw), stride, padding, rng).materialize()
             x = rng.standard_normal((c_in, h, w))
             expected = naive_conv2d(x, layer.weight.data, layer.bias.data, stride, padding)
             np.testing.assert_allclose(

@@ -417,44 +417,73 @@ class TestPipelineCommands:
         ).read_bytes()
 
 
-class TestExtractFeaturesFollowsLayout:
-    """An existing layout fixes N, T, direction and provider; retrieval.* and
-    provider.* cannot move them."""
+class TestStoredSettingsHold:
+    """A checkpoint or an existing layout fixes N, T, direction and provider:
+    a retrieval.* or provider.* value that repeats the stored one changes
+    nothing, and one that differs fails, naming the key and the file."""
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            ["retrieval.N=5", "retrieval.T=0.0"],
-            ["retrieval.swap_direction=true"],
-            ["provider.kind=toy_hash"],
-        ],
-    )
-    def test_run_retrieval_settings_ignored(self, pipeline_dir, tmp_path, overrides):
-        out = pipeline_dir["dir"]
-        sets = [arg for item in overrides for arg in ("--set", item)]
-        code = main(
+    FILES = {
+        "predict-joint": "joint.json",
+        "predict-baseline": "baseline.json",
+        "extract-features": "layout.json",
+    }
+
+    def _run(self, pipeline_dir, reader, settings, out):
+        """``reader`` on the validation split with ``settings``; the exit code."""
+        stored = f"{pipeline_dir['dir']}/{self.FILES[reader]}"
+        if reader == "extract-features":
+            command = ["extract-features", "--split", "validation", "--layout", stored]
+        else:
+            command = ["predict", "--model", stored]
+        sets = [arg for setting in settings for arg in ("--set", setting)]
+        return main(
             pipeline_dir["base"]
             + sets
-            + [
-                "extract-features",
-                "--dataset",
-                pipeline_dir["val"],
-                "--split",
-                "validation",
-                "--corpus",
-                pipeline_dir["corpus"],
-                "--tfidf",
-                f"{out}/tfidf.json",
-                "--layout",
-                f"{out}/layout.json",
-                "--out",
-                str(tmp_path / "val.jsonl"),
-            ]
+            + command
+            + ["--dataset", pipeline_dir["val"], "--corpus", pipeline_dir["corpus"]]
+            + ["--out", str(out)]
         )
-        assert code == 0
-        assert (tmp_path / "val.jsonl").read_bytes() == (
-            out / "features_val.jsonl"
-        ).read_bytes()
+
+    @pytest.mark.parametrize("reader", list(FILES))
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "retrieval.N=5",
+            "retrieval.T=0.0",
+            "retrieval.swap_direction=true",
+            "provider.kind=toy_hash",
+            "provider.D=4",
+        ],
+    )
+    def test_set_contradicting_a_stored_setting_fails(
+        self, pipeline_dir, capsys, tmp_path, reader, setting
+    ):
+        out = tmp_path / "out.jsonl"
+        assert self._run(pipeline_dir, reader, [setting], out) == 2
+        payload = _error_payload(capsys)
+        assert payload["error"] == "SchemaError"
+        assert setting.split("=")[0] in payload["message"]
+        assert self.FILES[reader] in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reader", list(FILES))
+    def test_set_repeating_the_stored_settings_changes_nothing(
+        self, pipeline_dir, tmp_path, reader
+    ):
+        stored = [
+            "retrieval.N=3",
+            "retrieval.T=0.7",
+            "retrieval.swap_direction=false",
+            "provider.kind=tfidf_cosine",
+            "provider.D=8",
+            "provider.seed=0",
+        ]
+        assert self._run(pipeline_dir, reader, stored, tmp_path / "set.jsonl") == 0
+        assert self._run(pipeline_dir, reader, [], tmp_path / "plain.jsonl") == 0
+        assert (tmp_path / "set.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
+        if reader == "extract-features":
+            want = pipeline_dir["dir"] / "features_val.jsonl"
+            assert (tmp_path / "set.jsonl").read_bytes() == want.read_bytes()
 
 
 class TestExtractFeaturesTfidfOptional:

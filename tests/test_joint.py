@@ -40,9 +40,16 @@ from medrank.providers import ProviderConfig, TfidfCosineProvider, fit_tfidf, tf
 from medrank.retrieval import EntailmentIndex, RetrievalConfig, retrieve
 from medrank.synth import SynthConfig, generate
 from medrank import tensornet
-from medrank.tensornet import Linear, Module, Tensor, conv_out_dim, logit_bce, sigmoid
+from medrank.tensornet import Linear, Module, conv_out_dim, logit_bce, sigmoid
 
-from conftest import StubProvider, count_pools, make_candidate, make_question, pending
+from conftest import (
+    StubProvider,
+    count_pools,
+    he_uniform,
+    make_candidate,
+    make_question,
+    pending,
+)
 
 
 def spatial_trace(config, a, c):
@@ -137,7 +144,7 @@ class TestConvEncoder:
     def test_output_length_fixed_across_input_sizes(self):
         rng = np.random.default_rng(0)
         config = ConvEncoderConfig.scaled_down()
-        encoder = ConvEncoder(config, rng)
+        encoder = ConvEncoder(config, rng).materialize()
         encoder.eval()
         encoder.enable_grad(False)
         for a in (1, 2, 5, 11):
@@ -150,7 +157,9 @@ class TestConvEncoder:
         assert ConvEncoderConfig.scaled_down().out_dim == 16
 
     def test_zero_weight_encoder_outputs_zeros(self):
-        encoder = ConvEncoder(ConvEncoderConfig.scaled_down(), np.random.default_rng(0))
+        encoder = ConvEncoder(
+            ConvEncoderConfig.scaled_down(), np.random.default_rng(0)
+        ).materialize()
         zero_params(encoder)
         encoder.eval()
         encoder.enable_grad(False)
@@ -158,17 +167,23 @@ class TestConvEncoder:
         np.testing.assert_array_equal(out, np.zeros((1, 16)))
 
     def test_wrong_channel_count_rejected(self):
-        encoder = ConvEncoder(ConvEncoderConfig.scaled_down(), np.random.default_rng(0))
+        encoder = ConvEncoder(
+            ConvEncoderConfig.scaled_down(), np.random.default_rng(0)
+        ).materialize()
         with pytest.raises(DimensionError):
             encoder.forward([np.zeros((3, 2, 2))])
 
     def test_two_dimensional_map_rejected(self):
-        encoder = ConvEncoder(ConvEncoderConfig.scaled_down(), np.random.default_rng(0))
+        encoder = ConvEncoder(
+            ConvEncoderConfig.scaled_down(), np.random.default_rng(0)
+        ).materialize()
         with pytest.raises(DimensionError):
             encoder.forward([np.zeros((8, 3))])
 
     def test_no_maps_give_no_rows(self):
-        encoder = ConvEncoder(ConvEncoderConfig.scaled_down(), np.random.default_rng(0))
+        encoder = ConvEncoder(
+            ConvEncoderConfig.scaled_down(), np.random.default_rng(0)
+        ).materialize()
         rows = encoder.forward([])
         assert rows.shape == (0, encoder.out_dim)
         assert encoder.backward(rows) == []
@@ -640,6 +655,31 @@ class TestCheckpoint:
         save_joint_model(model, tmp_path / "b.json", config, pc, provider.model)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        train, _, _, provider, index, model = small_world(questions=4, seed=8)
+        config = TrainConfig(epochs=1, seed=8)
+        train_joint(model, train, index, provider, config)  # moves the running stats
+        pc = ProviderConfig(kind="tfidf_cosine", D=8, seed=0)
+        save_joint_model(model, tmp_path / "a.json", config, pc, provider.model)
+        loaded, _ = load_joint_model(tmp_path / "a.json")
+        assert loaded.store.values.tobytes() == model.store.values.tobytes()
+        save_joint_model(loaded, tmp_path / "b.json", config, pc, provider.model)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_load_makes_no_random_draw(self, tmp_path, monkeypatch):
+        _, _, _, provider, _, model = small_world(questions=4, seed=8)
+        pc = ProviderConfig(kind="tfidf_cosine", D=8, seed=0)
+        config = TrainConfig(epochs=1, seed=8)
+        save_joint_model(model, tmp_path / "a.json", config, pc, provider.model)
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"loading called the generator's {name}")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
+        loaded, _ = load_joint_model(tmp_path / "a.json")
+        assert loaded.store.values.tobytes() == model.store.values.tobytes()
+
     @pytest.mark.parametrize("kind", ["param", "buffer"])
     def test_non_finite_state_writes_nothing(self, tmp_path, kind):
         _, _, _, provider, _, model = small_world(questions=4, seed=8)
@@ -653,10 +693,45 @@ class TestCheckpoint:
         assert not path.exists()
 
 
+class TestStoreInit:
+    def test_store_init_matches_per_tensor_draws(self, monkeypatch):
+        # Every parameter of the scaled-down joint model, drawn in place in
+        # its store, has the bytes of one rng.uniform call per He weight in
+        # construction order; the generator is left where those leave it.
+        model = small_world(questions=4, seed=8)[-1]
+        default_rng, made = np.random.default_rng, []
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1]
+        )
+        built = build_joint_model(
+            model.layout,
+            model.tfidf,
+            model.encoder.config,
+            model.rqe_dim,
+            seed=8,
+            filter_config=model.filter_config,
+            pair_config=model.pair_config,
+        )
+        oracle = default_rng(8)
+        kinds = set()
+        for name, tensor in built.named_params():
+            kind = name.rsplit(".", 1)[1]
+            kinds.add(kind)
+            if kind == "weight":
+                want = he_uniform(oracle, tensor.shape, math.prod(tensor.shape[1:]))
+            else:
+                want = np.full(tensor.shape, 1.0 if kind == "gamma" else 0.0)
+            assert tensor.data.tobytes() == want.tobytes(), name
+            assert tensor.data.base is built.store.values
+        assert kinds == {"weight", "bias", "gamma", "beta"}
+        (rng,) = made
+        assert rng.random() == oracle.random()
+
+
 class TestHeads:
     def test_head_ends_in_its_logit_layer(self):
         rng = np.random.default_rng(0)
-        head = build_head(HeadConfig.scaled_filter(48), rng)
+        head = build_head(HeadConfig.scaled_filter(48), rng).materialize()
         head.eval()
         head.enable_grad(False)
         x = rng.standard_normal((5, 48))
@@ -672,7 +747,7 @@ class TestHeads:
         # Every logit sits at or below -40 with target 1: the loss gradient of
         # each is -1, so linear1 gets what a seed of -1 per row gives it.
         rng = np.random.default_rng(4)
-        head = build_head(HeadConfig.scaled_filter(48), rng)
+        head = build_head(HeadConfig.scaled_filter(48), rng).materialize()
         x = rng.standard_normal((4, 48))
         head.enable_grad(False)
         head.layers[-1].bias.data -= 40.0 + head.forward(x).max()
@@ -695,7 +770,7 @@ class TestHeads:
 
     def test_eval_determinism(self):
         rng = np.random.default_rng(0)
-        head = build_head(HeadConfig.scaled_filter(48), rng)
+        head = build_head(HeadConfig.scaled_filter(48), rng).materialize()
         head.eval()
         head.enable_grad(False)
         x = rng.standard_normal((3, 48))
@@ -976,30 +1051,32 @@ class TestTrainingExactness:
         ours, ref = trainers[0].optimizer, trainers[1].optimizer
         for optimizer in (ours, ref):
             m = optimizer._states[0]
-            assert all(m[span].any() for span in optimizer._ranges)
+            assert all(m[span].any() for span in optimizer.store.ranges)
         for moment, our_state, ref_state in zip("mv", ours._states, ref._states):
-            for (name, _), span in zip(model.named_params(), ours._ranges):
+            for (name, _), span in zip(model.named_params(), ours.store.ranges):
                 assert our_state[span].tobytes() == ref_state[span].tobytes(), f"{moment} {name}"
         for (name, buffer), (_, ref) in zip(model.named_buffers(), twin.named_buffers()):
             assert buffer.tobytes() == ref.tobytes(), name
 
 
 class Unused(Module):
-    """Identity layer whose parameter backward leaves without a gradient."""
+    """A layer whose backward leaves its parameters without a gradient."""
 
-    def __init__(self):
+    def __init__(self, inner):
         super().__init__()
-        self.weight = Tensor(np.ones(3), "weight")
+        self.inner = inner
 
-    def _local_params(self):
-        return [("weight", self.weight)]
+    def children(self):
+        return [("inner", self.inner)]
 
     def forward(self, x):
-        return x
+        return self.inner.forward(x)
 
     def backward(self, grad_out):
-        self.weight.grad = None
-        return grad_out
+        grad_in = self.inner.backward(grad_out)
+        for tensor in self.inner.params():
+            tensor.grad = None
+        return grad_in
 
 
 class FailingBackward(Module):
@@ -1044,8 +1121,7 @@ class TestHandOffTraining:
         shares = _force_overlap(monkeypatch, workers)
         pools = count_pools(monkeypatch)
         train, _, _, provider, index, model = small_world(questions=3, seed=9)
-        model.pair_head.layers.insert(3, Unused())
-        model.pair_head.names.insert(3, "unused")
+        model.pair_head.layers[3] = Unused(model.pair_head.layers[3])
         trainer = JointTrainer(
             model, provider, index, TrainConfig(seed=9, lr=0.01, optimizer=optimizer)
         )
@@ -1146,7 +1222,7 @@ class TestHeadForward:
     @pytest.mark.parametrize("training", [True, False])
     def test_one_row_batch_keeps_the_head_mode(self, training):
         rng = np.random.default_rng(0)
-        head = build_head(HeadConfig.scaled_filter(48), rng)
+        head = build_head(HeadConfig.scaled_filter(48), rng).materialize()
         row = rng.standard_normal((1, 48))
         head.train(False)
         head.enable_grad(False)

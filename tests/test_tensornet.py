@@ -23,6 +23,7 @@ from medrank.tensornet import (
     Linear,
     Maps,
     Module,
+    ParamStore,
     QuadrantPool,
     ReLU,
     SGD,
@@ -31,7 +32,6 @@ from medrank.tensornet import (
     Sequential,
     Tensor,
     conv_out_dim,
-    he_uniform,
     logit_bce,
     read_manifest,
     sigmoid,
@@ -39,7 +39,7 @@ from medrank.tensornet import (
     write_manifest,
 )
 
-from conftest import count_pools, pending
+from conftest import count_pools, he_uniform, pending
 
 
 def naive_conv2d(x, weight, bias, stride, padding):
@@ -167,20 +167,20 @@ class TestActivations:
 class TestLinear:
     def test_identity(self):
         rng = np.random.default_rng(0)
-        layer = Linear(3, 3, rng)
+        layer = Linear(3, 3, rng).materialize()
         layer.weight.data = np.eye(3)
         layer.bias.data = np.zeros(3)
         x = rng.standard_normal((4, 3))
         np.testing.assert_array_equal(layer.forward(x), x)
 
     def test_shape_mismatch(self):
-        layer = Linear(3, 2, np.random.default_rng(0))
+        layer = Linear(3, 2, np.random.default_rng(0)).materialize()
         with pytest.raises(DimensionError):
             layer.forward(np.zeros((4, 5)))
 
     def test_gradient(self):
         rng = np.random.default_rng(1)
-        layer = Linear(4, 3, rng)
+        layer = Linear(4, 3, rng).materialize()
         x = rng.standard_normal((5, 4))
         r = rng.standard_normal((5, 3))
         layer.zero_grad()
@@ -201,7 +201,7 @@ class TestConv2d:
 
     def test_one_by_one_kernel_preserves_spatial_dims(self):
         rng = np.random.default_rng(0)
-        layer = Conv2d(3, 2, (1, 1), rng=rng)
+        layer = Conv2d(3, 2, (1, 1), (1, 1), (0, 0), rng).materialize()
         out = layer.forward(pack(rng.standard_normal((1, 3, 5, 7))))
         assert out.data.shape == (2, 35) and out.shapes == ((5, 7),)
 
@@ -218,7 +218,7 @@ class TestConv2d:
             padding = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
             if (h + 2 * padding[0] - kh) < 0 or (w + 2 * padding[1] - kw) < 0:
                 continue
-            layer = Conv2d(c_in, c_out, (kh, kw), stride, padding, rng)
+            layer = Conv2d(c_in, c_out, (kh, kw), stride, padding, rng).materialize()
             x = rng.standard_normal((c_in, h, w))
             expected = naive_conv2d(
                 x, layer.weight.data, layer.bias.data, stride, padding
@@ -247,7 +247,7 @@ class TestConv2d:
             )
             seen["no_bias"] += not bias
             seen["padding_2"] += 2 in padding
-            layer = Conv2d(c_in, c_out, kernel, stride, padding, rng, bias=bias)
+            layer = Conv2d(c_in, c_out, kernel, stride, padding, rng, bias=bias).materialize()
             bias_data = layer.bias.data if bias else None
             x = rng.standard_normal((c_in, h, w))
             expected, padded = windowed_conv2d_forward(
@@ -287,7 +287,7 @@ class TestConv2d:
         # The encoder's geometries on either side of the input-cell rule
         # (fewer input cells than output cells), over mixed packed shapes.
         rng = np.random.default_rng(11)
-        layer = Conv2d(3, 4, kernel, stride, padding, rng)
+        layer = Conv2d(3, 4, kernel, stride, padding, rng).materialize()
         shapes = [
             (h, w)
             for h, w in ((1, 1), (3, 2), (2, 3), (1, 3), (3, 3), (4, 5))
@@ -328,7 +328,7 @@ class TestConv2d:
         monkeypatch.setattr(tensornet, "TAP_INDEX_CACHE", cached_shapes)
         rng = np.random.default_rng(8)
         stride, padding = (2, 1), (1, 2)
-        layer = Conv2d(3, 2, (3, 2), stride, padding, rng)
+        layer = Conv2d(3, 2, (3, 2), stride, padding, rng).materialize()
         weight, bias = layer.weight.data, layer.bias.data
         maps = [rng.standard_normal((3, h, w)) for h, w in ((4, 5), (4, 7), (6, 5))]
         singles = []
@@ -353,7 +353,7 @@ class TestConv2d:
 
     def test_forward_caches_only_the_padded_map(self):
         rng = np.random.default_rng(9)
-        layer = Conv2d(4, 5, (3, 3), (1, 1), (2, 1), rng)
+        layer = Conv2d(4, 5, (3, 3), (1, 1), (2, 1), rng).materialize()
         x = rng.standard_normal((2, 4, 3, 6))
         layer.forward(pack(x))
         (ctx,) = layer._ctx
@@ -376,7 +376,7 @@ class TestConv2d:
 
     def test_gradient(self):
         rng = np.random.default_rng(2)
-        layer = Conv2d(2, 3, (3, 3), (2, 2), (1, 1), rng)
+        layer = Conv2d(2, 3, (3, 3), (2, 2), (1, 1), rng).materialize()
         x = pack(rng.standard_normal((1, 2, 5, 5)))
         r = pack(rng.standard_normal((1, 3, 3, 3)))
         layer.zero_grad()
@@ -388,7 +388,7 @@ class TestConv2d:
 
     def test_input_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(3)
-        layer = Conv2d(2, 2, (2, 2), (1, 1), (1, 1), rng)
+        layer = Conv2d(2, 2, (2, 2), (1, 1), (1, 1), rng).materialize()
         x = rng.standard_normal((2, 3, 3))
         r = pack(rng.standard_normal((1, 2, 4, 4)))
         layer.forward(pack([x]))
@@ -476,13 +476,13 @@ class TestQuadrantPool:
 
 class TestBatchNorm:
     def test_eval_identity_at_default_stats(self):
-        bn = BatchNorm1d(3)
+        bn = BatchNorm1d(3).materialize()
         bn.eval()
         x = np.array([[1.0, -2.0, 0.5], [0.0, 1.0, 2.0]])
         np.testing.assert_allclose(bn.forward(x), x, atol=1e-5 * np.abs(x).max() + 1e-6)
 
     def test_train_normalizes_to_beta_gamma(self):
-        bn = BatchNorm1d(2)
+        bn = BatchNorm1d(2).materialize()
         bn.gamma.data[:] = [2.0, 0.5]
         bn.beta.data[:] = [1.0, -1.0]
         rng = np.random.default_rng(0)
@@ -492,17 +492,17 @@ class TestBatchNorm:
         np.testing.assert_allclose(y.std(axis=0), [2.0, 0.5], rtol=1e-4)
 
     def test_batch_of_one_rejected_in_train_mode(self):
-        bn = BatchNorm1d(2)
+        bn = BatchNorm1d(2).materialize()
         with pytest.raises(DimensionError):
             bn.forward(np.zeros((1, 2)))
 
     def test_batch_of_one_works_in_eval_mode(self):
-        bn = BatchNorm1d(2)
+        bn = BatchNorm1d(2).materialize()
         bn.eval()
         assert bn.forward(np.ones((1, 2))).shape == (1, 2)
 
     def test_running_stats_track_data(self):
-        bn = BatchNorm1d(1, momentum=0.5)
+        bn = BatchNorm1d(1, momentum=0.5).materialize()
         x = np.array([[2.0], [4.0]])
         bn.forward(x)
         assert bn.running_mean[0] == pytest.approx(0.5 * 3.0)
@@ -511,7 +511,7 @@ class TestBatchNorm:
 
     def test_gradient_train_mode(self):
         rng = np.random.default_rng(5)
-        bn = BatchNorm1d(4)
+        bn = BatchNorm1d(4).materialize()
         bn.gamma.data[:] = rng.uniform(0.5, 1.5, 4)
         bn.beta.data[:] = rng.standard_normal(4)
         x = rng.standard_normal((6, 4))
@@ -525,7 +525,7 @@ class TestBatchNorm:
 
     def test_gradient_eval_mode(self):
         rng = np.random.default_rng(6)
-        bn = BatchNorm2d(3)
+        bn = BatchNorm2d(3).materialize()
         bn.gamma.data[:] = rng.uniform(0.5, 1.5, 3)
         bn.beta.data[:] = rng.standard_normal(3)
         bn.running_mean = rng.standard_normal(3)
@@ -542,7 +542,7 @@ class TestBatchNorm:
 
     def test_input_gradient_train_mode(self):
         rng = np.random.default_rng(7)
-        bn = BatchNorm1d(3)
+        bn = BatchNorm1d(3).materialize()
         x = rng.standard_normal((5, 3))
         r = rng.standard_normal((5, 3))
         bn.forward(x)
@@ -704,7 +704,7 @@ def twin_encoders(seed):
     """A scaled-down ConvEncoder and an identical twin for the single-map
     oracle, with random batchnorm parameters and running statistics."""
     twins = [
-        ConvEncoder(ConvEncoderConfig.scaled_down(), np.random.default_rng(seed))
+        ConvEncoder(ConvEncoderConfig.scaled_down(), np.random.default_rng(seed)).materialize()
         for _ in range(2)
     ]
     state = np.random.default_rng([seed, 1])
@@ -725,10 +725,13 @@ class TestStackedLayers:
     @pytest.mark.parametrize(
         "make, shape",
         [
-            (lambda rng: Conv2d(3, 2, (3, 2), (2, 1), (1, 2), rng), (4, 3, 5, 4)),
-            (lambda rng: Conv2d(3, 4, (1, 1), (1, 1), (0, 0), rng, bias=False), (3, 3, 1, 6)),
-            (lambda rng: BatchNorm2d(3), (4, 3, 2, 5)),
-            (lambda rng: BatchNorm2d(3).eval(), (4, 3, 2, 5)),
+            (lambda rng: Conv2d(3, 2, (3, 2), (2, 1), (1, 2), rng).materialize(), (4, 3, 5, 4)),
+            (
+                lambda rng: Conv2d(3, 4, (1, 1), (1, 1), (0, 0), rng, bias=False).materialize(),
+                (3, 3, 1, 6),
+            ),
+            (lambda rng: BatchNorm2d(3).materialize(), (4, 3, 2, 5)),
+            (lambda rng: BatchNorm2d(3).materialize().eval(), (4, 3, 2, 5)),
             (lambda rng: ReLU(), (3, 2, 4, 3)),
             (lambda rng: QuadrantPool(), (4, 3, 5, 2)),
         ],
@@ -859,7 +862,9 @@ class TestGroupedEncoderOracle:
         assert [p.calls for p in proxies] == [{"forward": 1, "backward": 1}] * len(proxies)
 
     def test_rows_come_back_in_map_order(self):
-        encoder = ConvEncoder(ConvEncoderConfig.scaled_down(), np.random.default_rng(0))
+        encoder = ConvEncoder(
+            ConvEncoderConfig.scaled_down(), np.random.default_rng(0)
+        ).materialize()
         encoder.eval()
         encoder.enable_grad(False)
         maps = encoder_map_lists(seed=3, count=2)[0]
@@ -871,7 +876,7 @@ class TestGroupedEncoderOracle:
 class TestSequentialComposite:
     def test_linear_logit_bce_gradient(self):
         rng = np.random.default_rng(8)
-        net = Sequential([Linear(4, 1, rng)])
+        net = Sequential([Linear(4, 1, rng)]).materialize()
         x = rng.standard_normal((5, 4))
         t = rng.integers(0, 2, size=5).astype(float)
         net.zero_grad()
@@ -883,7 +888,7 @@ class TestSequentialComposite:
     def test_lifo_interleaved_forwards(self):
         # Two forwards through the same net, backwards in reverse order.
         rng = np.random.default_rng(9)
-        net = Sequential([Linear(3, 2, rng), ReLU(), Linear(2, 1, rng)])
+        net = Sequential([Linear(3, 2, rng), ReLU(), Linear(2, 1, rng)]).materialize()
         x1 = rng.standard_normal((2, 3))
         x2 = rng.standard_normal((4, 3))
         r1 = rng.standard_normal((2, 1))
@@ -904,12 +909,12 @@ class TestSequentialComposite:
         assert err <= 1e-4
 
     def test_backward_without_forward_raises(self):
-        net = Sequential([Linear(2, 2, np.random.default_rng(0))])
+        net = Sequential([Linear(2, 2, np.random.default_rng(0))]).materialize()
         with pytest.raises(RuntimeError):
             net.backward(np.zeros((1, 2)))
 
     def test_no_caching_when_grad_disabled(self):
-        net = Sequential([Linear(2, 2, np.random.default_rng(0)), ReLU()])
+        net = Sequential([Linear(2, 2, np.random.default_rng(0)), ReLU()]).materialize()
         net.enable_grad(False)
         net.forward(np.zeros((3, 2)))
         assert pending(net) == 0
@@ -918,12 +923,12 @@ class TestSequentialComposite:
 def _weight_layers(rng):
     """A Linear and two Conv2d layers, one per backward form, with an input
     and an output gradient for each."""
-    linear = Linear(4, 3, rng)
-    conv = Conv2d(2, 3, (2, 3), stride=(1, 2), padding=(1, 1), rng=rng)
+    linear = Linear(4, 3, rng).materialize()
+    conv = Conv2d(2, 3, (2, 3), stride=(1, 2), padding=(1, 1), rng=rng).materialize()
     maps = Maps.pack([rng.standard_normal((2, 4, 5)), rng.standard_normal((2, 3, 2))])
     # Stride 1 and padding that grows the maps: fewer input cells (7) than
     # output cells (15), so the input-cell form.
-    padded_conv = Conv2d(2, 3, (3, 3), padding=(2, 1), rng=rng)
+    padded_conv = Conv2d(2, 3, (3, 3), (1, 1), (2, 1), rng).materialize()
     small_maps = Maps.pack([rng.standard_normal((2, 2, 3)), rng.standard_normal((2, 1, 1))])
 
     def linear_case():
@@ -1013,6 +1018,7 @@ class TestGradientContract:
 
     def test_first_contribution_without_zero_grad_writes(self):
         w = Tensor(np.zeros((2, 3)), "w")
+        ParamStore([w])
         a, b = np.arange(4.0).reshape(2, 2), np.arange(6.0).reshape(2, 3)
         w.add_matmul(a, b)
         np.testing.assert_array_equal(w.grad, a @ b)
@@ -1022,6 +1028,7 @@ class TestGradientContract:
     @pytest.mark.parametrize("bad", [np.ones(3), np.ones((3, 2)), 1.0])
     def test_wrong_gradient_shape_raises(self, bad):
         w = Tensor(np.zeros((2, 3)), "w")
+        ParamStore([w])
         w.zero_grad()
         with pytest.raises(DimensionError, match="'w'"):
             w.add_grad(bad)
@@ -1032,6 +1039,7 @@ class TestGradientContract:
 
     def test_wrong_product_shape_raises(self):
         w = Tensor(np.zeros((2, 3)), "w")
+        ParamStore([w])
         w.zero_grad()
         with pytest.raises(DimensionError, match="'w'"):
             w.add_matmul(np.ones((3, 1)), np.ones((1, 2)))
@@ -1041,31 +1049,34 @@ class TestGradientContract:
 class TestOptimizers:
     def test_sgd_zero_gradient_is_noop(self):
         w = Tensor(np.array([1.0, -2.0]))
+        store = ParamStore([w])
         w.zero_grad()
-        SGD([w], lr=0.5).step()
+        SGD(store, lr=0.5).step()
         np.testing.assert_array_equal(w.data, [1.0, -2.0])
 
     def test_sgd_hand_step_on_square(self):
         # f(w) = w^2, f'(1) = 2; one step at lr 0.1 gives 0.8
         w = Tensor(np.array([1.0]))
+        store = ParamStore([w])
         w.grad = np.array([2.0])
-        SGD([w], lr=0.1).step()
+        SGD(store, lr=0.1).step()
         assert w.data[0] == pytest.approx(0.8, abs=1e-12)
 
     def test_adam_first_step_direction(self):
         rng = np.random.default_rng(0)
         w = Tensor(rng.standard_normal(6))
+        store = ParamStore([w])
         grad = rng.standard_normal(6)
         grad[np.abs(grad) < 0.1] = 0.5
         w.grad = grad.copy()
         before = w.data.copy()
-        Adam([w], lr=1e-3).step()
+        Adam(store, lr=1e-3).step()
         moved = w.data - before
         np.testing.assert_array_equal(np.sign(moved), -np.sign(grad))
 
     def test_adam_converges_on_quadratic(self):
         w = Tensor(np.array([3.0]))
-        opt = Adam([w], lr=0.1)
+        opt = Adam(ParamStore([w]), lr=0.1)
         for _ in range(200):
             w.grad = 2.0 * w.data
             opt.step()
@@ -1125,7 +1136,7 @@ class TestInPlaceOptimizers:
 
     def _run(self, optimizer_cls, data, grads, **kwargs):
         tensors = [Tensor(d.copy(order="K")) for d in data]
-        optimizer = optimizer_cls(tensors, **kwargs)
+        optimizer = optimizer_cls(ParamStore(tensors), **kwargs)
         for step_grads in grads:
             for tensor, g in zip(tensors, step_grads):
                 tensor.grad = None if g is None else g.copy()
@@ -1147,13 +1158,14 @@ class TestInPlaceOptimizers:
             np.testing.assert_array_equal(g, w)
 
     def test_zero_grad_reuses_buffer(self):
-        # From construction on the buffer is the optimizer's arena view; each
-        # zero_grad keeps it and writes nothing, and reading it zero-fills it.
+        # From birth on the buffer is the store's view; each zero_grad keeps
+        # it and writes nothing, and reading it zero-fills it.
         w = Tensor(np.ones((2, 3)))
+        store = ParamStore([w])
         w.zero_grad()
-        optimizer = Adam([w])
+        optimizer = Adam(store)
         buffer = w.grad
-        assert buffer.base is optimizer._grads
+        assert buffer.base is store.grads
         for _ in range(2):
             buffer += 5.0
             optimizer.zero_grad()
@@ -1164,7 +1176,7 @@ class TestInPlaceOptimizers:
     @pytest.mark.parametrize("optimizer_cls", [Adam, SGD])
     def test_step_allocates_no_weight_sized_temporary(self, optimizer_cls):
         w = Tensor(np.full(2**21, 0.5))
-        optimizer = optimizer_cls([w], lr=1e-3)
+        optimizer = optimizer_cls(ParamStore([w]), lr=1e-3)
         optimizer.zero_grad()
         optimizer.step()
         tracemalloc.start()
@@ -1212,7 +1224,7 @@ class TestPooledSweep:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
         tensors = [Tensor(d.copy()) for d in data]
-        optimizer = optimizer_cls(tensors, **kwargs)
+        optimizer = optimizer_cls(ParamStore(tensors), **kwargs)
         for step_grads in grads:
             for tensor, g in zip(tensors, step_grads):
                 tensor.grad = None if g is None else g.copy()
@@ -1246,9 +1258,10 @@ class TestPooledSweep:
         grads[0][0][0] = 1e200
         monkeypatch.setattr(tensornet, "sweep_workers", lambda blocks: 3)
         tensors = [Tensor(d.copy()) for d in data]
+        store = ParamStore(tensors)
         for tensor, g in zip(tensors, grads[0]):
             tensor.grad = None if g is None else g.copy()
-        optimizer = Adam(tensors)
+        optimizer = Adam(store)
         before = threading.active_count()
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             optimizer.step()
@@ -1262,9 +1275,10 @@ class TestPooledSweep:
         small = 4 * SWEEP_MIN_BLOCKS
         sizes = [SWEEP_MIN_BLOCKS * SWEEP_BLOCK, (SWEEP_MIN_BLOCKS - 1) * SWEEP_BLOCK - small]
         tensors = [Tensor(rng.standard_normal(n)) for n in sizes + [1] * small]
+        store = ParamStore(tensors)
         for t in tensors:
             t.grad = rng.standard_normal(t.data.shape)
-        optimizer = Adam(tensors)
+        optimizer = Adam(store)
 
         def no_thread(self):
             raise AssertionError("the sweep started a thread")
@@ -1308,7 +1322,7 @@ class TestHandOff:
         monkeypatch.setattr(tensornet, "sweep_workers", lambda blocks: workers)
         data, grads = self._problem(seed)
         tensors = [Tensor(d.copy()) for d in data]
-        optimizer = optimizer_cls(tensors, lr=0.01)
+        optimizer = optimizer_cls(ParamStore(tensors), lr=0.01)
         for step_grads in grads:
             for tensor, g in zip(tensors, step_grads):
                 tensor.grad = None if g is None else g.copy()
@@ -1355,9 +1369,10 @@ class TestHandOff:
 
         data, grads = self._problem()
         tensors = [Tensor(d.copy()) for d in data]
+        store = ParamStore(tensors)
         for tensor, g in zip(tensors, grads[0]):
             tensor.grad = g
-        optimizer = GatedSGD(tensors, lr=0.1)
+        optimizer = GatedSGD(store, lr=0.1)
         optimizer.hand_off(Holder(tensors[:3]))
         optimizer.hand_off(Holder(tensors[3:5]))
         gate.set()
@@ -1375,9 +1390,10 @@ class TestHandOff:
         data = [rng.standard_normal(n) for n in (model_blocks * SWEEP_BLOCK, 40, 7)]
         grads = [[rng.standard_normal(d.shape) for d in data]]
         tensors = [Tensor(d.copy()) for d in data]
+        store = ParamStore(tensors)
         for tensor, g in zip(tensors, grads[0]):
             tensor.grad = g
-        optimizer = SGD(tensors, lr=0.1)
+        optimizer = SGD(store, lr=0.1)
 
         def no_thread(self):
             raise AssertionError("the hand-off started a thread")
@@ -1399,11 +1415,14 @@ class TestHandOff:
     def test_foreign_or_repeated_hand_off_raises(self, monkeypatch):
         monkeypatch.setattr(tensornet, "sweep_workers", lambda blocks: 2)
         tensors = [Tensor(np.ones(4)), Tensor(np.ones(3))]
+        store = ParamStore(tensors)
         for tensor in tensors:
             tensor.grad = np.ones(tensor.shape)
-        optimizer = SGD(tensors, lr=0.1)
+        optimizer = SGD(store, lr=0.1)
+        stranger = Tensor(np.ones(2), "stranger")
+        ParamStore([stranger])
         with pytest.raises(ValueError, match="not in this optimizer"):
-            optimizer.hand_off(Holder([Tensor(np.ones(2), "stranger")]))
+            optimizer.hand_off(Holder([stranger]))
         optimizer.hand_off(Holder(tensors[:1]))
         with pytest.raises(ValueError, match="handed off twice"):
             optimizer.hand_off(Holder(tensors[:1]))
@@ -1416,9 +1435,8 @@ class TestHandOff:
 
 
 class TestArena:
-    """Every parameter, whatever its size, lives in the flat arrays the
-    optimizer owns; sweeping their runs gives the unblocked formulas'
-    bytes."""
+    """Every parameter, whatever its size, is born in the flat arrays of its
+    store; sweeping their runs gives the unblocked formulas' bytes."""
 
     STEPS = 3
 
@@ -1441,7 +1459,7 @@ class TestArena:
     def _run(self, monkeypatch, workers, optimizer_cls, data, grads, **kwargs):
         monkeypatch.setattr(tensornet, "sweep_workers", lambda blocks: workers)
         tensors = [Tensor(d.copy()) for d in data]
-        optimizer = optimizer_cls(tensors, **kwargs)
+        optimizer = optimizer_cls(ParamStore(tensors), **kwargs)
         for step_grads in grads:
             for tensor, g in zip(tensors, step_grads):
                 tensor.grad = None if g is None else g.copy()
@@ -1453,7 +1471,8 @@ class TestArena:
         data, grads = self._problem()
         tensors, optimizer = self._run(monkeypatch, workers, Adam, data, grads, lr=0.01)
         want = reference_adam(data, grads, 0.01, (0.9, 0.999), 1e-8, moments=True)
-        m, v = ([state[span] for span in optimizer._ranges] for state in optimizer._states)
+        ranges = optimizer.store.ranges
+        m, v = ([state[span] for span in ranges] for state in optimizer._states)
         got = [t.data for t in tensors], m, v
         for got_arrays, want_arrays in zip(got, want):
             assert [a.tobytes() for a in got_arrays] == [a.tobytes() for a in want_arrays]
@@ -1469,72 +1488,80 @@ class TestArena:
     def test_every_parameter_is_a_view_of_the_flat_arrays(self, optimizer_cls, states):
         data, grads = self._problem()
         tensors = [Tensor(d.copy()) for d in data]
+        store = ParamStore(tensors)
         for tensor, g in zip(tensors, grads[0]):
             tensor.grad = g
-        optimizer = optimizer_cls(tensors, lr=0.1)
+        optimizer = optimizer_cls(store, lr=0.1)
         ends = np.cumsum([0] + [d.size for d in data])
-        assert optimizer._ranges == [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
-        arrays = [optimizer._values, optimizer._grads, *optimizer._states]
+        assert store.ranges == [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+        arrays = [store.values, store.grads, *optimizer._states]
         assert len(arrays) == 2 + states
         assert all(a.shape == (ends[-1],) and a.base is None for a in arrays)
-        for tensor, span, d, g in zip(tensors, optimizer._ranges, data, grads[0]):
-            assert tensor.data.base is optimizer._values and tensor.grad.base is optimizer._grads
-            assert np.shares_memory(tensor.data, optimizer._values[span])
-            assert np.shares_memory(tensor.grad, optimizer._grads[span])
-            assert optimizer._values[span].tobytes() == d.tobytes()
-            assert optimizer._grads[span].tobytes() == g.tobytes()
+        for tensor, span, d, g in zip(tensors, store.ranges, data, grads[0]):
+            assert tensor.data.base is store.values and tensor.grad.base is store.grads
+            assert np.shares_memory(tensor.data, store.values[span])
+            assert np.shares_memory(tensor.grad, store.grads[span])
+            assert store.values[span].tobytes() == d.tobytes()
+            assert store.grads[span].tobytes() == g.tobytes()
 
     def test_construction_frees_the_original_arrays(self):
-        # No second copy of the values or gradients outlives construction:
-        # each tensor's old arrays are dropped as it moves into the arena.
+        # No second copy of the values outlives birth: the store drops each
+        # tensor's initial array once it is written in.
         rng = np.random.default_rng(5)
         sizes = (SWEEP_BLOCK - 1, SWEEP_BLOCK, 2 * SWEEP_BLOCK + 3)
-        tensors = [Tensor(rng.standard_normal(n)) for n in sizes]
-        for tensor in tensors:
-            tensor.grad = rng.standard_normal(tensor.shape)
-        originals = [weakref.ref(a) for t in tensors for a in (t.data, t.grad)]
-        Adam(tensors)
+        arrays = [rng.standard_normal(n) for n in sizes]
+        originals = [weakref.ref(a) for a in arrays]
+        tensors = [Tensor(a) for a in arrays]
+        del arrays
+        assert all(ref() is not None for ref in originals)  # held until birth
+        ParamStore(tensors)
         assert [ref() for ref in originals] == [None] * len(originals)
 
     def test_construction_keeps_values_and_gradients(self):
+        # Birth writes each initial value C-ordered into the store; building
+        # an optimizer then leaves every value and gradient as it was.
         rng = np.random.default_rng(3)
-        fresh = Tensor(rng.standard_normal((3, 4)))
-        fresh.data = np.asfortranarray(fresh.data)  # rebinding before construction is fine
-        fresh_grad = rng.standard_normal((3, 4))
-        fresh.grad = fresh_grad.copy()
-        stale = Tensor(rng.standard_normal((2, 1, 3)))
-        stale.grad = np.ones((2, 1, 3))
-        stale.zero_grad()
-        bare = Tensor(rng.standard_normal(2))
-        edge = Tensor(rng.standard_normal(SWEEP_BLOCK - 1))
-        big = Tensor(rng.standard_normal(SWEEP_BLOCK))
-        edge.grad, big.grad = rng.standard_normal(SWEEP_BLOCK - 1), rng.standard_normal(SWEEP_BLOCK)
-        tensors = [fresh, stale, bare, edge, big]
-        values = [t.data.copy() for t in tensors]
-        big_grad = big.grad.copy()
-
-        optimizer = Adam(tensors)
+        values = [
+            np.asfortranarray(rng.standard_normal((3, 4))),
+            rng.standard_normal((2, 1, 3)),
+            rng.standard_normal(2),
+            rng.standard_normal(SWEEP_BLOCK - 1),
+            rng.standard_normal(SWEEP_BLOCK),
+        ]
+        tensors = fresh, stale, bare, edge, big = [Tensor(v) for v in values]
+        store = ParamStore(tensors)
         for tensor, want in zip(tensors, values):
             assert tensor.shape == want.shape and tensor.data.flags.c_contiguous
             np.testing.assert_array_equal(tensor.data, want)
-            assert tensor.data.base is optimizer._values
-            if tensor is not bare:
-                assert tensor._grad.base is optimizer._grads
-        np.testing.assert_array_equal(fresh.grad, fresh_grad)
-        assert stale._stale and stale._grad.base is optimizer._grads
+            assert tensor.data.base is store.values and tensor._grad.base is store.grads
+            assert tensor.grad is None
+        grads = {fresh: rng.standard_normal((3, 4)), edge: rng.standard_normal(SWEEP_BLOCK - 1)}
+        grads[big] = rng.standard_normal(SWEEP_BLOCK)
+        for tensor, grad in grads.items():
+            tensor.grad = grad
+        stale.grad = np.ones((2, 1, 3))
+        stale.zero_grad()
+
+        Adam(store)
+        for tensor, want in zip(tensors, values):
+            np.testing.assert_array_equal(tensor.data, want)
+            assert tensor.data.base is store.values
+        for tensor, grad in grads.items():
+            np.testing.assert_array_equal(tensor.grad, grad)
+        assert stale._stale and stale._grad.base is store.grads
         stale.add_grad(np.full((2, 1, 3), 2.0))  # written, not added to the old ones
         np.testing.assert_array_equal(stale.grad, np.full((2, 1, 3), 2.0))
         assert bare.grad is None
         bare.zero_grad()
-        assert bare.grad.base is optimizer._grads
-        np.testing.assert_array_equal(big.grad, big_grad)
+        assert bare.grad.base is store.grads
 
     def test_grad_assignment_copies_into_the_arena(self):
         w = Tensor(np.zeros((2, 3)))
-        optimizer = SGD([w], lr=1.0)
+        store = ParamStore([w])
+        optimizer = SGD(store, lr=1.0)
         value = np.arange(6.0).reshape(2, 3)
         w.grad = value
-        assert w.grad is not value and w.grad.base is optimizer._grads
+        assert w.grad is not value and w.grad.base is store.grads
         value[...] = 0.0
         optimizer.step()
         np.testing.assert_array_equal(w.data, -np.arange(6.0).reshape(2, 3))
@@ -1546,9 +1573,9 @@ class TestArena:
         # A layer's weight: a later backward writes into the gradient buffer,
         # which must not be the caller's.
         rng = np.random.default_rng(4)
-        layer = Linear(256, 128, rng, bias=False)
+        layer = Linear(256, 128, rng, bias=False).materialize()
         assert layer.weight.data.size >= SWEEP_BLOCK
-        optimizer = Adam(layer.params())
+        optimizer = Adam(layer.store)
         value = np.ones((128, 256))
         layer.weight.grad = value
         assert layer.weight.grad is not value
@@ -1560,7 +1587,7 @@ class TestArena:
 
     def test_grad_assignment_of_another_shape_raises(self):
         w, big = Tensor(np.zeros(3), "w"), Tensor(np.zeros(SWEEP_BLOCK), "big")
-        SGD([w, big], lr=0.1)
+        SGD(ParamStore([w, big]), lr=0.1)
         for tensor in (w, big):
             with pytest.raises(DimensionError, match=repr(tensor.name)):
                 tensor.grad = np.zeros(tensor.data.size + 1)
@@ -1569,28 +1596,28 @@ class TestArena:
     @pytest.mark.parametrize("optimizer_cls", [SGD, Adam])
     def test_repeated_parameter_raises(self, optimizer_cls):
         w, v = Tensor(np.ones(3), "w"), Tensor(np.ones(SWEEP_BLOCK), "v")
-        w_data = w.data
         for params, name in (([w, w], "'w'"), ([w, v, w], "'w'"), ([v, v], "'v'")):
             with pytest.raises(ValueError, match=name):
-                optimizer_cls(params, lr=0.1)
-        assert w.data is w_data  # raised before packing anything
+                optimizer_cls(ParamStore(params), lr=0.1)
+        assert w.data is None and v.data is None  # raised before bearing anything
+        optimizer_cls(ParamStore([w, v]), lr=0.1)
 
-    def test_older_optimizer_raises_after_takeover(self):
+    def test_tensor_is_born_in_one_store(self):
         w = Tensor(np.ones(3), "w")
         big = Tensor(np.ones(SWEEP_BLOCK), "big")
-        older = SGD([big, w], lr=0.5)
-        newer = Adam([w])
+        store = ParamStore([big, w])
+        other = Tensor(np.ones(2), "other")
+        with pytest.raises(ValueError, match="'w' is already in a store"):
+            ParamStore([other, w])
+        assert other.data is None  # raised before bearing anything
         w.grad = np.ones(3)
-        big.grad = np.ones(SWEEP_BLOCK)
-        with pytest.raises(RuntimeError, match="'w'"):
-            older.step()
-        np.testing.assert_array_equal(big.data, np.ones(SWEEP_BLOCK))  # nothing updated
-        newer.step()
-        assert np.all(w.data < 1.0)
+        SGD(store, lr=0.5).step()
+        np.testing.assert_array_equal(w.data, np.full(3, 0.5))
+        assert w.data.base is store.values
 
     def test_rebound_data_raises(self):
         w = Tensor(np.ones(3), "w")
-        optimizer = Adam([w])
+        optimizer = Adam(ParamStore([w]))
         w.data = np.zeros(3)
         w.grad = np.ones(3)
         with pytest.raises(RuntimeError, match="'w'"):
@@ -1626,10 +1653,27 @@ class TestInitialization:
     def test_he_uniform_bound_and_determinism(self):
         fan_in = 24
         bound = math.sqrt(6.0 / fan_in)
-        a = he_uniform(np.random.default_rng(7), (100, fan_in), fan_in)
-        b = he_uniform(np.random.default_rng(7), (100, fan_in), fan_in)
+        a, b = (
+            Linear(fan_in, 100, np.random.default_rng(7), bias=False).materialize().weight.data
+            for _ in range(2)
+        )
         assert np.abs(a).max() <= bound
         np.testing.assert_array_equal(a, b)
+
+    def test_in_place_draws_match_one_uniform_call_per_weight(self):
+        # Linear then Conv2d on one generator, born together: each weight has
+        # the bytes of its own rng.uniform call, the biases are zero, and the
+        # generator is left where those calls leave it.
+        rng, oracle = np.random.default_rng(11), np.random.default_rng(11)
+        linear = Linear(300, 200, rng)
+        conv = Conv2d(7, 5, (3, 2), (1, 1), (0, 0), rng)
+        Sequential([linear, conv]).materialize()
+        want_linear = he_uniform(oracle, (200, 300), 300)
+        want_conv = he_uniform(oracle, (5, 7, 3, 2), 7 * 3 * 2)
+        assert linear.weight.data.tobytes() == want_linear.tobytes()
+        assert conv.weight.data.tobytes() == want_conv.tobytes()
+        assert not linear.bias.data.any() and not conv.bias.data.any()
+        assert rng.random() == oracle.random()
 
 
 class TestManifest:
