@@ -22,7 +22,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .providers import (
     Provider,
     ProviderConfig,
     TfidfModel,
+    fit_provider,
     provider_from_meta,
     provider_meta,
     tfidf_transform,
@@ -247,6 +248,19 @@ def layout_meta(
         "tfidf": tfidf.to_dict(),
         **provider_meta(provider_config, provider_tfidf),
     }
+
+
+def new_layout(
+    provider_config: ProviderConfig, retrieval_config: RetrievalConfig,
+    questions: Sequence[QuestionRecord], pairs: list[QAPair], tfidf: TfidfModel,
+) -> tuple[BaselineFeatureConfig, Provider, dict]:
+    """The feature config, the fitted provider and the ``layout_meta`` of a
+    layout fit on the training ``questions``, the corpus and ``tfidf``."""
+    provider, provider_tfidf = fit_provider(provider_config, pairs)
+    N, T, V, D = retrieval_config.N, retrieval_config.T, len(tfidf.vocabulary), provider_config.D
+    config = BaselineFeatureConfig(N, V, D, fit_source_vocab(list(questions)), T)
+    meta = layout_meta(config, retrieval_config, provider_config, provider_tfidf, tfidf)
+    return config, provider, meta
 
 
 def layout_settings(
@@ -540,18 +554,21 @@ def predict_checkpoint(
     corpus_pairs: list[QAPair],
     ranker: str | None = None,
     where: str = "<checkpoint>",
-    check: Callable[[RetrievalConfig, ProviderConfig, str], None] | None = None,
+    check: Callable[[str, RetrievalConfig, ProviderConfig, TfidfModel], None] | None = None,
 ) -> list[Prediction]:
     """``predict`` for a baseline checkpoint, with the retrieval settings,
     provider and metadata TF-IDF its ``feature_config`` stores; nothing is
-    refit on the corpus. Relevant means a filter probability >= 0.5.
-    ``check`` gets the stored retrieval and provider settings first."""
+    refit on the corpus. Relevant means a filter probability >= 0.5; ``ranker``
+    (else the stored one) picks the ranking score. ``check`` gets ``where``
+    and the stored retrieval and provider settings and metadata TF-IDF first."""
+    if ranker not in (None, *RANKERS):
+        raise ConfigError(f"baseline.ranker: expected one of {RANKERS}, got {ranker!r}")
     spec = meta.get("feature_config")
     if not isinstance(spec, dict):
         raise SchemaError(f"{where}: baseline checkpoint has no 'feature_config' object")
     config, retrieval_config, provider, tfidf = layout_settings(spec, where)
     if check is not None:
-        check(retrieval_config, provider.config, where)
+        check(where, retrieval_config, provider.config, tfidf)
     index = EntailmentIndex(corpus_pairs, provider)
     width = (feature_dim(config),)
     logreg = LogregModel(

@@ -23,12 +23,8 @@ from .corpus import Dataset, load_dataset, load_qa_corpus, save_dataset
 from .errors import ConfigError, MedrankError, SchemaError, read_json_object
 from .gradcheck import gradient_check_battery
 from .joint import (
-    DEFAULT_METADATA_WIDTH,
-    ConvEncoderConfig,
-    HeadConfig,
     TrainConfig,
-    build_joint_model,
-    fit_metadata_layout,
+    new_model,
     predict_checkpoint as predict_joint_checkpoint,
     save_joint_model,
     train_joint,
@@ -40,7 +36,7 @@ from .preprocess import (
     load_guard_list,
     normalize_answer,
 )
-from .providers import fit_provider, fit_tfidf, load_tfidf, save_tfidf
+from .providers import fit_metadata_tfidf, fit_provider, load_tfidf, save_tfidf
 from .retrieval import EntailmentIndex
 from .synth import write_synth
 from .tensornet import read_manifest
@@ -64,8 +60,7 @@ def _load_config(args) -> RunConfig:
     if args.seed is not None:
         config.train.seed = args.seed
         config.synth.seed = args.seed
-    if args.scaled_down:
-        config.scaled_down = True
+    config.scaled_down |= args.scaled_down
     return config
 
 
@@ -106,10 +101,7 @@ def cmd_ingest(config: RunConfig, args) -> int:
 
 def cmd_fit_tfidf(config: RunConfig, args) -> int:
     pairs = load_qa_corpus(args.corpus)
-    vocab_size = (
-        config.metadata_vocab_size() if args.vocab_size is None else args.vocab_size
-    )
-    model = fit_tfidf([p.answer_text for p in pairs], V=vocab_size)
+    model = fit_metadata_tfidf(pairs, config.metadata_vocab_size())
     save_tfidf(model, args.out)
     print(f"fitted tf-idf on {len(pairs)} documents, |vocab|={len(model.vocabulary)}")
     return 0
@@ -121,12 +113,12 @@ def cmd_extract_features(config: RunConfig, args) -> int:
     layout_path = Path(args.layout)
     new_layout = None  # written only once every feature row is extracted
     if layout_path.exists():
-        # Retrieve and score as the layout was fit: retrieval.* and
-        # provider.* may only repeat it, and a --tfidf must be the stored one.
+        # Retrieve and score as the layout was fit: retrieval.*, provider.*
+        # and tfidf.V may only repeat it, and a --tfidf must be the stored one.
         feature_config, retrieval_config, provider, tfidf = bl.layout_settings(
             read_json_object(layout_path), str(layout_path)
         )
-        config.check_stored(retrieval_config, provider.config, str(layout_path))
+        config.check_stored(str(layout_path), retrieval_config, provider.config, tfidf)
         if args.tfidf is not None and load_tfidf(args.tfidf).to_dict() != tfidf.to_dict():
             raise MedrankError(
                 f"{args.tfidf}: differs from the metadata TF-IDF stored in {layout_path}"
@@ -135,18 +127,10 @@ def cmd_extract_features(config: RunConfig, args) -> int:
         if args.tfidf is None:
             raise MedrankError(f"{layout_path}: fitting a new layout needs --tfidf")
         tfidf = load_tfidf(args.tfidf)
-        provider_config = config.provider_config()
-        provider, provider_tfidf = fit_provider(provider_config, pairs)
+        config.check_stored(args.tfidf, tfidf=tfidf)
         retrieval_config = config.retrieval_config()
-        feature_config = bl.BaselineFeatureConfig(
-            N=retrieval_config.N,
-            V=len(tfidf.vocabulary),
-            D=provider_config.D,
-            source_vocab=bl.fit_source_vocab(list(dataset.questions)),
-            T=retrieval_config.T,
-        )
-        new_layout = bl.layout_meta(
-            feature_config, retrieval_config, provider_config, provider_tfidf, tfidf
+        feature_config, provider, new_layout = bl.new_layout(
+            config.provider_config(), retrieval_config, dataset.questions, pairs, tfidf
         )
     index = EntailmentIndex(pairs, provider)
     rows = bl.extract_feature_rows(
@@ -179,47 +163,15 @@ def cmd_train_joint(config: RunConfig, args) -> int:
     if args.epochs is not None:
         train = dataclasses.replace(train, epochs=args.epochs)
     train_config = TrainConfig(**dataclasses.asdict(train), retrieval=config.retrieval_config())
+    provider_config, sizes = config.provider_config(), config.model_sizes()
     dataset = load_dataset(args.dataset, "train")
     if not dataset.questions:
         raise SchemaError(f"{args.dataset}: no questions to train on")
     pairs = load_qa_corpus(args.corpus)
-    provider, provider_tfidf = fit_provider(config.provider_config(), pairs)
-    index = EntailmentIndex(pairs, provider)
-    metadata_tfidf = fit_tfidf(
-        [p.answer_text for p in pairs], V=config.metadata_vocab_size()
-    )
-    layout = fit_metadata_layout(
-        list(dataset.questions),
-        pairs,
-        V=len(metadata_tfidf.vocabulary),
-        M=None if config.scaled_down else DEFAULT_METADATA_WIDTH,
-    )
-    encoder_config = (
-        ConvEncoderConfig.scaled_down()
-        if config.scaled_down
-        else ConvEncoderConfig.default()
-    )
-    rqe_dim = config.provider_config().D
-    joint_dim = encoder_config.out_dim + rqe_dim + layout.M
-    if config.scaled_down:
-        filter_config = HeadConfig.scaled_filter(joint_dim)
-        pair_config = HeadConfig.scaled_pair(2 * joint_dim)
-    else:
-        filter_config = HeadConfig.default_filter(joint_dim)
-        pair_config = HeadConfig.default_pair(2 * joint_dim)
-    model = build_joint_model(
-        layout,
-        metadata_tfidf,
-        encoder_config,
-        rqe_dim=rqe_dim,
-        seed=train_config.seed,
-        filter_config=filter_config,
-        pair_config=pair_config,
-    )
-    history = train_joint(model, dataset, index, provider, train_config)
-    save_joint_model(
-        model, args.out, train_config, config.provider_config(), provider_tfidf
-    )
+    provider, provider_tfidf = fit_provider(provider_config, pairs)
+    model = new_model(sizes, train_config.seed, dataset.questions, pairs)
+    history = train_joint(model, dataset, EntailmentIndex(pairs, provider), provider, train_config)
+    save_joint_model(model, args.out, train_config, provider_config, provider_tfidf)
     first = float(np.mean(history[0]))
     last = float(np.mean(history[-1]))
     print(
@@ -234,14 +186,13 @@ def cmd_predict(config: RunConfig, args) -> int:
     dataset = load_dataset(args.dataset, args.split)
     pairs = load_qa_corpus(args.corpus)
     if meta.get("kind") == "joint":
-        if args.ranker is not None:
-            raise MedrankError(f"{args.model}: --ranker applies to baseline checkpoints only")
         predictions = predict_joint_checkpoint(
             meta, arrays, dataset, pairs, args.model, config.check_stored
         )
     elif meta.get("kind") == "baseline":
+        ranker = config.baseline.ranker if "baseline.ranker" in config.explicit else None
         predictions = bl.predict_checkpoint(
-            meta, arrays, dataset, pairs, args.ranker, args.model, config.check_stored
+            meta, arrays, dataset, pairs, ranker, args.model, config.check_stored
         )
     else:
         raise MedrankError(f"{args.model}: unknown model kind {meta.get('kind')!r}")
@@ -332,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-tfidf", help="fit the TF-IDF model on corpus answers")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--vocab-size", type=int)
     p.set_defaults(handler=cmd_fit_tfidf)
 
     p = sub.add_parser("extract-features", help="baseline feature vectors")
@@ -364,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", default="validation")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--ranker", choices=bl.RANKERS)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_predict)
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, SchemaError, read_lines
-from .providers import ProviderConfig
+from .joint import PAPER_SIZES, SCALED_SIZES, ModelSizes
+from .providers import ProviderConfig, TfidfModel
 from .retrieval import RetrievalConfig
 from .synth import SynthConfig
 
@@ -90,41 +91,52 @@ class RunConfig:
     tfidf: TfidfSection = field(default_factory=TfidfSection)
     paths: PathsSection = field(default_factory=PathsSection)
     # the dotted keys given a value by a config file or --set
-    _explicit: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
+    explicit: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
     # -- typed views consumed by the pipeline modules --------------------
 
-    def _sized(self, dotted: str, value: int, scaled: int) -> int:
-        """``value``, or ``scaled`` under ``scaled_down``; a file or ``--set``
-        that also sets ``dotted`` contradicts it and fails."""
-        if not self.scaled_down:
+    def _preset(self) -> ModelSizes:
+        return SCALED_SIZES if self.scaled_down else PAPER_SIZES
+
+    def _sized(self, dotted: str, value: int, fixed: int | None) -> int:
+        """``value``, or the preset's ``fixed`` size when it has one; a file
+        or ``--set`` that also sets ``dotted`` contradicts it and fails."""
+        if fixed is None:
             return value
-        if dotted in self._explicit:
-            raise ConfigError(f"{dotted} is set, but --scaled-down fixes it at {scaled}")
-        return scaled
+        if dotted in self.explicit:
+            raise ConfigError(f"{dotted} is set, but --scaled-down fixes it at {fixed}")
+        return fixed
 
     def provider_config(self) -> ProviderConfig:
-        D = self._sized("provider.D", self.provider.D, 8)
+        D = self._sized("provider.D", self.provider.D, self._preset().D)
         return ProviderConfig(**{**dataclasses.asdict(self.provider), "D": D})
 
     def retrieval_config(self) -> RetrievalConfig:
         return RetrievalConfig(**dataclasses.asdict(self.retrieval))
 
-    def check_stored(self, retrieval: RetrievalConfig, provider: ProviderConfig, where: str):
-        """Fail when a file or ``--set`` gives a ``retrieval.*`` or
-        ``provider.*`` key a value other than the one the checkpoint or
-        layout ``where`` stores (``provider.cache`` is not stored)."""
-        for section, stored in (("retrieval", retrieval), ("provider", provider)):
-            for key, value in dataclasses.asdict(stored).items():
-                dotted, given = f"{section}.{key}", getattr(getattr(self, section), key)
-                if dotted in self._explicit and dotted != "provider.cache" and given != value:
+    def metadata_vocab_size(self) -> int:
+        return self._sized("tfidf.V", self.tfidf.V, self._preset().V)
+
+    def model_sizes(self) -> ModelSizes:
+        """The joint model's preset with the run's D and V filled in."""
+        sizes = self._preset()
+        return dataclasses.replace(sizes, D=self.provider_config().D, V=self.metadata_vocab_size())
+
+    def check_stored(self, where: str, retrieval: RetrievalConfig | None = None,
+                     provider: ProviderConfig | None = None, tfidf: TfidfModel | None = None):
+        """Fail when a file or ``--set`` gives a ``retrieval.*``, ``provider.*``
+        or ``tfidf.V`` key a value other than the one the checkpoint, layout or
+        TF-IDF file ``where`` stores (``provider.cache`` is not stored)."""
+        for section, stored in (("retrieval", retrieval), ("provider", provider), ("tfidf", tfidf)):
+            if stored is None:
+                continue
+            for key, given in vars(getattr(self, section)).items():
+                dotted, value = f"{section}.{key}", getattr(stored, key)
+                if dotted in self.explicit and dotted != "provider.cache" and given != value:
                     raise SchemaError(f"{where}: {dotted}={given!r} contradicts stored {value!r}")
 
     def synth_config(self) -> SynthConfig:
         return SynthConfig(**dataclasses.asdict(self.synth))
-
-    def metadata_vocab_size(self) -> int:
-        return self._sized("tfidf.V", self.tfidf.V, 16)
 
     # -- dotted-key plumbing ---------------------------------------------
 
@@ -145,7 +157,7 @@ class RunConfig:
         if key not in hints:
             raise ConfigError(f"unknown config key {dotted!r}")
         setattr(section, key, _coerce(raw, hints[key], dotted))
-        self._explicit.add(dotted)
+        self.explicit.add(dotted)
 
     @classmethod
     def _from_lines(cls, lines: typing.Iterable[tuple[str, str]]) -> "RunConfig":

@@ -15,10 +15,10 @@ import numpy as np
 
 from .corpus import CandidateAnswer, QuestionRecord
 from .joint import (
+    SCALED_SIZES,
     ConvEncoder,
     ConvEncoderConfig,
     EntailedInstance,
-    HeadConfig,
     MetadataLayout,
     build_head,
     build_joint_model,
@@ -117,6 +117,10 @@ def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[
     """
     results: dict[str, float] = {}
     rng = np.random.default_rng(seed)
+    # the scaled preset over a hand metadata layout, for the heads and the full model
+    sizes, encoder_config = SCALED_SIZES, ConvEncoderConfig.scaled_down()
+    layout = MetadataLayout(("src",), ("faq", "src"), V=sizes.V, M=24)
+    joint_dim = encoder_config.out_dim + sizes.D + layout.M
 
     # linear + binary cross-entropy on the sigmoid of its logits
     x = rng.standard_normal((5, 4))
@@ -190,8 +194,8 @@ def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[
     results["batchnorm"] = max(batchnorm_errors)
 
     # full conv encoder composite over maps of mixed shapes, one repeated
-    encoder = ConvEncoder(ConvEncoderConfig.scaled_down(), rng).materialize()
-    ex = [rng.standard_normal((8, a, c)) for a, c in ((3, 4), (1, 3), (3, 4), (2, 1))]
+    encoder = ConvEncoder(encoder_config, rng).materialize()
+    ex = [rng.standard_normal((sizes.D, a, c)) for a, c in ((3, 4), (1, 3), (3, 4), (2, 1))]
     er = rng.standard_normal((len(ex), encoder.out_dim))
 
     def encoder_seed() -> None:
@@ -203,12 +207,12 @@ def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[
     )
 
     # filtering and pairwise heads at scaled widths
-    for name, config, width in (
-        ("filter_head", HeadConfig.scaled_filter(48), 48),
-        ("pair_head", HeadConfig.scaled_pair(96), 96),
+    for name, config in (
+        ("filter_head", sizes.filter_head(joint_dim)),
+        ("pair_head", sizes.pair_head(2 * joint_dim)),
     ):
         net = build_head(config, rng).materialize()
-        hx = rng.standard_normal((4, width))
+        hx = rng.standard_normal((4, config.widths[0]))
         ht = rng.integers(0, 2, size=4).astype(np.float64)
 
         def head_loss(net=net, hx=hx, ht=ht) -> float:
@@ -221,19 +225,16 @@ def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[
 
     # the full joint model through question_loss
     docs = [" ".join(f"w{k:02d}" for k in range(i, i + 4)) for i in (0, 4, 8, 12)]
-    tfidf = fit_tfidf(docs, V=16)
-    provider = ToyHashProvider(ProviderConfig(kind="toy_hash", D=8, seed=seed))
-    layout = MetadataLayout(
-        candidate_sources=("src",), entailed_sources=("faq", "src"), V=16, M=24
-    )
+    tfidf = fit_tfidf(docs, V=sizes.V)
+    provider = ToyHashProvider(ProviderConfig(kind="toy_hash", D=sizes.D, seed=seed))
     model = build_joint_model(
         layout,
         tfidf,
-        ConvEncoderConfig.scaled_down(),
-        rqe_dim=8,
+        encoder_config,
+        rqe_dim=sizes.D,
         seed=seed,
-        filter_config=HeadConfig.scaled_filter(48),
-        pair_config=HeadConfig.scaled_pair(96),
+        filter_config=sizes.filter_head(joint_dim),
+        pair_config=sizes.pair_head(2 * joint_dim),
     )
     question = QuestionRecord(
         question_id="gc-q",

@@ -22,7 +22,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .providers import (
     Provider,
     ProviderConfig,
     TfidfModel,
+    fit_metadata_tfidf,
     provider_from_meta,
     provider_meta,
     tfidf_transform,
@@ -64,11 +65,9 @@ from .tensornet import (
     _Optimizer,
 )
 
-DEFAULT_METADATA_WIDTH = 2032
-
 
 # ---------------------------------------------------------------------------
-# Convolutional encoder
+# Convolutional encoder and model sizes
 # ---------------------------------------------------------------------------
 
 
@@ -109,30 +108,48 @@ class ConvEncoderConfig:
 
     @classmethod
     def default(cls) -> "ConvEncoderConfig":
-        return cls(
-            in_channels=768,
-            layers=(
-                ConvLayerSpec(768, (1, 1), (1, 1), (1, 1), True),
-                ConvLayerSpec(512, (3, 3), (1, 1), (2, 2), True),
-                ConvLayerSpec(512, (3, 3), (2, 2), (1, 1), False),
-                ConvLayerSpec(256, (2, 2), (1, 1), (1, 1), True),
-                ConvLayerSpec(256, (3, 3), (1, 1), (2, 2), False),
-            ),
-        )
+        """The paper's stack over the default provider's D channels."""
+        return cls(ProviderConfig().D, PAPER_SIZES.encoder)
 
     @classmethod
     def scaled_down(cls) -> "ConvEncoderConfig":
         """Same structure at toy channel counts; pooled output is 16 wide."""
-        return cls(
-            in_channels=8,
-            layers=(
-                ConvLayerSpec(8, (1, 1), (1, 1), (1, 1), True),
-                ConvLayerSpec(6, (3, 3), (1, 1), (2, 2), True),
-                ConvLayerSpec(6, (3, 3), (2, 2), (1, 1), False),
-                ConvLayerSpec(4, (2, 2), (1, 1), (1, 1), True),
-                ConvLayerSpec(4, (3, 3), (1, 1), (2, 2), False),
-            ),
-        )
+        return cls(SCALED_SIZES.D, SCALED_SIZES.encoder)
+
+
+@dataclass(frozen=True)
+class ModelSizes:
+    """The joint model's sizes: ``PAPER_SIZES``, or ``SCALED_SIZES`` under
+    ``--scaled-down``. ``M=None`` packs the metadata layout. ``D`` (provider
+    embedding width = encoder input channels = RQE width) and ``V`` (metadata
+    TF-IDF terms) are ``None`` where ``RunConfig.model_sizes`` fills them in."""
+
+    M: int | None
+    encoder: tuple[ConvLayerSpec, ...]
+    filter_hidden: tuple[int, ...]
+    pair_hidden: tuple[int, ...]
+    D: int | None = None
+    V: int | None = None
+
+    def filter_head(self, input_dim: int) -> "HeadConfig":
+        return HeadConfig((input_dim, *self.filter_hidden, 1))
+
+    def pair_head(self, input_dim: int) -> "HeadConfig":
+        return HeadConfig((input_dim, *self.pair_hidden, 1))
+
+
+def _convs(*channels: int) -> tuple[ConvLayerSpec, ...]:
+    """The five conv layers at ``channels``: both presets share the square
+    kernels, strides and padding, and which layers take batchnorm."""
+    kernels, strides, paddings = (1, 3, 3, 2, 3), (1, 1, 2, 1, 1), (1, 2, 1, 1, 2)
+    batchnorm = (True, True, False, True, False)
+    layers = zip(channels, kernels, strides, paddings, batchnorm)
+    return tuple(ConvLayerSpec(c, (k, k), (s, s), (p, p), b) for c, k, s, p, b in layers)
+
+
+PAPER_SIZES = ModelSizes(2032, _convs(768, 512, 512, 256, 256), (2048, 1024, 512, 512, 256, 64),
+                         (3824, 2048, 1024, 512, 512, 256, 64))
+SCALED_SIZES = ModelSizes(None, _convs(8, 6, 6, 4, 4), (24, 12), (48, 24, 12), D=8, V=16)
 
 
 class ConvEncoder(Module):
@@ -204,7 +221,7 @@ def build_pair_tensor(
     entailed_sentences: list[str] | tuple[str, ...],
     candidate_sentences: list[str] | tuple[str, ...],
     nli_provider: Provider,
-    channels: int = 768,
+    channels: int,
 ) -> np.ndarray:
     """NLI-embedding tensor of shape (channels, a, c).
 
@@ -257,7 +274,7 @@ def fit_metadata_layout(
     questions: list[QuestionRecord],
     corpus_pairs: list[QAPair],
     V: int,
-    M: int | None = DEFAULT_METADATA_WIDTH,
+    M: int | None = PAPER_SIZES.M,
 ) -> MetadataLayout:
     """Freeze source vocabularies from training data.
 
@@ -328,19 +345,19 @@ class HeadConfig:
 
     @classmethod
     def default_filter(cls, input_dim: int = 3824) -> "HeadConfig":
-        return cls((input_dim, 2048, 1024, 512, 512, 256, 64, 1))
+        return PAPER_SIZES.filter_head(input_dim)
 
     @classmethod
     def default_pair(cls, input_dim: int = 7648) -> "HeadConfig":
-        return cls((input_dim, 3824, 2048, 1024, 512, 512, 256, 64, 1))
+        return PAPER_SIZES.pair_head(input_dim)
 
     @classmethod
-    def scaled_filter(cls, input_dim: int = 48) -> "HeadConfig":
-        return cls((input_dim, 24, 12, 1))
+    def scaled_filter(cls, input_dim: int) -> "HeadConfig":
+        return SCALED_SIZES.filter_head(input_dim)
 
     @classmethod
-    def scaled_pair(cls, input_dim: int = 96) -> "HeadConfig":
-        return cls((input_dim, 48, 24, 12, 1))
+    def scaled_pair(cls, input_dim: int) -> "HeadConfig":
+        return SCALED_SIZES.pair_head(input_dim)
 
 
 def build_head(config: HeadConfig, rng: np.random.Generator) -> Sequential:
@@ -448,17 +465,13 @@ def build_joint_model(
     encoder_config: ConvEncoderConfig,
     rqe_dim: int,
     seed: int = 0,
-    filter_config: HeadConfig | None = None,
-    pair_config: HeadConfig | None = None,
+    *,
+    filter_config: HeadConfig,
+    pair_config: HeadConfig,
     init: bool = True,
 ) -> JointModel:
     """The joint model, every parameter born in its one store (``model.store``)
     and He weights drawn from ``default_rng(seed)``; ``init=False`` draws none."""
-    joint_dim = encoder_config.out_dim + rqe_dim + layout.M
-    if filter_config is None:
-        filter_config = HeadConfig.default_filter(joint_dim)
-    if pair_config is None:
-        pair_config = HeadConfig.default_pair(2 * joint_dim)
     rng = np.random.default_rng(seed)
     encoder = ConvEncoder(encoder_config, rng)
     filter_head = build_head(filter_config, rng)
@@ -473,6 +486,22 @@ def build_joint_model(
         filter_config,
         pair_config,
     ).materialize(init)
+
+
+def new_model(
+    sizes: ModelSizes, seed: int, questions: Sequence[QuestionRecord], pairs: list[QAPair]
+) -> JointModel:
+    """The model ``train-joint`` trains at ``sizes`` (D and V set): a V-term
+    metadata TF-IDF over the corpus answers, the training ``questions``' layout
+    at width M, an encoder over D channels, D-wide RQE rows, and the heads."""
+    tfidf = fit_metadata_tfidf(pairs, sizes.V)
+    layout = fit_metadata_layout(list(questions), pairs, V=len(tfidf.vocabulary), M=sizes.M)
+    encoder = ConvEncoderConfig(sizes.D, sizes.encoder)
+    joint_dim = encoder.out_dim + sizes.D + layout.M
+    return build_joint_model(
+        layout, tfidf, encoder, sizes.D, seed,
+        filter_config=sizes.filter_head(joint_dim), pair_config=sizes.pair_head(2 * joint_dim),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -991,10 +1020,11 @@ def predict_checkpoint(
     dataset: Dataset,
     corpus_pairs: list[QAPair],
     where: str = "<checkpoint>",
-    check: Callable[[RetrievalConfig, ProviderConfig, str], None] | None = None,
+    check: Callable[[str, RetrievalConfig, ProviderConfig, TfidfModel], None] | None = None,
 ) -> list[Prediction]:
     """``predict`` for a joint checkpoint: its model, provider and retrieval.
-    ``check`` gets the stored retrieval and provider settings first."""
+    ``check`` gets ``where``, the stored retrieval and provider settings and
+    the metadata TF-IDF first."""
     model = joint_model_from_manifest(meta, arrays, where)
     provider = provider_from_meta(meta, where)
     D, encoder = provider.config.D, model.encoder.config
@@ -1008,6 +1038,6 @@ def predict_checkpoint(
         key="train", prefix="retrieval_",
     )
     if check is not None:
-        check(retrieval_config, provider.config, where)
+        check(where, retrieval_config, provider.config, model.tfidf)
     index = EntailmentIndex(corpus_pairs, provider)
     return predict_dataset(model, dataset, index, provider, retrieval_config)

@@ -108,6 +108,11 @@ def fit_tfidf(corpus: list[str], V: int = 2000) -> TfidfModel:
     return TfidfModel(vocabulary=terms, idf=idf, V=V)
 
 
+def fit_metadata_tfidf(corpus_pairs, V: int) -> TfidfModel:
+    """The metadata TF-IDF both models read: ``fit_tfidf`` over the answers."""
+    return fit_tfidf([p.answer_text for p in corpus_pairs], V=V)
+
+
 def tfidf_transform(model: TfidfModel, text: str) -> np.ndarray:
     """Raw term counts times idf, L2-normalized; all-OOV text stays zero."""
     vec = np.zeros(len(model.vocabulary), dtype=np.float64)

@@ -118,10 +118,13 @@ def pipeline_dir(tmp_path_factory, synth_dir):
     }
 
 
-def _predict_baseline(pipeline_dir, model, out, *extra):
-    """``predict`` of ``model`` on the validation split; the exit code."""
+def _predict_baseline(pipeline_dir, model, out, *settings):
+    """``predict`` of ``model`` on the validation split with ``--set``
+    ``settings``; the exit code."""
+    sets = [arg for setting in settings for arg in ("--set", setting)]
     return main(
         pipeline_dir["base"]
+        + sets
         + [
             "predict",
             "--model",
@@ -130,7 +133,6 @@ def _predict_baseline(pipeline_dir, model, out, *extra):
             pipeline_dir["val"],
             "--corpus",
             pipeline_dir["corpus"],
-            *extra,
             "--out",
             str(out),
         ]
@@ -227,6 +229,13 @@ class TestPipelineCommands:
     def test_tfidf_model_has_scaled_width(self, pipeline_dir):
         model = load_tfidf(pipeline_dir["dir"] / "tfidf.json")
         assert len(model.vocabulary) == 16
+
+    def test_tfidf_v_sizes_fit_tfidf(self, pipeline_dir, tmp_path):
+        out = tmp_path / "tfidf.json"
+        args = ["fit-tfidf", "--corpus", pipeline_dir["corpus"], "--out", str(out)]
+        assert main(["--set", "tfidf.V=5"] + args) == 0
+        model = load_tfidf(out)
+        assert model.V == 5 and len(model.vocabulary) == 5
 
     def test_layout_descriptor_written(self, pipeline_dir):
         layout = json.loads((pipeline_dir["dir"] / "layout.json").read_text())
@@ -371,7 +380,7 @@ class TestPipelineCommands:
     def test_hinge_ranker_flag(self, pipeline_dir, tmp_path):
         model = pipeline_dir["dir"] / "baseline.json"
         preds = tmp_path / "preds_hinge.jsonl"
-        assert _predict_baseline(pipeline_dir, model, preds, "--ranker", "hinge") == 0
+        assert _predict_baseline(pipeline_dir, model, preds, "baseline.ranker=hinge") == 0
         _assert_scores(preds, _expected_scores(pipeline_dir, model, _hinge_scores))
 
     def test_train_joint_byte_identical(self, pipeline_dir, tmp_path):
@@ -418,9 +427,10 @@ class TestPipelineCommands:
 
 
 class TestStoredSettingsHold:
-    """A checkpoint or an existing layout fixes N, T, direction and provider:
-    a retrieval.* or provider.* value that repeats the stored one changes
-    nothing, and one that differs fails, naming the key and the file."""
+    """A checkpoint or an existing layout fixes N, T, direction, provider and
+    metadata TF-IDF: a retrieval.*, provider.* or tfidf.V value that repeats
+    the stored one changes nothing, and one that differs fails, naming the
+    key and the file. A new layout's --tfidf file fixes tfidf.V alike."""
 
     FILES = {
         "predict-joint": "joint.json",
@@ -453,6 +463,7 @@ class TestStoredSettingsHold:
             "retrieval.swap_direction=true",
             "provider.kind=toy_hash",
             "provider.D=4",
+            "tfidf.V=99",
         ],
     )
     def test_set_contradicting_a_stored_setting_fails(
@@ -477,6 +488,7 @@ class TestStoredSettingsHold:
             "provider.kind=tfidf_cosine",
             "provider.D=8",
             "provider.seed=0",
+            "tfidf.V=16",
         ]
         assert self._run(pipeline_dir, reader, stored, tmp_path / "set.jsonl") == 0
         assert self._run(pipeline_dir, reader, [], tmp_path / "plain.jsonl") == 0
@@ -484,6 +496,36 @@ class TestStoredSettingsHold:
         if reader == "extract-features":
             want = pipeline_dir["dir"] / "features_val.jsonl"
             assert (tmp_path / "set.jsonl").read_bytes() == want.read_bytes()
+
+
+    def _fit_new_layout(self, pipeline_dir, tmp_path, value):
+        """``extract-features`` of the training split into a new layout with
+        the pipeline's --tfidf file and ``tfidf.V=value``; the exit code."""
+        return main(
+            pipeline_dir["base"]
+            + ["--set", f"tfidf.V={value}", "extract-features"]
+            + ["--dataset", pipeline_dir["train"], "--corpus", pipeline_dir["corpus"]]
+            + ["--tfidf", f"{pipeline_dir['dir']}/tfidf.json"]
+            + ["--layout", str(tmp_path / "layout.json"), "--out", str(tmp_path / "rows.jsonl")]
+        )
+
+    def test_tfidf_v_contradicting_a_new_layouts_tfidf_file_fails(
+        self, pipeline_dir, capsys, tmp_path
+    ):
+        capsys.readouterr()
+        assert self._fit_new_layout(pipeline_dir, tmp_path, 99) == 2
+        payload = _error_payload(capsys)
+        assert payload["error"] == "SchemaError"
+        assert "tfidf.V" in payload["message"] and "tfidf.json" in payload["message"]
+        assert not (tmp_path / "rows.jsonl").exists()
+        assert not (tmp_path / "layout.json").exists()
+
+    def test_tfidf_v_repeating_a_new_layouts_tfidf_file_changes_nothing(
+        self, pipeline_dir, tmp_path
+    ):
+        assert self._fit_new_layout(pipeline_dir, tmp_path, 16) == 0
+        for mine, want in (("rows.jsonl", "features_train.jsonl"), ("layout.json",) * 2):
+            assert (tmp_path / mine).read_bytes() == (pipeline_dir["dir"] / want).read_bytes()
 
 
 class TestExtractFeaturesTfidfOptional:
@@ -744,8 +786,9 @@ class TestStoredProviderNotRefit:
 
 
 class TestRankerChoice:
-    """``baseline.ranker`` and ``predict --ranker`` pick what a baseline
-    checkpoint ranks by, and an unknown or inapplicable choice fails."""
+    """``baseline.ranker`` picks what a baseline checkpoint ranks by: at
+    ``train-baseline`` the stored ranker, at ``predict`` an override of it.
+    An unknown choice fails, and a joint checkpoint ignores the key."""
 
     def test_default_checkpoint_ranks_by_filter_probability(self, pipeline_dir, tmp_path):
         model = pipeline_dir["dir"] / "baseline.json"
@@ -761,7 +804,7 @@ class TestRankerChoice:
         assert _predict_baseline(pipeline_dir, model, preds) == 0
         _assert_scores(preds, _expected_scores(pipeline_dir, model, _hinge_scores))
         flagged = tmp_path / "preds_logreg.jsonl"
-        assert _predict_baseline(pipeline_dir, model, flagged, "--ranker", "logreg") == 0
+        assert _predict_baseline(pipeline_dir, model, flagged, "baseline.ranker=logreg") == 0
         _assert_scores(flagged, _expected_scores(pipeline_dir, model, _logreg_probs))
 
     def test_unknown_ranker_setting_rejected_before_fitting(
@@ -790,16 +833,36 @@ class TestRankerChoice:
         assert "'logistic'" in payload["message"]
         assert not preds.exists()
 
-    def test_ranker_flag_on_joint_checkpoint_fails(self, pipeline_dir, tmp_path, capsys):
-        model = pipeline_dir["dir"] / "joint.json"
+    def test_ranker_from_a_config_file(self, pipeline_dir, tmp_path):
+        config_path = tmp_path / "run.conf"
+        config_path.write_text("baseline.ranker=hinge\n", encoding="utf-8")
+        model = pipeline_dir["dir"] / "baseline.json"
+        preds = tmp_path / "preds.jsonl"
+        code = main(
+            ["--config", str(config_path)]
+            + pipeline_dir["base"]
+            + ["predict", "--model", str(model), "--dataset", pipeline_dir["val"],
+               "--corpus", pipeline_dir["corpus"], "--out", str(preds)]
+        )
+        assert code == 0
+        _assert_scores(preds, _expected_scores(pipeline_dir, model, _hinge_scores))
+
+    def test_unknown_ranker_setting_rejected_at_predict(self, pipeline_dir, tmp_path, capsys):
+        model = pipeline_dir["dir"] / "baseline.json"
         preds = tmp_path / "preds.jsonl"
         capsys.readouterr()
-        assert _predict_baseline(pipeline_dir, model, preds, "--ranker", "hinge") == 2
+        assert _predict_baseline(pipeline_dir, model, preds, "baseline.ranker=logistic") == 2
         payload = _error_payload(capsys)
-        assert payload["error"] == "MedrankError"
-        assert str(model) in payload["message"]
-        assert "--ranker" in payload["message"]
+        assert payload["error"] == "ConfigError"
+        assert "baseline.ranker" in payload["message"]
+        assert "'logistic'" in payload["message"]
         assert not preds.exists()
+
+    def test_joint_checkpoint_ignores_the_ranker_setting(self, pipeline_dir, tmp_path):
+        model = pipeline_dir["dir"] / "joint.json"
+        for name, settings in (("set", ["baseline.ranker=hinge"]), ("plain", [])):
+            assert _predict_baseline(pipeline_dir, model, tmp_path / name, *settings) == 0
+        assert (tmp_path / "set").read_bytes() == (tmp_path / "plain").read_bytes()
 
 
 class TestPrecomputedJointModel:
@@ -1281,13 +1344,26 @@ class TestErrorHandling:
         assert payload["message"].startswith(setting.split("=")[0] + " is set, but --scaled-down")
         assert not model.exists()
 
-    def test_zero_vocab_size_is_not_ignored(self, pipeline_dir, capsys, tmp_path):
+    def test_scaled_down_fit_tfidf_rejects_tfidf_v(self, pipeline_dir, capsys, tmp_path):
         out = tmp_path / "tfidf.json"
         capsys.readouterr()
         code = main(
             pipeline_dir["base"]
-            + ["fit-tfidf", "--corpus", pipeline_dir["corpus"], "--vocab-size", "0",
+            + ["--set", "tfidf.V=5", "fit-tfidf", "--corpus", pipeline_dir["corpus"],
                "--out", str(out)]
+        )
+        assert code == 2
+        payload = _error_payload(capsys)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith("tfidf.V is set, but --scaled-down")
+        assert not out.exists()
+
+    def test_zero_vocab_size_is_not_ignored(self, pipeline_dir, capsys, tmp_path):
+        out = tmp_path / "tfidf.json"
+        capsys.readouterr()
+        code = main(
+            ["--seed", "3", "--set", "tfidf.V=0"]
+            + ["fit-tfidf", "--corpus", pipeline_dir["corpus"], "--out", str(out)]
         )
         assert code == 2
         lines = capsys.readouterr().err.strip().splitlines()

@@ -7,7 +7,7 @@ import pytest
 
 from medrank.config import RunConfig
 from medrank.errors import ConfigError, SchemaError
-from medrank.joint import TrainConfig
+from medrank.joint import PAPER_SIZES, SCALED_SIZES, TrainConfig
 
 
 def _format(value) -> str:
@@ -128,7 +128,9 @@ class TestRunConfig:
         assert config.retrieval_config().N == 3
 
     @pytest.mark.parametrize(
-        "key, view", [("provider.D", "provider_config"), ("tfidf.V", "metadata_vocab_size")]
+        "key, view",
+        [("provider.D", "provider_config"), ("tfidf.V", "metadata_vocab_size"),
+         ("provider.D", "model_sizes"), ("tfidf.V", "model_sizes")],
     )
     @pytest.mark.parametrize("value", ["0", "32", "768"])
     def test_scaled_down_rejects_an_explicit_size(self, key, view, value):
@@ -151,3 +153,8 @@ class TestRunConfig:
         config.set_value("tfidf.V", "500")
         assert config.provider_config().D == 32
         assert config.metadata_vocab_size() == 500
+        assert config.model_sizes() == dataclasses.replace(PAPER_SIZES, D=32, V=500)
+
+    def test_model_sizes_resolve_the_preset(self):
+        assert RunConfig().model_sizes() == dataclasses.replace(PAPER_SIZES, D=768, V=2000)
+        assert RunConfig(scaled_down=True).model_sizes() == SCALED_SIZES

@@ -1,16 +1,24 @@
 """Pair tensors, conv encoding, metadata, joint training, ensemble inference."""
 
 import dataclasses
+import importlib
+import inspect
 import math
 import re
 import threading
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from medrank import joint
+from medrank.config import RunConfig
 from medrank.corpus import QAPair
 from medrank.errors import DimensionError, MedrankError, SchemaError, read_record
 from medrank.joint import (
+    PAPER_SIZES,
+    SCALED_SIZES,
     ConvEncoderConfig,
     EntailedInstance,
     HeadConfig,
@@ -25,6 +33,8 @@ from medrank.joint import (
     infer,
     instance_from_retrieved,
     load_joint_model,
+    new_model,
+    predict_checkpoint,
     predict_dataset,
     question_loss,
     save_joint_model,
@@ -36,7 +46,12 @@ from medrank.joint import (
     _PreparedQuestion,
 )
 from medrank.joint import ConvEncoder
-from medrank.providers import ProviderConfig, TfidfCosineProvider, fit_tfidf, tfidf_transform
+from medrank.providers import (
+    ProviderConfig,
+    fit_provider,
+    fit_tfidf,
+    tfidf_transform,
+)
 from medrank.retrieval import EntailmentIndex, RetrievalConfig, retrieve
 from medrank.synth import SynthConfig, generate
 from medrank import tensornet
@@ -69,34 +84,14 @@ def zero_params(module):
 
 
 def small_world(questions=24, val_questions=8, seed=3, provider_seed=0):
-    """Synth data plus the scaled-down provider/index/layout/model stack."""
+    """Synth data plus the scaled-down provider, index and ``new_model``."""
     train, val, corpus = generate(
         SynthConfig(questions=questions, val_questions=val_questions, seed=seed)
     )
-    texts = []
-    for pair in corpus:
-        texts.append(pair.question_text)
-        texts.append(pair.answer_text)
-    provider = TfidfCosineProvider(
-        ProviderConfig(kind="tfidf_cosine", D=8, seed=provider_seed),
-        fit_tfidf(texts, V=4096),
-    )
+    provider_config = ProviderConfig(kind="tfidf_cosine", D=SCALED_SIZES.D, seed=provider_seed)
+    provider = fit_provider(provider_config, corpus)[0]
     index = EntailmentIndex(corpus, provider)
-    meta_tfidf = fit_tfidf([p.answer_text for p in corpus], V=16)
-    layout = fit_metadata_layout(
-        list(train.questions), corpus, V=len(meta_tfidf.vocabulary), M=None
-    )
-    encoder_config = ConvEncoderConfig.scaled_down()
-    joint_dim = encoder_config.out_dim + 8 + layout.M
-    model = build_joint_model(
-        layout,
-        meta_tfidf,
-        encoder_config,
-        rqe_dim=8,
-        seed=seed,
-        filter_config=HeadConfig.scaled_filter(joint_dim),
-        pair_config=HeadConfig.scaled_pair(2 * joint_dim),
-    )
+    model = new_model(SCALED_SIZES, seed, train.questions, corpus)
     return train, val, corpus, provider, index, model
 
 
@@ -1231,3 +1226,74 @@ class TestHeadForward:
         out = _head_forward(head, row)
         assert all(m.training == training for m in head.modules())
         np.testing.assert_array_equal(out, running)
+
+
+class TestNewModel:
+    def test_provider_width_sizes_the_encoder_and_rqe_rows(self, tmp_path):
+        # A provider D other than the preset's: the encoder reads D channels
+        # and the RQE rows are D wide, so a question's loss runs and the
+        # checkpoint passes predict's load-time D check.
+        train, val, corpus = generate(SynthConfig(questions=4, val_questions=2, seed=2))
+        provider_config = ProviderConfig(kind="tfidf_cosine", D=16)
+        provider, provider_tfidf = fit_provider(provider_config, corpus)
+        model = new_model(dataclasses.replace(SCALED_SIZES, D=16), 2, train.questions, corpus)
+        assert model.encoder.config.in_channels == 16 and model.rqe_dim == 16
+        config = TrainConfig(epochs=1, seed=2)
+        trainer = JointTrainer(model, provider, EntailmentIndex(corpus, provider), config)
+        trainer.prepare(train)
+        model.train()
+        model.zero_grad()
+        assert math.isfinite(question_loss(model, trainer.prepared[0], alpha=2.0))
+        assert np.abs(model.encoder.stack.layers[0].weight.grad).sum() > 0
+        path = tmp_path / "joint.json"
+        save_joint_model(model, path, config, provider_config, provider_tfidf)
+        meta, arrays = tensornet.read_manifest(path)
+        predictions = predict_checkpoint(meta, arrays, val, corpus, str(path))
+        assert [p.question_id for p in predictions] == [q.question_id for q in val.questions]
+
+
+class TestPerfbenchBuildsTheSameModel:
+    """The benchmark's ``_build_joint`` still writes the joint assembly out by
+    hand; until it calls ``new_model``, the two must build the same model."""
+
+    def _world(self, monkeypatch, scaled):
+        """perfbench's ``workloads`` module, a synth world, the run settings
+        and a stand-in for the benchmark run ``_build_joint`` reads."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        train, _, corpus = generate(SynthConfig(questions=6, val_questions=2, seed=4))
+        config = RunConfig(scaled_down=scaled)
+        run = SimpleNamespace(
+            w=SimpleNamespace(scaled_down=scaled),
+            config=config,
+            provider_config=config.provider_config(),
+            prepare_model=lambda model: model,
+        )
+        tfidf = fit_tfidf([p.answer_text for p in corpus], V=config.metadata_vocab_size())
+        return workloads, train, corpus, config, run, tfidf
+
+    def test_scaled_parameters_match_byte_for_byte(self, monkeypatch):
+        workloads, train, corpus, config, run, tfidf = self._world(monkeypatch, True)
+        hand = workloads._build_joint(run, train, corpus, tfidf)
+        model = new_model(config.model_sizes(), config.train.seed, train.questions, corpus)
+        assert (model.layout, model.rqe_dim) == (hand.layout, hand.rqe_dim)
+        assert model.tfidf.to_dict() == hand.tfidf.to_dict()
+        assert [(n, t.data.tobytes()) for n, t in model.named_params()] == [
+            (n, t.data.tobytes()) for n, t in hand.named_params()
+        ]
+
+    def test_paper_sizes_match(self, monkeypatch):
+        workloads, train, corpus, config, run, tfidf = self._world(monkeypatch, False)
+        calls, signature = [], inspect.signature(build_joint_model)
+
+        def capture(*args, **kwargs):
+            call = signature.bind(*args, **kwargs).arguments
+            calls.append({**call, "tfidf": call["tfidf"].to_dict()})
+
+        monkeypatch.setattr(workloads, "build_joint_model", capture)
+        monkeypatch.setattr(joint, "build_joint_model", capture)
+        workloads._build_joint(run, train, corpus, tfidf)
+        new_model(config.model_sizes(), config.train.seed, train.questions, corpus)
+        hand, ours = calls
+        assert ours == hand
+        assert ours["layout"].M == PAPER_SIZES.M
