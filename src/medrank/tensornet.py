@@ -17,10 +17,17 @@ The convolutional layers (``Conv2d``, ``BatchNorm2d``, ``ReLU``,
 ``QuadrantPool``) take ``Maps``: any number of maps of any sizes packed side
 by side into one (C, P) array. Each map is treated independently, so one call
 serves every map whatever its shape.
+
+One process-wide pool of worker threads, started the first time work is
+shared, serves the optimizers' update sweep and the large ``Linear``
+products. Work is cut into pieces that depend on the shapes alone, and the
+calling thread and the free workers take them from one list, so results are
+the same bytes whatever the number of cores.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import math
@@ -105,11 +112,18 @@ class Tensor:
         """Add ``a @ b``, the gradient flattened to (shape[0], rest), to the
         gradient. A stale buffer takes the product straight from the matmul,
         so the first contribution makes no product-sized temporary."""
+        self.matmul_piece(a, b)()
+
+    def matmul_piece(self, a: np.ndarray, b: np.ndarray) -> Callable[[], object]:
+        """``add_matmul(a, b)`` as a call any thread may run: the shape check
+        and the buffer's bookkeeping happen now, on the calling thread, and
+        the call does only the product and its write or add."""
         rows, cols = self.shape[0], math.prod(self.shape[1:])
-        if self._write_not_add((a.shape[0], b.shape[1]), (rows, cols)):
-            np.matmul(a, b, out=self._grad.reshape(rows, cols))
-        else:
-            self._grad += (a @ b).reshape(self.shape)
+        write = self._write_not_add((a.shape[0], b.shape[1]), (rows, cols))
+        grad = self._grad.reshape(rows, cols)
+        if write:
+            return functools.partial(np.matmul, a, b, out=grad)
+        return lambda: np.add(grad, a @ b, out=grad)
 
     def __repr__(self) -> str:
         return f"Tensor(name={self.name!r}, shape={self.shape})"
@@ -321,11 +335,28 @@ class Module:
             module._ctx.clear()
 
 
+# Fewest flops (2 * rows * in * out) at which a Linear product is split in
+# two for the worker pool. On a 2-core Xeon VM (OpenBLAS 0.3.31, one BLAS
+# thread, one layer called over and over), forward took, whole -> split:
+# 0.024 -> 0.088 ms at 20x256->64 (0.66 MFLOP), 0.077 -> 0.107 ms at
+# 20x256->256 (2.6), 0.161 -> 0.172 ms at 20x512->256 but 0.50 -> 0.32 ms
+# at 5x1024->512 (both 5.2), 0.355 -> 0.239 ms at 20x512->512 (10.5), and
+# 40.1 -> 21.1 ms at 20x7648->3824 (1,170).
+SPLIT_MIN_FLOPS = 8_000_000
+
+
 class Linear(Module):
     """Affine layer y = x @ W.T + b over a batch of row vectors.
 
     Pass bias=False when the layer feeds a batchnorm, which would cancel the
     bias anyway.
+
+    A product of at least ``SPLIT_MIN_FLOPS`` runs as two pieces on the
+    worker pool. Forward cuts W's rows at half their count, rounded down to
+    a multiple of 8, and each piece writes its columns of the output;
+    backward runs the weight gradient and the input gradient, the calls an
+    unsplit backward makes, as the two pieces. The pieces depend on the
+    shapes alone, so the bytes do not depend on the cores.
     """
 
     def __init__(
@@ -343,17 +374,45 @@ class Linear(Module):
                 f"linear expects (B, {self.in_dim}), got {x.shape}"
             )
         self._push(x)
-        out = x @ self.weight.data.T
+        weight = self.weight.data
+        cut = self._cut(x.shape[0])
+        if cut:
+            out = np.empty((x.shape[0], self.out_dim))
+            _run_pieces(
+                [
+                    functools.partial(np.matmul, x, weight[:cut].T, out=out[:, :cut]),
+                    functools.partial(np.matmul, x, weight[cut:].T, out=out[:, cut:]),
+                ]
+            )
+        else:
+            out = x @ weight.T
         if self.bias is not None:
             out += self.bias.data
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x = self._pop()
-        self.weight.add_matmul(grad_out.T, x)
+        if self._cut(x.shape[0]):
+            grad_in = np.empty((x.shape[0], self.in_dim))
+            _run_pieces(
+                [
+                    self.weight.matmul_piece(grad_out.T, x),
+                    functools.partial(np.matmul, grad_out, self.weight.data, out=grad_in),
+                ]
+            )
+        else:
+            self.weight.add_matmul(grad_out.T, x)
+            grad_in = grad_out @ self.weight.data
         if self.bias is not None:
             self.bias.add_grad(grad_out.sum(axis=0))
-        return grad_out @ self.weight.data
+        return grad_in
+
+    def _cut(self, rows: int) -> int:
+        """Where forward cuts W's rows for the pool; 0 keeps a product of
+        ``rows`` rows whole, as one under ``SPLIT_MIN_FLOPS`` stays."""
+        if 2 * rows * self.in_dim * self.out_dim < SPLIT_MIN_FLOPS:
+            return 0
+        return self.out_dim // 16 * 8
 
 
 class ReLU(Module):
@@ -772,8 +831,133 @@ def logit_bce(logits, targets) -> tuple[float, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Optimizers
+# Worker pool
 # ---------------------------------------------------------------------------
+
+
+class _Pool:
+    """The process's worker threads, started as work first asks for them and
+    never stopped. ``post(call, count)`` queues ``count`` calls of ``call``
+    and grows the pool to at least ``count`` threads; a free thread takes
+    the oldest queued call. ``withdraw(call)`` takes back the queued calls
+    of ``call`` that no thread has started, so no caller waits for a thread
+    that is busy elsewhere."""
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._calls: collections.deque = collections.deque()
+        self._threads = 0
+
+    def post(self, call: Callable[[], object], count: int) -> None:
+        with self._cond:
+            self._calls.extend([call] * count)
+            for _ in range(self._threads, count):
+                name = f"tensornet-pool-{self._threads}"
+                threading.Thread(target=self._serve, name=name, daemon=True).start()
+                self._threads += 1
+            self._cond.notify(count)
+
+    def withdraw(self, call: Callable[[], object]) -> None:
+        """Drop the queued calls of ``call``."""
+        with self._cond:
+            if self._calls:
+                self._calls = collections.deque(c for c in self._calls if c != call)
+
+    def _serve(self) -> None:
+        while True:
+            with self._cond:
+                while not self._calls:
+                    self._cond.wait()
+                call = self._calls.popleft()
+            call()
+
+
+_POOL = _Pool()
+if hasattr(os, "register_at_fork"):  # a forked child inherits none of the threads
+    os.register_at_fork(after_in_child=_POOL.__init__)
+
+
+class _Work:
+    """Pieces that the calling thread and pooled helpers take from one list,
+    each drainer the next untaken piece until none is left, and run as
+    ``run(piece)``.
+
+    ``add`` lists pieces and posts helpers; ``finish`` drains the list on
+    the calling thread, withdraws the helpers no pool thread has started,
+    waits for the pieces the others took, and re-raises the first exception
+    a piece raised. A helper that starts later finds the list empty and
+    leaves, so no piece runs after ``finish``, and no piece waits for a
+    thread busy elsewhere. A piece that raises stops no other: every listed
+    piece runs, on whichever thread takes it. Helpers run under the numpy
+    error state of the thread that made the work.
+    """
+
+    def __init__(self, run: Callable[[object], object]):
+        self._run = run
+        self._errors = np.geterr()  # a pool thread starts from numpy's defaults
+        self._cond = threading.Condition()
+        self._pieces: list = []
+        self._taken = 0
+        self._running = 0  # pieces taken and not yet finished
+        self._helpers = 0  # helpers posted that have not yet found the list empty
+        self._error: BaseException | None = None
+
+    def add(self, pieces: Iterable, workers: int) -> None:
+        """List ``pieces``, and post helpers until ``workers`` drain the
+        list: the caller, the helpers still draining and the new ones."""
+        with self._cond:
+            self._pieces.extend(pieces)
+            starts = workers - 1 - self._helpers
+            self._helpers += max(0, starts)
+        if starts > 0:
+            _POOL.post(self._help, starts)
+
+    def finish(self) -> None:
+        """Run every untaken piece here, and return once none is running;
+        re-raises the first piece's exception. Nothing may be added after."""
+        self._take(helper=False)
+        _POOL.withdraw(self._help)
+        with self._cond:
+            self._cond.wait_for(lambda: self._running == 0)
+        if self._error is not None:
+            raise self._error
+
+    def _help(self) -> None:
+        with np.errstate(**self._errors):
+            self._take(helper=True)
+
+    def _take(self, helper: bool) -> None:
+        """Run the next untaken piece until none is left. A helper leaves
+        the count in the same locked act that finds the list empty, so a
+        piece listed while it drains is never missed."""
+        ran = False
+        while True:
+            with self._cond:
+                if ran:
+                    self._running -= 1
+                    if not self._running:
+                        self._cond.notify_all()
+                if self._taken == len(self._pieces):
+                    self._helpers -= helper
+                    return
+                piece = self._pieces[self._taken]
+                self._taken += 1
+                self._running += 1
+            try:
+                self._run(piece)
+            except BaseException as exc:  # re-raised by finish
+                with self._cond:
+                    if self._error is None:
+                        self._error = exc
+            ran = True
+
+
+def _run_pieces(pieces: list[Callable[[], object]]) -> None:
+    """Call every piece, on the calling thread and on pool threads that are
+    free, and return once all have finished; re-raises the first exception."""
+    work = _Work(lambda piece: piece())
+    work.add(pieces, sweep_workers(len(pieces), 1))
+    work.finish()
 
 
 # Float64 elements per block of the optimizers' in-place sweep (256 KB). A
@@ -783,23 +967,29 @@ def logit_bce(logits, targets) -> tuple[float, np.ndarray]:
 # overhead, 1M spills to memory).
 SWEEP_BLOCK = 32768
 
-# Fewest blocks a sweep worker gets. A pooled step starts its threads afresh
-# (the calling thread drains beside them), and the break-even moves with
-# the load on the other core: on a 2-core Xeon VM, Adam over 16 blocks took
-# 3.5-4.0 ms inline and 2.9-3.1 ms on two workers in quiet runs, but 4.2-4.9
-# ms and 4.6-5.5 ms in busy ones, where two workers lost from 4 blocks up.
+# Fewest blocks a sweep worker gets. The break-even moves with the load on
+# the other core: on a 2-core Xeon VM, with each pooled step starting its
+# threads afresh (the calling thread draining beside them), Adam over 16
+# blocks took 3.5-4.0 ms inline and 2.9-3.1 ms on two workers in quiet runs,
+# but 4.2-4.9 ms and 4.6-5.5 ms in busy ones, where two workers lost from 4
+# blocks up.
 SWEEP_MIN_BLOCKS = 8
 
 
-def sweep_workers(blocks: int) -> int:
-    """Workers for a sweep whose elements fill ``blocks`` blocks: one per core
-    this process may run on, but no fewer than ``SWEEP_MIN_BLOCKS`` blocks
-    each, and at least one."""
+def sweep_workers(blocks: int, min_blocks: int = SWEEP_MIN_BLOCKS) -> int:
+    """Workers for ``blocks`` pieces of work, the caller counted as one: one
+    per core this process may run on, but no fewer than ``min_blocks``
+    pieces each, and at least one."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:  # no affinity call on macOS or Windows
         cores = os.cpu_count() or 1
-    return max(1, min(cores, blocks // SWEEP_MIN_BLOCKS))
+    return max(1, min(cores, blocks // min_blocks))
+
+
+# ---------------------------------------------------------------------------
+# Optimizers
+# ---------------------------------------------------------------------------
 
 
 class _Optimizer:
@@ -812,25 +1002,28 @@ class _Optimizer:
     A step merges the ranges of the parameters that have a gradient into
     contiguous runs, cuts the runs into flat blocks of at most
     ``SWEEP_BLOCK`` elements and updates the parameters and states in place
-    through two scratch blocks per worker, so a step allocates nothing the
-    size of a weight. The blocks go on one list per step, and every worker
-    drains that list: it takes the next untaken block until none is left.
+    through two scratch blocks per thread, so a step allocates nothing the
+    size of a weight. The blocks go on one work list per step, which the
+    calling thread and the pool's helpers drain: each takes the next
+    untaken block until none is left.
 
     ``hand_off(module)`` opens the step during backward. It lists the blocks
-    of a module whose gradients are already final and starts a pooled
-    worker on them, so their update runs on a second core while the caller
-    goes on with the rest of backward. ``step`` lists the blocks of every
-    parameter not handed off; the calling thread, the workers still
-    draining and any new ones drain the list together, and ``step`` returns
-    once every worker has joined. ``sweep_workers`` decides every count
-    (numpy releases the interpreter lock inside each operation): a worker
-    per usable core, one of them the caller. So a sweep too small to share
-    runs inline on the caller, and a hand-off too small for a worker of its
-    own is only a size check, its parameters waiting for ``step``. The count
-    follows the process's CPU affinity and the number of elements alone,
-    with no setting. Every element goes through the same operations in the
-    same order as the unblocked formula, so results are bit-identical
-    whatever the worker count and the hand-offs.
+    of a module whose gradients are already final and posts a helper to the
+    worker pool, so their update runs on a second core while the caller goes
+    on with the rest of backward. ``step`` lists the blocks of every
+    parameter not handed off; the calling thread drains the list beside the
+    helpers still draining and any new ones, and ``step`` returns once no
+    block is left running. ``sweep_workers`` decides every count (numpy
+    releases the interpreter lock inside each operation): a worker per
+    usable core, one of them the caller. So a sweep too small to share runs
+    inline on the caller, and a hand-off too small for a worker of its own
+    is only a size check, its parameters waiting for ``step``. A helper no
+    pool thread has started when ``step`` drains (the thread may be running
+    a ``Linear`` piece) is withdrawn, not waited for. The count follows the
+    process's CPU affinity and the number of elements alone, with no
+    setting. Every element goes through the same operations in the same
+    order as the unblocked formula, so results are bit-identical whatever
+    the worker count and the hand-offs.
     """
 
     def __init__(self, store: ParamStore, lr: float, states: int = 0):
@@ -838,18 +1031,13 @@ class _Optimizer:
         self.lr = lr
         self._states = [np.zeros(store.values.size) for _ in range(states)]
         self._block = min(SWEEP_BLOCK, store.values.size)
-        self._spare: list[tuple[np.ndarray, np.ndarray]] = []  # scratch pairs no worker holds
-        self._lock = threading.Lock()
+        self._scratch = threading.local()  # each thread's pair of scratch blocks
         self._end_step()
 
     def _end_step(self) -> None:
-        """Forget the open step: its update, hand-offs, blocks and workers."""
-        self._update: Callable | None = None
+        """Forget the open step: its work list and hand-offs."""
+        self._work: _Work | None = None
         self._handed = [False] * len(self.store.params)
-        self._blocks: list[slice] = []
-        self._taken = 0  # blocks some worker has taken; with _draining, under _lock
-        self._draining = 0  # pooled workers that have not yet found the list empty
-        self._pools: list = []  # (pool, futures) per start of pooled workers
 
     def zero_grad(self) -> None:
         for p in self.store.params:
@@ -862,7 +1050,7 @@ class _Optimizer:
 
     def hand_off(self, module: Module) -> None:
         """Start updating the parameters of ``module``, whose gradients are
-        final for this step, on a pooled worker, and return at once. Until
+        final for this step, on a pool thread, and return at once. Until
         ``step`` (or ``join``) returns, nothing may read or write their values
         or gradients. With one usable core, or a model too small to share,
         the hand-off reads no parameter list at all."""
@@ -879,33 +1067,31 @@ class _Optimizer:
 
     def step(self) -> None:
         """Update every parameter that has a gradient, handed off or not, and
-        return once every worker has joined."""
+        return once no block is left running."""
         try:
             self._share([i for i, handed in enumerate(self._handed) if not handed])
-            self._drain(self._update)
         finally:
             self.join()
 
     def join(self) -> None:
-        """Wait for the open step's workers, then close the step; re-raises a
-        worker's exception. Called alone, after a backward that failed past a
-        hand-off, it leaves the handed-off parameters updated and the rest
-        as they were."""
-        for pool, _ in self._pools:
-            pool.shutdown()
-        futures = [future for _, started in self._pools for future in started]
-        self._end_step()
-        for future in futures:
-            future.result()
+        """Drain the open step's list beside its helpers, wait for them, then
+        close the step; re-raises the first exception an update raised.
+        Called alone, after a backward that failed past a hand-off, it leaves
+        the handed-off parameters updated and the rest as they were."""
+        try:
+            if self._work is not None:
+                self._work.finish()
+        finally:
+            self._end_step()
 
     def _share(self, indices: list[int]) -> None:
         """List the blocks of the parameters ``indices`` that have a gradient,
-        and start pooled workers up to the ``sweep_workers`` count for their
-        elements, counting the caller and the workers still draining. Only
-        the caller's thread touches a ``Tensor``: workers see flat arrays
+        and post helpers up to the ``sweep_workers`` count for their
+        elements, counting the caller and the helpers still draining. Only
+        the caller's thread touches a ``Tensor``: helpers see flat arrays
         alone."""
-        if self._update is None:
-            self._update = self._next_update()
+        if self._work is None:
+            self._work = _Work(functools.partial(self._sweep, self._next_update()))
         runs: list[list[int]] = []  # [start, stop) ranges of parameters with a gradient
         for i in indices:
             p, span = self.store.params[i], self.store.ranges[i]
@@ -925,45 +1111,18 @@ class _Optimizer:
             for start, stop in runs
             for first in range(start, stop, SWEEP_BLOCK)
         ]
-        workers = sweep_workers(-(-sum(stop - start for start, stop in runs) // SWEEP_BLOCK))
-        with self._lock:
-            self._blocks.extend(blocks)
-            starts = workers - 1 - self._draining
-            self._draining += max(0, starts)
-        if starts > 0:
-            from concurrent.futures import ThreadPoolExecutor
+        self._work.add(
+            blocks, sweep_workers(-(-sum(stop - start for start, stop in runs) // SWEEP_BLOCK))
+        )
 
-            errors = np.geterr()  # a worker thread starts from numpy's defaults
-            pool = ThreadPoolExecutor(starts)
-            started = [pool.submit(self._drain, self._update, errors) for _ in range(starts)]
-            self._pools.append((pool, started))
-
-    def _drain(self, update: Callable, errors: dict | None = None) -> None:
-        """Update the open step's next untaken block until none is left. A
-        pooled worker gets the caller's numpy error state as ``errors``, and
-        leaves the draining count in the same locked act that finds the list
-        empty, so a block listed while it drains is never missed."""
-        with self._lock:
-            scratch = self._spare.pop() if self._spare else None
+    def _sweep(self, update: Callable, block: slice) -> None:
+        """Update one block through this thread's scratch pair."""
+        scratch = getattr(self._scratch, "pair", None)
         if scratch is None:
-            scratch = (np.empty(self._block), np.empty(self._block))
-        values, grads, states = self.store.values, self.store.grads, self._states
-        try:
-            with np.errstate(**(errors or np.geterr())):
-                while True:
-                    with self._lock:
-                        if self._taken == len(self._blocks):
-                            if errors is not None:
-                                self._draining -= 1
-                            return
-                        block = self._blocks[self._taken]
-                        self._taken += 1
-                    pb = values[block]
-                    a, b = scratch[0][: pb.size], scratch[1][: pb.size]
-                    update(pb, grads[block], [s[block] for s in states], a, b)
-        finally:
-            with self._lock:
-                self._spare.append(scratch)
+            scratch = self._scratch.pair = (np.empty(self._block), np.empty(self._block))
+        values = self.store.values[block]
+        a, b = scratch[0][: values.size], scratch[1][: values.size]
+        update(values, self.store.grads[block], [s[block] for s in self._states], a, b)
 
 
 class SGD(_Optimizer):

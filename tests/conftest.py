@@ -1,14 +1,15 @@
 """Shared fixtures: tiny datasets, corpora, and stub providers."""
 
-import concurrent.futures
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from medrank import tensornet
 from medrank.corpus import CandidateAnswer, QAPair, QuestionRecord
 from medrank.providers import pair_key
 
@@ -31,17 +32,51 @@ def make_candidate(
     )
 
 
-def count_pools(monkeypatch) -> list:
-    """The worker count of every thread pool started from now on."""
-    pools = []
+def count_posts(monkeypatch) -> list:
+    """The helper count of every post to the tensornet worker pool from now on."""
+    posts = []
+    post = tensornet._Pool.post
 
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
+    def counted(self, call, count):
+        posts.append(count)
+        post(self, call, count)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-    return pools
+    monkeypatch.setattr(tensornet._Pool, "post", counted)
+    return posts
+
+
+def track_updates(optimizer) -> list:
+    """``[running, started]``: how many of ``optimizer``'s block updates are
+    in progress right now, on any thread, and how many have started."""
+    counts = [0, 0]
+    lock = threading.Lock()
+    next_update = optimizer._next_update
+
+    def tracked_next():
+        update = next_update()
+
+        def tracked(*args):
+            with lock:
+                counts[0] += 1
+                counts[1] += 1
+            try:
+                update(*args)
+            finally:
+                with lock:
+                    counts[0] -= 1
+
+        return tracked
+
+    optimizer._next_update = tracked_next
+    return counts
+
+
+def assert_no_update_left(counts) -> None:
+    """No update of a ``track_updates`` optimizer runs now, or starts soon."""
+    started = counts[1]
+    assert counts[0] == 0
+    time.sleep(0.05)
+    assert counts == [0, started]
 
 
 def he_uniform(rng, shape, fan_in):

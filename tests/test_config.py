@@ -1,13 +1,22 @@
 """Dotted-key run configuration parsing and round-trips."""
 
 import dataclasses
+import inspect
 import re
 
 import pytest
 
-from medrank.config import RunConfig
+from medrank.config import (
+    ProviderSection,
+    RetrievalSection,
+    RunConfig,
+    TfidfSection,
+    TrainSection,
+)
 from medrank.errors import ConfigError, SchemaError
 from medrank.joint import PAPER_SIZES, SCALED_SIZES, TrainConfig
+from medrank.providers import ProviderConfig, fit_tfidf
+from medrank.retrieval import RetrievalConfig
 
 
 def _format(value) -> str:
@@ -158,3 +167,23 @@ class TestRunConfig:
     def test_model_sizes_resolve_the_preset(self):
         assert RunConfig().model_sizes() == dataclasses.replace(PAPER_SIZES, D=768, V=2000)
         assert RunConfig(scaled_down=True).model_sizes() == SCALED_SIZES
+
+
+@pytest.mark.parametrize(
+    "section, record",
+    [
+        (ProviderSection, ProviderConfig),
+        (RetrievalSection, RetrievalConfig),
+        (TrainSection, TrainConfig),
+    ],
+)
+def test_section_defaults_match_the_records_they_build(section, record):
+    # The run settings repeat each record's defaults; a default changed in
+    # one place alone would make the CLI and the library disagree.
+    want = {f.name: getattr(record(), f.name) for f in dataclasses.fields(record)}
+    want.pop("retrieval", None)  # TrainConfig's, filled from RetrievalSection
+    assert dataclasses.asdict(section()) == want
+
+
+def test_tfidf_section_default_matches_fit_tfidf():
+    assert TfidfSection().V == inspect.signature(fit_tfidf).parameters["V"].default

@@ -5,7 +5,6 @@ import importlib
 import inspect
 import math
 import re
-import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -59,11 +58,13 @@ from medrank.tensornet import Linear, Module, conv_out_dim, logit_bce, sigmoid
 
 from conftest import (
     StubProvider,
-    count_pools,
+    assert_no_update_left,
+    count_posts,
     he_uniform,
     make_candidate,
     make_question,
     pending,
+    track_updates,
 )
 
 
@@ -1114,7 +1115,7 @@ class TestHandOffTraining:
 
     def _train(self, monkeypatch, workers, optimizer):
         shares = _force_overlap(monkeypatch, workers)
-        pools = count_pools(monkeypatch)
+        posts = count_posts(monkeypatch)
         train, _, _, provider, index, model = small_world(questions=3, seed=9)
         model.pair_head.layers[3] = Unused(model.pair_head.layers[3])
         trainer = JointTrainer(
@@ -1134,18 +1135,18 @@ class TestHandOffTraining:
         state = [t.data.tobytes() for t in model.params()]
         state += [s.tobytes() for s in trainer.optimizer._states]
         state += [b.tobytes() for _, b in model.named_buffers()]
-        return state, getattr(trainer.optimizer, "_t", None), steps, shares, pools
+        return state, getattr(trainer.optimizer, "_t", None), steps, shares, posts
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_forced_overlap_matches_inline_bytes(self, monkeypatch, optimizer):
         with monkeypatch.context() as patch:
-            inline, inline_t, steps, inline_shares, no_pools = self._train(patch, 1, optimizer)
+            inline, inline_t, steps, inline_shares, no_posts = self._train(patch, 1, optimizer)
         with monkeypatch.context() as patch:
-            overlap, overlap_t, _, shares, pools = self._train(patch, 2, optimizer)
+            overlap, overlap_t, _, shares, posts = self._train(patch, 2, optimizer)
         # Inline, each step shares every parameter; with workers, both heads
         # are handed off first and the step shares the encoder's.
-        assert no_pools == [] and len(inline_shares) == steps
-        assert len(shares) == 3 * steps and len(pools) >= steps
+        assert no_posts == [] and len(inline_shares) == steps
+        assert len(shares) == 3 * steps and len(posts) >= steps
         assert overlap == inline
         assert overlap_t == inline_t == (steps if optimizer == "adam" else None)
 
@@ -1193,20 +1194,20 @@ class TestHandOffTraining:
 
     def test_backward_failure_after_hand_off_joins_the_workers(self, monkeypatch):
         shares = _force_overlap(monkeypatch)
-        pools = count_pools(monkeypatch)
+        posts = count_posts(monkeypatch)
         train, _, _, provider, index, model = small_world(questions=3, seed=9)
         stack = model.encoder.stack
         stack.layers.append(FailingBackward())
         stack.names.append("failing")
         trainer = JointTrainer(model, provider, index, TrainConfig(seed=9))
         trainer.prepare(train)
-        before = threading.active_count()
+        optimizer = trainer.optimizer
+        counts = track_updates(optimizer)
         with pytest.raises(RuntimeError, match="backward failed"):
             trainer.run_epoch()
-        assert len(shares) == 2 and pools  # both heads were handed off to workers
-        assert threading.active_count() == before
-        optimizer = trainer.optimizer
-        assert optimizer._pools == [] and optimizer._update is None  # the step is closed
+        assert len(shares) == 2 and posts  # both heads were handed off to workers
+        assert_no_update_left(counts)
+        assert optimizer._work is None  # the step is closed
         stack.layers.pop()
         stack.names.pop()
         model.clear_cache()

@@ -1,10 +1,10 @@
 """Neural core: forward semantics, gradient oracles, optimizers, checkpoints."""
 
-import concurrent.futures
 import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 
@@ -27,6 +27,7 @@ from medrank.tensornet import (
     QuadrantPool,
     ReLU,
     SGD,
+    SPLIT_MIN_FLOPS,
     SWEEP_BLOCK,
     SWEEP_MIN_BLOCKS,
     Sequential,
@@ -39,7 +40,7 @@ from medrank.tensornet import (
     write_manifest,
 )
 
-from conftest import count_pools, he_uniform, pending
+from conftest import assert_no_update_left, count_posts, he_uniform, pending, track_updates
 
 
 def naive_conv2d(x, weight, bias, stride, padding):
@@ -1212,24 +1213,17 @@ class TestPooledSweep:
 
     def _run(self, monkeypatch, workers, optimizer_cls, data, grads, **kwargs):
         """Parameters and state after the steps, with ``workers`` workers;
-        and the thread counts each pool was built with (the calling thread
+        and the helper count of each post to the pool (the calling thread
         is the other worker)."""
         monkeypatch.setattr(tensornet, "sweep_workers", lambda blocks: workers)
-        pools = []
-
-        class CountingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+        posts = count_posts(monkeypatch)
         tensors = [Tensor(d.copy()) for d in data]
         optimizer = optimizer_cls(ParamStore(tensors), **kwargs)
         for step_grads in grads:
             for tensor, g in zip(tensors, step_grads):
                 tensor.grad = None if g is None else g.copy()
             optimizer.step()
-        return [a.tobytes() for a in [t.data for t in tensors] + optimizer._states], pools
+        return [a.tobytes() for a in [t.data for t in tensors] + optimizer._states], posts
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("optimizer_cls", [Adam, SGD])
@@ -1237,9 +1231,9 @@ class TestPooledSweep:
         data, grads = self._problem()
         elements = sum(d.size for d, g in zip(data, grads[0]) if g is not None)
         assert elements > 2 * SWEEP_MIN_BLOCKS * SWEEP_BLOCK
-        pooled, pools = self._run(monkeypatch, workers, optimizer_cls, data, grads, lr=0.01)
-        inline, no_pools = self._run(monkeypatch, 1, optimizer_cls, data, grads, lr=0.01)
-        assert pools == [workers - 1] * self.STEPS and no_pools == []
+        pooled, posts = self._run(monkeypatch, workers, optimizer_cls, data, grads, lr=0.01)
+        inline, no_posts = self._run(monkeypatch, 1, optimizer_cls, data, grads, lr=0.01)
+        assert posts == [workers - 1] * self.STEPS and no_posts == []
         assert pooled == inline
         assert pooled[2] == data[2].tobytes()
 
@@ -1251,9 +1245,10 @@ class TestPooledSweep:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             self._run(monkeypatch, 3, Adam, data, grads[:1])
 
-    def test_caller_share_exception_joins_pool(self, monkeypatch):
-        # The calling thread runs the first share, which overflows here; the
-        # step raises only after the workers have finished and joined.
+    def test_first_block_exception_waits_for_every_block(self, monkeypatch):
+        # The first block overflows here, on whichever thread takes it; the
+        # step raises only after every other block has run and no pool
+        # thread is left running one.
         data, grads = self._problem(seed=1)
         grads[0][0][0] = 1e200
         monkeypatch.setattr(tensornet, "sweep_workers", lambda blocks: 3)
@@ -1262,10 +1257,12 @@ class TestPooledSweep:
         for tensor, g in zip(tensors, grads[0]):
             tensor.grad = None if g is None else g.copy()
         optimizer = Adam(store)
-        before = threading.active_count()
+        counts = track_updates(optimizer)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             optimizer.step()
-        assert threading.active_count() == before
+        assert_no_update_left(counts)
+        runs = data[0].size + data[1].size, data[3].size + data[4].size  # around data[2]
+        assert counts[1] == sum(-(-n // SWEEP_BLOCK) for n in runs)
         assert not np.array_equal(tensors[-1].data, data[-1])  # the last share ran
 
     def test_model_below_minimum_starts_no_thread(self, monkeypatch):
@@ -1354,7 +1351,7 @@ class TestHandOff:
         # the caller drain both, and no second worker starts.
         monkeypatch.setattr(tensornet, "SWEEP_BLOCK", 16)
         monkeypatch.setattr(tensornet, "sweep_workers", lambda blocks: 2)
-        pools = count_pools(monkeypatch)
+        posts = count_posts(monkeypatch)
         gate = threading.Event()
 
         class GatedSGD(SGD):
@@ -1377,7 +1374,7 @@ class TestHandOff:
         optimizer.hand_off(Holder(tensors[3:5]))
         gate.set()
         optimizer.step()
-        assert pools == [1]
+        assert posts == [1]
         want = reference_sgd(data, grads[:1], 0.1)
         assert [t.data.tobytes() for t in tensors] == [w.tobytes() for w in want]
 
@@ -1432,6 +1429,171 @@ class TestHandOff:
         optimizer.step()  # a fresh step: nothing is handed off any more
         np.testing.assert_array_equal(tensors[0].data, np.full(4, 1.0 - 0.1 - 0.1))
         np.testing.assert_array_equal(tensors[1].data, np.full(3, 1.0 - 0.1))
+
+
+class TestLinearSplit:
+    """A Linear product of at least ``SPLIT_MIN_FLOPS`` runs as two pieces
+    whose bytes depend on the shapes alone, wherever the pieces run."""
+
+    def _passes(self, monkeypatch, workers, rows):
+        """Output, gradient and input-gradient bytes of two train-mode
+        forwards and backwards (the second backward adds to the first's
+        weight gradient) with ``workers`` workers; and the helper count of
+        each post to the pool."""
+        monkeypatch.setattr(tensornet, "sweep_workers", lambda *args: workers)
+        posts = count_posts(monkeypatch)
+        rng = np.random.default_rng(rows)
+        layer = Linear(3824, 2048, rng).materialize()
+        xs = [rng.standard_normal((rows, 3824)) for _ in range(2)]
+        gs = [rng.standard_normal((rows, 2048)) for _ in range(2)]
+        layer.train()
+        layer.zero_grad()
+        outs = [layer.forward(x) for x in xs]
+        grads_in = [layer.backward(g) for g in reversed(gs)]
+        arrays = outs + grads_in + [layer.weight.grad, layer.bias.grad]
+        return [a.tobytes() for a in arrays], posts, (layer, xs, gs)
+
+    @pytest.mark.parametrize("rows", [5, 20])
+    def test_pool_and_caller_give_the_same_bytes(self, monkeypatch, rows):
+        with monkeypatch.context() as patch:
+            pooled, posts, _ = self._passes(patch, 2, rows)
+        with monkeypatch.context() as patch:
+            alone, no_posts, (layer, xs, gs) = self._passes(patch, 1, rows)
+        assert posts == [1] * 4 and no_posts == []
+        assert pooled == alone
+        # Both agree with the whole products, to rounding.
+        w, b = layer.weight.data, layer.bias.data
+        want = [x @ w.T + b for x in xs] + [g @ w for g in reversed(gs)]
+        want.append(sum(g.T @ x for g, x in zip(gs, xs)))
+        for got, ref in zip(alone, want):
+            np.testing.assert_allclose(np.frombuffer(got).reshape(ref.shape), ref, rtol=1e-12)
+
+    def test_product_below_the_threshold_stays_whole(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tensornet, "sweep_workers", lambda *args: calls.append(args) or 1)
+        rng = np.random.default_rng(3)
+        layer = Linear(256, 64, rng).materialize()
+        rows = (SPLIT_MIN_FLOPS - 1) // (2 * 256 * 64)  # one more row reaches it
+        assert 2 * rows * 256 * 64 < SPLIT_MIN_FLOPS <= 2 * (rows + 1) * 256 * 64
+        x, g = rng.standard_normal((rows, 256)), rng.standard_normal((rows, 64))
+        layer.zero_grad()
+        out = layer.forward(x)
+        grad_in = layer.backward(g)
+        assert calls == []  # no core count asked for, no piece listed
+        assert out.tobytes() == (x @ layer.weight.data.T + layer.bias.data).tobytes()
+        assert grad_in.tobytes() == (g @ layer.weight.data).tobytes()
+        assert layer.weight.grad.tobytes() == (g.T @ x).tobytes()
+        layer.forward(np.vstack([x, x[:1]]))
+        assert calls == [(2, 1)]
+
+
+class TestSharedPool:
+    """Products and optimizer sweeps share one pool of threads: a caller
+    never waits for a thread that is busy elsewhere, and no piece's
+    exception is lost or raised early."""
+
+    def test_pooled_exception_reaches_the_caller_after_every_piece(self, monkeypatch):
+        # The caller's piece waits until a pooled piece has raised; the next
+        # pooled piece is still running then, and must finish before the
+        # exception reaches the caller.
+        monkeypatch.setattr(tensornet, "sweep_workers", lambda *args: 3)
+        caller = threading.current_thread()
+        raised = threading.Event()
+        lock, pooled, finished = threading.Lock(), [], []
+
+        def piece():
+            if threading.current_thread() is caller:
+                assert raised.wait(10)
+                return
+            with lock:
+                pooled.append(threading.current_thread())
+                first = len(pooled) == 1
+            if first:
+                raised.set()
+                raise ValueError("pooled piece failed")
+            time.sleep(0.1)
+            finished.append(True)
+
+        with pytest.raises(ValueError, match="pooled piece failed"):
+            tensornet._run_pieces([piece, piece, piece])
+        assert len(pooled) == 2 and finished == [True]
+
+    def test_forward_beside_a_busy_hand_off_runs_on_the_caller(self, monkeypatch):
+        # One pool thread, held inside a hand-off's first block: a product
+        # posts a helper that thread cannot take, and the caller runs both
+        # pieces and withdraws the helper rather than wait.
+        monkeypatch.setattr(tensornet, "_POOL", tensornet._Pool())
+        monkeypatch.setattr(tensornet, "sweep_workers", lambda *args: 2)
+        posts = count_posts(monkeypatch)
+        holding, gate = threading.Event(), threading.Event()
+
+        class GatedSGD(SGD):
+            def _next_update(self):
+                update = super()._next_update()
+
+                def gated(*args):
+                    holding.set()
+                    assert gate.wait(10)
+                    update(*args)
+
+                return gated
+
+        rng = np.random.default_rng(4)
+        layer = Linear(3824, 2048, rng).materialize().eval().enable_grad(False)
+        x = rng.standard_normal((20, 3824))
+        want = layer.forward(x)
+        data = [rng.standard_normal(n) for n in (300, 40)]
+        grads = [[rng.standard_normal(d.shape) for d in data]]
+        tensors = [Tensor(d.copy()) for d in data]
+        store = ParamStore(tensors)
+        for tensor, g in zip(tensors, grads[0]):
+            tensor.grad = g
+        optimizer = GatedSGD(store, lr=0.1)
+        try:
+            optimizer.hand_off(Holder(tensors[:1]))
+            assert holding.wait(10)
+            got = layer.forward(x)
+            assert not gate.is_set() and not tensornet._POOL._calls  # withdrawn
+        finally:
+            gate.set()
+            optimizer.step()
+        assert posts == [1, 1, 1] and got.tobytes() == want.tobytes()
+        assert [t.data.tobytes() for t in tensors] == [
+            w.tobytes() for w in reference_sgd(data, grads, 0.1)
+        ]
+
+    def test_join_leaves_no_pool_thread_running_a_piece(self, monkeypatch):
+        # join alone, as after a backward that failed past a hand-off, while
+        # a pool thread is mid-drain: the caller drains the rest beside it,
+        # and once join returns no update runs or starts.
+        monkeypatch.setattr(tensornet, "SWEEP_BLOCK", 16)
+        monkeypatch.setattr(tensornet, "sweep_workers", lambda *args: 2)
+
+        class SlowSGD(SGD):
+            def _next_update(self):
+                update = super()._next_update()
+
+                def slow(*args):
+                    time.sleep(0.001)
+                    update(*args)
+
+                return slow
+
+        rng = np.random.default_rng(5)
+        data = [rng.standard_normal(n) for n in (900, 700, 50)]
+        grads = [[rng.standard_normal(d.shape) for d in data]]
+        tensors = [Tensor(d.copy()) for d in data]
+        store = ParamStore(tensors)
+        for tensor, g in zip(tensors, grads[0]):
+            tensor.grad = g
+        optimizer = SlowSGD(store, lr=0.1)
+        counts = track_updates(optimizer)
+        optimizer.hand_off(Holder(tensors[:2]))
+        optimizer.join()
+        assert_no_update_left(counts)
+        assert counts[1] == (900 + 700) // 16 and optimizer._work is None
+        want = reference_sgd(data[:2], [grads[0][:2]], 0.1) + [data[2]]
+        assert [t.data.tobytes() for t in tensors] == [w.tobytes() for w in want]
 
 
 class TestArena:
@@ -1646,6 +1808,7 @@ def test_sweep_workers_follow_affinity_and_blocks(monkeypatch, cores, blocks, wa
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     assert sweep_workers(blocks) == want
     assert all(1 <= sweep_workers(n) <= cores for n in range(0, 40 * SWEEP_MIN_BLOCKS, 3))
+    assert sweep_workers(2, 1) == min(cores, 2)  # two pieces of a split product
     assert threading.active_count() == before
 
 
