@@ -19,10 +19,12 @@ by side into one (C, P) array. Each map is treated independently, so one call
 serves every map whatever its shape.
 
 One process-wide pool of worker threads, started the first time work is
-shared, serves the optimizers' update sweep and the large ``Linear``
-products. Work is cut into pieces that depend on the shapes alone, and the
-calling thread and the free workers take them from one list, so results are
-the same bytes whatever the number of cores.
+shared, serves the optimizers' update sweep and the large ``Linear`` and
+``Conv2d`` forward products. Work is cut into pieces that depend on the
+shapes alone (a split conv product also pads its output cells to a multiple
+of 8, on one core too), and the calling thread and the free workers take
+them from one list, so results are the same bytes whatever the number of
+cores.
 """
 
 from __future__ import annotations
@@ -335,14 +337,34 @@ class Module:
             module._ctx.clear()
 
 
-# Fewest flops (2 * rows * in * out) at which a Linear product is split in
-# two for the worker pool. On a 2-core Xeon VM (OpenBLAS 0.3.31, one BLAS
-# thread, one layer called over and over), forward took, whole -> split:
-# 0.024 -> 0.088 ms at 20x256->64 (0.66 MFLOP), 0.077 -> 0.107 ms at
-# 20x256->256 (2.6), 0.161 -> 0.172 ms at 20x512->256 but 0.50 -> 0.32 ms
-# at 5x1024->512 (both 5.2), 0.355 -> 0.239 ms at 20x512->512 (10.5), and
-# 40.1 -> 21.1 ms at 20x7648->3824 (1,170).
+# Fewest flops at which a product is split in two for the worker pool:
+# 2 * rows * in * out for a Linear, 2 * O * C*kh*kw * L for a Conv2d over L
+# output cells. On a 2-core Xeon VM (OpenBLAS 0.3.31, one BLAS thread, one
+# layer called over and over), forward took, whole -> split:
+# - Linear: 0.024 -> 0.088 ms at 20x256->64 (0.66 MFLOP), 0.077 -> 0.107 ms
+#   at 20x256->256 (2.6), 0.161 -> 0.172 ms at 20x512->256 but 0.50 -> 0.32
+#   ms at 5x1024->512 (both 5.2), 0.355 -> 0.239 ms at 20x512->512 (10.5),
+#   and 40.1 -> 21.1 ms at 20x7648->3824 (1,170).
+# - Conv2d, gather included: 0.34 -> 0.29 ms at 512->256 2x2 over 12 cells
+#   (6.3 MFLOP), 2.7 -> 1.2 ms at 512->512 3x3 stride 2 over 3 cells
+#   (14.2), 1.38 -> 0.76 ms at 768->768 1x1 over 27 cells (31.9), and 60 ->
+#   34 ms at 768->512 3x3 over 405 cells (2,867). With few channels the
+#   gather, which stays on the calling thread, outweighs the split: 0.29 ->
+#   0.34 ms at 64->64 3x3 over 108 cells (8.0), 0.91 -> 0.77 ms at
+#   128->128 3x3 (31.9). Neither preset has such a conv: the paper's have
+#   256 channels or more, and the scaled-down ones never reach 8 MFLOP.
 SPLIT_MIN_FLOPS = 8_000_000
+
+
+def _row_pieces(rows: int, flops: int) -> list[slice]:
+    """The output rows each pool piece of a product of ``flops`` flops
+    writes: none under ``SPLIT_MIN_FLOPS``, where the product stays whole;
+    else the first half of the ``rows``, rounded down to a multiple of 8,
+    and the rest, or all the rows in one piece where that half is 0."""
+    if flops < SPLIT_MIN_FLOPS:
+        return []
+    cut = rows // 16 * 8
+    return [slice(0, cut), slice(cut, rows)] if cut else [slice(0, rows)]
 
 
 class Linear(Module):
@@ -353,7 +375,8 @@ class Linear(Module):
 
     A product of at least ``SPLIT_MIN_FLOPS`` runs as two pieces on the
     worker pool. Forward cuts W's rows at half their count, rounded down to
-    a multiple of 8, and each piece writes its columns of the output;
+    a multiple of 8 (``_row_pieces``), and each piece writes its columns of
+    the output;
     backward runs the weight gradient and the input gradient, the calls an
     unsplit backward makes, as the two pieces. The pieces depend on the
     shapes alone, so the bytes do not depend on the cores.
@@ -375,14 +398,11 @@ class Linear(Module):
             )
         self._push(x)
         weight = self.weight.data
-        cut = self._cut(x.shape[0])
-        if cut:
+        pieces = self._pieces(x.shape[0])
+        if pieces:
             out = np.empty((x.shape[0], self.out_dim))
             _run_pieces(
-                [
-                    functools.partial(np.matmul, x, weight[:cut].T, out=out[:, :cut]),
-                    functools.partial(np.matmul, x, weight[cut:].T, out=out[:, cut:]),
-                ]
+                [functools.partial(np.matmul, x, weight[s].T, out=out[:, s]) for s in pieces]
             )
         else:
             out = x @ weight.T
@@ -392,7 +412,7 @@ class Linear(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x = self._pop()
-        if self._cut(x.shape[0]):
+        if self._pieces(x.shape[0]):
             grad_in = np.empty((x.shape[0], self.in_dim))
             _run_pieces(
                 [
@@ -407,12 +427,10 @@ class Linear(Module):
             self.bias.add_grad(grad_out.sum(axis=0))
         return grad_in
 
-    def _cut(self, rows: int) -> int:
-        """Where forward cuts W's rows for the pool; 0 keeps a product of
-        ``rows`` rows whole, as one under ``SPLIT_MIN_FLOPS`` stays."""
-        if 2 * rows * self.in_dim * self.out_dim < SPLIT_MIN_FLOPS:
-            return 0
-        return self.out_dim // 16 * 8
+    def _pieces(self, rows: int) -> list[slice]:
+        """The rows of W each forward piece reads over ``rows`` input rows;
+        none keeps the product whole."""
+        return _row_pieces(self.out_dim, 2 * rows * self.in_dim * self.out_dim)
 
 
 class ReLU(Module):
@@ -606,6 +624,14 @@ class Conv2d(Module):
       sum over the taps (Chellapilla et al. 2006).
     The per-shape indices are cached for at most ``TAP_INDEX_CACHE``
     shapes.
+
+    A forward product of at least ``SPLIT_MIN_FLOPS`` runs on the worker
+    pool as two pieces, W's rows cut where ``Linear`` cuts them, over L
+    padded up to a multiple of 8 with taps of the zero column; the output
+    is the first L columns. A row split of an unpadded product changes bits
+    whenever L is not a multiple of 8, so the padding is what makes the
+    bytes depend on the shapes alone, and it applies on one core too.
+    Backward reads the unpadded taps and never sees the padding.
     """
 
     def __init__(
@@ -667,11 +693,19 @@ class Conv2d(Module):
         # The maps plus one zero column, which every padding tap reads.
         cells = np.zeros((c, p + 1))
         cells[:, :p] = maps.data
+        weight = self.weight.data.reshape(self.out_channels, -1)
+        n_out = taps.shape[1]
+        rows = _row_pieces(self.out_channels, 2 * weight.size * n_out)
         # np.take writes the gathered (C, kh*kw, L) block C-ordered, so the
         # reshape below is a view; a[:, taps] would need a copy.
-        y = self.weight.data.reshape(self.out_channels, -1) @ np.take(
-            cells, taps, axis=1
-        ).reshape(-1, taps.shape[1])
+        if not rows:
+            y = weight @ np.take(cells, taps, axis=1).reshape(-1, n_out)
+        else:  # over L padded to a multiple of 8 with zero-column taps
+            padded = np.concatenate([taps, np.full((len(taps), -n_out % 8), p)], axis=1)
+            cols = np.take(cells, padded, axis=1).reshape(-1, padded.shape[1])
+            y = np.empty((self.out_channels, padded.shape[1]))
+            _run_pieces([functools.partial(np.matmul, weight[r], cols, out=y[r]) for r in rows])
+            y = y[:, :n_out]
         if self.bias is not None:
             y += self.bias.data[:, None]
         # The im2col matrix is kh*kw times the maps; backward gathers it again.

@@ -1,17 +1,24 @@
-"""Shared fixtures: tiny datasets, corpora, and stub providers."""
+"""Shared fixtures: tiny datasets, corpora, stub providers, and the
+acceptance end-to-end run, trained once per session."""
 
 import hashlib
 import json
 import math
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from medrank import baseline as bl
 from medrank import tensornet
-from medrank.corpus import CandidateAnswer, QAPair, QuestionRecord
-from medrank.providers import pair_key
+from medrank.corpus import CandidateAnswer, QAPair, QuestionRecord, derive_label
+from medrank.evalkit import Prediction, evaluate
+from medrank.joint import SCALED_SIZES, TrainConfig, new_model, predict_dataset, train_joint
+from medrank.providers import ProviderConfig, fit_provider, pair_key
+from medrank.retrieval import EntailmentIndex, RetrievalConfig, retrieve
+from medrank.synth import SynthConfig, generate
 
 
 def make_candidate(
@@ -182,3 +189,98 @@ def labeled_question():
             make_candidate("q1-c", "Unrelated text here.", "web", 3, 3, 1),
         ),
     )
+
+
+def small_world(questions=24, val_questions=8, seed=3, provider_seed=0):
+    """Synth data plus the scaled-down provider, index and ``new_model``."""
+    train, val, corpus = generate(
+        SynthConfig(questions=questions, val_questions=val_questions, seed=seed)
+    )
+    provider_config = ProviderConfig(kind="tfidf_cosine", D=SCALED_SIZES.D, seed=provider_seed)
+    provider = fit_provider(provider_config, corpus)[0]
+    index = EntailmentIndex(corpus, provider)
+    model = new_model(SCALED_SIZES, seed, train.questions, corpus)
+    return train, val, corpus, provider, index, model
+
+
+def train_end_to_end() -> SimpleNamespace:
+    """Train the scaled-down joint model and the logistic baseline on synth
+    data, and predict the validation split with each: ``history`` (the
+    per-question training losses of each epoch), ``joint_predictions``,
+    ``baseline_predictions`` (with each candidate's probability as its
+    score) and the two ``evaluate`` reports."""
+    train, val, corpus, provider, index, model = small_world(
+        questions=200, val_questions=50, seed=11, provider_seed=0
+    )
+    train_config = TrainConfig(
+        alpha=2.0,
+        epochs=12,
+        lr=3e-3,
+        optimizer="adam",
+        seed=0,
+        augmentation=True,
+        retrieval=RetrievalConfig(N=3, T=0.7),
+    )
+    history = train_joint(model, train, index, provider, train_config)
+    joint_predictions = predict_dataset(model, val, index, provider, train_config.retrieval)
+
+    # logistic baseline over the engineered features
+    feature_config = bl.BaselineFeatureConfig(
+        N=3,
+        V=len(model.tfidf.vocabulary),
+        D=8,
+        source_vocab=bl.fit_source_vocab(list(train.questions)),
+        T=0.7,
+    )
+
+    def feature_rows(dataset):
+        grouped = []
+        for question in dataset.questions:
+            entailed = retrieve(
+                index, question.text, train_config.retrieval, fallback=False
+            )
+            rows = np.stack(
+                [
+                    bl.assemble_baseline_features(
+                        question, c, entailed, model.tfidf, feature_config, provider
+                    )
+                    for c in question.candidates
+                ]
+            )
+            grouped.append((question, rows))
+        return grouped
+
+    train_rows = feature_rows(train)
+    features = np.vstack([rows for _, rows in train_rows])
+    labels = np.concatenate(
+        [
+            [derive_label(c.reference_score) for c in question.candidates]
+            for question, _ in train_rows
+        ]
+    )
+    logreg = bl.train_logreg_filter(features, labels)
+    baseline_predictions = []
+    for question, rows in feature_rows(val):
+        probs = bl.predict_logreg(logreg, rows)
+        ids = [c.answer_id for c in question.candidates]
+        system_ranks = [c.system_rank for c in question.candidates]
+        ranking = bl.rank_by_scores(ids, probs, system_ranks)
+        relevant = tuple(a for a in ranking if probs[ids.index(a)] >= 0.5)
+        baseline_predictions.append(
+            Prediction(
+                question.question_id, tuple(ranking), relevant, dict(zip(ids, probs.tolist()))
+            )
+        )
+    return SimpleNamespace(
+        history=history,
+        joint_predictions=joint_predictions,
+        joint_report=evaluate(joint_predictions, val),
+        baseline_predictions=baseline_predictions,
+        baseline_report=evaluate(baseline_predictions, val),
+    )
+
+
+@pytest.fixture(scope="session")
+def end_to_end():
+    """``train_end_to_end()``, shared by every test that reads it."""
+    return train_end_to_end()

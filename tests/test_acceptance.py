@@ -2,8 +2,9 @@
 
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the per-criterion
 lines; plain ``pytest`` reports the same pass/fail status per test. The
-end-to-end criterion trains the scaled-down joint model on the synthetic
-dataset and takes a few minutes; everything else is fast.
+end-to-end criterion reads the session's ``end_to_end`` run (conftest.py),
+which trains the scaled-down joint model and the baseline on the synthetic
+dataset once and which test_exactness.py shares; everything else is fast.
 """
 
 import itertools
@@ -23,12 +24,9 @@ from medrank.joint import (
     EntailedInstance,
     HeadConfig,
     MetadataLayout,
-    TrainConfig,
     build_joint_model,
     infer,
-    predict_dataset,
     question_loss,
-    train_joint,
     _candidate_sentences,
     _prepare_instance,
     _PreparedQuestion,
@@ -42,9 +40,9 @@ from medrank.retrieval import (
 )
 from medrank.tensornet import Conv2d, Maps
 
-from conftest import StubProvider, make_candidate, make_question
+from conftest import StubProvider, make_candidate, make_question, small_world
 from test_baseline import MatrixNliProvider
-from test_joint import small_world, zero_params
+from test_joint import zero_params
 from test_tensornet import naive_conv2d
 
 GRAD_TOLERANCE = 1e-4
@@ -210,78 +208,9 @@ class TestCriterion5RetrievalContract:
         _report(5, f"retrieve never empty; coverage {low:.2f} at T=0.5 >= {high:.2f} at T=0.9")
 
 
-@pytest.fixture(scope="module")
-def end_to_end():
-    """Train the scaled-down joint model and the logistic baseline on synth data."""
-    train, val, corpus, provider, index, model = small_world(
-        questions=200, val_questions=50, seed=11, provider_seed=0
-    )
-    train_config = TrainConfig(
-        alpha=2.0,
-        epochs=12,
-        lr=3e-3,
-        optimizer="adam",
-        seed=0,
-        augmentation=True,
-        retrieval=RetrievalConfig(N=3, T=0.7),
-    )
-    history = train_joint(model, train, index, provider, train_config)
-    joint_report = evaluate(
-        predict_dataset(model, val, index, provider, train_config.retrieval), val
-    )
-
-    # logistic baseline over the engineered features
-    feature_config = bl.BaselineFeatureConfig(
-        N=3,
-        V=len(model.tfidf.vocabulary),
-        D=8,
-        source_vocab=bl.fit_source_vocab(list(train.questions)),
-        T=0.7,
-    )
-
-    def feature_rows(dataset):
-        grouped = []
-        for question in dataset.questions:
-            entailed = retrieve(
-                index, question.text, train_config.retrieval, fallback=False
-            )
-            rows = np.stack(
-                [
-                    bl.assemble_baseline_features(
-                        question, c, entailed, model.tfidf, feature_config, provider
-                    )
-                    for c in question.candidates
-                ]
-            )
-            grouped.append((question, rows))
-        return grouped
-
-    train_rows = feature_rows(train)
-    features = np.vstack([rows for _, rows in train_rows])
-    labels = np.concatenate(
-        [
-            [derive_label(c.reference_score) for c in question.candidates]
-            for question, _ in train_rows
-        ]
-    )
-    logreg = bl.train_logreg_filter(features, labels)
-    baseline_predictions = []
-    for question, rows in feature_rows(val):
-        probs = bl.predict_logreg(logreg, rows)
-        ids = [c.answer_id for c in question.candidates]
-        system_ranks = [c.system_rank for c in question.candidates]
-        ranking = bl.rank_by_scores(ids, probs, system_ranks)
-        relevant = tuple(a for a in ranking if probs[ids.index(a)] >= 0.5)
-        baseline_predictions.append(
-            Prediction(question.question_id, tuple(ranking), relevant)
-        )
-    baseline_report = evaluate(baseline_predictions, val)
-    return history, joint_report, baseline_report
-
-
 class TestCriterion6EndToEndLearning:
     def test_joint_learns_held_out(self, end_to_end):
-        _, joint_report, baseline_report = end_to_end
+        joint_report = end_to_end.joint_report
         assert joint_report.accuracy >= 0.90
         assert joint_report.mean_rho >= 0.80
         _report(
@@ -291,7 +220,7 @@ class TestCriterion6EndToEndLearning:
         )
 
     def test_baseline_learns_and_joint_ranks_at_least_as_well(self, end_to_end):
-        _, joint_report, baseline_report = end_to_end
+        joint_report, baseline_report = end_to_end.joint_report, end_to_end.baseline_report
         assert baseline_report.accuracy >= 0.80
         assert joint_report.mean_rho >= baseline_report.mean_rho
         _report(

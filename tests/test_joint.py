@@ -64,6 +64,7 @@ from conftest import (
     make_candidate,
     make_question,
     pending,
+    small_world,
     track_updates,
 )
 
@@ -82,18 +83,6 @@ def spatial_trace(config, a, c):
 def zero_params(module):
     for _, tensor in module.named_params():
         tensor.data[...] = 0.0
-
-
-def small_world(questions=24, val_questions=8, seed=3, provider_seed=0):
-    """Synth data plus the scaled-down provider, index and ``new_model``."""
-    train, val, corpus = generate(
-        SynthConfig(questions=questions, val_questions=val_questions, seed=seed)
-    )
-    provider_config = ProviderConfig(kind="tfidf_cosine", D=SCALED_SIZES.D, seed=provider_seed)
-    provider = fit_provider(provider_config, corpus)[0]
-    index = EntailmentIndex(corpus, provider)
-    model = new_model(SCALED_SIZES, seed, train.questions, corpus)
-    return train, val, corpus, provider, index, model
 
 
 class TestPairTensor:

@@ -13,8 +13,8 @@ import pytest
 
 from medrank import tensornet
 from medrank.errors import DimensionError
-from medrank.gradcheck import _functional, grad_check
-from medrank.joint import ConvEncoder, ConvEncoderConfig
+from medrank.gradcheck import _functional, grad_check, gradient_check_battery
+from medrank.joint import PAPER_SIZES, ConvEncoder, ConvEncoderConfig
 from medrank.tensornet import (
     Adam,
     BatchNorm1d,
@@ -1485,6 +1485,134 @@ class TestLinearSplit:
         assert layer.weight.grad.tobytes() == (g.T @ x).tobytes()
         layer.forward(np.vstack([x, x[:1]]))
         assert calls == [(2, 1)]
+
+
+def im2col(layer, maps):
+    """The (C*kh*kw, L) im2col matrix of ``layer`` over packed (C, H, W)
+    ``maps``, built from sliding windows of each zero-padded map."""
+    (ph, pw), blocks = layer.padding, []
+    for x in maps:
+        padded = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+        windows = _windows(padded, layer.kernel, layer.stride)  # (C, oh, ow, kh, kw)
+        blocks.append(windows.transpose(0, 3, 4, 1, 2).reshape(-1, math.prod(windows.shape[1:3])))
+    return np.concatenate(blocks, axis=1)
+
+
+class TestConvSplit:
+    """A conv product of at least ``SPLIT_MIN_FLOPS`` runs over its L output
+    cells padded to a multiple of 8, as two pieces cut over W's rows: its
+    bytes depend on the shapes alone, and backward never sees the padding."""
+
+    # Every paper conv's input channels and layer spec, at D = 768.
+    PAPER_CONVS = list(
+        zip((768, *(spec.channels for spec in PAPER_SIZES.encoder)), PAPER_SIZES.encoder)
+    )
+
+    def _forward(self, monkeypatch, workers, layer, maps):
+        """Forward bytes with ``workers`` workers, and the pool's posts."""
+        with monkeypatch.context() as patch:
+            patch.setattr(tensornet, "sweep_workers", lambda *args: workers)
+            posts = count_posts(patch)
+            return layer.forward(pack(maps)).data.tobytes(), posts
+
+    @pytest.mark.parametrize("index", range(len(PAPER_CONVS)))
+    def test_paper_convs_split_to_the_padded_whole_product(self, monkeypatch, index):
+        in_channels, spec = self.PAPER_CONVS[index]
+        rng = np.random.default_rng(index)
+        layer = Conv2d(
+            in_channels, spec.channels, spec.kernel, spec.stride, spec.padding, rng
+        ).materialize()
+        layer.eval().enable_grad(False)
+        weight = layer.weight.data.reshape(spec.channels, -1)
+        bias = layer.bias.data[:, None]
+        aligned = []
+        for shapes in ([(7, 7)] * 5, [(6, 6)] * 5):
+            maps = [rng.standard_normal((in_channels, h, w)) for h, w in shapes]
+            pooled, posts = self._forward(monkeypatch, 2, layer, maps)
+            alone, no_posts = self._forward(monkeypatch, 1, layer, maps)
+            assert posts == [1] and no_posts == []
+            assert pooled == alone
+            cols = im2col(layer, maps)
+            n_out = cols.shape[1]
+            assert 2 * weight.size * n_out >= SPLIT_MIN_FLOPS
+            aligned.append(n_out % 8 == 0)
+            padded = np.pad(cols, ((0, 0), (0, -n_out % 8)))
+            assert alone == ((weight @ padded)[:, :n_out] + bias).tobytes()
+            unpadded = weight @ cols + bias
+            got = np.frombuffer(alone).reshape(unpadded.shape)
+            np.testing.assert_allclose(
+                got, unpadded, rtol=1e-12, atol=1e-12 * np.abs(unpadded).max()
+            )
+        # One L a multiple of 8 and one not, for every paper conv.
+        assert sorted(aligned) == [False, True]
+
+    def test_product_below_the_threshold_keeps_the_unpadded_bytes(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tensornet, "sweep_workers", lambda *args: calls.append(args) or 1)
+        rng = np.random.default_rng(5)
+        layer = Conv2d(64, 40, (1, 1), (1, 1), (0, 0), rng).materialize()
+        weight, bias = layer.weight.data.reshape(40, 64), layer.bias.data[:, None]
+        cells = (SPLIT_MIN_FLOPS - 1) // (2 * 40 * 64)  # one more cell reaches it
+        assert 2 * 40 * 64 * cells < SPLIT_MIN_FLOPS <= 2 * 40 * 64 * (cells + 1)
+        assert cells % 8  # a padded product would be wider
+        x = rng.standard_normal((64, 1, cells))
+        out = layer.forward(pack([x])).data
+        assert calls == []  # no core count asked for, no piece listed
+        assert out.tobytes() == (weight @ x.reshape(64, -1) + bias).tobytes()
+        layer.forward(pack([rng.standard_normal((64, 1, cells + 1))]))
+        assert calls == [(2, 1)]
+
+    def test_scaled_encoder_forward_posts_nothing(self, monkeypatch):
+        monkeypatch.setattr(tensornet, "sweep_workers", lambda *args: 2)
+        posts = count_posts(monkeypatch)
+        rng = np.random.default_rng(6)
+        config = ConvEncoderConfig.scaled_down()
+        encoder = ConvEncoder(config, rng).materialize()
+        maps = [rng.standard_normal((config.in_channels, 10, 20)) for _ in range(8)]
+        rows = encoder.forward(maps)
+        encoder.backward(np.ones_like(rows))
+        assert posts == []
+
+    def test_gradcheck_conv_cases_pass_through_the_split(self, monkeypatch):
+        # With every product split, each conv output is the first L columns
+        # of an (O, L rounded up to 8) product. The pieces run on the caller,
+        # as on one core: thousands of tiny products would wait on threads.
+        monkeypatch.setattr(tensornet, "SPLIT_MIN_FLOPS", 0)
+        monkeypatch.setattr(tensornet, "sweep_workers", lambda *args: 1)
+        widths = set()
+        forward = Conv2d.forward
+
+        def recorded(layer, maps):
+            out = forward(layer, maps)
+            widths.add((out.data.shape[1], out.data.base.shape[1]))
+            return out
+
+        monkeypatch.setattr(Conv2d, "forward", recorded)
+        results = gradient_check_battery(seed=0)
+        assert results["conv2d"] <= 1e-4 and results["conv2d_padded"] <= 1e-4
+        assert {(27, 32), (44, 48)} <= widths  # the two conv cases' L, padded
+        assert all(base == -(-n // 8) * 8 for n, base in widths)
+
+    @pytest.mark.parametrize(
+        "stride, padding", [((1, 1), (2, 2)), ((2, 2), (1, 1))], ids=["input_cell", "output_cell"]
+    )
+    def test_backward_after_a_split_forward_gives_the_same_bytes(
+        self, monkeypatch, stride, padding
+    ):
+        def passes(min_flops):
+            monkeypatch.setattr(tensornet, "SPLIT_MIN_FLOPS", min_flops)
+            rng = np.random.default_rng(7)
+            layer = Conv2d(4, 16, (3, 3), stride, padding, rng).materialize()
+            x = pack([rng.standard_normal((4, h, w)) for h, w in ((3, 4), (1, 1), (5, 3))])
+            layer.zero_grad()
+            y = layer.forward(x)
+            dx = layer.backward(y.like(rng.standard_normal(y.data.shape)))
+            grads = [dx.data, layer.weight.grad, layer.bias.grad]
+            return y.data.shape[1], [a.tobytes() for a in grads]
+
+        n_out, split = passes(0)
+        assert n_out % 8  # so the split forward padded L
+        assert passes(SPLIT_MIN_FLOPS) == (n_out, split)
 
 
 class TestSharedPool:
