@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -331,11 +332,7 @@ def _row_factor(rows: np.ndarray) -> np.ndarray:
 
 
 def train_logreg_filter(
-    features: np.ndarray,
-    labels: np.ndarray,
-    lr: float = 0.5,
-    steps: int = 500,
-    weight_decay: float = 1e-4,
+    features: np.ndarray, labels: np.ndarray, *, lr: float, steps: int, weight_decay: float
 ) -> LogregModel:
     """Single linear layer + sigmoid trained with mean BCE, full batch.
 
@@ -425,10 +422,7 @@ def ranking_pairs(
 
 
 def train_pairwise_hinge(
-    groups: list[tuple[np.ndarray, np.ndarray]],
-    lr: float = 0.01,
-    steps: int = 500,
-    weight_decay: float = 1e-4,
+    groups: list[tuple[np.ndarray, np.ndarray]], *, lr: float, steps: int, weight_decay: float
 ) -> HingeRankModel:
     """Subgradient descent on the hinge-on-differences ranking objective.
 
@@ -470,29 +464,48 @@ def hinge_score(model: HingeRankModel, features: np.ndarray) -> np.ndarray:
 RANKERS = ("logreg", "hinge")
 
 
+@dataclass(frozen=True)
+class BaselineConfig:
+    """The ``baseline.*`` settings ``train-baseline`` fits with: ``lr`` and
+    ``steps`` for the logistic filter, ``hinge_lr`` and ``hinge_steps`` for the
+    hinge ranker, one ``weight_decay`` for both, and the ``ranker`` the
+    checkpoint ranks by."""
+
+    lr: float = 0.5
+    steps: int = 500
+    weight_decay: float = 1e-4
+    hinge_lr: float = 0.01
+    hinge_steps: int = 500
+    ranker: str = "logreg"
+
+    def __post_init__(self):
+        for key, ok, want in (
+            ("lr", 0 < self.lr < math.inf, "a finite number > 0"),
+            ("steps", self.steps >= 1, "an integer >= 1"),
+            ("weight_decay", 0 <= self.weight_decay < math.inf, "a finite number >= 0"),
+            ("hinge_lr", 0 < self.hinge_lr < math.inf, "a finite number > 0"),
+            ("hinge_steps", self.hinge_steps >= 1, "an integer >= 1"),
+            ("ranker", self.ranker in RANKERS, f"one of {RANKERS}"),
+        ):
+            if not ok:
+                raise ConfigError(f"baseline.{key}: expected {want}, got {getattr(self, key)!r}")
+
+
 def train_checkpoint(
     rows: list[dict],
     dataset: Dataset,
     layout: dict,
     path: str | Path,
+    settings: BaselineConfig,
     *,
-    ranker: str,
-    lr: float,
-    steps: int,
-    weight_decay: float,
-    hinge_lr: float,
-    hinge_steps: int,
     where: str = "<layout>",
     features_where: str = "<features>",
 ) -> None:
     """``train-baseline``: fit the logistic filter on every feature row and the
-    hinge ranker on every question with two or more rows, then write both with
-    ``layout`` as the checkpoint's ``feature_config``. The keyword settings are
-    the ``baseline.*`` config keys; ``where`` and ``features_where`` name the
-    layout and the features file in errors. Every row must name a candidate of
-    a question in ``dataset``."""
-    if ranker not in RANKERS:
-        raise ConfigError(f"baseline.ranker: expected one of {RANKERS}, got {ranker!r}")
+    hinge ranker on every question with two or more rows, with ``settings``,
+    then write both with ``layout`` as the checkpoint's ``feature_config``.
+    ``where`` and ``features_where`` name the layout and the features file in
+    errors. Every row must name a candidate of a question in ``dataset``."""
     config = layout_settings(layout, where)[0]  # what predict will read back must load
     unlabeled = [row for row in rows if row.get("label") is None]
     if unlabeled:
@@ -518,7 +531,7 @@ def train_checkpoint(
         )
     labels = np.asarray([row["label"] for row in rows], dtype=np.float64)
     logreg = train_logreg_filter(
-        features, labels, lr=lr, steps=steps, weight_decay=weight_decay
+        features, labels, lr=settings.lr, steps=settings.steps, weight_decay=settings.weight_decay
     )
     by_question: dict[str, list[dict]] = {}
     for row in rows:
@@ -536,9 +549,9 @@ def train_checkpoint(
             )
         )
     hinge = train_pairwise_hinge(
-        groups, lr=hinge_lr, steps=hinge_steps, weight_decay=weight_decay
+        groups, lr=settings.hinge_lr, steps=settings.hinge_steps, weight_decay=settings.weight_decay
     )
-    meta = {"kind": "baseline", "ranker": ranker, "feature_config": layout}
+    meta = {"kind": "baseline", "ranker": settings.ranker, "feature_config": layout}
     arrays = {
         "logreg.weight": logreg.weight,
         "logreg.bias": np.array([logreg.bias]),

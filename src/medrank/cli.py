@@ -23,7 +23,6 @@ from .corpus import Dataset, load_dataset, load_qa_corpus, save_dataset
 from .errors import ConfigError, MedrankError, SchemaError, read_json_object
 from .gradcheck import gradient_check_battery
 from .joint import (
-    TrainConfig,
     new_model,
     predict_checkpoint as predict_joint_checkpoint,
     save_joint_model,
@@ -144,13 +143,14 @@ def cmd_extract_features(config: RunConfig, args) -> int:
 
 
 def cmd_train_baseline(config: RunConfig, args) -> int:
+    settings = config.baseline_config()
     rows = bl.load_features(args.features)
     bl.train_checkpoint(
         rows,
         load_dataset(args.dataset, args.split),
         read_json_object(args.layout),
         args.out,
-        **dataclasses.asdict(config.baseline),
+        settings,
         where=args.layout,
         features_where=args.features,
     )
@@ -159,10 +159,9 @@ def cmd_train_baseline(config: RunConfig, args) -> int:
 
 
 def cmd_train_joint(config: RunConfig, args) -> int:
-    train = config.train
     if args.epochs is not None:
-        train = dataclasses.replace(train, epochs=args.epochs)
-    train_config = TrainConfig(**dataclasses.asdict(train), retrieval=config.retrieval_config())
+        config.train.epochs = args.epochs
+    train_config = config.train_config()
     provider_config, sizes = config.provider_config(), config.model_sizes()
     dataset = load_dataset(args.dataset, "train")
     if not dataset.questions:

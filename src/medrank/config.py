@@ -3,6 +3,11 @@
 Config files hold one ``section.key=value`` pair per line ('#' starts a
 comment). Values are coerced by the target field's type; empty values clear
 optional paths.
+
+Each record the pipeline builds holds the only copy of its defaults: the
+``provider``, ``retrieval``, ``train``, ``baseline`` and ``synth`` sections are
+unchecked copies of its fields (``_section``), and a view such as
+``provider_config()`` builds the record, which checks the values.
 """
 
 from __future__ import annotations
@@ -13,58 +18,35 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .baseline import BaselineConfig
 from .errors import ConfigError, SchemaError, read_lines
-from .joint import PAPER_SIZES, SCALED_SIZES, ModelSizes
+from .joint import PAPER_SIZES, SCALED_SIZES, ModelSizes, TrainConfig
 from .providers import ProviderConfig, TfidfModel
 from .retrieval import RetrievalConfig
 from .synth import SynthConfig
 
 
-@dataclass
-class ProviderSection:
-    kind: str = "tfidf_cosine"
-    D: int = 768
-    seed: int = 0
-    vocab_size: int = 4096
-    path: str | None = None
-    fallback_zero: bool = False
-    cache: bool = True
+def _section(record: type, *omit: str) -> type:
+    """A mutable dataclass with ``record``'s fields, types and defaults, less
+    ``omit``; it checks nothing, so a value is checked when a view builds the
+    record from it."""
+    hints = typing.get_type_hints(record)
+    return dataclasses.make_dataclass(
+        record.__name__.replace("Config", "Section"),
+        [
+            (f.name, hints[f.name],
+             field(default=f.default, default_factory=f.default_factory))
+            for f in dataclasses.fields(record) if f.name not in omit
+        ],
+        namespace={"__module__": __name__},
+    )
 
 
-@dataclass
-class RetrievalSection:
-    N: int = 3
-    T: float = 0.7
-    swap_direction: bool = False
-
-
-@dataclass
-class TrainSection:
-    alpha: float = 2.0
-    epochs: int = 30
-    lr: float = 1e-3
-    optimizer: str = "adam"
-    seed: int = 0
-    augmentation: bool = True
-
-
-@dataclass
-class BaselineSection:
-    lr: float = 0.5
-    steps: int = 500
-    weight_decay: float = 1e-4
-    hinge_lr: float = 0.01
-    hinge_steps: int = 500
-    ranker: str = "logreg"
-
-
-@dataclass
-class SynthSection:
-    questions: int = 200
-    val_questions: int = 50
-    topics: int = 3
-    candidates: int = 5
-    seed: int = 0
+ProviderSection = _section(ProviderConfig)
+RetrievalSection = _section(RetrievalConfig)
+TrainSection = _section(TrainConfig, "retrieval")
+BaselineSection = _section(BaselineConfig)
+SynthSection = _section(SynthConfig)
 
 
 @dataclass
@@ -113,6 +95,12 @@ class RunConfig:
 
     def retrieval_config(self) -> RetrievalConfig:
         return RetrievalConfig(**dataclasses.asdict(self.retrieval))
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(**dataclasses.asdict(self.train), retrieval=self.retrieval_config())
+
+    def baseline_config(self) -> BaselineConfig:
+        return BaselineConfig(**dataclasses.asdict(self.baseline))
 
     def metadata_vocab_size(self) -> int:
         return self._sized("tfidf.V", self.tfidf.V, self._preset().V)
@@ -175,12 +163,6 @@ class RunConfig:
             except ConfigError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
         return config
-
-    @classmethod
-    def from_text(cls, text: str, where: str = "<config>") -> "RunConfig":
-        return cls._from_lines(
-            (f"{where}:{lineno}", line) for lineno, line in enumerate(text.splitlines(), 1)
-        )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":

@@ -87,7 +87,7 @@ class TfidfModel:
         return {"vocabulary": list(self.vocabulary), "idf": self.idf.tolist(), "V": self.V}
 
 
-def fit_tfidf(corpus: list[str], V: int = 2000) -> TfidfModel:
+def fit_tfidf(corpus: list[str], V: int) -> TfidfModel:
     """Fit a TF-IDF model on raw documents.
 
     The vocabulary keeps the top-V terms by document frequency, breaking ties

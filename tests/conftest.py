@@ -258,7 +258,11 @@ def train_end_to_end() -> SimpleNamespace:
             for question, _ in train_rows
         ]
     )
-    logreg = bl.train_logreg_filter(features, labels)
+    settings = bl.BaselineConfig()
+    logreg = bl.train_logreg_filter(
+        features, labels,
+        lr=settings.lr, steps=settings.steps, weight_decay=settings.weight_decay,
+    )
     baseline_predictions = []
     for question, rows in feature_rows(val):
         probs = bl.predict_logreg(logreg, rows)

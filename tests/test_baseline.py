@@ -300,10 +300,8 @@ class TestTrainCheckpoint:
             None,
             fit_tfidf(["a"], V=1),
         )
-        bl.train_checkpoint(
-            rows, dataset, layout, path, ranker="logreg",
-            lr=0.5, steps=5, weight_decay=1e-4, hinge_lr=0.1, hinge_steps=5,
-        )
+        settings = bl.BaselineConfig(steps=5, hinge_lr=0.1, hinge_steps=5)
+        bl.train_checkpoint(rows, dataset, layout, path, settings)
 
     def test_unlabeled_rows_rejected_before_fitting(self, tmp_path):
         rows, dataset = self._rows_and_dataset()
@@ -341,26 +339,32 @@ class TestLogregFilter:
         neg = rng.normal([-2.0, -2.0], 0.3, size=(n, 2))
         features = np.vstack([pos, neg])
         labels = np.array([1.0] * n + [0.0] * n)
-        model = bl.train_logreg_filter(features, labels, steps=500)
+        model = bl.train_logreg_filter(features, labels, lr=0.5, steps=500, weight_decay=1e-4)
         predictions = (bl.predict_logreg(model, features) >= 0.5).astype(float)
         assert (predictions == labels).mean() == 1.0
 
     def test_conflicting_duplicates_predict_half(self):
         features = np.array([[1.0, 0.5], [1.0, 0.5]])
         labels = np.array([1.0, 0.0])
-        model = bl.train_logreg_filter(features, labels, steps=2000)
+        model = bl.train_logreg_filter(
+            features, labels, lr=0.5, steps=2000, weight_decay=1e-4
+        )
         assert bl.predict_logreg(model, features[0]) == pytest.approx(0.5, abs=1e-6)
 
     def test_single_class_rejected(self):
         with pytest.raises(SchemaError):
-            bl.train_logreg_filter(np.ones((3, 2)), np.ones(3))
+            bl.train_logreg_filter(
+                np.ones((3, 2)), np.ones(3), lr=0.5, steps=500, weight_decay=1e-4
+            )
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_features_rejected(self, value):
         features = np.ones((2, 3))
         features[1, 2] = value
         with pytest.raises(SchemaError, match="non-finite"):
-            bl.train_logreg_filter(features, np.array([0.0, 1.0]))
+            bl.train_logreg_filter(
+                features, np.array([0.0, 1.0]), lr=0.5, steps=500, weight_decay=1e-4
+            )
 
     def test_ranking_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(1)
@@ -399,13 +403,17 @@ class TestPairwiseHinge:
         # score dimension 0 decreases with reference rank
         features = np.array([[3.0], [2.0], [1.0], [0.0]])
         ranks = np.array([1, 2, 3, 4])
-        model = bl.train_pairwise_hinge([(features, ranks)], steps=300)
+        model = bl.train_pairwise_hinge(
+            [(features, ranks)], lr=0.01, steps=300, weight_decay=1e-4
+        )
         scores = bl.hinge_score(model, features)
         assert list(np.argsort(-scores)) == [0, 1, 2, 3]
 
     def test_no_pairs_rejected(self):
         with pytest.raises(SchemaError):
-            bl.train_pairwise_hinge([(np.ones((1, 2)), np.array([1]))])
+            bl.train_pairwise_hinge(
+                [(np.ones((1, 2)), np.array([1]))], lr=0.01, steps=500, weight_decay=1e-4
+            )
 
     def test_ranks_must_align_with_rows(self):
         with pytest.raises(DimensionError):
@@ -422,7 +430,9 @@ class TestPairwiseHinge:
     def test_non_finite_features_rejected(self):
         features = np.array([[1.0, 0.0], [np.nan, 1.0]])
         with pytest.raises(SchemaError, match="non-finite"):
-            bl.train_pairwise_hinge([(features, np.array([1, 2]))])
+            bl.train_pairwise_hinge(
+                [(features, np.array([1, 2]))], lr=0.01, steps=500, weight_decay=1e-4
+            )
 
     def test_rank_by_scores_tie_break(self):
         ids = ["a", "b", "c"]

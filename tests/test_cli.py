@@ -1320,6 +1320,31 @@ class TestErrorHandling:
         assert not model.exists()
 
     @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("baseline.steps=-1", "baseline.steps: expected an integer >= 1, got -1"),
+            ("baseline.hinge_steps=0", "baseline.hinge_steps: expected an integer >= 1, got 0"),
+            ("baseline.lr=-0.5", "baseline.lr: expected a finite number > 0, got -0.5"),
+            ("baseline.lr=0", "baseline.lr: expected a finite number > 0, got 0.0"),
+            ("baseline.lr=inf", "baseline.lr: expected a finite number > 0, got inf"),
+            ("baseline.hinge_lr=nan", "baseline.hinge_lr: expected a finite number > 0, got nan"),
+            ("baseline.weight_decay=nan",
+             "baseline.weight_decay: expected a finite number >= 0, got nan"),
+            ("baseline.weight_decay=-1e-4",
+             "baseline.weight_decay: expected a finite number >= 0, got -0.0001"),
+        ],
+    )
+    def test_unusable_baseline_settings_write_no_checkpoint(
+        self, pipeline_dir, capsys, tmp_path, setting, message
+    ):
+        model = tmp_path / "baseline.json"
+        capsys.readouterr()
+        assert _train_baseline(pipeline_dir, model, setting) == 2
+        payload = _error_payload(capsys)
+        assert payload == {"error": "ConfigError", "message": message}
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
         "setting, via_file",
         [("provider.D=0", False), ("provider.D=32", True), ("tfidf.V=500", False),
          ("tfidf.V=500", True)],

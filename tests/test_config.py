@@ -1,22 +1,13 @@
 """Dotted-key run configuration parsing and round-trips."""
 
 import dataclasses
-import inspect
 import re
 
 import pytest
 
-from medrank.config import (
-    ProviderSection,
-    RetrievalSection,
-    RunConfig,
-    TfidfSection,
-    TrainSection,
-)
+from medrank.config import RunConfig
 from medrank.errors import ConfigError, SchemaError
-from medrank.joint import PAPER_SIZES, SCALED_SIZES, TrainConfig
-from medrank.providers import ProviderConfig, fit_tfidf
-from medrank.retrieval import RetrievalConfig
+from medrank.joint import PAPER_SIZES, SCALED_SIZES
 
 
 def _format(value) -> str:
@@ -36,6 +27,14 @@ def to_text(config: RunConfig) -> str:
         for f in dataclasses.fields(section):
             lines.append(f"{section_name}.{f.name}={_format(getattr(section, f.name))}")
     return "\n".join(sorted(lines)) + "\n"
+
+
+def from_text(text: str, where: str = "<config>") -> RunConfig:
+    """The config of ``text``'s lines, as ``RunConfig.from_file`` reads a file;
+    an error names ``where`` and the line number."""
+    return RunConfig._from_lines(
+        (f"{where}:{lineno}", line) for lineno, line in enumerate(text.splitlines(), 1)
+    )
 
 
 class TestRunConfig:
@@ -72,6 +71,9 @@ class TestRunConfig:
             config.set_value("retrieval.bogus", "1")
         with pytest.raises(ConfigError):
             config.set_value("plainkey", "1")
+        # TrainConfig's retrieval record is filled from the retrieval section
+        with pytest.raises(ConfigError):
+            config.set_value("train.retrieval", "1")
 
     def test_bad_values_rejected(self):
         config = RunConfig()
@@ -83,12 +85,12 @@ class TestRunConfig:
     @pytest.mark.parametrize("key", ["lr", "alpha"])
     @pytest.mark.parametrize("raw", ["inf", "nan"])
     def test_non_finite_train_rates_rejected(self, key, raw):
-        # The CLI builds its TrainConfig from the train section, so a --set
-        # value fails before any data is read.
+        # The CLI builds its TrainConfig through this view, so a --set value
+        # fails before any data is read.
         config = RunConfig()
         config.set_value(f"train.{key}", raw)
         with pytest.raises(SchemaError, match=f"{key} must be finite, got {raw}"):
-            TrainConfig(**dataclasses.asdict(config.train))
+            config.train_config()
 
     def test_text_roundtrip(self):
         config = RunConfig()
@@ -97,7 +99,7 @@ class TestRunConfig:
         config.set_value("paths.guard_list", "guards.txt")
         config.set_value("synth.questions", "42")
         text = to_text(config)
-        reparsed = RunConfig.from_text(text)
+        reparsed = from_text(text)
         assert reparsed == config
         assert to_text(reparsed) == text
 
@@ -151,7 +153,7 @@ class TestRunConfig:
         configs = [set_config]
         for lines in ([f"{key}={value}", "scaled_down=true"],
                       ["scaled_down=true", f"{key}={value}"]):
-            configs.append(RunConfig.from_text("\n".join(lines), where="run.conf"))
+            configs.append(from_text("\n".join(lines), where="run.conf"))
         for config in configs:
             with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
                 getattr(config, view)()
@@ -167,23 +169,3 @@ class TestRunConfig:
     def test_model_sizes_resolve_the_preset(self):
         assert RunConfig().model_sizes() == dataclasses.replace(PAPER_SIZES, D=768, V=2000)
         assert RunConfig(scaled_down=True).model_sizes() == SCALED_SIZES
-
-
-@pytest.mark.parametrize(
-    "section, record",
-    [
-        (ProviderSection, ProviderConfig),
-        (RetrievalSection, RetrievalConfig),
-        (TrainSection, TrainConfig),
-    ],
-)
-def test_section_defaults_match_the_records_they_build(section, record):
-    # The run settings repeat each record's defaults; a default changed in
-    # one place alone would make the CLI and the library disagree.
-    want = {f.name: getattr(record(), f.name) for f in dataclasses.fields(record)}
-    want.pop("retrieval", None)  # TrainConfig's, filled from RetrievalSection
-    assert dataclasses.asdict(section()) == want
-
-
-def test_tfidf_section_default_matches_fit_tfidf():
-    assert TfidfSection().V == inspect.signature(fit_tfidf).parameters["V"].default
