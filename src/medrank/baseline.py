@@ -1,10 +1,10 @@
 """Feature-engineered filtering and ranking baseline.
 
-Features per candidate, in layout order: answer-source one-hot, answer
-length in sentences, upstream system rank, TF-IDF of the candidate answer,
-TF-IDF of the best entailed answer, then per retrieved QA pair the RQE
-score, RQE embedding, and average-NLI score (N slots each, zero-filled when
-fewer than N pairs cleared the threshold).
+Features per candidate (``feature_layout`` states their order): answer-source
+one-hot, answer length in sentences, upstream system rank, TF-IDF of the
+candidate answer, TF-IDF of the best entailed answer, then per retrieved QA
+pair the RQE score, RQE embedding, and average-NLI score (N slots each,
+zero-filled when fewer than N pairs cleared the threshold).
 
 Filtering is a logistic regression trained by full-batch gradient descent;
 ranking reuses the same features with a pairwise hinge objective
@@ -27,7 +27,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import CandidateAnswer, Dataset, QAPair, QuestionRecord, derive_label
+from .corpus import (
+    CandidateAnswer, Dataset, QAPair, QuestionRecord, derive_label, fit_source_vocab,
+)
 from .errors import (
     ConfigError,
     DimensionError,
@@ -83,7 +85,7 @@ class BaselineFeatureConfig:
     V: int
     D: int
     source_vocab: tuple[str, ...]
-    T: float = 0.7
+    T: float
 
     def __post_init__(self):
         if self.N < 1 or self.V < 1 or self.D < 1:
@@ -136,51 +138,27 @@ def assemble_baseline_features(
             f"TF-IDF vocabulary size {len(tfidf.vocabulary)} != configured V={config.V}"
         )
     vec = np.zeros(feature_dim(config))
-    offset = 0
-
-    onehot = np.zeros(len(config.source_vocab))
+    # each slot is a view of vec, so writing it fills vec
+    slot = {s["name"]: vec[s["offset"] : s["offset"] + s["length"]] for s in feature_layout(config)}
     if candidate.source in config.source_vocab:
-        onehot[config.source_vocab.index(candidate.source)] = 1.0
-    vec[offset : offset + len(onehot)] = onehot
-    offset += len(onehot)
-
+        slot["source_onehot"][config.source_vocab.index(candidate.source)] = 1.0
     candidate_sentences = split_sentences(candidate.text)
-    vec[offset] = len(candidate_sentences)
-    offset += 1
-    vec[offset] = candidate.system_rank
-    offset += 1
-
-    vec[offset : offset + config.V] = tfidf_transform(tfidf, candidate.text)
-    offset += config.V
+    slot["answer_length_sentences"][0] = len(candidate_sentences)
+    slot["system_rank"][0] = candidate.system_rank
+    slot["tfidf_candidate"][:] = tfidf_transform(tfidf, candidate.text)
     if entailed:
-        vec[offset : offset + config.V] = tfidf_transform(
-            tfidf, entailed[0].pair.answer_text
-        )
-    offset += config.V
-
-    for k, cand in enumerate(entailed):
-        vec[offset + k] = cand.score
-    offset += config.N
-
+        slot["tfidf_best_entailed"][:] = tfidf_transform(tfidf, entailed[0].pair.answer_text)
+    embeddings = slot["rqe_embeddings"].reshape(config.N, config.D)
     for k, cand in enumerate(entailed):
         if cand.embedding.shape != (config.D,):
             raise DimensionError(
                 f"RQE embedding length {cand.embedding.shape} != configured D={config.D}"
             )
-        vec[offset + k * config.D : offset + (k + 1) * config.D] = cand.embedding
-    offset += config.N * config.D
-
-    for k, cand in enumerate(entailed):
+        slot["rqe_scores"][k] = cand.score
+        embeddings[k] = cand.embedding
         entailed_sentences = split_sentences(cand.pair.answer_text)
-        vec[offset + k] = anli(candidate_sentences, entailed_sentences, nli_provider)
-    offset += config.N
-
+        slot["avg_nli_scores"][k] = anli(candidate_sentences, entailed_sentences, nli_provider)
     return vec
-
-
-def fit_source_vocab(questions: list[QuestionRecord]) -> tuple[str, ...]:
-    """Sorted unique candidate sources seen in the training data."""
-    return tuple(sorted({c.source for q in questions for c in q.candidates}))
 
 
 def question_features(
@@ -259,7 +237,7 @@ def new_layout(
     layout fit on the training ``questions``, the corpus and ``tfidf``."""
     provider, provider_tfidf = fit_provider(provider_config, pairs)
     N, T, V, D = retrieval_config.N, retrieval_config.T, len(tfidf.vocabulary), provider_config.D
-    config = BaselineFeatureConfig(N, V, D, fit_source_vocab(list(questions)), T)
+    config = BaselineFeatureConfig(N, V, D, fit_source_vocab(questions), T)
     meta = layout_meta(config, retrieval_config, provider_config, provider_tfidf, tfidf)
     return config, provider, meta
 
@@ -486,6 +464,11 @@ class BaselineConfig:
             ("hinge_lr", 0 < self.hinge_lr < math.inf, "a finite number > 0"),
             ("hinge_steps", self.hinge_steps >= 1, "an integer >= 1"),
             ("ranker", self.ranker in RANKERS, f"one of {RANKERS}"),
+            # a fit step scales its coefficients by 1 - 2 * rate * weight_decay
+            ("weight_decay", self.lr * self.weight_decay < 0.5,
+             "baseline.lr * baseline.weight_decay < 0.5"),
+            ("weight_decay", self.hinge_lr * self.weight_decay < 0.5,
+             "baseline.hinge_lr * baseline.weight_decay < 0.5"),
         ):
             if not ok:
                 raise ConfigError(f"baseline.{key}: expected {want}, got {getattr(self, key)!r}")

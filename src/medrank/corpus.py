@@ -43,19 +43,22 @@ class CandidateAnswer:
             raise SchemaError("answer_id must be non-empty")
         if not self.text.strip():
             raise SchemaError(f"answer {self.answer_id!r}: blank text")
-        if not isinstance(self.system_rank, int) or self.system_rank < 1:
+        # type() rather than isinstance: a JSON true is a bool, which is an int.
+        if type(self.system_rank) is not int or self.system_rank < 1:
             raise SchemaError(
                 f"answer {self.answer_id!r}: system_rank must be a positive integer"
             )
         if self.reference_rank is not None and (
-            not isinstance(self.reference_rank, int) or self.reference_rank < 1
+            type(self.reference_rank) is not int or self.reference_rank < 1
         ):
             raise SchemaError(
                 f"answer {self.answer_id!r}: reference_rank must be a positive integer"
             )
-        if self.reference_score is not None and self.reference_score not in (1, 2, 3, 4):
+        if self.reference_score is not None and (
+            type(self.reference_score) is not int or self.reference_score not in (1, 2, 3, 4)
+        ):
             raise SchemaError(
-                f"answer {self.answer_id!r}: reference_score must be in 1..4, "
+                f"answer {self.answer_id!r}: reference_score must be an integer in 1..4, "
                 f"got {self.reference_score!r}"
             )
 
@@ -127,11 +130,10 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.questions)
 
-    def question(self, question_id: str) -> QuestionRecord:
-        for q in self.questions:
-            if q.question_id == question_id:
-                return q
-        raise KeyError(question_id)
+
+def fit_source_vocab(questions: Iterable[QuestionRecord]) -> tuple[str, ...]:
+    """Sorted unique candidate sources seen in the training data."""
+    return tuple(sorted({c.source for q in questions for c in q.candidates}))
 
 
 def derive_label(reference_score: int) -> int:

@@ -22,6 +22,7 @@ from .joint import (
     MetadataLayout,
     build_head,
     build_joint_model,
+    head_inputs,
     question_loss,
     _candidate_sentences,
     _prepare_instance,
@@ -120,7 +121,8 @@ def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[
     # the scaled preset over a hand metadata layout, for the heads and the full model
     sizes, encoder_config = SCALED_SIZES, ConvEncoderConfig.scaled_down()
     layout = MetadataLayout(("src",), ("faq", "src"), V=sizes.V, M=24)
-    joint_dim = encoder_config.out_dim + sizes.D + layout.M
+    filter_input, pair_input = head_inputs(encoder_config, sizes.D, layout)
+    filter_config, pair_config = sizes.filter_head(filter_input), sizes.pair_head(pair_input)
 
     # linear + binary cross-entropy on the sigmoid of its logits
     x = rng.standard_normal((5, 4))
@@ -207,10 +209,7 @@ def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[
     )
 
     # filtering and pairwise heads at scaled widths
-    for name, config in (
-        ("filter_head", sizes.filter_head(joint_dim)),
-        ("pair_head", sizes.pair_head(2 * joint_dim)),
-    ):
+    for name, config in (("filter_head", filter_config), ("pair_head", pair_config)):
         net = build_head(config, rng).materialize()
         hx = rng.standard_normal((4, config.widths[0]))
         ht = rng.integers(0, 2, size=4).astype(np.float64)
@@ -233,8 +232,8 @@ def gradient_check_battery(seed: int = 0, full_model_samples: int = 25) -> dict[
         encoder_config,
         rqe_dim=sizes.D,
         seed=seed,
-        filter_config=sizes.filter_head(joint_dim),
-        pair_config=sizes.pair_head(2 * joint_dim),
+        filter_config=filter_config,
+        pair_config=pair_config,
     )
     question = QuestionRecord(
         question_id="gc-q",

@@ -19,6 +19,8 @@ threshold 0.5, ranking by summed pairwise win probabilities.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import CandidateAnswer, Dataset, QAPair, QuestionRecord, derive_label
+from .corpus import (
+    CandidateAnswer, Dataset, QAPair, QuestionRecord, derive_label, fit_source_vocab,
+)
 from .errors import DimensionError, MedrankError, SchemaError, read_record
 from .evalkit import Prediction, prediction_from_scores
 from .preprocess import split_sentences
@@ -249,10 +253,26 @@ def build_pair_tensor(
 # ---------------------------------------------------------------------------
 
 
+def _metadata_offsets(
+    candidate_sources: tuple[str, ...], entailed_sources: tuple[str, ...], V: int
+) -> dict[str, int]:
+    """Each metadata slot's offset, in vector order; the zero padding up to M
+    starts at ``"pad"``, the packed width."""
+    widths = {
+        "candidate_source": len(candidate_sources),
+        "entailed_source": len(entailed_sources),
+        "candidate_sentences": 1,
+        "entailed_sentences": 1,
+        "system_rank": 1,
+        "tfidf": V,
+    }
+    return dict(zip([*widths, "pad"], itertools.accumulate(widths.values(), initial=0)))
+
+
 @dataclass(frozen=True)
 class MetadataLayout:
-    """Slot order: candidate-source one-hot, entailed-source one-hot,
-    candidate length, entailed length, candidate system rank, TF-IDF, zero pad."""
+    """The metadata vector's source vocabularies and widths; ``offsets``
+    gives its slots."""
 
     candidate_sources: tuple[str, ...]
     entailed_sources: tuple[str, ...]
@@ -260,21 +280,16 @@ class MetadataLayout:
     M: int
 
     def __post_init__(self):
-        if self.used_width > self.M:
-            raise DimensionError(
-                f"metadata needs {self.used_width} slots but M={self.M}"
-            )
+        if self.offsets["pad"] > self.M:
+            raise DimensionError(f"metadata needs {self.offsets['pad']} slots but M={self.M}")
 
-    @property
-    def used_width(self) -> int:
-        return len(self.candidate_sources) + len(self.entailed_sources) + 3 + self.V
+    @functools.cached_property
+    def offsets(self) -> dict[str, int]:
+        return _metadata_offsets(self.candidate_sources, self.entailed_sources, self.V)
 
 
 def fit_metadata_layout(
-    questions: list[QuestionRecord],
-    corpus_pairs: list[QAPair],
-    V: int,
-    M: int | None = PAPER_SIZES.M,
+    questions: list[QuestionRecord], corpus_pairs: list[QAPair], V: int, M: int | None
 ) -> MetadataLayout:
     """Freeze source vocabularies from training data.
 
@@ -282,14 +297,12 @@ def fit_metadata_layout(
     augmentation, so the entailed vocabulary covers both corpus and
     candidate sources. With M=None the layout is packed without padding.
     """
-    candidate_sources = tuple(
-        sorted({c.source for q in questions for c in q.candidates})
-    )
+    candidate_sources = fit_source_vocab(questions)
     entailed_sources = tuple(
         sorted({p.source for p in corpus_pairs} | set(candidate_sources))
     )
     if M is None:
-        M = len(candidate_sources) + len(entailed_sources) + 3 + V
+        M = _metadata_offsets(candidate_sources, entailed_sources, V)["pad"]
     return MetadataLayout(
         candidate_sources=candidate_sources,
         entailed_sources=entailed_sources,
@@ -311,19 +324,15 @@ def build_metadata(
         raise DimensionError(
             f"TF-IDF vocabulary size {len(tfidf.vocabulary)} != layout V={layout.V}"
         )
-    vec = np.zeros(layout.M)
-    offset = 0
+    vec, at = np.zeros(layout.M), layout.offsets
     if candidate.source in layout.candidate_sources:
-        vec[offset + layout.candidate_sources.index(candidate.source)] = 1.0
-    offset += len(layout.candidate_sources)
+        vec[at["candidate_source"] + layout.candidate_sources.index(candidate.source)] = 1.0
     if entailed_source in layout.entailed_sources:
-        vec[offset + layout.entailed_sources.index(entailed_source)] = 1.0
-    offset += len(layout.entailed_sources)
-    vec[offset] = candidate_sentence_count
-    vec[offset + 1] = entailed_sentence_count
-    vec[offset + 2] = candidate.system_rank
-    offset += 3
-    vec[offset : offset + layout.V] = tfidf_transform(tfidf, candidate.text)
+        vec[at["entailed_source"] + layout.entailed_sources.index(entailed_source)] = 1.0
+    vec[at["candidate_sentences"]] = candidate_sentence_count
+    vec[at["entailed_sentences"]] = entailed_sentence_count
+    vec[at["system_rank"]] = candidate.system_rank
+    vec[at["tfidf"] : at["tfidf"] + layout.V] = tfidf_transform(tfidf, candidate.text)
     return vec
 
 
@@ -405,6 +414,15 @@ class TrainConfig:
             raise SchemaError(f"unknown optimizer {self.optimizer!r}")
 
 
+def head_inputs(
+    encoder: ConvEncoderConfig, rqe_dim: int, layout: MetadataLayout
+) -> tuple[int, int]:
+    """The filter head's input width, one joint row [encoded NLI map; RQE
+    embedding; metadata], and the pair head's, two joint rows side by side."""
+    width = encoder.out_dim + rqe_dim + layout.M
+    return width, 2 * width
+
+
 class JointModel(Module):
     """Conv encoder plus filtering and pairwise heads over joint embeddings."""
 
@@ -437,25 +455,17 @@ class JointModel(Module):
             ("pair_head", self.pair_head),
         ]
 
-    @property
-    def joint_dim(self) -> int:
-        return self.encoder.out_dim + self.rqe_dim + self.layout.M
-
     def audit_dimensions(self) -> None:
         if len(self.tfidf.vocabulary) != self.layout.V:
             raise DimensionError(
                 f"metadata TF-IDF vocabulary size {len(self.tfidf.vocabulary)} != "
                 f"layout V={self.layout.V}"
             )
-        if self.filter_config.widths[0] != self.joint_dim:
+        inputs = head_inputs(self.encoder.config, self.rqe_dim, self.layout)
+        if (self.filter_config.widths[0], self.pair_config.widths[0]) != inputs:
             raise DimensionError(
-                f"joint embedding width {self.joint_dim} != filtering head "
-                f"input {self.filter_config.widths[0]}"
-            )
-        if self.pair_config.widths[0] != 2 * self.joint_dim:
-            raise DimensionError(
-                f"pairwise head input {self.pair_config.widths[0]} != "
-                f"2 x joint width {2 * self.joint_dim}"
+                f"filtering and pairwise head inputs {self.filter_config.widths[0]} and "
+                f"{self.pair_config.widths[0]} != one and two joint rows' width {inputs}"
             )
 
 
@@ -464,7 +474,7 @@ def build_joint_model(
     tfidf: TfidfModel,
     encoder_config: ConvEncoderConfig,
     rqe_dim: int,
-    seed: int = 0,
+    seed: int,
     *,
     filter_config: HeadConfig,
     pair_config: HeadConfig,
@@ -497,10 +507,10 @@ def new_model(
     tfidf = fit_metadata_tfidf(pairs, sizes.V)
     layout = fit_metadata_layout(list(questions), pairs, V=len(tfidf.vocabulary), M=sizes.M)
     encoder = ConvEncoderConfig(sizes.D, sizes.encoder)
-    joint_dim = encoder.out_dim + sizes.D + layout.M
+    filter_input, pair_input = head_inputs(encoder, sizes.D, layout)
     return build_joint_model(
         layout, tfidf, encoder, sizes.D, seed,
-        filter_config=sizes.filter_head(joint_dim), pair_config=sizes.pair_head(2 * joint_dim),
+        filter_config=sizes.filter_head(filter_input), pair_config=sizes.pair_head(pair_input),
     )
 
 
@@ -673,7 +683,7 @@ def _question_forward(
     """One question's forward, shared by ``question_loss`` and ``infer``.
 
     Returns ``(rows, cand, first, second, filter_logits, pair_logits)``: the
-    (n, joint_dim) rows [encoded NLI map; RQE embedding; metadata], one per
+    (n, width) joint rows [encoded NLI map; RQE embedding; metadata], one per
     candidate of each instance, from one encoder call; each row's candidate
     index; the rows of every ordered pair; one filter logit per row; and one
     pair logit per pair (the pair head is not called when there are none).
@@ -939,7 +949,7 @@ def save_joint_model(
     path: str | Path,
     train_config: TrainConfig,
     provider_config: ProviderConfig,
-    provider_tfidf: TfidfModel | None = None,
+    provider_tfidf: TfidfModel | None,
 ) -> None:
     """Self-contained checkpoint: config, layouts, TF-IDF models, weights.
     A non-finite parameter or buffer raises ``MedrankError``, and nothing is

@@ -171,6 +171,12 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def rqe_pair(query: str, text: str, swap: bool) -> tuple[str, str]:
+    """The ordered RQE pair of a query and a corpus text: (query, text), or
+    (text, query) with ``swap``."""
+    return (text, query) if swap else (query, text)
+
+
 class _Provider:
     """The memo of pair embeddings; subclasses implement _pair() (a pair's
     D-wide embedding) and the two batched score calls.
@@ -451,8 +457,9 @@ class PrecomputedProvider(_Provider):
 
     def rqe_scores(self, query: str, texts, swap: bool = False) -> np.ndarray:
         """One lookup per pair: the keys have a direction."""
-        pairs = [(t, query) if swap else (query, t) for t in texts]
-        return np.array([self._record(*pair).score for pair in pairs], dtype=np.float64)
+        return np.array(
+            [self._record(*rqe_pair(query, t, swap)).score for t in texts], dtype=np.float64
+        )
 
 
 Provider = _Provider

@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import QAPair
 from .errors import SchemaError
-from .providers import Provider
+from .providers import Provider, rqe_pair
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,6 @@ class EntailedCandidate:
     embedding: np.ndarray
 
 
-def _oriented(query: str, pair: QAPair, config: RetrievalConfig) -> tuple[str, str]:
-    if config.swap_direction:
-        return pair.question_text, query
-    return query, pair.question_text
-
-
 class EntailmentIndex:
     """Corpus pairs (in file order) bound to an RQE provider."""
 
@@ -70,7 +64,7 @@ class EntailmentIndex:
         """The RQE embedding of one kept pair (its score comes from ``scores``).
         ``perfbench``'s ``TracedIndex`` counts kept hits by wrapping this
         name, so a rename would zero its ``retrieval.useful_ratio``."""
-        return self.provider.rqe(*_oriented(query, pair, config))
+        return self.provider.rqe(*rqe_pair(query, pair.question_text, config.swap_direction))
 
     def scores(self, query: str, config: RetrievalConfig) -> np.ndarray:
         """Score-only RQE of the query against every pair, in corpus order."""

@@ -1173,7 +1173,7 @@ class SGD(_Optimizer):
 
 
 class Adam(_Optimizer):
-    """Adam with bias correction; defaults lr=1e-3, betas=(0.9, 0.999).
+    """Adam with bias correction; default betas=(0.9, 0.999).
 
     Per element: m = b1 m + (1-b1) g, v = b2 v + (1-b2) g^2, then
     p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps) (Kingma & Ba,
@@ -1184,7 +1184,7 @@ class Adam(_Optimizer):
     def __init__(
         self,
         store: ParamStore,
-        lr: float = 1e-3,
+        lr: float,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ):

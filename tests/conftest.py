@@ -14,7 +14,7 @@ import pytest
 from medrank import baseline as bl
 from medrank import tensornet
 from medrank.corpus import CandidateAnswer, QAPair, QuestionRecord, derive_label
-from medrank.evalkit import Prediction, evaluate
+from medrank.evalkit import evaluate, prediction_from_scores
 from medrank.joint import SCALED_SIZES, TrainConfig, new_model, predict_dataset, train_joint
 from medrank.providers import ProviderConfig, fit_provider, pair_key
 from medrank.retrieval import EntailmentIndex, RetrievalConfig, retrieve
@@ -204,11 +204,12 @@ def small_world(questions=24, val_questions=8, seed=3, provider_seed=0):
 
 
 def train_end_to_end() -> SimpleNamespace:
-    """Train the scaled-down joint model and the logistic baseline on synth
-    data, and predict the validation split with each: ``history`` (the
-    per-question training losses of each epoch), ``joint_predictions``,
-    ``baseline_predictions`` (with each candidate's probability as its
-    score) and the two ``evaluate`` reports."""
+    """Train the scaled-down joint model, the logistic baseline and the hinge
+    ranker on synth data, and predict the validation split with each:
+    ``history`` (the per-question training losses of each epoch),
+    ``joint_predictions``, ``baseline_predictions`` (with each candidate's
+    probability as its score), the two ``evaluate`` reports, and
+    ``hinge_predictions`` (ranked by hinge score, relevant by probability)."""
     train, val, corpus, provider, index, model = small_world(
         questions=200, val_questions=50, seed=11, provider_seed=0
     )
@@ -224,7 +225,7 @@ def train_end_to_end() -> SimpleNamespace:
     history = train_joint(model, train, index, provider, train_config)
     joint_predictions = predict_dataset(model, val, index, provider, train_config.retrieval)
 
-    # logistic baseline over the engineered features
+    # the baseline's engineered features
     feature_config = bl.BaselineFeatureConfig(
         N=3,
         V=len(model.tfidf.vocabulary),
@@ -263,17 +264,21 @@ def train_end_to_end() -> SimpleNamespace:
         features, labels,
         lr=settings.lr, steps=settings.steps, weight_decay=settings.weight_decay,
     )
-    baseline_predictions = []
+    # the hinge ranker on every question with two or more rows, as train-baseline fits it
+    hinge = bl.train_pairwise_hinge(
+        [
+            (rows, np.asarray([c.reference_rank for c in question.candidates]))
+            for question, rows in train_rows
+            if len(rows) >= 2
+        ],
+        lr=settings.hinge_lr, steps=settings.hinge_steps, weight_decay=settings.weight_decay,
+    )
+    baseline_predictions, hinge_predictions = [], []
     for question, rows in feature_rows(val):
         probs = bl.predict_logreg(logreg, rows)
-        ids = [c.answer_id for c in question.candidates]
-        system_ranks = [c.system_rank for c in question.candidates]
-        ranking = bl.rank_by_scores(ids, probs, system_ranks)
-        relevant = tuple(a for a in ranking if probs[ids.index(a)] >= 0.5)
-        baseline_predictions.append(
-            Prediction(
-                question.question_id, tuple(ranking), relevant, dict(zip(ids, probs.tolist()))
-            )
+        baseline_predictions.append(prediction_from_scores(question, probs, probs))
+        hinge_predictions.append(
+            prediction_from_scores(question, bl.hinge_score(hinge, rows), probs)
         )
     return SimpleNamespace(
         history=history,
@@ -281,6 +286,7 @@ def train_end_to_end() -> SimpleNamespace:
         joint_report=evaluate(joint_predictions, val),
         baseline_predictions=baseline_predictions,
         baseline_report=evaluate(baseline_predictions, val),
+        hinge_predictions=hinge_predictions,
     )
 
 

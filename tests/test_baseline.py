@@ -270,7 +270,7 @@ class TestFeaturePersistence:
 class TestTrainCheckpoint:
     """``train_checkpoint`` needs a label on every feature row."""
 
-    CONFIG = bl.BaselineFeatureConfig(N=1, V=1, D=2, source_vocab=("s",))
+    CONFIG = bl.BaselineFeatureConfig(N=1, V=1, D=2, source_vocab=("s",), T=0.7)
 
     def _rows_and_dataset(self):
         rng = np.random.default_rng(4)

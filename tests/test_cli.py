@@ -1188,6 +1188,20 @@ class TestErrorHandling:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "SchemaError"
 
+    def test_float_score_fails_ingest(self, capsys, tmp_path):
+        dataset = tmp_path / "raw.jsonl"
+        candidate = {"answer_id": "a", "text": "An answer.", "source": "web",
+                     "system_rank": 1, "reference_rank": 1, "reference_score": 3.0}
+        record = {"question_id": "q", "text": "Why?", "candidates": [candidate]}
+        dataset.write_text(json.dumps(record) + "\n")
+        out = tmp_path / "clean.jsonl"
+        code = main(["ingest", "--dataset", str(dataset), "--split", "train", "--out", str(out)])
+        assert code == 2
+        payload = _error_payload(capsys)
+        assert payload["error"] == "SchemaError"
+        assert "reference_score" in payload["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train-joint", "predict"])
     def test_empty_corpus_names_the_file(self, pipeline_dir, capsys, tmp_path, command):
         empty = tmp_path / "corpus.jsonl"
@@ -1332,6 +1346,10 @@ class TestErrorHandling:
              "baseline.weight_decay: expected a finite number >= 0, got nan"),
             ("baseline.weight_decay=-1e-4",
              "baseline.weight_decay: expected a finite number >= 0, got -0.0001"),
+            ("baseline.weight_decay=1", "baseline.weight_decay: expected "
+             "baseline.lr * baseline.weight_decay < 0.5, got 1.0"),
+            ("baseline.hinge_lr=5000", "baseline.weight_decay: expected "
+             "baseline.hinge_lr * baseline.weight_decay < 0.5, got 0.0001"),
         ],
     )
     def test_unusable_baseline_settings_write_no_checkpoint(

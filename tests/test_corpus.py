@@ -75,10 +75,20 @@ class TestLoadDataset:
                 handle.write(json.dumps(record) + "\n")
         assert len(load_dataset(path, "train")) == 208
 
-    def test_out_of_range_score(self, tmp_path):
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("reference_score", 5),
+            ("reference_score", True),
+            ("reference_score", 3.0),
+            ("reference_rank", True),
+            ("system_rank", True),
+        ],
+    )
+    def test_out_of_range_score(self, tmp_path, field, value):
         path = tmp_path / "d.jsonl"
-        _write_question(path, candidate={"reference_score": 5})
-        with pytest.raises(SchemaError, match="reference_score"):
+        _write_question(path, candidate={field: value})
+        with pytest.raises(SchemaError, match=field):
             load_dataset(path, "train")
 
     def test_empty_candidates(self, tmp_path):

@@ -3,11 +3,11 @@
 ``reference/exactness.json`` holds what the session's ``end_to_end`` run
 (conftest.py) gave when it was written: the joint model's per-question
 training losses of every epoch and its validation rankings and relevant
-sets, and the logistic baseline's rankings, relevant sets and scores. A
-change that only reorders float arithmetic (a split product, a padded
-one, a fused sum) must leave every ranking and relevant set as it was, and
-every loss and baseline score within ``RTOL`` relative; one that changes
-what is computed fails here.
+sets, and the rankings, relevant sets and scores of the logistic baseline
+and of the hinge ranker. A change that only reorders float arithmetic (a
+split product, a padded one, a fused sum) must leave every ranking and
+relevant set as it was, and every loss and baseline score within ``RTOL``
+relative; one that changes what is computed fails here.
 
 A change that is meant to move these numbers rewrites the reference with
 ``PYTHONPATH=src python tests/write_exactness_reference.py`` and says why,
@@ -28,6 +28,17 @@ REFERENCE = Path(__file__).parent / "reference" / "exactness.json"
 RTOL = 1e-9
 
 
+# The sections that hold a baseline ranker's scores.
+SCORED = ("baseline", "hinge")
+
+
+def _scored(predictions) -> dict:
+    return {
+        p.question_id: {"ranking": list(p.ranking), "relevant": list(p.relevant), "scores": p.scores}
+        for p in predictions
+    }
+
+
 def exactness_record(run) -> dict:
     """What the reference holds of a ``train_end_to_end()`` run."""
     return {
@@ -36,14 +47,8 @@ def exactness_record(run) -> dict:
             p.question_id: {"ranking": list(p.ranking), "relevant": list(p.relevant)}
             for p in run.joint_predictions
         },
-        "baseline": {
-            p.question_id: {
-                "ranking": list(p.ranking),
-                "relevant": list(p.relevant),
-                "scores": p.scores,
-            }
-            for p in run.baseline_predictions
-        },
+        "baseline": _scored(run.baseline_predictions),
+        "hinge": _scored(run.hinge_predictions),
     }
 
 
@@ -72,7 +77,7 @@ class TestExactness:
 
     def test_rankings_and_relevant_sets_are_identical(self, end_to_end):
         got, want = self._both(end_to_end)
-        for model in ("joint", "baseline"):
+        for model in ("joint", *SCORED):
             assert _rankings(got[model]) == _rankings(want[model]), model
 
     def test_joint_losses_agree(self, end_to_end):
@@ -86,13 +91,14 @@ class TestExactness:
 
     def test_baseline_scores_agree(self, end_to_end):
         got, want = self._both(end_to_end)
-        pairs = [
-            (score, want["baseline"][q]["scores"][a])
-            for q, entry in got["baseline"].items()
-            for a, score in entry["scores"].items()
-        ]
-        assert len(pairs) == sum(len(e["scores"]) for e in want["baseline"].values())
-        np.testing.assert_allclose(*np.array(pairs).T, rtol=RTOL, atol=0)
+        for model in SCORED:
+            pairs = [
+                (score, want[model][q]["scores"][a])
+                for q, entry in got[model].items()
+                for a, score in entry["scores"].items()
+            ]
+            assert len(pairs) == sum(len(e["scores"]) for e in want[model].values()), model
+            np.testing.assert_allclose(*np.array(pairs).T, rtol=RTOL, atol=0, err_msg=model)
 
     def test_reference_reads_back_as_written(self):
         want = json.loads(REFERENCE.read_text())

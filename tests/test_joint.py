@@ -244,6 +244,7 @@ class TestDimensionAudit:
                 tfidf,
                 ConvEncoderConfig.scaled_down(),
                 rqe_dim=8,
+                seed=0,
                 filter_config=HeadConfig.scaled_filter(48),  # true joint dim is 30
                 pair_config=HeadConfig.scaled_pair(96),
             )

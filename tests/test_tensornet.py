@@ -1164,7 +1164,7 @@ class TestInPlaceOptimizers:
         w = Tensor(np.ones((2, 3)))
         store = ParamStore([w])
         w.zero_grad()
-        optimizer = Adam(store)
+        optimizer = Adam(store, lr=1e-3)
         buffer = w.grad
         assert buffer.base is store.grads
         for _ in range(2):
@@ -1243,7 +1243,7 @@ class TestPooledSweep:
         data, grads = self._problem(seed=1)
         grads[0][-1][-1] = 1e200
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            self._run(monkeypatch, 3, Adam, data, grads[:1])
+            self._run(monkeypatch, 3, Adam, data, grads[:1], lr=1e-3)
 
     def test_first_block_exception_waits_for_every_block(self, monkeypatch):
         # The first block overflows here, on whichever thread takes it; the
@@ -1256,7 +1256,7 @@ class TestPooledSweep:
         store = ParamStore(tensors)
         for tensor, g in zip(tensors, grads[0]):
             tensor.grad = None if g is None else g.copy()
-        optimizer = Adam(store)
+        optimizer = Adam(store, lr=1e-3)
         counts = track_updates(optimizer)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             optimizer.step()
@@ -1275,7 +1275,7 @@ class TestPooledSweep:
         store = ParamStore(tensors)
         for t in tensors:
             t.grad = rng.standard_normal(t.data.shape)
-        optimizer = Adam(store)
+        optimizer = Adam(store, lr=1e-3)
 
         def no_thread(self):
             raise AssertionError("the sweep started a thread")
@@ -1832,7 +1832,7 @@ class TestArena:
         stale.grad = np.ones((2, 1, 3))
         stale.zero_grad()
 
-        Adam(store)
+        Adam(store, lr=1e-3)
         for tensor, want in zip(tensors, values):
             np.testing.assert_array_equal(tensor.data, want)
             assert tensor.data.base is store.values
@@ -1865,7 +1865,7 @@ class TestArena:
         rng = np.random.default_rng(4)
         layer = Linear(256, 128, rng, bias=False).materialize()
         assert layer.weight.data.size >= SWEEP_BLOCK
-        optimizer = Adam(layer.store)
+        optimizer = Adam(layer.store, lr=1e-3)
         value = np.ones((128, 256))
         layer.weight.grad = value
         assert layer.weight.grad is not value
@@ -1907,7 +1907,7 @@ class TestArena:
 
     def test_rebound_data_raises(self):
         w = Tensor(np.ones(3), "w")
-        optimizer = Adam(ParamStore([w]))
+        optimizer = Adam(ParamStore([w]), lr=1e-3)
         w.data = np.zeros(3)
         w.grad = np.ones(3)
         with pytest.raises(RuntimeError, match="'w'"):
