@@ -162,6 +162,13 @@ def _require(record: dict, keys: Iterable[str], where: str) -> None:
             raise SchemaError(f"{where}: missing field {key!r}")
 
 
+def _string(record: dict, key: str, where: str) -> str:
+    """``record[key]``, which must be a JSON string (not coerced with ``str``)."""
+    if type(record[key]) is not str:
+        raise SchemaError(f"{where}: {key} must be a string")
+    return record[key]
+
+
 def _reject_unknown(record: dict, allowed: Iterable[str], where: str) -> None:
     unknown = set(record).difference(allowed)
     if unknown:
@@ -178,9 +185,9 @@ def _parse_candidate(record: dict, where: str, require_reference: bool) -> Candi
             if record.get(key) is None:
                 raise SchemaError(f"{where}: missing {key!r} on a non-test split")
     return CandidateAnswer(
-        answer_id=str(record["answer_id"]),
-        text=str(record["text"]),
-        source=str(record["source"]),
+        answer_id=_string(record, "answer_id", where),
+        text=_string(record, "text", where),
+        source=_string(record, "source", where),
         system_rank=record["system_rank"],
         reference_rank=record.get("reference_rank"),
         reference_score=record.get("reference_score"),
@@ -199,7 +206,8 @@ def load_dataset(path: str | Path, split: str) -> Dataset:
     questions: list[QuestionRecord] = []
     for where, record in read_jsonl(path, _QUESTION_KEYS):
         _reject_unknown(record, _QUESTION_KEYS, where)
-        qid = str(record["question_id"])
+        qid = _string(record, "question_id", where)
+        text = _string(record, "text", where)
         raw_candidates = record["candidates"]
         if not isinstance(raw_candidates, list):
             raise SchemaError(f"{where}: question {qid!r}: candidates must be a list")
@@ -207,9 +215,7 @@ def load_dataset(path: str | Path, split: str) -> Dataset:
             _parse_candidate(c, f"{where}: question {qid!r}", require_reference)
             for c in raw_candidates
         )
-        questions.append(
-            QuestionRecord(question_id=qid, text=str(record["text"]), candidates=candidates)
-        )
+        questions.append(QuestionRecord(question_id=qid, text=text, candidates=candidates))
     return Dataset(split=split, questions=tuple(questions))
 
 
@@ -223,12 +229,7 @@ def load_qa_corpus(path: str | Path) -> list[QAPair]:
     seen: set[str] = set()
     for where, record in read_jsonl(path, _PAIR_KEYS):
         _reject_unknown(record, _PAIR_KEYS, where)
-        pair = QAPair(
-            pair_id=str(record["pair_id"]),
-            question_text=str(record["question_text"]),
-            answer_text=str(record["answer_text"]),
-            source=str(record["source"]),
-        )
+        pair = QAPair(**{key: _string(record, key, where) for key in _PAIR_KEYS})
         if pair.pair_id in seen:
             raise SchemaError(f"{where}: duplicate pair_id {pair.pair_id!r}")
         seen.add(pair.pair_id)

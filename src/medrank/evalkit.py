@@ -6,13 +6,19 @@ over the answers the system marked relevant (predicted position vs reference
 rank restricted to that set, average ranks for ties); a question with fewer
 than two such answers contributes 0. A secondary "full-list" rho over every
 candidate is reported alongside.
+
+``evaluate`` and ``analyze`` read one judgement per question (``_judged``):
+in dataset order, each question's labels (reference score >= 3) and reference
+ranks by answer id, its predicted-relevant set and its primary rho. Every
+question needs a prediction and every candidate a reference score and rank.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -110,31 +116,11 @@ def reciprocal_rank(ranking: list[str], labels: dict[str, int]) -> float:
     return 0.0
 
 
-def mrr(
-    rankings: dict[str, list[str]], labels: dict[str, dict[str, int]]
-) -> float:
-    """Mean reciprocal rank over every question in ``labels``."""
-    if not labels:
-        raise SchemaError("mrr needs at least one question")
-    total = 0.0
-    for qid, question_labels in labels.items():
-        ranking = rankings.get(qid, [])
-        total += reciprocal_rank(list(ranking), question_labels)
-    return total / len(labels)
-
-
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Rank transform with average ranks for ties (ranks start at 1)."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """Rank transform with average ranks for ties (ranks start at 1): a tied
+    run at sorted positions i..j gets (i + j) / 2 + 1."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def spearman_rho(x, y) -> float:
@@ -177,61 +163,42 @@ def spearman_per_question(
 # ---------------------------------------------------------------------------
 
 
-def _question_labels(question: QuestionRecord) -> dict[str, int]:
-    labels = {}
-    for candidate in question.candidates:
-        if candidate.reference_score is None:
-            raise SchemaError(
-                f"question {question.question_id!r}: cannot evaluate without "
-                "reference_score"
-            )
-        labels[candidate.answer_id] = derive_label(candidate.reference_score)
-    return labels
-
-
-def _question_reference_ranks(question: QuestionRecord) -> dict[str, int]:
-    ranks = {}
-    for candidate in question.candidates:
-        if candidate.reference_rank is None:
-            raise SchemaError(
-                f"question {question.question_id!r}: cannot evaluate without "
-                "reference_rank"
-            )
-        ranks[candidate.answer_id] = candidate.reference_rank
-    return ranks
+def _judged(predictions: list[Prediction], dataset: Dataset):
+    """``(question, prediction, labels, ranks, relevant, rho)`` for each question
+    of ``dataset`` in order: its labels and reference ranks by answer id, the
+    set of answers its prediction marked relevant and the primary rho."""
+    by_qid = {p.question_id: p for p in predictions}
+    for question in dataset.questions:
+        qid = question.question_id
+        prediction = by_qid.get(qid)
+        if prediction is None:
+            raise SchemaError(f"no prediction for question {qid!r}")
+        for field in ("reference_score", "reference_rank"):
+            if any(getattr(c, field) is None for c in question.candidates):
+                raise SchemaError(f"question {qid!r}: cannot evaluate without {field}")
+        labels = {c.answer_id: derive_label(c.reference_score) for c in question.candidates}
+        ranks = {c.answer_id: c.reference_rank for c in question.candidates}
+        relevant = set(prediction.relevant)
+        rho = spearman_per_question([a for a in prediction.ranking if a in relevant], ranks)
+        yield question, prediction, labels, ranks, relevant, rho
 
 
 def evaluate(predictions: list[Prediction], dataset: Dataset) -> EvalReport:
-    """Score predictions against a labeled dataset."""
-    by_qid = {p.question_id: p for p in predictions}
-    pred_labels: list[int] = []
-    true_labels: list[int] = []
-    per_question: list[QuestionEval] = []
-    rank_map: dict[str, list[str]] = {}
-    label_map: dict[str, dict[str, int]] = {}
-    for question in dataset.questions:
-        prediction = by_qid.get(question.question_id)
-        if prediction is None:
-            raise SchemaError(f"no prediction for question {question.question_id!r}")
-        labels = _question_labels(question)
-        ranks = _question_reference_ranks(question)
-        label_map[question.question_id] = labels
-        rank_map[question.question_id] = list(prediction.ranking)
-        relevant_set = set(prediction.relevant)
-        for candidate in question.candidates:
-            pred_labels.append(1 if candidate.answer_id in relevant_set else 0)
-            true_labels.append(labels[candidate.answer_id])
-        predicted_relevant_order = [
-            aid for aid in prediction.ranking if aid in relevant_set
-        ]
-        rho = spearman_per_question(predicted_relevant_order, ranks)
-        rho_full = spearman_per_question(list(prediction.ranking), ranks)
+    """Score predictions against a labeled dataset. MRR is the mean of the
+    per-question reciprocal ranks, summed in dataset order."""
+    pred_labels, true_labels, per_question = [], [], []
+    rr_total = 0.0
+    for question, prediction, labels, ranks, relevant, rho in _judged(predictions, dataset):
+        pred_labels.extend(int(aid in relevant) for aid in labels)
+        true_labels.extend(labels.values())
+        rr = reciprocal_rank(list(prediction.ranking), labels)
+        rr_total += rr
         per_question.append(
             QuestionEval(
                 question_id=question.question_id,
                 rho=rho,
-                rho_full=rho_full,
-                reciprocal_rank=reciprocal_rank(list(prediction.ranking), labels),
+                rho_full=spearman_per_question(list(prediction.ranking), ranks),
+                reciprocal_rank=rr,
                 n_valid=sum(labels.values()),
             )
         )
@@ -239,7 +206,7 @@ def evaluate(predictions: list[Prediction], dataset: Dataset) -> EvalReport:
     return EvalReport(
         accuracy=accuracy,
         precision=precision,
-        mrr=mrr(rank_map, label_map),
+        mrr=rr_total / len(per_question),
         mean_rho=float(np.mean([q.rho for q in per_question])),
         mean_rho_full=float(np.mean([q.rho_full for q in per_question])),
         per_question=tuple(per_question),
@@ -258,6 +225,12 @@ def _sentence_bucket(count: int) -> str:
     return "80+"
 
 
+def _tally(table: dict, key, hit: int) -> None:
+    row = table.setdefault(key, [0, 0])
+    row[0] += hit
+    row[1] += 1
+
+
 def analyze(predictions: list[Prediction], dataset: Dataset) -> dict:
     """Bucketed breakdowns mirroring the error analysis.
 
@@ -266,71 +239,41 @@ def analyze(predictions: list[Prediction], dataset: Dataset) -> dict:
     the number of valid answers per question. Every row carries its example
     count.
     """
-    by_qid = {p.question_id: p for p in predictions}
-    recall_hits: dict[int, int] = {}
-    recall_totals: dict[int, int] = {}
-    length_correct: dict[str, int] = {}
-    length_totals: dict[str, int] = {}
-    valid_correct: dict[int, int] = {}
-    valid_answer_totals: dict[int, int] = {}
-    valid_rhos: dict[int, list[float]] = {}
-
-    for question in dataset.questions:
-        prediction = by_qid.get(question.question_id)
-        if prediction is None:
-            raise SchemaError(f"no prediction for question {question.question_id!r}")
-        labels = _question_labels(question)
-        ranks = _question_reference_ranks(question)
-        relevant_set = set(prediction.relevant)
+    recall: dict[int, list[int]] = {}
+    length: dict[str, list[int]] = {}
+    valid: dict[int, list] = {}  # [hits, count, rhos]
+    for question, _, labels, ranks, relevant, rho in _judged(predictions, dataset):
         n_valid = sum(labels.values())
+        valid.setdefault(n_valid, [0, 0, []])[2].append(rho)
         for candidate in question.candidates:
-            predicted = 1 if candidate.answer_id in relevant_set else 0
+            predicted = int(candidate.answer_id in relevant)
             actual = labels[candidate.answer_id]
-            correct = int(predicted == actual)
             if actual == 1:
-                rank = ranks[candidate.answer_id]
-                recall_totals[rank] = recall_totals.get(rank, 0) + 1
-                recall_hits[rank] = recall_hits.get(rank, 0) + predicted
-            bucket = _sentence_bucket(len(split_sentences(candidate.text)))
-            length_totals[bucket] = length_totals.get(bucket, 0) + 1
-            length_correct[bucket] = length_correct.get(bucket, 0) + correct
-            valid_answer_totals[n_valid] = valid_answer_totals.get(n_valid, 0) + 1
-            valid_correct[n_valid] = valid_correct.get(n_valid, 0) + correct
-        predicted_relevant_order = [
-            aid for aid in prediction.ranking if aid in relevant_set
-        ]
-        valid_rhos.setdefault(n_valid, []).append(
-            spearman_per_question(predicted_relevant_order, ranks)
-        )
+                _tally(recall, ranks[candidate.answer_id], predicted)
+            correct = int(predicted == actual)
+            _tally(length, _sentence_bucket(len(split_sentences(candidate.text))), correct)
+            _tally(valid, n_valid, correct)
 
-    def bucket_order(name: str) -> int:
-        return int(name.split("-")[0].rstrip("+"))
+    def bucket_order(item) -> int:
+        return int(item[0].split("-")[0].rstrip("+"))
 
     return {
         "recall_by_reference_rank": [
-            {
-                "reference_rank": rank,
-                "recall": recall_hits[rank] / recall_totals[rank],
-                "count": recall_totals[rank],
-            }
-            for rank in sorted(recall_totals)
+            {"reference_rank": rank, "recall": hits / count, "count": count}
+            for rank, (hits, count) in sorted(recall.items())
         ],
         "accuracy_by_sentence_count": [
-            {
-                "bucket": bucket,
-                "accuracy": length_correct[bucket] / length_totals[bucket],
-                "count": length_totals[bucket],
-            }
-            for bucket in sorted(length_totals, key=bucket_order)
+            {"bucket": bucket, "accuracy": hits / count, "count": count}
+            for bucket, (hits, count) in sorted(length.items(), key=bucket_order)
         ],
         "by_valid_answer_count": [
             {
                 "valid_answers": n,
-                "accuracy": valid_correct[n] / valid_answer_totals[n],
-                "mean_rho": float(np.mean(valid_rhos[n])),
-                "count": len(valid_rhos[n]),
+                "accuracy": hits / count,
+                "mean_rho": float(np.mean(rhos)),
+                "count": len(rhos),
             }
-            for n in sorted(valid_rhos)
+            for n, (hits, count, rhos) in sorted(valid.items())
         ],
     }
 
@@ -361,41 +304,26 @@ def load_predictions(path: str | Path) -> list[Prediction]:
             ids = record[key]
             if not (isinstance(ids, list) and all(isinstance(a, str) for a in ids)):
                 raise SchemaError(f"{where}: {key} must be a list of strings")
+        scores = record.get("scores", {})
+        # type() rather than isinstance: a JSON true is a bool, which is an int.
+        if not isinstance(scores, dict) or not all(
+            type(s) in (int, float) and abs(s) <= sys.float_info.max for s in scores.values()
+        ):
+            raise SchemaError(f"{where}: scores must map answer ids to finite numbers")
         predictions.append(
             Prediction(
                 question_id=record["question_id"],
                 ranking=tuple(record["ranking"]),
                 relevant=tuple(record["relevant"]),
-                scores=record.get("scores") or None,
+                scores=scores or None,
             )
         )
     return predictions
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "accuracy": report.accuracy,
-        "precision": report.precision,
-        "mrr": report.mrr,
-        "mean_rho": report.mean_rho,
-        "mean_rho_full": report.mean_rho_full,
-        "per_question": [
-            {
-                "question_id": q.question_id,
-                "rho": q.rho,
-                "rho_full": q.rho_full,
-                "reciprocal_rank": q.reciprocal_rank,
-                "n_valid": q.n_valid,
-            }
-            for q in report.per_question
-        ],
-        "buckets": report.buckets,
-    }
-
-
 def save_report(report: EvalReport, path: str | Path) -> None:
     Path(path).write_text(
-        json.dumps(report_to_dict(report), sort_keys=True, indent=2), encoding="utf-8"
+        json.dumps(asdict(report), sort_keys=True, indent=2), encoding="utf-8"
     )
 
 

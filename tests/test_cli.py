@@ -1202,6 +1202,20 @@ class TestErrorHandling:
         assert "reference_score" in payload["message"]
         assert not out.exists()
 
+    def test_non_string_fields_fail_ingest(self, capsys, tmp_path):
+        dataset = tmp_path / "raw.jsonl"
+        candidate = {"answer_id": 7, "text": ["An answer."], "source": None,
+                     "system_rank": 1, "reference_rank": 1, "reference_score": 3}
+        record = {"question_id": 12, "text": {"q": 1}, "candidates": [candidate]}
+        dataset.write_text(json.dumps(record) + "\n")
+        out = tmp_path / "clean.jsonl"
+        code = main(["ingest", "--dataset", str(dataset), "--split", "train", "--out", str(out)])
+        assert code == 2
+        payload = _error_payload(capsys)
+        assert payload["error"] == "SchemaError"
+        assert payload["message"] == f"{dataset}:1: question_id must be a string"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train-joint", "predict"])
     def test_empty_corpus_names_the_file(self, pipeline_dir, capsys, tmp_path, command):
         empty = tmp_path / "corpus.jsonl"

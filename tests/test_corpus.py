@@ -148,6 +148,26 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match="'a7': blank text"):
             load_dataset(path, "train")
 
+    @pytest.mark.parametrize(
+        "where, field, value",
+        [
+            ("question", "question_id", 12),
+            ("question", "text", {"q": 1}),
+            ("candidate", "answer_id", 7),
+            ("candidate", "text", ["An answer."]),
+            ("candidate", "source", None),
+        ],
+    )
+    def test_non_string_field_rejected(self, tmp_path, where, field, value):
+        # A non-string is rejected, not written back as its str() form.
+        path = tmp_path / "d.jsonl"
+        if where == "question":
+            _write_question(path, **{field: value})
+        else:
+            _write_question(path, candidate={field: value})
+        with pytest.raises(SchemaError, match=rf"d\.jsonl:1: .*{field} must be a string"):
+            load_dataset(path, "train")
+
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
         _write_question(path, extra_field=1)
@@ -200,6 +220,17 @@ class TestLoadCorpus:
         path = tmp_path / "c.jsonl"
         path.write_text("}{\n")
         with pytest.raises(SchemaError, match=r":1"):
+            load_qa_corpus(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("pair_id", 3), ("question_text", ["q"]), ("answer_text", {"a": 1}), ("source", None)],
+    )
+    def test_non_string_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "c.jsonl"
+        row = {"pair_id": "p", "question_text": "q", "answer_text": "a", "source": "s"}
+        path.write_text(json.dumps(dict(row, **{field: value})) + "\n")
+        with pytest.raises(SchemaError, match=rf"c\.jsonl:1: {field} must be a string"):
             load_qa_corpus(path)
 
     @pytest.mark.parametrize("field", ["question_text", "answer_text"])

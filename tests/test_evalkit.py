@@ -10,11 +10,11 @@ from medrank.corpus import Dataset
 from medrank.errors import SchemaError
 from medrank.evalkit import (
     Prediction,
+    _average_ranks,
     accuracy_precision,
     analyze,
     evaluate,
     load_predictions,
-    mrr,
     reciprocal_rank,
     save_bucket_csvs,
     save_predictions,
@@ -49,40 +49,55 @@ class TestAccuracyPrecision:
             accuracy_precision([1], [1, 0])
 
 
+def _ranked_dataset(scores_by_question):
+    """One question per entry, its candidates in the given order, reference
+    ranks 1..n and the given reference scores (>= 3 is relevant)."""
+    return Dataset(
+        split="validation",
+        questions=tuple(
+            make_question(
+                qid,
+                candidates=[
+                    make_candidate(f"{qid}-{i}", reference_rank=i, reference_score=score)
+                    for i, score in enumerate(scores, start=1)
+                ],
+            )
+            for qid, scores in scores_by_question.items()
+        ),
+    )
+
+
+def _in_dataset_order(dataset):
+    """Each question's candidates ranked in file order, none marked relevant."""
+    return [
+        Prediction(q.question_id, tuple(c.answer_id for c in q.candidates), ())
+        for q in dataset.questions
+    ]
+
+
 class TestMrr:
     def test_relevant_first_everywhere(self):
-        rankings = {"q1": ["a", "b"], "q2": ["c", "d"]}
-        labels = {"q1": {"a": 1, "b": 0}, "q2": {"c": 1, "d": 1}}
-        assert mrr(rankings, labels) == 1.0
+        dataset = _ranked_dataset({"q1": (4, 1), "q2": (3, 4)})
+        assert evaluate(_in_dataset_order(dataset), dataset).mrr == 1.0
 
     def test_first_relevant_at_position_two(self):
         assert reciprocal_rank(["a", "b"], {"a": 0, "b": 1}) == 0.5
 
     def test_three_question_fixture(self):
-        rankings = {
-            "q1": ["a", "b"],
-            "q2": ["c", "d"],
-            "q3": ["e", "f"],
-        }
-        labels = {
-            "q1": {"a": 1, "b": 0},
-            "q2": {"c": 0, "d": 1},
-            "q3": {"e": 0, "f": 0},
-        }
-        assert mrr(rankings, labels) == pytest.approx((1.0 + 0.5 + 0.0) / 3)
+        # q1 relevant first, q2 relevant second, q3 nothing relevant (RR 0)
+        dataset = _ranked_dataset({"q1": (4, 1), "q2": (2, 3), "q3": (1, 2)})
+        report = evaluate(_in_dataset_order(dataset), dataset)
+        assert [q.reciprocal_rank for q in report.per_question] == [1.0, 0.5, 0.0]
+        assert report.mrr == pytest.approx((1.0 + 0.5 + 0.0) / 3)
 
     def test_unknown_id_rejected(self):
         with pytest.raises(SchemaError):
             reciprocal_rank(["zz"], {"a": 1})
 
-    def test_missing_ranking_counts_zero(self):
-        assert mrr({}, {"q": {"a": 1}}) == 0.0
-
     def test_question_order_invariance(self):
-        labels = {"q1": {"a": 1}, "q2": {"b": 1}}
-        rankings = {"q1": ["a"], "q2": ["b"]}
-        flipped_labels = dict(reversed(list(labels.items())))
-        assert mrr(rankings, labels) == mrr(rankings, flipped_labels)
+        dataset = _ranked_dataset({"q1": (4, 1), "q2": (2, 3), "q3": (1, 2)})
+        predictions = _in_dataset_order(dataset)
+        assert evaluate(predictions[::-1], dataset) == evaluate(predictions, dataset)
 
 
 class TestSpearman:
@@ -118,6 +133,25 @@ class TestSpearman:
         rho = spearman_rho([1, 2, 3, 4], [1, 2, 2, 3])
         assert -1.0 <= rho <= 1.0
         assert rho == pytest.approx(0.9486832980505138, abs=1e-9)
+
+    def test_average_ranks_match_loop_reference(self):
+        def reference(values):
+            # Walk each tied run i..j of the stable sort; it gets (i + j) / 2 + 1.
+            order = np.argsort(values, kind="stable")
+            ranks = np.empty(len(values))
+            i = 0
+            while i < len(values):
+                j = i
+                while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+                    j += 1
+                ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+                i = j + 1
+            return ranks
+
+        rng = np.random.default_rng(0)
+        for n in range(12):
+            for values in (rng.integers(0, n // 2 + 1, n).astype(float), rng.normal(size=n)):
+                assert np.array_equal(_average_ranks(values), reference(values))
 
     def test_degenerate_cases_score_zero(self):
         assert spearman_rho([1], [1]) == 0.0
@@ -243,6 +277,33 @@ class TestAnalyze:
         assert total == 5
         assert sum(r["count"] for r in buckets["by_valid_answer_count"]) == 2
 
+    def test_valid_count_table_matches_evaluate(self):
+        dataset = _ranked_dataset(
+            {"q1": (4, 3, 1), "q2": (3, 4, 2), "q3": (2, 4), "q4": (1, 2), "q5": (4, 3, 4)}
+        )
+        predictions = [
+            Prediction("q1", ("q1-2", "q1-1", "q1-3"), ("q1-2", "q1-1")),  # rho -1
+            Prediction("q2", ("q2-1", "q2-2", "q2-3"), ("q2-1", "q2-2", "q2-3")),  # one FP
+            Prediction("q3", ("q3-2", "q3-1"), ("q3-2",)),
+            Prediction("q4", ("q4-1", "q4-2"), ("q4-1",)),  # no valid answer, one FP
+            Prediction("q5", ("q5-1", "q5-3", "q5-2"), ("q5-1", "q5-3")),  # one FN
+        ]
+        report = evaluate(predictions, dataset)
+        grouped = {}
+        for q in report.per_question:
+            grouped.setdefault(q.n_valid, []).append(q)
+        assert sorted(grouped) == [0, 1, 2, 3]
+        rows = {r["valid_answers"]: r for r in analyze(predictions, dataset)["by_valid_answer_count"]}
+        assert sorted(rows) == sorted(grouped)
+        for n, questions in grouped.items():
+            assert rows[n]["count"] == len(questions)
+            assert rows[n]["mean_rho"] == float(np.mean([q.rho for q in questions]))
+            ids = {q.question_id for q in questions}
+            subset = Dataset("validation", tuple(q for q in dataset.questions if q.question_id in ids))
+            sub_report = evaluate([p for p in predictions if p.question_id in ids], subset)
+            assert rows[n]["accuracy"] == sub_report.accuracy
+        assert {n: rows[n]["accuracy"] for n in rows} == {0: 1 / 2, 1: 1.0, 2: 5 / 6, 3: 2 / 3}
+
     def test_csv_emission(self, tmp_path):
         dataset = _two_question_dataset()
         predictions = [
@@ -287,6 +348,24 @@ class TestPersistence:
         path = tmp_path / "preds.jsonl"
         save_predictions(predictions, path)
         assert load_predictions(path) == predictions
+
+    def test_empty_scores_load_as_none(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text('{"question_id": "q", "ranking": ["a"], "relevant": []}\n'
+                        '{"question_id": "r", "ranking": ["b"], "relevant": [], "scores": {}}\n')
+        assert [p.scores for p in load_predictions(path)] == [None, None]
+
+    @pytest.mark.parametrize(
+        "scores", ['"abc"', "null", "[0.5]", '{"a": true}', '{"a": "0.5"}', '{"a": NaN}',
+                   '{"a": Infinity}', '{"a": 1e999}', '{"a": {"b": 1}}']
+    )
+    def test_bad_scores_rejected(self, tmp_path, scores):
+        path = tmp_path / "preds.jsonl"
+        path.write_text(
+            f'{{"question_id": "q", "ranking": ["a"], "relevant": [], "scores": {scores}}}\n'
+        )
+        with pytest.raises(SchemaError, match=r"preds\.jsonl:1: scores must map"):
+            load_predictions(path)
 
     def test_report_serialization(self, tmp_path):
         dataset = _two_question_dataset()
