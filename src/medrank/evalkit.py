@@ -166,7 +166,9 @@ def spearman_per_question(
 def _judged(predictions: list[Prediction], dataset: Dataset):
     """``(question, prediction, labels, ranks, relevant, rho)`` for each question
     of ``dataset`` in order: its labels and reference ranks by answer id, the
-    set of answers its prediction marked relevant and the primary rho."""
+    set of answers its prediction marked relevant and the primary rho. A
+    ranking that does not list each candidate id exactly once, or a relevant
+    id that is not a candidate, raises a ``SchemaError`` naming the question."""
     by_qid = {p.question_id: p for p in predictions}
     for question in dataset.questions:
         qid = question.question_id
@@ -178,7 +180,17 @@ def _judged(predictions: list[Prediction], dataset: Dataset):
                 raise SchemaError(f"question {qid!r}: cannot evaluate without {field}")
         labels = {c.answer_id: derive_label(c.reference_score) for c in question.candidates}
         ranks = {c.answer_id: c.reference_rank for c in question.candidates}
+        if sorted(prediction.ranking) != sorted(ranks):
+            raise SchemaError(
+                f"question {qid!r}: ranking must list each of its {len(ranks)} "
+                f"candidate ids exactly once, got {list(prediction.ranking)}"
+            )
         relevant = set(prediction.relevant)
+        if not relevant <= ranks.keys():
+            raise SchemaError(
+                f"question {qid!r}: relevant ids {sorted(relevant - ranks.keys())} "
+                "are not its candidates"
+            )
         rho = spearman_per_question([a for a in prediction.ranking if a in relevant], ranks)
         yield question, prediction, labels, ranks, relevant, rho
 
@@ -296,7 +308,9 @@ def save_predictions(predictions: list[Prediction], path: str | Path) -> None:
 
 
 def load_predictions(path: str | Path) -> list[Prediction]:
-    predictions = []
+    """The predictions file ``path``; a malformed line or a ``question_id``
+    seen on an earlier line raises a ``SchemaError`` naming ``path:line``."""
+    predictions, seen = [], set()
     for where, record in read_jsonl(path, ("question_id", "ranking", "relevant")):
         if not isinstance(record["question_id"], str):
             raise SchemaError(f"{where}: question_id must be a string")
@@ -310,6 +324,9 @@ def load_predictions(path: str | Path) -> list[Prediction]:
             type(s) in (int, float) and abs(s) <= sys.float_info.max for s in scores.values()
         ):
             raise SchemaError(f"{where}: scores must map answer ids to finite numbers")
+        if record["question_id"] in seen:
+            raise SchemaError(f"{where}: duplicate question_id {record['question_id']!r}")
+        seen.add(record["question_id"])
         predictions.append(
             Prediction(
                 question_id=record["question_id"],

@@ -19,12 +19,12 @@ by side into one (C, P) array. Each map is treated independently, so one call
 serves every map whatever its shape.
 
 One process-wide pool of worker threads, started the first time work is
-shared, serves the optimizers' update sweep and the large ``Linear`` and
-``Conv2d`` forward products. Work is cut into pieces that depend on the
-shapes alone (a split conv product also pads its output cells to a multiple
-of 8, on one core too), and the calling thread and the free workers take
-them from one list, so results are the same bytes whatever the number of
-cores.
+shared, serves the optimizers' update sweep, the large ``Linear`` and
+``Conv2d`` forward products and the large He draws. Work is cut into pieces
+that depend on the shapes alone (a split conv product also pads its output
+cells to a multiple of 8, on one core too; a split draw gives the one-range
+bytes), and the calling thread and the free workers take them from one list,
+so results are the same bytes whatever the number of cores.
 """
 
 from __future__ import annotations
@@ -164,15 +164,59 @@ class ParamStore:
             p._init = None
 
 
+# Fewest elements at which a He draw is shared across the worker pool (64 MB).
+# Of the paper model only the pair head's first layer (29.2M of the 58.6M
+# parameters) reaches it; no --scaled-down tensor (the largest has 4,608)
+# and no single layer the pool's own tests build under a forced worker count
+# (up to 7.8M) does, so their posts stay those of the products under test.
+FILL_SPLIT_MIN = 1 << 23
+
+
 def he_fill(rng: np.random.Generator, fan_in: int) -> Callable[[np.ndarray], None]:
     """He-style uniform init with bound sqrt(6 / fan_in), drawn in place: the
-    bytes and generator state ``rng.uniform(-bound, bound, shape)`` leaves."""
+    bytes and generator state ``rng.uniform(-bound, bound, shape)`` leaves.
+
+    The fill walks the flat tensor in ``SWEEP_BLOCK`` blocks, drawing,
+    scaling and shifting each while it sits in cache. ``Generator.random``
+    takes exactly one 64-bit output of the bit generator per float64, so
+    element i is drawn from output i. That lets a tensor of at least
+    ``FILL_SPLIT_MIN`` elements on a ``PCG64`` generator be cut at block
+    boundaries into one range per ``sweep_workers`` worker, filled on the
+    pool: range k draws from a copy of the generator advanced (``advance``,
+    O(log n)) by its first element's index. The generator then takes the
+    last range's state, with its buffered 32-bit half put back (``advance``
+    clears it). Any other bit generator fills as one range."""
     bound = math.sqrt(6.0 / fan_in)
 
+    def fill_range(gen: np.random.Generator, flat: np.ndarray) -> None:
+        for first in range(0, flat.size, SWEEP_BLOCK):
+            block = flat[first : first + SWEEP_BLOCK]
+            gen.random(out=block)
+            block *= 2.0 * bound
+            block -= bound
+
     def fill(data: np.ndarray) -> None:
-        rng.random(out=data)
-        data *= 2.0 * bound
-        data -= bound
+        flat = data.reshape(-1)
+        blocks = -(-flat.size // SWEEP_BLOCK)
+        workers = 1
+        if flat.size >= FILL_SPLIT_MIN and type(rng.bit_generator) is np.random.PCG64:
+            workers = sweep_workers(blocks)
+        if workers == 1:
+            fill_range(rng, flat)
+            return
+        cuts = [k * blocks // workers * SWEEP_BLOCK for k in range(workers)] + [flat.size]
+        state = rng.bit_generator.state
+        gens = []
+        for start in cuts[:-1]:
+            bits = np.random.PCG64()
+            bits.state = state
+            gens.append(np.random.Generator(bits.advance(start)))
+        _run_pieces(
+            [functools.partial(fill_range, g, flat[a:b]) for g, a, b in zip(gens, cuts, cuts[1:])]
+        )
+        end = gens[-1].bit_generator.state
+        end.update(has_uint32=state["has_uint32"], uinteger=state["uinteger"])
+        rng.bit_generator.state = end
 
     return fill
 

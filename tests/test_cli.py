@@ -1961,6 +1961,30 @@ def test_unreadable_jsonl_input_names_the_line(pipeline_dir, capsys, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, out_flag", [("evaluate", "--out"), ("analyze", "--out-dir")])
+def test_malformed_prediction_exits_2_naming_the_question(
+    synth_dir, capsys, tmp_path, command, out_flag
+):
+    # Each validation question's candidates in file order, the first question's
+    # ranking and relevant set with an id that is none of its candidates.
+    val = str(synth_dir / "questions_validation.jsonl")
+    lines = []
+    for question in load_dataset(val, "validation").questions:
+        ids = [c.answer_id for c in question.candidates]
+        lines.append({"question_id": question.question_id, "ranking": ids, "relevant": ids[:1]})
+    lines[0]["ranking"].append("zz")
+    lines[0]["relevant"].append("zz")
+    bad = tmp_path / "preds.jsonl"
+    bad.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--predictions", str(bad), "--dataset", val, out_flag, str(out)]) == 2
+    payload = _error_payload(capsys)  # one line: no traceback
+    assert payload["error"] == "SchemaError"
+    assert payload["message"].startswith(f"question {lines[0]['question_id']!r}: ranking must")
+    assert not out.exists()
+
+
 class TestConfigFile:
     def test_config_file_and_env_fallback(self, tmp_path, monkeypatch):
         config_path = tmp_path / "run.conf"

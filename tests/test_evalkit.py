@@ -236,6 +236,33 @@ class TestEvaluate:
         assert report.mean_rho == pytest.approx(0.5)
 
 
+# q1's prediction made malformed: ``(ranking, relevant, the error)``.
+MALFORMED_Q1 = {
+    "unknown-id-in-both": (
+        ("q1-a", "q1-b", "q1-c", "zz"), ("q1-a", "zz"), "ranking must list each of its 3"
+    ),
+    "unknown-relevant-id": (
+        ("q1-a", "q1-b", "q1-c"), ("q1-a", "zz"), r"relevant ids \['zz'\] are not its"
+    ),
+    "ranking-cut-short": (("q1-a",), ("q1-a",), "ranking must list each of its 3"),
+    "ranking-repeats-an-id": (
+        ("q1-a", "q1-a", "q1-b"), ("q1-a",), "ranking must list each of its 3"
+    ),
+}
+
+
+@pytest.mark.parametrize("judge", [evaluate, analyze])
+@pytest.mark.parametrize("case", sorted(MALFORMED_Q1))
+def test_malformed_prediction_names_the_question(judge, case):
+    ranking, relevant, error = MALFORMED_Q1[case]
+    predictions = [
+        Prediction("q1", ranking, relevant),
+        Prediction("q2", ("q2-a", "q2-b"), ("q2-a",)),
+    ]
+    with pytest.raises(SchemaError, match=f"^question 'q1': {error}"):
+        judge(predictions, _two_question_dataset())
+
+
 class TestAnalyze:
     def test_hand_tally(self):
         dataset = _two_question_dataset()
@@ -354,6 +381,14 @@ class TestPersistence:
         path.write_text('{"question_id": "q", "ranking": ["a"], "relevant": []}\n'
                         '{"question_id": "r", "ranking": ["b"], "relevant": [], "scores": {}}\n')
         assert [p.scores for p in load_predictions(path)] == [None, None]
+
+    def test_duplicate_question_id_rejected(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text('{"question_id": "q", "ranking": ["a", "b"], "relevant": ["a"]}\n'
+                        '{"question_id": "r", "ranking": ["c"], "relevant": []}\n'
+                        '{"question_id": "q", "ranking": ["b", "a"], "relevant": []}\n')
+        with pytest.raises(SchemaError, match=r"preds\.jsonl:3: duplicate question_id 'q'"):
+            load_predictions(path)
 
     @pytest.mark.parametrize(
         "scores", ['"abc"', "null", "[0.5]", '{"a": true}', '{"a": "0.5"}', '{"a": NaN}',

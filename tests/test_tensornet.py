@@ -40,7 +40,14 @@ from medrank.tensornet import (
     write_manifest,
 )
 
-from conftest import assert_no_update_left, count_posts, he_uniform, pending, track_updates
+from conftest import (
+    assert_no_update_left,
+    count_posts,
+    he_uniform,
+    pending,
+    small_world,
+    track_updates,
+)
 
 
 def naive_conv2d(x, weight, bias, stride, padding):
@@ -1965,6 +1972,64 @@ class TestInitialization:
         assert conv.weight.data.tobytes() == want_conv.tobytes()
         assert not linear.bias.data.any() and not conv.bias.data.any()
         assert rng.random() == oracle.random()
+
+
+class TestSplitFill:
+    """A He draw of at least ``FILL_SPLIT_MIN`` elements on a PCG64
+    generator is cut into one range per worker, each drawn from an advanced
+    copy; the bytes and the generator state stay those of one
+    ``rng.uniform`` call, wherever the ranges run."""
+
+    @staticmethod
+    def _buffered(bits):
+        """A generator over ``bits`` that has drawn one 32-bit integer:
+        PCG64 holds the other half of its 64-bit output in a buffer."""
+        rng = np.random.Generator(bits)
+        rng.integers(0, 2**32, dtype=np.uint32)
+        return rng
+
+    @staticmethod
+    def _draw(rng):
+        """A 32-bit and a float64 draw: the buffered half, then fresh output."""
+        return rng.integers(0, 2**32, dtype=np.uint32), rng.random()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_ranges_give_one_uniform_call(self, monkeypatch, workers):
+        calls = []
+        monkeypatch.setattr(
+            tensornet, "sweep_workers", lambda *args: calls.append(args) or workers
+        )
+        posts = count_posts(monkeypatch)
+        rng, oracle = (self._buffered(np.random.PCG64(17)) for _ in range(2))
+        assert rng.bit_generator.state["has_uint32"] == 1
+        layer = Linear(4100, 2050, rng, bias=False)  # a ragged last block
+        assert 4100 * 2050 >= tensornet.FILL_SPLIT_MIN and 4100 * 2050 % SWEEP_BLOCK
+        layer.materialize()
+        want = he_uniform(oracle, (2050, 4100), 4100)
+        assert layer.weight.data.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        assert calls[0] == (-(-4100 * 2050 // SWEEP_BLOCK),)
+        assert posts == ([workers - 1] if workers > 1 else [])
+        assert self._draw(rng) == self._draw(oracle)
+
+    def test_other_bit_generators_fill_as_one_range(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tensornet, "sweep_workers", lambda *args: calls.append(args) or 2)
+        posts = count_posts(monkeypatch)
+        rng, oracle = (self._buffered(np.random.MT19937(17)) for _ in range(2))
+        layer = Linear(4100, 2050, rng, bias=False).materialize()
+        want = he_uniform(oracle, (2050, 4100), 4100)
+        assert layer.weight.data.tobytes() == want.tobytes()
+        assert self._draw(rng) == self._draw(oracle)
+        assert calls == [] and posts == []
+
+    def test_scaled_model_build_posts_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tensornet, "sweep_workers", lambda *args: calls.append(args) or 2)
+        posts = count_posts(monkeypatch)
+        model = small_world(questions=4, seed=8)[-1]
+        assert max(p.data.size for p in model.store.params) < tensornet.FILL_SPLIT_MIN
+        assert calls == [] and posts == []
 
 
 class TestManifest:
